@@ -414,8 +414,7 @@ def _mesh_mask(f, region, Z, tols) -> np.ndarray:
         w = _winding_many(face.polygon, flat[sel])
         keep = np.abs(np.round(w)) == 1
         # stay off the boundary walk itself
-        dist = geometry.points_to_polyline_distances(flat[sel], face.polygon)
-        keep &= dist > 1e-12
+        keep &= geometry.SegmentIndex([face.polygon]).distances(flat[sel], upto=1e-12) > 1e-12
 
     inner = region.inner_boundary
     if inner.kind is CurveKind.LEVEL_CURVE:
@@ -556,7 +555,7 @@ def _inner_width(region: AnnularRegion, center: complex, tols: Tolerances) -> fl
         return 1.0 - abs(center)
     g = region.outer_boundary.graph(tols)
     face = next(fc for fc in g.faces if fc.id == region.outer_face_id)
-    return geometry.point_to_polyline_distance(center, face.polygon)
+    return float(geometry.SegmentIndex([face.polygon]).distances([center])[0])
 
 
 def _wrap(a):
@@ -758,10 +757,7 @@ def _boundary_gaps(f, region, grid: PhiGrid, tols) -> tuple[float, float]:
     def layer_gap(boundary: CurveRef, radius: float) -> float:
         if not math.isfinite(radius) or radius == 0.0:
             return 0.0
-        if boundary.kind is CurveKind.POINT:
-            d = np.abs(grid.points - boundary.point)
-        else:
-            d = geometry.points_to_polyline_distances(grid.points, boundary.all_points())
+        d = boundary.index.distances(grid.points)
         cut = np.quantile(d, 0.05)
         layer = grid.phi[d <= cut + 1e-15]
         if layer.size == 0:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -58,8 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--delta", type=float, required=True)
         p.add_argument("--out", default=None, help="output path (.json or .csv)")
         p.add_argument("--svg", default=None, help="also write an SVG rendering here")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
         for name in ("trace", "vertex", "phi", "hull"):
             p.add_argument(f"--tol-{name}", type=float, default=None)
 
@@ -71,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gl.add_argument("--corpus", type=int, default=0, help="also check N random polynomials")
     gl.add_argument("--corrupted", type=int, default=0, help="run N corrupted replays")
     gl.add_argument("--seed", type=int, default=0)
-    gl.add_argument("--threads", type=int, default=1)
     gl.add_argument("--out", default=None)
     for name in ("trace", "vertex", "phi", "hull"):
         gl.add_argument(f"--tol-{name}", type=float, default=None)
@@ -184,15 +180,7 @@ def _cmd_gauss_lucas(args) -> int:
     if args.corpus:
         rng = np.random.default_rng(args.seed)
         polys = [random_polynomial(rng, int(rng.integers(2, 11))) for _ in range(args.corpus)]
-
-        def one(p):
-            return check_gauss_lucas(p, tols).to_dict()
-
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                reports.extend(pool.map(one, polys))
-        else:
-            reports.extend(one(p) for p in polys)
+        reports.extend(check_gauss_lucas(p, tols).to_dict() for p in polys)
 
     replays = []
     if args.corrupted:

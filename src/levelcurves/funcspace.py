@@ -484,28 +484,13 @@ class RationalFn:
             out = nv / dv
         return np.where(dv == 0.0, np.inf, out)
 
-    def eval_derivative(self, z: complex) -> complex:
-        dv = self.denominator(z)
-        if dv == 0:
-            return INF
-        nv = self.numerator(z)
-        ndv = self._dnum(z)
-        ddv = self._dden(z)
-        return (ndv * dv - nv * ddv) / (dv * dv)
-
     def log_derivative(self, z: complex) -> complex:
         """f'/f evaluated as num'/num - den'/den; stable away from roots."""
         nv = self.numerator(z)
         dv = self.denominator(z)
         if nv == 0 or dv == 0:
             return INF
-        return self._dnum(z) / nv - self._dden(z) / dv
-
-    def _dnum(self, z):
-        return self._num_deriv(z)
-
-    def _dden(self, z):
-        return self._den_deriv(z)
+        return self._num_deriv(z) / nv - self._den_deriv(z) / dv
 
     @cached_property
     def _num_deriv(self) -> Polynomial:
@@ -561,9 +546,6 @@ class RationalFn:
     def critical_points(self) -> list[tuple[complex, int]]:
         """Critical points inside the associated domain."""
         return [(z, m) for z, m in self.all_critical_points if self.domain.contains(z)]
-
-    def zeros_and_poles(self) -> tuple[list[tuple[complex, int]], list[tuple[complex, int]]]:
-        return self.zeros, self.poles
 
     def distinguished_points(self) -> list[complex]:
         return [z for z, _ in self.zeros] + [z for z, _ in self.poles] + [

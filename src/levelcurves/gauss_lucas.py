@@ -80,10 +80,8 @@ def hull_signed_distance(hull: list[complex], z: complex) -> float:
     Degenerate hulls (point or segment) have empty interior, so the value is
     the plain Euclidean distance (always >= 0).
     """
-    if len(hull) == 1:
-        return abs(z - hull[0])
-    if len(hull) == 2:
-        return geometry.point_to_polyline_distance(z, np.array(hull, dtype=complex))
+    if len(hull) < 3:
+        return float(geometry.SegmentIndex([hull]).distances([z])[0])
     best = -math.inf
     n = len(hull)
     for i in range(n):

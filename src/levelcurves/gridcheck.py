@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcspace import RationalFn
+from .geometry import SegmentIndex, bounding_box
 
 
 def crossing_cells(f: RationalFn, eps: float, box, n: int = 600) -> tuple[np.ndarray, float]:
@@ -54,34 +55,6 @@ class ProximityReport:
         )
 
 
-def _bucket_min_distances(queries: np.ndarray, targets: np.ndarray, cell: float) -> np.ndarray:
-    """min distance from each query to the target set, via a uniform hash grid."""
-    if targets.size == 0:
-        return np.full(queries.shape, np.inf)
-    tx = np.floor(targets.real / cell).astype(np.int64)
-    ty = np.floor(targets.imag / cell).astype(np.int64)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for idx, (a, b) in enumerate(zip(tx, ty)):
-        buckets.setdefault((int(a), int(b)), []).append(idx)
-
-    out = np.full(queries.shape, np.inf)
-    qx = np.floor(queries.real / cell).astype(np.int64)
-    qy = np.floor(queries.imag / cell).astype(np.int64)
-    for qi, (a, b, q) in enumerate(zip(qx, qy, queries)):
-        best = np.inf
-        for radius in (1, 4, 16, 64):
-            for i in range(int(a) - radius, int(a) + radius + 1):
-                for j in range(int(b) - radius, int(b) + radius + 1):
-                    members = buckets.get((i, j))
-                    if members:
-                        d = np.min(np.abs(targets[members] - q))
-                        best = min(best, float(d))
-            if best <= radius * cell * 0.9:
-                break
-        out[qi] = best
-    return out
-
-
 def two_sided_proximity(
     arcs: list[np.ndarray],
     cells: np.ndarray,
@@ -93,17 +66,10 @@ def two_sided_proximity(
     Cell centers are measured against the polyline segments (the curve
     itself); traced points are measured against the cell-center set.
     """
-    from . import geometry
-
     cells = np.asarray(cells, dtype=complex).ravel()
     trace_points = np.concatenate([np.asarray(a, dtype=complex).ravel() for a in arcs])
-
-    d_ct = np.full(cells.shape, np.inf)
-    for a in arcs:
-        d_ct = np.minimum(d_ct, _chunked_polyline_distance(cells, np.asarray(a, dtype=complex)))
-
-    cell = max(diag / math.sqrt(2.0), 1e-12)
-    d_tc = _bucket_min_distances(trace_points, cells, cell)
+    d_ct = SegmentIndex(arcs).distances(cells)
+    d_tc = SegmentIndex(cells[:, None]).distances(trace_points)
     return ProximityReport(
         max_cell_to_trace=float(np.max(d_ct)) if d_ct.size else 0.0,
         max_trace_to_cell=float(np.max(d_tc)) if d_tc.size else 0.0,
@@ -113,23 +79,10 @@ def two_sided_proximity(
     )
 
 
-def _chunked_polyline_distance(queries: np.ndarray, polyline: np.ndarray, chunk: int = 1024) -> np.ndarray:
-    from . import geometry
-
-    out = np.empty(queries.shape, dtype=float)
-    for start in range(0, queries.size, chunk):
-        out[start : start + chunk] = geometry.points_to_polyline_distances(
-            queries[start : start + chunk], polyline
-        )
-    return out
-
-
 def grid_oracle_report(f: RationalFn, eps: float, components, n: int = 600, margin_rel: float = 0.05) -> ProximityReport:
     """Compare traced components of E_{f, eps} against a fresh rasterization."""
-    from . import geometry
-
     arcs = [a.points for c in components for a in c.arcs]
-    x0, y0, x1, y1 = geometry.bounding_box(arcs)
+    x0, y0, x1, y1 = bounding_box(arcs)
     m = margin_rel * max(x1 - x0, y1 - y0, 1e-9)
     cells, diag = crossing_cells(f, eps, (x0 - m, y0 - m, x1 + m, y1 + m), n)
     return two_sided_proximity(arcs, cells, diag)

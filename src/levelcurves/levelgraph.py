@@ -249,6 +249,7 @@ def _interior_point(poly, want_winding: bool) -> complex:
     p = np.asarray(poly)
     n = p.size - 1
     h = geometry.max_segment_length(p)
+    index = geometry.SegmentIndex([p])
     for frac in (0.25, 0.5, 0.75, 0.1, 0.9, 0.35, 0.65):
         idx = max(1, int(n * frac))
         a, b = p[idx - 1], p[idx]
@@ -260,7 +261,7 @@ def _interior_point(poly, want_winding: bool) -> complex:
         for delta in (2.0 * h, 0.5 * h, 0.1 * h, 5.0 * h, 20.0 * h):
             for side in (+1.0, -1.0):
                 cand = mid + side * delta * normal
-                if geometry.point_to_polyline_distance(cand, p) < 0.45 * delta:
+                if index.distances([cand], upto=0.45 * delta)[0] < 0.45 * delta:
                     continue
                 w = geometry.winding_number(p, cand)
                 if abs(w - round(w)) > 0.05:
@@ -313,7 +314,7 @@ def face_count(graph: LevelGraph) -> tuple[int, int]:
 
 def face_of_point(graph: LevelGraph, z: complex, tols: Tolerances = DEFAULT_TOLS) -> int:
     """Face id containing z, by winding of each face's boundary walk."""
-    d = graph.component.distance_to(z)
+    d = graph.component.index.distances([z], upto=tols.trace_tol)[0]
     if d <= tols.trace_tol:
         raise TopologyError(f"point {z} lies on the traced curve (distance {d:.2e})")
     hits = []

@@ -17,7 +17,8 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import TraceError
 from .funcspace import DomainSpec, RationalFn
-from .tracer import LevelCurveComponent, _LevelTracer, _domain_scale, _trace_component_with
+from .geometry import SegmentIndex, max_segment_length
+from .tracer import LevelCurveComponent, _LevelTracer, _domain_scale, _near, _trace_component_with
 
 K_SAMPLES = 8  # audit heights per side of eps in one probe trial
 
@@ -29,75 +30,15 @@ class HausdorffReport:
     d_check: float
     discretization: float = 0.0
 
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.d_check)
-
-
-def _directed_max_min(xs: np.ndarray, ys: np.ndarray, chunk: int = 4096) -> float:
-    out = 0.0
-    for start in range(0, xs.size, chunk):
-        block = xs[start : start + chunk]
-        d = np.min(np.abs(block[:, None] - ys[None, :]), axis=1)
-        out = max(out, float(np.max(d)))
-    return out
-
 
 def hausdorff(X, Y) -> HausdorffReport:
-    """Brute-force two-sided distance between finite point sets."""
+    """Two-sided distance between finite point sets."""
     xs = np.asarray(list(X), dtype=complex).ravel()
     ys = np.asarray(list(Y), dtype=complex).ravel()
     if xs.size == 0 or ys.size == 0:
         return HausdorffReport(math.inf, math.inf, math.inf)
-    d1 = _directed_max_min(xs, ys)
-    d2 = _directed_max_min(ys, xs)
-    return HausdorffReport(d1, d2, max(d1, d2))
-
-
-def hausdorff_accelerated(X, Y, cell_factor: float = 4.0) -> HausdorffReport:
-    """Grid-bucketed variant; must agree with :func:`hausdorff` exactly.
-
-    The bucket search enumerates rings of cells outward until the best
-    distance is certified, so the arithmetic (min of |x - y|) is identical.
-    """
-    xs = np.asarray(list(X), dtype=complex).ravel()
-    ys = np.asarray(list(Y), dtype=complex).ravel()
-    if xs.size == 0 or ys.size == 0:
-        return HausdorffReport(math.inf, math.inf, math.inf)
-
-    def directed(a, b):
-        span = max(np.ptp(b.real), np.ptp(b.imag))
-        if b.size < 64 or span == 0.0:
-            return _directed_max_min(a, b)
-        cell = max(span / max(4.0, math.sqrt(b.size) * cell_factor), 1e-12)
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for i, q in enumerate(b):
-            key = (int(np.floor(q.real / cell)), int(np.floor(q.imag / cell)))
-            buckets.setdefault(key, []).append(i)
-        worst = 0.0
-        for q in a:
-            qi, qj = int(np.floor(q.real / cell)), int(np.floor(q.imag / cell))
-            best = np.inf
-            radius = 0
-            # after scanning rings 0..r, any unscanned point sits in a cell at
-            # Chebyshev distance > r, hence at least r*cell away from q
-            while True:
-                for i in range(qi - radius, qi + radius + 1):
-                    for j in range(qj - radius, qj + radius + 1):
-                        if max(abs(i - qi), abs(j - qj)) != radius:
-                            continue
-                        members = buckets.get((i, j))
-                        if members:
-                            d = float(np.min(np.abs(b[np.asarray(members)] - q)))
-                            best = min(best, d)
-                if best <= radius * cell:
-                    break
-                radius += 1
-            worst = max(worst, best)
-        return worst
-
-    d1 = directed(xs, ys)
-    d2 = directed(ys, xs)
+    d1 = float(np.max(SegmentIndex(ys[:, None]).distances(xs)))
+    d2 = float(np.max(SegmentIndex(xs[:, None]).distances(ys)))
     return HausdorffReport(d1, d2, max(d1, d2))
 
 
@@ -105,10 +46,7 @@ def hausdorff_between_curves(comp_a_points, comp_b_points) -> HausdorffReport:
     xs = np.asarray(comp_a_points, dtype=complex).ravel()
     ys = np.asarray(comp_b_points, dtype=complex).ravel()
     rep = hausdorff(xs, ys)
-    disc = 0.0
-    for pts in (xs, ys):
-        if pts.size >= 2:
-            disc = max(disc, float(np.max(np.abs(np.diff(pts)))))
+    disc = max(max_segment_length(xs), max_segment_length(ys))
     return HausdorffReport(rep.d1, rep.d2, rep.d_check, discretization=disc)
 
 
@@ -146,9 +84,6 @@ def _nearby_curves_union(
     tracer = _LevelTracer(f, zeta, tols, scale)
     comps: list[LevelCurveComponent] = []
 
-    def claimed(z: complex) -> bool:
-        return any(c.distance_to(z) < 0.5 * max(c.max_segment(), 1e-12) for c in comps)
-
     for arc in component.arcs:
         pts = arc.points
         mid = pts[len(pts) // 2]
@@ -158,7 +93,7 @@ def _nearby_curves_union(
         normal = 1j * tangent / abs(tangent)
         for off in (0.0, 0.25 * delta, -0.25 * delta, 0.75 * delta, -0.75 * delta):
             z, _ = tracer.correct(mid + off * normal, max_iter=40)
-            if z is None or claimed(z):
+            if z is None or any(_near(c, [z])[0] for c in comps):
                 continue
             if abs(z - mid) > 4.0 * delta + 1.0:
                 continue

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,13 @@ class CurveRef:
             return self.component.points
         return self.boundary
 
+    @cached_property
+    def index(self) -> geometry.SegmentIndex:
+        """Nearest-distance index over the arcs (or the boundary, or the point)."""
+        if self.kind is CurveKind.LEVEL_CURVE:
+            return self.component.index
+        return geometry.SegmentIndex([self.all_points()])
+
     def is_critical_curve(self) -> bool:
         return self.kind is CurveKind.LEVEL_CURVE and bool(self.component.vertices)
 
@@ -80,10 +88,6 @@ class CriticalSetC:
 
 
 # ---------------------------------------------------------------------------
-
-
-def min_distance(a: CurveRef, b: CurveRef) -> float:
-    return geometry.min_polyline_distance(a.all_points(), b.all_points())
 
 
 def _membership_face(b: CurveRef, samples: list[complex], tols: Tolerances) -> int | None:
@@ -106,18 +110,13 @@ def precedes(a: CurveRef, b: CurveRef, tols: Tolerances = DEFAULT_TOLS) -> bool:
         return False
     if a is b:
         raise TopologyError("precedes() requires distinct, disjoint curves")
-    d = min_distance(a, b)
+    d = float(np.min(b.index.distances(a.all_points(), upto=tols.trace_tol)))
     if d <= tols.trace_tol:
         raise TopologyError(f"curves too close to order (min distance {d:.3e})")
     if b.kind is CurveKind.BOUNDARY:
         # boundary refs only occur as the outer circle of the unit disk
         return bool(np.all(np.abs(a.all_points()) < 1.0))
     return _membership_face(b, a.sample_points(), tols) is not None
-
-
-def in_bounded_face(b: CurveRef, pts, tols: Tolerances = DEFAULT_TOLS) -> int | None:
-    """Face id of b containing the point set, or None if in the unbounded face."""
-    return _membership_face(b, [complex(p) for p in np.atleast_1d(np.asarray(pts, dtype=complex))], tols)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +212,7 @@ def separating_curve(
     K = np.atleast_1d(np.asarray(K, dtype=complex))
     L_pts = L.all_points()
     # nearest approach between L and K
-    dists = geometry.points_to_polyline_distances(K, L_pts)
+    dists = L.index.distances(K)
     k_star = complex(K[int(np.argmax(-dists))])
     p_star = complex(L_pts[int(np.argmin(np.abs(L_pts - k_star)))])
 
@@ -238,7 +237,7 @@ def separating_curve(
             continue
         cand = CurveRef(CurveKind.LEVEL_CURVE, level, component=comp, label="separator")
         # non-critical certificate: well clear of every critical point
-        if crit_pts and min(comp.distance_to(c) for c in crit_pts) < 1e-5 * scale:
+        if crit_pts and np.min(comp.index.distances(crit_pts, upto=1e-5 * scale)) < 1e-5 * scale:
             continue
         try:
             k_face = _membership_face(cand, [complex(k) for k in K], tols)
@@ -313,37 +312,6 @@ def maximal_component(
             f"expected a unique maximal element of the critical set, found {len(maxima)}: "
             f"{[m.label for m in maxima]}"
         )
-    return maxima[0]
-
-
-def maximal_in_face(
-    C: CriticalSetC,
-    container: CurveRef,
-    face_id: int,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> CurveRef:
-    """Unique maximal element of the critical set restricted to one face."""
-    inside = []
-    for ref in C.components:
-        if ref is container:
-            continue
-        try:
-            fid = _membership_face(container, ref.sample_points(), tols)
-        except TopologyError:
-            continue
-        if fid == face_id:
-            inside.append(ref)
-    if not inside:
-        raise TopologyError(f"face {face_id} holds no critical-set member")
-    maxima = []
-    for a in inside:
-        if not any(
-            b is not a and b.kind is CurveKind.LEVEL_CURVE and precedes(a, b, tols)
-            for b in inside
-        ):
-            maxima.append(a)
-    if len(maxima) != 1:
-        raise TopologyError(f"face {face_id}: expected one maximal member, found {len(maxima)}")
     return maxima[0]
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,17 +64,18 @@ class LevelCurveComponent:
     def points(self) -> np.ndarray:
         return np.concatenate([a.points for a in self.arcs])
 
-    def bounding_box(self, margin: float = 0.0):
-        return geometry.bounding_box([a.points for a in self.arcs], margin)
-
     def total_length(self) -> float:
         return sum(a.length() for a in self.arcs)
 
     def max_segment(self) -> float:
         return max(geometry.max_segment_length(a.points) for a in self.arcs)
 
+    @cached_property
+    def index(self) -> geometry.SegmentIndex:
+        return geometry.SegmentIndex([a.points for a in self.arcs])
+
     def distance_to(self, z: complex) -> float:
-        return min(geometry.point_to_polyline_distance(z, a.points) for a in self.arcs)
+        return float(self.index.distances([z])[0])
 
 
 @dataclass
@@ -634,18 +636,11 @@ def trace_level_set(
     tracer = _LevelTracer(f, eps, tols, scale)
 
     components: list[LevelCurveComponent] = []
-
-    def already_traced(z: complex) -> bool:
-        for comp in components:
-            if comp.distance_to(z) < 0.5 * max(comp.max_segment(), 1e-12):
-                return True
-        return False
-
-    for seed in seeds:
-        z, _ = tracer.correct(seed, max_iter=60)
-        if z is None or already_traced(z):
-            continue
-        components.append(_trace_component_with(tracer, z))
+    pending = [z for z, _ in (tracer.correct(seed, max_iter=60) for seed in seeds) if z is not None]
+    while pending:
+        components.append(_trace_component_with(tracer, pending[0]))
+        rest = pending[1:]
+        pending = [z for z, hit in zip(rest, _near(components[-1], rest)) if not hit]
 
     # critical points on this level must appear even if no seed reached them
     for idx, v in enumerate(tracer.vertices):
@@ -654,7 +649,7 @@ def trace_level_set(
         if not domain.contains(v.position) or all(v.used):
             continue
         launch = tracer.launch_from_vertex(idx, v.used.index(False))
-        if already_traced(launch):
+        if any(_near(comp, [launch])[0] for comp in components):
             continue
         components.append(_trace_component_with(tracer, launch))
 
@@ -677,12 +672,16 @@ def trace_level_set(
     return components
 
 
+def _near(comp: LevelCurveComponent, zs) -> np.ndarray:
+    """Which points of zs lie within half a step of comp, i.e. on it already."""
+    gap = 0.5 * max(comp.max_segment(), 1e-12)
+    return comp.index.distances(zs, upto=gap) < gap
+
+
 def _check_disjoint(components, tols: Tolerances):
     for i in range(len(components)):
         for j in range(i + 1, len(components)):
-            a = components[i].points
-            b = components[j].points
-            d = geometry.min_polyline_distance(a, b)
+            d = float(np.min(components[j].index.distances(components[i].points, upto=tols.trace_tol)))
             if d <= tols.trace_tol:
                 raise TraceError(
                     f"components {i} and {j} overlap (distance {d:.3e}); "

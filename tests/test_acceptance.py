@@ -35,8 +35,8 @@ from levelcurves.order_topology import CurveKind
 
 def report(num, name, t0, budget):
     dt = time.time() - t0
-    print(f"ACCEPTANCE {num:02d} {name}: PASS ({dt:.1f}s / budget {budget:.0f}s)")
     assert dt < budget, f"criterion {num} exceeded runtime budget: {dt:.1f}s"
+    print(f"ACCEPTANCE {num:02d} {name}: PASS ({dt:.1f}s / budget {budget:.0f}s)")
 
 
 @pytest.fixture(scope="module")

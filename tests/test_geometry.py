@@ -1,0 +1,64 @@
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from levelcurves import geometry
+from levelcurves.geometry import SegmentIndex
+
+
+def brute_distances(zs, polylines):
+    """Minimum over every segment of every polyline, one dense matrix each."""
+    out = np.full(zs.shape, np.inf)
+    for p in polylines:
+        p = np.asarray(p, dtype=complex)
+        if p.size == 1:
+            d = np.abs(zs - p[0])
+        else:
+            a = p[:-1][None, :]
+            e = (p[1:] - p[:-1])[None, :]
+            denom = e.real**2 + e.imag**2
+            denom = np.where(denom == 0.0, 1.0, denom)
+            w = zs[:, None] - a
+            t = np.clip((w.real * e.real + w.imag * e.imag) / denom, 0.0, 1.0)
+            d = np.min(np.abs(zs[:, None] - (a + t * e)), axis=1)
+        out = np.minimum(out, d)
+    return out
+
+
+coords = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+points = st.builds(complex, coords, coords)
+
+
+@st.composite
+def scenes(draw):
+    scale = 10.0 ** draw(st.integers(-6, 3))
+    pool = draw(st.lists(points, min_size=1, max_size=12))
+    # points drawn from a small pool repeat, so segments of zero length occur
+    vertex = st.one_of(st.sampled_from(pool), points)
+    polylines = draw(st.lists(st.lists(vertex, min_size=1, max_size=30), min_size=1, max_size=4))
+    queries = draw(st.lists(points, min_size=1, max_size=40))
+    far = draw(st.lists(st.builds(lambda z, k: z * 10.0**k, points, st.integers(1, 9)), max_size=5))
+    zs = np.array(queries + far, dtype=complex) * scale
+    return [np.array(p, dtype=complex) * scale for p in polylines], zs, draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scene=scenes())
+def test_index_matches_brute_force_exactly(scene):
+    polylines, zs, frac = scene
+    want = brute_distances(zs, polylines)
+    upto = float(np.quantile(want, frac))
+    index = SegmentIndex(polylines)
+    # a tiny block budget sends small inputs through the grid search too
+    for block in (8, geometry._BLOCK_PAIRS):
+        with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
+            assert np.array_equal(index.distances(zs), want)
+            assert np.array_equal(index.distances(zs, upto=upto), np.where(want <= upto, want, np.inf))
+    if len({p.size for p in polylines}) == 1:
+        assert np.array_equal(SegmentIndex(np.array(polylines)).distances(zs), want)
+
+
+def test_empty_index_is_infinitely_far():
+    assert np.all(SegmentIndex([]).distances([0j, 1 + 1j]) == np.inf)

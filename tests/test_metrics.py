@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levelcurves import continuity_probe, hausdorff, parse_function_spec
-from levelcurves.metrics import hausdorff_accelerated, hausdorff_between_curves
+from levelcurves.metrics import hausdorff_between_curves
 
 
 def test_identity_distance_zero():
@@ -40,16 +40,6 @@ def test_pseudometric_properties():
         dxz = hausdorff(X, Z).d_check
         dzy = hausdorff(Z, Y).d_check
         assert dxy <= dxz + dzy + 1e-12
-
-
-def test_accelerated_matches_brute_force_exactly():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        X = rng.normal(size=rng.integers(1, 120)) + 1j * rng.normal(size=1)
-        Y = 3 * rng.normal(size=rng.integers(1, 120)) + 1j * rng.normal(size=1)
-        a = hausdorff(X.ravel(), Y.ravel())
-        b = hausdorff_accelerated(X.ravel(), Y.ravel())
-        assert (a.d1, a.d2, a.d_check) == (b.d1, b.d2, b.d_check)
 
 
 def test_refinement_never_inflates_much():

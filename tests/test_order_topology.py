@@ -10,7 +10,7 @@ from levelcurves import (
     trace_level_set,
     two_curve_critical_witness,
 )
-from levelcurves.order_topology import CurveKind, CurveRef, hasse_diagram, maximal_in_face
+from levelcurves.order_topology import CurveKind, CurveRef, hasse_diagram
 
 
 def ref_of(comp, level, label=""):
@@ -168,12 +168,17 @@ def test_maximal_blaschke_nested(blaschke_21):
     assert precedes(inner, m)
 
 
-def test_maximal_per_face(z5, z5_C):
-    crit = z5_C.curves()[0]
-    g = crit.graph()
-    for face in g.bounded_faces:
-        m = maximal_in_face(z5_C, crit, face.id)
-        assert m.kind is CurveKind.POINT  # one zero per petal
+def test_order_ignores_junction_chords():
+    # z^3 - 3z: both critical points (+-1) sit on level 2, so the critical
+    # curve has two vertices; its arcs joined end to start would make a
+    # chord through the zero at 0
+    f = parse_function_spec("poly:1,0,-3,0")
+    C = critical_level_curves(f)
+    crit = C.curves()[0]
+    zero = next(r for r in C.components if r.kind is CurveKind.POINT and abs(r.point) < 1e-9)
+    assert len(crit.component.vertices) == 2
+    assert precedes(zero, crit)
+    assert maximal_component(f, C=C) is crit
 
 
 def test_hasse_diagram_z5(z5_C):

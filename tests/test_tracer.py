@@ -96,7 +96,7 @@ def test_components_disjoint():
     comps = trace_level_set(f, 0.5)
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
-            d = geometry.min_polyline_distance(comps[i].points, comps[j].points)
+            d = np.min(comps[j].index.distances(comps[i].points))
             assert d > 1e-3
 
 
