@@ -3,10 +3,13 @@
 Removing the critical set (critical level curves, zeros, poles) from the
 domain leaves finitely many components, each conformally an annulus.  On
 each component the map phi is a branch of f^(1/M): |f|^(1/M) * e^(i*alpha/M)
-with alpha a continued argument of f propagated over a mesh spanning tree.
-M = +N when arg f increases along positively oriented level curves in the
-region (the inner boundary encloses net zeros), M = -N for net poles; with
-this branch the power identity f == phi^M holds exactly on both kinds.
+with alpha a continued argument of f on a grid mesh of the region.  alpha is
+unwrapped along the mesh rows and the row runs are joined by column edges
+(one spanning tree); a second tree that joins the columns by row edges and
+the residue of every mesh edge certify it mod 2*pi*N.  M = +N when arg f
+increases along positively oriented level curves in the region (the inner
+boundary encloses net zeros), M = -N for net poles; with this branch the
+power identity f == phi^M holds exactly on both kinds.
 """
 
 from __future__ import annotations
@@ -42,13 +45,13 @@ class PhiGrid:
 
     points: np.ndarray  # complex mesh points
     f_vals: np.ndarray
-    alpha: np.ndarray  # continued arg f, alpha[basepoint] = principal arg
+    alpha: np.ndarray  # arg f continued on the row-run tree, alpha[basepoint] = principal arg
     phi: np.ndarray
     spacing: float
     basepoint_index: int
-    tree_discrepancy: float  # two-tree alpha difference, reduced mod 2*pi*N
-    cycle_discrepancy: float  # non-tree edge residues, reduced mod 2*pi*N
-    n_cycle_samples: int
+    tree_discrepancy: float  # alpha against the column-run tree, reduced mod 2*pi*N
+    cycle_discrepancy: float  # worst residue of any mesh edge on the row-run tree, mod 2*pi*N
+    n_cycle_samples: int  # mesh edges checked: all of them
 
 
 @dataclass
@@ -385,17 +388,6 @@ def _region_box(region: AnnularRegion, tols: Tolerances):
     return geometry.bounding_box([face.polygon], margin=0.0)
 
 
-def _winding_many(polygon: np.ndarray, zs: np.ndarray, chunk: int = 256) -> np.ndarray:
-    out = np.empty(zs.shape, dtype=float)
-    seg_a = polygon[:-1]
-    seg_b = polygon[1:]
-    for start in range(0, zs.size, chunk):
-        block = zs[start : start + chunk, None]
-        ang = np.angle((seg_b[None, :] - block) / (seg_a[None, :] - block))
-        out[start : start + chunk] = np.sum(ang, axis=1) / TWO_PI
-    return out
-
-
 def _mesh_mask(f, region, Z, tols) -> np.ndarray:
     lo, hi = region.level_interval()
     vals = f.abs_grid(Z)
@@ -411,7 +403,7 @@ def _mesh_mask(f, region, Z, tols) -> np.ndarray:
     else:
         g = region.outer_boundary.graph(tols)
         face = next(fc for fc in g.faces if fc.id == region.outer_face_id)
-        w = _winding_many(face.polygon, flat[sel])
+        w = geometry.winding_number(face.polygon, flat[sel])
         keep = np.abs(np.round(w)) == 1
         # stay off the boundary walk itself
         keep &= geometry.SegmentIndex([face.polygon]).distances(flat[sel], upto=1e-12) > 1e-12
@@ -420,7 +412,7 @@ def _mesh_mask(f, region, Z, tols) -> np.ndarray:
     if inner.kind is CurveKind.LEVEL_CURVE:
         gi = inner.graph(tols)
         for fc in gi.bounded_faces:
-            w = _winding_many(fc.polygon, flat[sel])
+            w = geometry.winding_number(fc.polygon, flat[sel])
             keep &= np.abs(np.round(w)) == 0
 
     m2 = np.zeros(flat.shape, dtype=bool)
@@ -428,32 +420,64 @@ def _mesh_mask(f, region, Z, tols) -> np.ndarray:
     return m2.reshape(Z.shape)
 
 
-def _largest_component(mask: np.ndarray) -> np.ndarray:
-    """Largest 4-connected True component of a boolean grid."""
-    visited = np.zeros_like(mask)
-    best: list[tuple[int, int]] = []
-    ny, nx = mask.shape
-    for i0 in range(ny):
-        for j0 in range(nx):
-            if not mask[i0, j0] or visited[i0, j0]:
-                continue
-            stack = [(i0, j0)]
-            visited[i0, j0] = True
-            comp = []
-            while stack:
-                i, j = stack.pop()
-                comp.append((i, j))
-                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    a, b = i + di, j + dj
-                    if 0 <= a < ny and 0 <= b < nx and mask[a, b] and not visited[a, b]:
-                        visited[a, b] = True
-                        stack.append((a, b))
-            if len(comp) > len(best):
-                best = comp
-    out = np.zeros_like(mask)
-    for i, j in best:
-        out[i, j] = True
-    return out
+def _comb(mask: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """4-connected component labels of mask, and theta continued over each.
+
+    Each row run of mask is unwrapped by a cumulative sum of wrapped
+    increments (Itoh's 1-D unwrapping).  One column edge per linked pair of
+    runs joins them, and a breadth-first walk over the runs, not the points,
+    sets each run's offset and label.  A component is labelled by its first
+    run, so labels grow in row-major order; its first run keeps its own
+    theta.  Cells outside mask get label -1 and value nan.
+    """
+    start = mask.copy()
+    start[:, 1:] &= ~mask[:, :-1]
+    first = np.flatnonzero(start)  # first cell of each run, in row-major order
+    run = np.cumsum(start.ravel()) - 1
+    cells = np.flatnonzero(mask)
+    th = theta.ravel()
+    inc = np.where(mask[:, 1:] & mask[:, :-1], _wrap(np.diff(theta, axis=1)), 0.0)
+    along = np.cumsum(np.pad(inc, ((0, 0), (1, 0))), axis=1).ravel()
+    local = np.zeros(mask.size)
+    local[cells] = along[cells] - along[first[run[cells]]]
+
+    # the leftmost column edge of each linked pair of runs, both directions
+    tail = np.flatnonzero(mask[:-1] & mask[1:])
+    tail = tail[np.unique(run[tail] * first.size + run[tail + mask.shape[1]], return_index=True)[1]]
+    head = tail + mask.shape[1]
+    jump = local[tail] + _wrap(th[head] - th[tail]) - local[head]
+    src = np.concatenate([run[tail], run[head]])
+    order = np.argsort(src, kind="stable")
+    dst = np.concatenate([run[head], run[tail]])[order].tolist()
+    dlt = np.concatenate([jump, -jump])[order].tolist()
+    ptr = np.searchsorted(src[order], np.arange(first.size + 1)).tolist()
+
+    label = [-1] * first.size
+    offset = th[first].tolist()
+    for root in range(first.size):
+        if label[root] >= 0:
+            continue
+        label[root] = root
+        queue = [root]
+        for u in queue:  # the queue grows as the walk goes: breadth first
+            for k in range(ptr[u], ptr[u + 1]):
+                v = dst[k]
+                if label[v] < 0:
+                    label[v] = root
+                    offset[v] = offset[u] + dlt[k]
+                    queue.append(v)
+
+    labels = np.full(mask.shape, -1)
+    alpha = np.full(mask.shape, np.nan)
+    labels[mask] = np.array(label, dtype=int)[run[cells]]
+    alpha[mask] = np.array(offset)[run[cells]] + local[cells]
+    return labels, alpha
+
+
+def _edge_ends(a: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a at the tail and head of each 4-neighbor edge of mask: row edges, then column edges."""
+    row, col = mask[:, :-1] & mask[:, 1:], mask[:-1] & mask[1:]
+    return np.concatenate([a[:, :-1][row], a[:-1][col]]), np.concatenate([a[:, 1:][row], a[1:][col]])
 
 
 def build_phi(
@@ -465,15 +489,16 @@ def build_phi(
     """Construct phi = f^(1/M) on a mesh by spanning-tree argument continuation.
 
     The mesh is refined until every 4-neighbor edge carries an arg-f increment
-    below pi/4, so the continued argument is unambiguous.  Path independence
-    is certified on a second, independent spanning tree (every mesh point)
-    and on random fundamental cycles (non-tree edges), both mod 2*pi*N.
+    below pi/4, so the continued argument is unambiguous.  The tree joins the
+    mesh rows by column edges (see :func:`_comb`).  Path independence is
+    certified mod 2*pi*N on a second tree that joins the columns by row
+    edges (every mesh point) and on the residue of every mesh edge, which
+    covers a generating set of the mesh graph's cycles.
     """
     if region.N == 0 or region.M == 0:
         region.N, region.M = winding_N(f, region, tols, return_sign=True)
     N, M = region.N, region.M
-    box = _region_box(region, tols)
-    x0, y0, x1, y1 = box
+    x0, y0, x1, y1 = _region_box(region, tols)
 
     excl_center = None
     excl_mult = 1
@@ -482,20 +507,19 @@ def build_phi(
         for z, m in f.zeros + f.poles:
             if abs(z - excl_center) < 1e-10:
                 excl_mult = m
+        width = _inner_width(region, excl_center, tols)
 
     last_error = None
     for n in MESH_SIZES:
         xs = np.linspace(x0, x1, n)
         ys = np.linspace(y0, y1, n)
         h = max(xs[1] - xs[0], ys[1] - ys[0])
-        X, Y = np.meshgrid(xs, ys)
-        Z = X + 1j * Y
+        Z = xs[None, :] + 1j * ys[:, None]
         if excl_center is not None:
             # keep arg increments near the zero/pole under pi/4, and make the
             # excluded puncture small against the annulus width so the image
             # coverage reaches toward the inner radius
             r_excl = (2.0 * excl_mult + 2.0) * h
-            width = _inner_width(region, excl_center, tols)
             if r_excl > 0.15 * width and n != MESH_SIZES[-1]:
                 last_error = f"mesh {n}x{n}: puncture {r_excl:.3g} too wide for annulus {width:.3g}"
                 continue
@@ -511,41 +535,23 @@ def build_phi(
         if mask.sum() < 16:
             last_error = f"mesh {n}x{n} has too few region points"
             continue
-        mask = _largest_component(mask)
-
-        idx_grid = -np.ones(mask.shape, dtype=int)
-        pts_idx = np.nonzero(mask)
-        count = len(pts_idx[0])
-        idx_grid[pts_idx] = np.arange(count)
-        points = Z[pts_idx]
-        f_vals = f.eval_grid(points)
-        theta = np.angle(f_vals)
-
-        edges = []
-        ny_, nx_ = mask.shape
-        for (i, j), a in np.ndenumerate(idx_grid):
-            if a < 0:
-                continue
-            if j + 1 < nx_ and idx_grid[i, j + 1] >= 0:
-                edges.append((a, idx_grid[i, j + 1]))
-            if i + 1 < ny_ and idx_grid[i + 1, j] >= 0:
-                edges.append((a, idx_grid[i + 1, j]))
-        edges = np.array(edges, dtype=int)
-        inc = _wrap(theta[edges[:, 1]] - theta[edges[:, 0]])
-        if np.max(np.abs(inc)) >= MAX_EDGE_TURN:
-            last_error = f"mesh {n}x{n}: arg increment {np.max(np.abs(inc)):.3f} too large"
-            continue
+        f_grid = np.zeros(Z.shape, dtype=complex)
+        f_grid[mask] = f.eval_grid(Z[mask])
+        labels, alpha = _comb(mask, np.angle(f_grid))
+        # the largest component; on a tie the first in row-major order
+        mask = labels == np.argmax(np.bincount(labels[mask]))
+        count = int(mask.sum())
         if count < min(target_points, 64) and n != MESH_SIZES[-1]:
             last_error = f"mesh {n}x{n}: only {count} points"
             continue
 
         try:
-            return _finish_phi(region, points, f_vals, theta, edges, inc, h, N, M, tols)
+            return _finish_phi(region, Z, mask, f_grid, alpha, h, N, M, tols)
         except CertificateError as exc:
-            # a residual continuation defect means an edge still crossed the
-            # excluded set; a finer mesh separates the corridors
-            last_error = str(exc)
-            continue
+            # too coarse for the arg increments, or a residual continuation
+            # defect: an edge still crossed the excluded set; a finer mesh
+            # separates the corridors
+            last_error = f"mesh {n}x{n}: {exc}"
 
     raise CertificateError(f"could not mesh region {region.label}: {last_error}")
 
@@ -562,54 +568,36 @@ def _wrap(a):
     return (a + math.pi) % TWO_PI - math.pi
 
 
-def _finish_phi(region, points, f_vals, theta, edges, inc, h, N, M, tols) -> PhiGrid:
-    count = points.size
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(count)]
-    for (a, b), d in zip(edges, inc):
-        adj[a].append((int(b), float(d)))
-        adj[b].append((int(a), -float(d)))
+def _finish_phi(region, Z, mask, f_grid, alpha, h, N, M, tols) -> PhiGrid:
+    """Certify alpha, continued by :func:`_comb` on the connected mask, and store phi."""
+    theta = np.angle(f_grid)
+    t0, t1 = _edge_ends(theta, mask)
+    inc = _wrap(t1 - t0)
+    if np.max(np.abs(inc)) >= MAX_EDGE_TURN:
+        raise CertificateError(f"arg increment {np.max(np.abs(inc)):.3f} too large")
 
+    points = Z[mask]
+    f_vals = f_grid[mask]
     # basepoint: smallest |arg f| among the mid-band mesh points, ties by |w|
     mod = np.abs(f_vals)
     lo_q, hi_q = np.quantile(mod, [0.35, 0.65])
     band = np.nonzero((mod >= lo_q) & (mod <= hi_q))[0]
     if band.size == 0:
-        band = np.arange(count)
-    order = np.lexsort((np.abs(points[band]), np.abs(theta[band])))
+        band = np.arange(points.size)
+    order = np.lexsort((np.abs(points[band]), np.abs(theta[mask][band])))
     base = int(band[order[0]])
+    at_base = np.flatnonzero(mask)[base]
 
-    def span_tree(start: int, reverse_neighbors: bool) -> np.ndarray:
-        alpha = np.full(count, np.nan)
-        alpha[start] = theta[start] if start == base else 0.0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            neigh = adj[u][::-1] if reverse_neighbors else adj[u]
-            for v, d in neigh:
-                if math.isnan(alpha[v]):
-                    alpha[v] = alpha[u] + d
-                    stack.append(v)
-        if np.any(np.isnan(alpha)):
-            raise TraceError("mesh graph is disconnected after masking")
-        return alpha
-
-    alpha = span_tree(base, reverse_neighbors=False)
-    far = int(np.argmax(np.abs(points - points[base])))
-    alpha2 = span_tree(far, reverse_neighbors=True)
-    alpha2 = alpha2 - alpha2[base] + alpha[base]
+    alpha = alpha - alpha.flat[at_base] + theta.flat[at_base]
+    alpha2 = _comb(mask.T, theta.T)[1].T
+    alpha2 = alpha2 - alpha2.flat[at_base] + alpha.flat[at_base]
 
     period = TWO_PI * N
-    tree_res = np.abs(_mod_residue(alpha - alpha2, period))
-    tree_disc = float(np.max(tree_res))
-
-    rng = np.random.default_rng(12345)
-    n_samples = min(100, len(edges))
-    sample = rng.choice(len(edges), size=n_samples, replace=False)
-    cyc = []
-    for s in sample:
-        a, b = edges[s]
-        cyc.append(alpha[a] + inc[s] - alpha[b])
-    cyc_disc = float(np.max(np.abs(_mod_residue(np.array(cyc), period)))) if cyc else 0.0
+    tree_disc = float(np.max(np.abs(_mod_residue(alpha[mask] - alpha2[mask], period))))
+    # a spanning tree's fundamental cycles generate every cycle of the mesh
+    # graph, so the residues of all edges certify path independence
+    a0, a1 = _edge_ends(alpha, mask)
+    cyc_disc = float(np.max(np.abs(_mod_residue(a0 + inc - a1, period))))
 
     if tree_disc > tols.winding_int_tol or cyc_disc > tols.winding_int_tol:
         raise CertificateError(
@@ -617,6 +605,7 @@ def _finish_phi(region, points, f_vals, theta, edges, inc, h, N, M, tols) -> Phi
             f"tree {tree_disc:.2e}, cycles {cyc_disc:.2e}"
         )
 
+    alpha = alpha[mask]
     phi = np.abs(f_vals) ** (1.0 / M) * np.exp(1j * alpha / M)
     grid = PhiGrid(
         points=points,
@@ -627,7 +616,7 @@ def _finish_phi(region, points, f_vals, theta, edges, inc, h, N, M, tols) -> Phi
         basepoint_index=base,
         tree_discrepancy=tree_disc,
         cycle_discrepancy=cyc_disc,
-        n_cycle_samples=n_samples,
+        n_cycle_samples=int(inc.size),
     )
     region.basepoint = complex(points[base])
     region.phi_grid = grid

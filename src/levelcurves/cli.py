@@ -299,13 +299,16 @@ def _cmd_verify_all(args) -> int:
             return f"max signed distance {rep.max_signed_distance:.2e}"
         return "skipped (not a polynomial of degree >= 2)"
 
+    C = None  # traced by check_order; decompose traces it itself if that failed
+
     def check_order():
+        nonlocal C
         C = critical_level_curves(f, domain, tols)
         maximal_component(f, domain, C, tols)
         return f"|C| = {len(C)}"
 
     def check_decompose():
-        regions = decompose(f, domain, tols=tols)
+        regions = decompose(f, domain, C=C, tols=tols)
         for region in regions:
             build_phi(f, region, tols)
             verify_phi(f, region, tols)

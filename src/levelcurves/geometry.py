@@ -38,21 +38,26 @@ def signed_area(closed_pts) -> float:
     return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
 
-def winding_number(closed_pts, z: complex) -> float:
-    """Total turn of the closed polyline around z, in units of full turns.
-
-    Returned as a float; callers round and check the integer residue.  The
-    point must not lie on the polyline.
-    """
-    p = as_points(closed_pts) - z
-    turns = np.angle(p[1:] / p[:-1])
-    return float(np.sum(turns)) / (2.0 * np.pi)
-
-
 # Pairs evaluated in one block: bounds the temporaries of a query.
 _BLOCK_PAIRS = 1 << 16
 # Queries whose rings are scanned together.
 _BLOCK_QUERIES = 1024
+
+
+def winding_number(closed_pts, zs) -> np.ndarray:
+    """Total turn of the closed polyline around each query point, in full turns.
+
+    Returned as floats; callers round and check the integer residue.  No
+    query point may lie on the polyline.
+    """
+    p = as_points(closed_pts)
+    zs = as_points(zs)
+    out = np.empty(zs.shape)
+    step = max(1, _BLOCK_PAIRS // max(1, p.size - 1))
+    for s in range(0, zs.size, step):
+        w = p[None, :] - zs[s : s + step, None]
+        out[s : s + step] = np.sum(np.angle(w[:, 1:] / w[:, :-1]), axis=1) / (2.0 * np.pi)
+    return out
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -263,7 +263,7 @@ def _interior_point(poly, want_winding: bool) -> complex:
                 cand = mid + side * delta * normal
                 if index.distances([cand], upto=0.45 * delta)[0] < 0.45 * delta:
                     continue
-                w = geometry.winding_number(p, cand)
+                w = geometry.winding_number(p, [cand])[0]
                 if abs(w - round(w)) > 0.05:
                     continue
                 if round(w) != 0:
@@ -321,7 +321,7 @@ def face_of_point(graph: LevelGraph, z: complex, tols: Tolerances = DEFAULT_TOLS
     for f in graph.faces:
         if not f.bounded:
             continue
-        w = geometry.winding_number(f.polygon, z)
+        w = geometry.winding_number(f.polygon, [z])[0]
         k = round(w)
         if abs(w - k) > 0.25:
             raise TopologyError(f"ambiguous winding {w:.3f} of face {f.id} around {z}")

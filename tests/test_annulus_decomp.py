@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from levelcurves import (
+    CertificateError,
     build_phi,
     decompose,
     parse_function_spec,
     verify_phi,
     winding_N,
 )
-from levelcurves.order_topology import CurveKind
+from levelcurves.annulus_decomp import AnnularRegion, _comb, _edge_ends, _finish_phi, _wrap
+from levelcurves.config import DEFAULT_TOLS
+from levelcurves.order_topology import CurveKind, CurveRef
 
 
 def certify_all(f, regions):
@@ -165,3 +171,112 @@ def test_level_curve_images_share_modulus(z5m1, z5_regions):
     grid = build_phi(z5m1, outer)
     cert = verify_phi(z5m1, outer)
     assert cert.level_image_spread <= 1e-9
+
+
+def _flood_fill(mask):
+    """Reference labelling: a flood fill from each unvisited point in row-major
+    order, and the largest component (the first one found on a tie)."""
+    labels = np.full(mask.shape, -1)
+    best: list[tuple[int, int]] = []
+    ny, nx = mask.shape
+    for i0 in range(ny):
+        for j0 in range(nx):
+            if not mask[i0, j0] or labels[i0, j0] >= 0:
+                continue
+            stack = [(i0, j0)]
+            labels[i0, j0] = labels.max() + 1
+            comp = []
+            while stack:
+                i, j = stack.pop()
+                comp.append((i, j))
+                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                    a, b = i + di, j + dj
+                    if 0 <= a < ny and 0 <= b < nx and mask[a, b] and labels[a, b] < 0:
+                        labels[a, b] = labels[i0, j0]
+                        stack.append((a, b))
+            if len(comp) > len(best):
+                best = comp
+    largest = np.zeros_like(mask)
+    for i, j in best:
+        largest[i, j] = True
+    return labels, largest
+
+
+masks = st.tuples(st.integers(1, 14), st.integers(1, 14)).flatmap(lambda shape: arrays(bool, shape))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=masks, slope=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+def test_comb_labels_match_flood_fill(mask, slope):
+    rows, cols = np.indices(mask.shape)
+    exact = slope[0] * cols + slope[1] * rows  # every increment below pi
+    labels, alpha = _comb(mask, _wrap(exact))
+    want, largest = _flood_fill(mask)
+    assert np.all(labels[~mask] == -1) and np.all(np.isnan(alpha[~mask]))
+    if not mask.any():
+        return
+    # the same partition, numbered in the same row-major order
+    assert np.array_equal(np.unique(labels[mask], return_inverse=True)[1], want[mask])
+    # build_phi's choice: the largest component, the first one on a tie
+    assert np.array_equal(labels == np.argmax(np.bincount(labels[mask])), largest)
+    # the column-run tree (a transposed, non-contiguous view) finds the same
+    # components, and on each one both trees recover the unwrapped field up
+    # to one multiple of 2*pi
+    labels_t, alpha_t = (a.T for a in _comb(mask.T, _wrap(exact).T))
+    pairs = set(zip(labels[mask], labels_t[mask]))
+    assert len(pairs) == len(set(labels[mask])) == len(set(labels_t[mask]))
+    for k in np.unique(labels[mask]):
+        for part in ((alpha - exact)[labels == k], (alpha_t - exact)[labels == k]):
+            assert np.max(np.abs(part - part[0])) < 1e-9
+            assert abs(part[0] / (2 * math.pi) - round(part[0] / (2 * math.pi))) < 1e-9
+
+
+def _power_annulus(planted=None, n=121):
+    """(z - c)^5 on a grid annulus 0.3 < |z - c| < 1 around c, optionally
+    times (z - planted) with a small disk around the planted zero left out."""
+    c = 0.2 - 0.1j
+    xs = np.linspace(c.real - 1.1, c.real + 1.1, n)
+    ys = np.linspace(c.imag - 1.1, c.imag + 1.1, n)
+    h = xs[1] - xs[0]
+    Z = xs[None, :] + 1j * ys[:, None]
+    mask = (np.abs(Z - c) > 0.3) & (np.abs(Z - c) < 1.0)
+    f_grid = (Z - c) ** 5
+    if planted is not None:
+        mask &= np.abs(Z - planted) > 4.0 * h
+        f_grid = f_grid * (Z - planted)
+    f_grid = np.where(mask, f_grid, 0.0)
+    region = AnnularRegion(
+        inner_boundary=CurveRef(CurveKind.POINT, 0.0, point=c),
+        outer_boundary=CurveRef(CurveKind.BOUNDARY, 1.0),
+        outer_face_id=None,
+        eps1=0.0,
+        eps2=1.0,
+    )
+    labels, alpha = _comb(mask, np.angle(f_grid))
+    assert set(np.unique(labels[mask])) == {labels[mask][0]}  # one component
+    return region, Z, mask, f_grid, alpha, h
+
+
+def test_every_edge_residue_vanishes_mod_2pi_N():
+    region, Z, mask, f_grid, alpha, h = _power_annulus()
+    grid = _finish_phi(region, Z, mask, f_grid, alpha, h, 5, 5, DEFAULT_TOLS)
+    n_edges = np.sum(mask[:, :-1] & mask[:, 1:]) + np.sum(mask[:-1] & mask[1:])
+    assert grid.n_cycle_samples == n_edges
+    assert grid.cycle_discrepancy <= 1e-12 and grid.tree_discrepancy <= 1e-12
+    # the tree does not close around the hole: some edges carry +-10*pi, which
+    # only the reduction mod 2*pi*N forgives
+    t0, t1 = _edge_ends(np.angle(f_grid), mask)
+    a0, a1 = _edge_ends(alpha, mask)
+    residue = (a0 + _wrap(t1 - t0) - a1) / (10 * math.pi)
+    assert np.max(np.abs(residue - np.round(residue))) <= 1e-12
+    assert np.max(np.abs(residue)) == pytest.approx(1.0)
+    assert float(np.max(np.abs(grid.phi**5 - grid.f_vals))) <= 1e-12
+
+
+def test_planted_zero_fails_the_cycle_certificate():
+    # one more zero inside the annulus: loops around it turn by 2*pi, which
+    # is not a multiple of 2*pi*N = 10*pi, and every edge is checked
+    region, Z, mask, f_grid, alpha, h = _power_annulus(planted=0.8 - 0.1j)
+    with pytest.raises(CertificateError, match=r"cycles 6\.28e\+00"):
+        _finish_phi(region, Z, mask, f_grid, alpha, h, 5, 5, DEFAULT_TOLS)
+    assert region.phi_grid is None

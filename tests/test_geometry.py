@@ -1,6 +1,7 @@
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,3 +63,13 @@ def test_index_matches_brute_force_exactly(scene):
 
 def test_empty_index_is_infinitely_far():
     assert np.all(SegmentIndex([]).distances([0j, 1 + 1j]) == np.inf)
+
+
+def test_winding_blocks_match_one_block():
+    square = np.array([0, 1, 1 + 1j, 1j, 0], dtype=complex)
+    zs = np.array([0.5 + 0.5j, 2.0, -0.3 + 0.2j, 0.2 + 0.9j, 3j])
+    whole = geometry.winding_number(square, zs)
+    assert np.array_equal(np.round(whole), [1, 0, 0, 1, 0])
+    with mock.patch.object(geometry, "_BLOCK_PAIRS", 8):
+        assert np.array_equal(geometry.winding_number(square, zs), whole)
+    assert geometry.winding_number(square[::-1], zs[:1])[0] == pytest.approx(-1.0)
