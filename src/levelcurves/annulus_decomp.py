@@ -32,7 +32,7 @@ from .order_topology import (
     critical_level_curves,
     precedes,
 )
-from .tracer import _LevelTracer, _domain_scale, _trace_component_with, trace_level_set
+from .tracer import _LevelTracer, _domain_scale, _ray_crossings, _trace_component_with, trace_level_set
 
 TWO_PI = 2.0 * math.pi
 MESH_SIZES = (48, 72, 108, 162, 243)
@@ -298,26 +298,11 @@ def _probe_on_level(f, region, zeta, tols) -> complex:
     )
     scale = _domain_scale(f)
     tracer = _LevelTracer(f, zeta, tols, scale)
-    for anchor in anchors:
-        for k in range(8):
-            theta = TWO_PI * (k + 0.37) / 8
-            direction = complex(math.cos(theta), math.sin(theta))
-            ts = np.geomspace(1e-6 * scale, 4.0 * scale, 300)
-            zs = anchor + ts * direction
-            vals = f.abs_grid(zs)
-            good = np.isfinite(vals) & (vals > 0)
-            sgn = np.where(vals > zeta, 1.0, -1.0)
-            for i in np.nonzero((sgn[:-1] * sgn[1:] < 0) & good[:-1] & good[1:])[0]:
-                lo, hi = ts[i], ts[i + 1]
-                for _ in range(40):
-                    mid = 0.5 * (lo + hi)
-                    if (f.abs_eval(anchor + mid * direction) > zeta) == (vals[i] > zeta):
-                        lo = mid
-                    else:
-                        hi = mid
-                z, _ = tracer.correct(anchor + 0.5 * (lo + hi) * direction, max_iter=50)
-                if z is not None and region.contains(z, f, tols):
-                    return z
+    ts = np.geomspace(1e-6 * scale, 4.0 * scale, 300)
+    for crossing in _ray_crossings(f, zeta, anchors, 0.37, ts)[0]:
+        z, _, _ = tracer.correct(complex(crossing), max_iter=50)
+        if z is not None and region.contains(z, f, tols):
+            return z
     raise TraceError(f"no probe point at level {zeta} inside region {region.label}")
 
 

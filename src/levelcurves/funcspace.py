@@ -54,8 +54,8 @@ class Polynomial:
             n -= 1
         self.coeffs = c[:n].copy()
         self.coeffs.setflags(write=False)
-        # descending python tuple for the scalar Horner fast path
-        self._rev = tuple(self.coeffs[::-1])
+        # descending Python complex values for the scalar Horner passes
+        self._rev = tuple(complex(c) for c in self.coeffs[::-1])
 
     @classmethod
     def from_roots(cls, roots, leading: complex = 1.0) -> "Polynomial":
@@ -81,6 +81,14 @@ class Polynomial:
         for c in self._rev:
             acc = acc * z + c
         return acc
+
+    def value_and_deriv(self, z: complex) -> tuple[complex, complex]:
+        """p(z) and p'(z) from one Horner pass (TAOCP vol. 2, 4.6.4)."""
+        p = dp = 0j
+        for c in self._rev:
+            dp = dp * z + p
+            p = p * z + c
+        return p, dp
 
     def deriv(self) -> "Polynomial":
         if self.coeffs.size == 1:
@@ -484,26 +492,28 @@ class RationalFn:
             out = nv / dv
         return np.where(dv == 0.0, np.inf, out)
 
+    def abs_and_log_derivative(self, z: complex) -> tuple[float, complex]:
+        """(|f|, f'/f) from one Horner pass over numerator and denominator.
+
+        f'/f is num'/num - den'/den, stable away from roots; at a pole the
+        pass returns (inf, INF), at a zero (0.0, INF).
+        """
+        nv, dn = self.numerator.value_and_deriv(z)
+        dv, dd = self.denominator.value_and_deriv(z)
+        if dv == 0:
+            return math.inf, INF
+        if nv == 0:
+            return 0.0, INF
+        return abs(nv) / abs(dv), dn / nv - dd / dv
+
     def log_derivative(self, z: complex) -> complex:
-        """f'/f evaluated as num'/num - den'/den; stable away from roots."""
-        nv = self.numerator(z)
-        dv = self.denominator(z)
-        if nv == 0 or dv == 0:
-            return INF
-        return self._num_deriv(z) / nv - self._den_deriv(z) / dv
-
-    @cached_property
-    def _num_deriv(self) -> Polynomial:
-        return self.numerator.deriv()
-
-    @cached_property
-    def _den_deriv(self) -> Polynomial:
-        return self.denominator.deriv()
+        return self.abs_and_log_derivative(z)[1]
 
     @cached_property
     def derivative_numerator(self) -> Polynomial:
         """Numerator of f' before removal of pole factors: n'd - nd'."""
-        return (self._num_deriv * self.denominator - self.numerator * self._den_deriv).trim()
+        n, d = self.numerator, self.denominator
+        return (n.deriv() * d - n * d.deriv()).trim()
 
     # -- distinguished points
 

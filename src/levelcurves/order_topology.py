@@ -93,8 +93,8 @@ class CriticalSetC:
 def _membership_face(b: CurveRef, samples: list[complex], tols: Tolerances) -> int | None:
     """Face of b holding every sample, or None for the unbounded face.
 
-    Uses an eight-sample consistency vote; disagreement is an error, never a
-    silent guess.
+    The samples vote (precedes passes eight, spread along a and clear of b's
+    chords); disagreement is an error, never a silent guess.
     """
     g = b.graph(tols)
     faces = {face_of_point(g, z, tols) for z in samples}
@@ -110,13 +110,25 @@ def precedes(a: CurveRef, b: CurveRef, tols: Tolerances = DEFAULT_TOLS) -> bool:
         return False
     if a is b:
         raise TopologyError("precedes() requires distinct, disjoint curves")
-    d = float(np.min(b.index.distances(a.all_points(), upto=tols.trace_tol)))
+    pts = a.all_points()
+    # a point of a farther from b than b's longest chord lies beyond every
+    # chord's sagitta; the index reports it as inf and stops searching
+    reach = b.component.max_segment() if b.kind is CurveKind.LEVEL_CURVE else 0.0
+    dists = b.index.distances(pts, upto=max(reach, tols.trace_tol))
+    d = float(np.min(dists))
     if d <= tols.trace_tol:
         raise TopologyError(f"curves too close to order (min distance {d:.3e})")
     if b.kind is CurveKind.BOUNDARY:
         # boundary refs only occur as the outer circle of the unit disk
-        return bool(np.all(np.abs(a.all_points()) < 1.0))
-    return _membership_face(b, a.sample_points(), tols) is not None
+        return bool(np.all(np.abs(pts) < 1.0))
+    # vote with eight points of a that clear b's chords, spread along a; when
+    # the two levels are close, fall back to the points farthest from b
+    clear = np.flatnonzero(np.isinf(dists))
+    if len(clear) >= 8:
+        voters = clear[np.linspace(0, len(clear) - 1, 8).astype(int)]
+    else:
+        voters = np.argsort(-dists, kind="stable")[:8]
+    return _membership_face(b, [complex(z) for z in pts[voters]], tols) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +194,7 @@ def _launch_near(f: RationalFn, c: complex, m: int, level: float, tols: Toleranc
     tracer = _LevelTracer(f, level, tols, scale)
     for theta in rays:
         z = c + 2.5 * r_cap * complex(math.cos(theta), math.sin(theta))
-        out, _ = tracer.correct(z, max_iter=60)
+        out, _, _ = tracer.correct(z, max_iter=60)
         if out is not None and f.domain.contains(out):
             return out
     raise TraceError(f"no launch point found near critical point {c}")

@@ -2,16 +2,21 @@
 
 The curve is followed by stepping along the tangent direction i * conj(f'/f)
 (arg f increases in the stored direction) with a Newton correction back onto
-the level set after each step.  Critical points whose level matches eps are
+the level set after each step.  One corrector, ``_LevelTracer.correct``,
+serves every on-level point; each iterate costs one fused Horner pass
+(``RationalFn.abs_and_log_derivative``), and the f'/f of an accepted point
+gives the next step's tangent.  Critical points whose level matches eps are
 branch points: an arc ends when it enters the capture ball of such a vertex,
 and new arcs are launched along each of the 2*(mult+1) outgoing rays of the
-local model f(c) + a*(z - c)^(mult+1).
+local model f(c) + a*(z - c)^(mult+1).  Seeds and probe points come from one
+batched ray search, ``_ray_crossings``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -163,50 +168,44 @@ class _LevelTracer:
     # -- Newton correction onto the level set
 
     def correct(self, z: complex, max_iter: int = 30):
-        for it in range(max_iter):
-            av = self.f.abs_eval(z)
-            if av == 0.0 or is_inf(complex(av, 0)):
-                return None, it
+        """Newton on log|f| = log eps: up to max_iter updates, then a residual check.
+
+        Returns (z on the level, updates made, f'/f at z), or (None, updates,
+        None) when the iteration hits a zero or pole, a vanishing gradient, or
+        ends off the level.  One fused evaluation per iterate.
+        """
+        for it in range(max_iter + 1):
+            av, ld = self.f.abs_and_log_derivative(z)
+            if not 0.0 < av < math.inf:
+                return None, it, None
             g = math.log(av) - self.log_eps
             if abs(g) <= self.tau:
-                return z, it
-            ld = self.f.log_derivative(z)
-            if is_inf(ld) or ld == 0:
-                return None, it
+                return z, it, ld
+            if it == max_iter or ld == 0 or is_inf(ld):
+                return None, it, None
             z = z - g * ld.conjugate() / (abs(ld) ** 2)
-        return None, max_iter
-
-    def tangent(self, z: complex, direction: float) -> complex:
-        ld = self.f.log_derivative(z)
-        if ld == 0 or is_inf(ld):
-            raise TraceError(f"vanishing level-set gradient at {z}")
-        t = 1j * ld.conjugate()
-        return direction * t / abs(t)
 
     # -- single march from a point to closure or a vertex
 
-    def march(self, z0: complex, direction: float, origin_vertex: int | None = None):
-        """Follow the curve; returns (points, end_vertex_idx or None).
+    def march(self, z0: complex, ld0: complex, direction: float, origin_vertex: int | None = None):
+        """Follow the curve from z0 on the level, where f'/f = ld0; returns
+        (points, end_vertex_idx or None).
 
         ``None`` end means the arc closed back onto its start.  Only
         vertex-free launches (origin_vertex is None, direction +1) may close.
+        Each accepted point's f'/f from the corrector gives the next tangent.
         """
         pts = [z0]
         h = min(1e-3 * self.scale, self.h_max)
         arc_len = 0.0
-        prev_t = None
         start = z0
+        t = _tangent(ld0, direction, z0)
         origin_guard = (
             4.0 * self.vertices[origin_vertex].r_cap if origin_vertex is not None else 0.0
         )
 
         while len(pts) < MAX_ARC_POINTS:
             z = pts[-1]
-            t = self.tangent(z, direction)
-            if prev_t is not None and (t.real * prev_t.real + t.imag * prev_t.imag) < 0.0:
-                # tangent flipped: corrector jumped branches
-                raise TraceError(f"tangent reversal near {z}; curvature too stiff")
-
             # keep steps below the approach distance of every on-level vertex
             # so a march can never jump across a capture ball
             h_eff = h
@@ -221,9 +220,9 @@ class _LevelTracer:
             accepted = None
             while True:
                 z_pred = z + h_eff * t
-                z_new, iters = self._correct_short(z_pred)
+                z_new, iters, ld_new = self.correct(z_pred, 3)
                 if z_new is not None and abs(z_new - z_pred) <= 0.6 * h_eff:
-                    t_new = self.tangent(z_new, direction)
+                    t_new = _tangent(ld_new, direction, z_new)
                     turn = abs(
                         math.atan2(
                             t.real * t_new.imag - t.imag * t_new.real,
@@ -231,7 +230,7 @@ class _LevelTracer:
                         )
                     )
                     if turn <= 0.5:
-                        accepted = (z_new, iters, turn)
+                        accepted = (z_new, iters, turn, t_new)
                         break
                 h_eff *= 0.5
                 if h_eff < self.h_min:
@@ -240,11 +239,10 @@ class _LevelTracer:
                         "curvature too stiff for the configured step bounds"
                     )
 
-            z_new, iters, turn = accepted
+            z_new, iters, turn, t = accepted
             step_len = abs(z_new - z)
             arc_len += step_len
             pts.append(z_new)
-            prev_t = t
 
             # adapt the persistent step
             if iters <= 1 and turn < 0.12:
@@ -270,24 +268,6 @@ class _LevelTracer:
             "suspected unbounded level curve"
         )
 
-    def _correct_short(self, z: complex):
-        w = z
-        for it in range(3):
-            av = self.f.abs_eval(w)
-            if av == 0.0 or not math.isfinite(av):
-                return None, it
-            g = math.log(av) - self.log_eps
-            if abs(g) <= self.tau:
-                return w, it
-            ld = self.f.log_derivative(w)
-            if is_inf(ld) or ld == 0:
-                return None, it
-            w = w - g * ld.conjugate() / (abs(ld) ** 2)
-        av = self.f.abs_eval(w)
-        if av > 0.0 and math.isfinite(av) and abs(math.log(av) - self.log_eps) <= self.tau:
-            return w, 3
-        return None, 3
-
     def _capture(self, z_prev, z_new, arc_len, origin_vertex, origin_guard):
         for idx, v in enumerate(self.vertices):
             if idx == origin_vertex and arc_len < origin_guard:
@@ -302,7 +282,7 @@ class _LevelTracer:
         v = self.vertices[v_idx]
         theta = v.rays[ray_idx]
         z = v.position + v.r_cap * complex(math.cos(theta), math.sin(theta))
-        z_corr, _ = self.correct(z)
+        z_corr, _, ld = self.correct(z)
         if z_corr is None:
             raise TraceError(
                 f"could not launch from vertex {v.position} along ray {theta:.4f}"
@@ -312,12 +292,20 @@ class _LevelTracer:
             raise TraceError(
                 f"departure from vertex {v.position} drifted off ray {theta:.4f}"
             )
-        return z_corr
+        return z_corr, ld
 
     def arrival_ray(self, v_idx: int, z_outside: complex) -> int:
         v = self.vertices[v_idx]
         ang = math.atan2((z_outside - v.position).imag, (z_outside - v.position).real)
         return v.nearest_ray(ang)
+
+
+def _tangent(ld: complex, direction: float, z: complex) -> complex:
+    """Unit tangent i * conj(f'/f) at z, along increasing arg f for direction +1."""
+    if ld == 0 or is_inf(ld):
+        raise TraceError(f"vanishing level-set gradient at {z}")
+    t = 1j * ld.conjugate()
+    return direction * t / abs(t)
 
 
 def _point_segment_distance(p: complex, a: complex, b: complex) -> float:
@@ -334,12 +322,8 @@ def _domain_scale(f: RationalFn, extra_points=()) -> float:
     pts = f.distinguished_points() + [complex(p) for p in extra_points]
     if not pts:
         return 1.0
-    span = max(abs(p) for p in pts)
-    spread = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            spread = max(spread, abs(pts[i] - pts[j]))
-    return max(1.0, span, spread)
+    p = np.array(pts, dtype=complex)
+    return max(1.0, float(np.max(np.abs(p))), float(np.max(np.abs(p[:, None] - p[None, :]))))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +344,7 @@ def trace_component(
 
 def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComponent:
     f, eps, tols = tracer.f, tracer.eps, tracer.tols
-    z0, _ = tracer.correct(seed, max_iter=60)
+    z0, _, ld0 = tracer.correct(seed, max_iter=60)
     if z0 is None:
         raise TraceError(f"seed {seed} did not converge onto level {eps}")
 
@@ -379,11 +363,11 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
             used_vertices.append(idx)
 
     if start_vertex is None:
-        fwd_pts, fwd_end = tracer.march(z0, +1.0)
+        fwd_pts, fwd_end = tracer.march(z0, ld0, +1.0)
         if fwd_end is None:
             arcs_raw.append((fwd_pts, None, None))
         else:
-            bwd_pts, bwd_end = tracer.march(z0, -1.0)
+            bwd_pts, bwd_end = tracer.march(z0, ld0, -1.0)
             if bwd_end is None:
                 raise TraceError("inconsistent component: one march closed, the other hit a vertex")
             pts = list(reversed(bwd_pts)) + fwd_pts[1:]
@@ -406,8 +390,8 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
         for ray_idx in range(len(v.rays)):
             if v.used[ray_idx]:
                 continue
-            z_start = tracer.launch_from_vertex(v_idx, ray_idx)
-            t = tracer.tangent(z_start, +1.0)
+            z_start, ld = tracer.launch_from_vertex(v_idx, ray_idx)
+            t = _tangent(ld, +1.0, z_start)
             radial = complex(math.cos(v.rays[ray_idx]), math.sin(v.rays[ray_idx]))
             dot = t.real * radial.real + t.imag * radial.imag
             if abs(dot) < 0.5:
@@ -417,7 +401,7 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
             if dot < 0:
                 continue  # arg f increases into the vertex: this is an arrival slot
             v.used[ray_idx] = True
-            pts, end = tracer.march(z_start, +1.0, origin_vertex=v_idx)
+            pts, end = tracer.march(z_start, ld, +1.0, origin_vertex=v_idx)
             if end is None:
                 raise TraceError("arc from a vertex closed without reaching a vertex")
             arr_ray = tracer.arrival_ray(end, pts[-2])
@@ -509,8 +493,11 @@ def find_seeds(
     """Seed points with at least one on every component of E_{f, eps}.
 
     Every bounded face of a component holds a zero or a pole, so rays cast
-    from each zero/pole cross every component; a coarse sign-change sweep on
-    a grid provides redundancy.  Duplicates are fine; tracing deduplicates.
+    from each zero/pole cross every component.  The 8 rays of every anchor
+    are searched together (``_ray_crossings``); the first 6 in-domain
+    crossings of each ray are Newton-corrected into seeds.  A coarse
+    sign-change sweep on a grid provides redundancy.  Duplicates are fine;
+    tracing deduplicates.
     """
     domain = domain or f.domain
     if eps <= 0 or not math.isfinite(eps):
@@ -526,21 +513,22 @@ def find_seeds(
 
     anchors = [z for z, _ in f.zeros] + [z for z, _ in f.poles]
     seeds: list[complex] = []
-    failed: list[complex] = []
-    for p in anchors:
-        got = False
-        for k in range(8):
-            theta = TWO_PI * (k + 0.21) / 8
-            for crossing in _ray_crossings(f, eps, p, theta, reach, domain):
-                z, _ = tracer.correct(crossing, max_iter=60)
-                if z is not None and domain.contains(z):
-                    seeds.append(z)
-                    got = True
-        if not got:
-            failed.append(p)
+    hit = [False] * len(anchors)
+    per_ray: Counter = Counter()
+    ts = np.geomspace(1e-6 * reach, 1.6 * reach, 400)
+    for crossing, a, k in zip(*_ray_crossings(f, eps, anchors, 0.21, ts)):
+        crossing = complex(crossing)
+        if per_ray[a, k] >= 6 or not domain.contains(crossing):
+            continue
+        per_ray[a, k] += 1
+        z, _, _ = tracer.correct(crossing, max_iter=60)
+        if z is not None and domain.contains(z):
+            seeds.append(z)
+            hit[a] = True
+    failed = [p for p, got in zip(anchors, hit) if not got]
 
     for cell in _grid_crossings(f, eps, box, grid_n, domain):
-        z, _ = tracer.correct(cell, max_iter=40)
+        z, _, _ = tracer.correct(cell, max_iter=40)
         if z is not None and domain.contains(z):
             seeds.append(z)
 
@@ -579,29 +567,28 @@ def _seed_box(f: RationalFn, eps: float, domain: DomainSpec, scale: float):
     )
 
 
-def _ray_crossings(f, eps, p, theta, reach, domain, samples=400, max_hits=6):
-    direction = complex(math.cos(theta), math.sin(theta))
-    ts = np.geomspace(1e-6 * reach, 1.6 * reach, samples)
-    zs = p + ts * direction
-    vals = f.abs_grid(zs)
-    with np.errstate(divide="ignore"):
-        sgn = np.sign(np.log(np.where(vals > 0, vals, 1e-300)) - math.log(eps))
-    hits = []
-    for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
-        lo, hi = ts[i], ts[i + 1]
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            v = f.abs_eval(p + mid * direction)
-            if (v - eps) * (vals[i] - eps) > 0:
-                lo = mid
-            else:
-                hi = mid
-        z = p + 0.5 * (lo + hi) * direction
-        if domain.contains(z):
-            hits.append(z)
-        if len(hits) >= max_hits:
-            break
-    return hits
+def _ray_crossings(f, eps, anchors, phase, ts):
+    """Crossings of |f| = eps on the 8 rays p + t e^(i theta_k), t in ts.
+
+    theta_k = 2 pi (k + phase) / 8 for every anchor p.  Sign changes of
+    |f| - eps between consecutive samples are bracketed with one grid
+    evaluation and all brackets are bisected together, 50 halvings.
+    Returns (points, anchor indices, ray indices), in anchor, ray, distance
+    order.
+    """
+    origins = np.asarray(anchors, dtype=complex)
+    directions = np.exp(1j * TWO_PI * (np.arange(8) + phase) / 8)
+    sgn = np.sign(f.abs_grid(origins[:, None, None] + directions[:, None] * ts) - eps)
+    a, k, i = np.nonzero(sgn[..., :-1] * sgn[..., 1:] < 0)
+    side = sgn[a, k, i]
+    origin, direction = origins[a], directions[k]
+    lo, hi = ts[i], ts[i + 1]
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        same = np.sign(f.abs_grid(origin + mid * direction) - eps) == side
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return origin + 0.5 * (lo + hi) * direction, a, k
 
 
 def _grid_crossings(f, eps, box, n, domain):
@@ -636,7 +623,7 @@ def trace_level_set(
     tracer = _LevelTracer(f, eps, tols, scale)
 
     components: list[LevelCurveComponent] = []
-    pending = [z for z, _ in (tracer.correct(seed, max_iter=60) for seed in seeds) if z is not None]
+    pending = [z for z, _, _ in (tracer.correct(seed, max_iter=60) for seed in seeds) if z is not None]
     while pending:
         components.append(_trace_component_with(tracer, pending[0]))
         rest = pending[1:]
@@ -648,7 +635,7 @@ def trace_level_set(
             continue
         if not domain.contains(v.position) or all(v.used):
             continue
-        launch = tracer.launch_from_vertex(idx, v.used.index(False))
+        launch, _ = tracer.launch_from_vertex(idx, v.used.index(False))
         if any(_near(comp, [launch])[0] for comp in components):
             continue
         components.append(_trace_component_with(tracer, launch))

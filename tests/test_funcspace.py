@@ -1,10 +1,14 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from levelcurves import (
     FunctionSpecError,
+    LevelCurveError,
     Polynomial,
     RationalFn,
     parse_domain_spec,
@@ -51,6 +55,68 @@ def test_derivative_finite_difference_oracle():
         central = (f.eval(z + h) - f.eval(z - h)) / (2 * h) / f.eval(z)
         exact = f.log_derivative(z)
         assert abs(central - exact) <= 1e-6 * (1 + abs(exact))
+
+
+def _two_pass_reference(f, z):
+    """(|f|, f'/f) by the formula the fused pass replaced: polyval on the
+    numerator, the denominator and their derivatives."""
+    n, d = f.numerator, f.denominator
+    nv, dv = npoly.polyval(z, n.coeffs), npoly.polyval(z, d.coeffs)
+    ld = npoly.polyval(z, n.deriv().coeffs) / nv - npoly.polyval(z, d.deriv().coeffs) / dv
+    return abs(nv) / abs(dv), ld
+
+
+_roots = st.lists(
+    st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)),
+              st.floats(0.0, 0.9), st.floats(0.0, 2 * math.pi)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["poly", "rat", "blaschke"]),
+    a=_roots,
+    b=_roots,
+    lead=st.complex_numbers(min_magnitude=0.2, max_magnitude=3.0),
+    z=st.complex_numbers(max_magnitude=2.0),
+)
+def test_fused_pass_matches_two_pass_reference(kind, a, b, lead, z):
+    # random poly:, rat: and Blaschke inputs, z at least 0.05 from every
+    # zero and pole of the numerator and denominator (in the plane)
+    try:
+        if kind == "poly":
+            f, sing = RationalFn(Polynomial.from_roots(a, lead)), a
+        elif kind == "rat":
+            f, sing = RationalFn(Polynomial.from_roots(a, lead), Polynomial.from_roots(b)), a + b
+        elif len(a) != len(b):
+            f = RationalFn.blaschke_ratio(a, b)
+            sing = a + b + [1 / w.conjugate() for w in a + b if w != 0]
+        else:
+            reject()
+    except LevelCurveError:
+        reject()
+    if min(abs(z - s) for s in sing) < 0.05:
+        reject()
+    av, ld = f.abs_and_log_derivative(z)
+    ref_av, ref_ld = _two_pass_reference(f, z)
+    # relative to the running-error scale of Horner (sum |c_k| |z|^k over |p(z)|);
+    # both passes stay within a few units of roundoff of it, the bound is 1e-13
+    size = [(npoly.polyval(abs(z), np.abs(p.coeffs)) / abs(p(z)),
+             npoly.polyval(abs(z), np.abs(p.deriv().coeffs)) / abs(p(z)))
+            for p in (f.numerator, f.denominator)]
+    assert abs(av - ref_av) <= 1e-13 * ref_av * (size[0][0] + size[1][0])
+    assert abs(ld - ref_ld) <= 1e-13 * (size[0][1] + size[1][1])
+    assert f.log_derivative(z) == ld
+
+
+def test_fused_pass_at_zero_and_pole():
+    f = parse_function_spec("poly:1,0,-1")
+    assert f.abs_and_log_derivative(1.0) == (0.0, INF)
+    g = parse_function_spec("rat:1/1,-2")
+    assert g.abs_and_log_derivative(2.0) == (math.inf, INF)
+    assert g.log_derivative(2.0) == INF
 
 
 def test_critical_points_z5m1():

@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from conftest import build_corpus
 
 from levelcurves import (
     TopologyError,
@@ -179,6 +181,21 @@ def test_order_ignores_junction_chords():
     assert len(crit.component.vertices) == 2
     assert precedes(zero, crit)
     assert maximal_component(f, C=C) is crit
+
+
+def test_membership_votes_from_far_points():
+    # corpus seed 1, function 3 (degree 6): the critical curves at levels
+    # 0.67705 and 0.67760 come within 1e-5 of each other, far inside the
+    # sagitta of their 0.026-long chords, so evenly spaced sample points of
+    # the lower one can land on the wrong side of the other's polyline
+    f = build_corpus(4, seed=1)[3]
+    C = critical_level_curves(f)
+    lo, hi = (next(r for r in C.curves() if abs(r.level - lvl) < 1e-5) for lvl in (0.67705, 0.67760))
+    assert float(np.min(hi.index.distances(lo.all_points()))) < 1e-5
+    assert hi.component.max_segment() > 0.02
+    assert precedes(lo, hi) and not precedes(hi, lo)
+    top = maximal_component(f, C=C)
+    assert top.is_critical_curve() and abs(top.level - 1.34328) < 1e-5
 
 
 def test_hasse_diagram_z5(z5_C):

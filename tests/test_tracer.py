@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from levelcurves import (
 )
 from levelcurves import geometry
 from levelcurves.gridcheck import grid_oracle_report
+from levelcurves.tracer import _domain_scale, _ray_crossings, _seed_box
 
 
 def on_level_residual(f, comp):
@@ -170,3 +173,57 @@ def test_near_critical_warning():
     # a level just off the critical value passes close to the saddle
     with pytest.warns(UserWarning, match="off-level critical point"):
         trace_level_set(f, 1.0 + 5e-6)
+
+
+def _scalar_ray_crossings(f, eps, p, theta, ts):
+    """One ray, one bracket at a time, bisected with scalar evaluations: the
+    search the batched ``_ray_crossings`` replaced (its domain filter and hit
+    cap now live in find_seeds and are left out)."""
+    direction = complex(math.cos(theta), math.sin(theta))
+    vals = f.abs_grid(p + ts * direction)
+    with np.errstate(divide="ignore"):
+        sgn = np.sign(np.log(np.where(vals > 0, vals, 1e-300)) - math.log(eps))
+    hits = []
+    for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
+        lo, hi = ts[i], ts[i + 1]
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            v = f.abs_eval(p + mid * direction)
+            if (v - eps) * (vals[i] - eps) > 0:
+                lo = mid
+            else:
+                hi = mid
+        hits.append(p + 0.5 * (lo + hi) * direction)
+    return hits
+
+
+@pytest.mark.parametrize(
+    "spec,eps",
+    [
+        ("poly:1,0,0,0,0,-1", 0.5),
+        ("poly:1,0,0,0,0,-1", 1.0),
+        ("poly:1,0,0,0,0,-1", 1.5),
+        ("poly:1,0,-1", 0.7),
+        ("blaschke:0.36,-0.34+0.03i/0.05+0.02i", 0.5),
+        ("rat:1,0,-1/1,0.5i,0.25", 0.5),
+    ],
+)
+def test_batched_ray_search_matches_scalar_reference(spec, eps):
+    f = parse_function_spec(spec)
+    x0, y0, x1, y1 = _seed_box(f, eps, f.domain, _domain_scale(f))
+    reach = max(x1 - x0, y1 - y0)
+    ts = np.geomspace(1e-6 * reach, 1.6 * reach, 400)
+    anchors = [z for z, _ in f.zeros] + [z for z, _ in f.poles]
+    for phase in (0.21, 0.37):
+        pts, a, k = _ray_crossings(f, eps, anchors, phase, ts)
+        assert list(zip(a, k)) == sorted(zip(a, k))  # anchor, then ray order
+        total = 0
+        for ai, p in enumerate(anchors):
+            for ki in range(8):
+                want = _scalar_ray_crossings(f, eps, p, 2 * math.pi * (ki + phase) / 8, ts)
+                got = pts[(a == ai) & (k == ki)]
+                assert len(got) == len(want)
+                # same crossings in the same order: outward along the ray
+                assert np.all(np.abs(got - np.array(want, dtype=complex)) <= 1e-12 * reach)
+                total += len(want)
+        assert total == len(pts) > 0
