@@ -23,20 +23,20 @@ from . import geometry
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import CertificateError, TopologyError, TraceError
 from .funcspace import DomainKind, DomainSpec, RationalFn
-from .levelgraph import face_of_point
+from .levelgraph import face_of_point, faces_of_points
 from .order_topology import (
     CriticalSetC,
     CurveKind,
     CurveRef,
     _membership_face,
     critical_level_curves,
-    precedes,
 )
 from .tracer import _LevelTracer, _domain_scale, _ray_crossings, _trace_component_with, trace_level_set
 
 TWO_PI = 2.0 * math.pi
 MESH_SIZES = (48, 72, 108, 162, 243)
 MAX_EDGE_TURN = 0.25 * math.pi
+MIN_MESH_POINTS = 64  # a coarser mesh with fewer region points is refined
 
 
 @dataclass
@@ -161,45 +161,26 @@ def decompose(
 ) -> list[AnnularRegion]:
     """All annular components of the domain minus the critical set.
 
-    Each bounded face of each critical curve must hold exactly one direct
-    child of the nesting forest; a face with two mutually exterior children
-    would be a region whose complement has two bounded components, which the
-    two-curve theorem forbids.
+    The regions are read off the nesting forest of the critical set: one per
+    bounded face of each critical curve, between the curve and the face's
+    direct child, and one between the maximal member and the outer boundary.
+    Each bounded face must hold exactly one direct child; a face with two
+    mutually exterior children would be a region whose complement has two
+    bounded components, which the two-curve theorem forbids.
     """
     domain = domain or f.domain
     if C is None:
         C = critical_level_curves(f, domain, tols)
 
     members = C.components
-    containers: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(members))}
-    for i, x in enumerate(members):
-        for j, y in enumerate(members):
-            if i == j or y.kind is not CurveKind.LEVEL_CURVE:
-                continue
-            fid = _membership_face(y, x.sample_points(), tols)
-            if fid is not None:
-                containers[i].append((j, fid))
-
-    parent: dict[int, tuple[int, int] | None] = {}
-    for i, conts in containers.items():
-        if not conts:
-            parent[i] = None
-            continue
-        best = conts[0]
-        for cand in conts[1:]:
-            # containers of one member are nested; keep the innermost
-            if precedes(members[cand[0]], members[best[0]], tols):
-                best = cand
-        parent[i] = best
-
-    roots = [i for i, p in parent.items() if p is None]
+    roots = [i for i, p in enumerate(C.parent) if p is None]
     if len(roots) != 1:
         raise TopologyError(
             f"critical set has {len(roots)} maximal members; expected exactly one"
         )
 
     children: dict[tuple[int, int], list[int]] = {}
-    for i, p in parent.items():
+    for i, p in enumerate(C.parent):
         if p is not None:
             children.setdefault(p, []).append(i)
 
@@ -266,22 +247,12 @@ def _certify_region_clean(f: RationalFn, region: AnnularRegion, tols: Tolerances
 
 def _enclosed_zero_pole_count(f: RationalFn, region: AnnularRegion, tols: Tolerances) -> int:
     inner = region.inner_boundary
-    total = 0
+    signed = f.zeros + [(p, -m) for p, m in f.poles]
     if inner.kind is CurveKind.POINT:
-        for z, m in f.zeros:
-            if abs(z - inner.point) < 1e-10:
-                total += m
-        for p, m in f.poles:
-            if abs(p - inner.point) < 1e-10:
-                total -= m
-        return total
-    for z, m in f.zeros:
-        if _membership_face(inner, [z], tols) is not None:
-            total += m
-    for p, m in f.poles:
-        if _membership_face(inner, [p], tols) is not None:
-            total -= m
-    return total
+        return sum(m for z, m in signed if abs(z - inner.point) < 1e-10)
+    g = inner.graph(tols)
+    faces = faces_of_points(g, [z for z, _ in signed], tols)
+    return sum(m for (_, m), fid in zip(signed, faces) if fid != g.unbounded_face.id)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +440,6 @@ def build_phi(
     f: RationalFn,
     region: AnnularRegion,
     tols: Tolerances = DEFAULT_TOLS,
-    target_points: int = 700,
 ) -> PhiGrid:
     """Construct phi = f^(1/M) on a mesh by spanning-tree argument continuation.
 
@@ -526,7 +496,7 @@ def build_phi(
         # the largest component; on a tie the first in row-major order
         mask = labels == np.argmax(np.bincount(labels[mask]))
         count = int(mask.sum())
-        if count < min(target_points, 64) and n != MESH_SIZES[-1]:
+        if count < MIN_MESH_POINTS and n != MESH_SIZES[-1]:
             last_error = f"mesh {n}x{n}: only {count} points"
             continue
 

@@ -29,7 +29,7 @@ from .gridcheck import grid_oracle_report
 from .levelgraph import build_graph, face_count, zeros_per_face
 from .metrics import continuity_probe
 from .order_topology import critical_level_curves, hasse_diagram, maximal_component
-from .annulus_decomp import build_phi, decompose, verify_phi
+from .annulus_decomp import decompose, verify_phi
 from .svgout import render_svg
 from .tracer import component_to_dict, components_to_csv_rows, trace_level_set
 
@@ -39,6 +39,14 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_CERTIFICATE = 3
+
+# --tol-<name> flag -> Tolerances field
+TOL_FLAGS = {"trace": "trace_tol", "vertex": "vertex_tol", "phi": "phi_tol", "hull": "hull_tol"}
+
+
+def _add_tol_flags(p) -> None:
+    for name in TOL_FLAGS:
+        p.add_argument(f"--tol-{name}", type=float, default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,8 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--delta", type=float, required=True)
         p.add_argument("--out", default=None, help="output path (.json or .csv)")
         p.add_argument("--svg", default=None, help="also write an SVG rendering here")
-        for name in ("trace", "vertex", "phi", "hull"):
-            p.add_argument(f"--tol-{name}", type=float, default=None)
+        _add_tol_flags(p)
 
     common(sub.add_parser("trace", help="trace the level set as polylines"), eps=True)
     common(sub.add_parser("graph", help="planar graph of each component"), eps=True)
@@ -69,8 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gl.add_argument("--corrupted", type=int, default=0, help="run N corrupted replays")
     gl.add_argument("--seed", type=int, default=0)
     gl.add_argument("--out", default=None)
-    for name in ("trace", "vertex", "phi", "hull"):
-        gl.add_argument(f"--tol-{name}", type=float, default=None)
+    _add_tol_flags(gl)
 
     common(sub.add_parser("continuity", help="level-set continuity probe"), eps=True, delta=True)
     common(sub.add_parser("order", help="critical set, nesting order, maximal element"))
@@ -83,13 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _tols_from(args):
     overrides = {}
-    for cli_name, field in (
-        ("tol_trace", "trace_tol"),
-        ("tol_vertex", "vertex_tol"),
-        ("tol_phi", "phi_tol"),
-        ("tol_hull", "hull_tol"),
-    ):
-        v = getattr(args, cli_name, None)
+    for name, field in TOL_FLAGS.items():
+        v = getattr(args, f"tol_{name}", None)
         if v is not None:
             overrides[field] = v
     return DEFAULT_TOLS.with_overrides(**overrides) if overrides else DEFAULT_TOLS
@@ -209,7 +210,7 @@ def _cmd_continuity(args) -> int:
 def _cmd_order(args) -> int:
     f, domain, tols = _load(args)
     C = critical_level_curves(f, domain, tols)
-    edges = hasse_diagram(C, tols)
+    edges = hasse_diagram(C)
     maximal = maximal_component(f, domain, C, tols)
     payload = {
         "schema": SCHEMA,
@@ -229,10 +230,7 @@ def _cmd_order(args) -> int:
 def _cmd_decompose(args) -> int:
     f, domain, tols = _load(args)
     regions = decompose(f, domain, tols=tols)
-    certs = []
-    for region in regions:
-        build_phi(f, region, tols)
-        certs.append(verify_phi(f, region, tols))
+    certs = [verify_phi(f, region, tols) for region in regions]
     payload = {
         "schema": SCHEMA,
         "kind": "decompose",
@@ -310,7 +308,6 @@ def _cmd_verify_all(args) -> int:
     def check_decompose():
         regions = decompose(f, domain, C=C, tols=tols)
         for region in regions:
-            build_phi(f, region, tols)
             verify_phi(f, region, tols)
         return f"{len(regions)} region(s)"
 

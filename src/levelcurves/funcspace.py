@@ -98,14 +98,8 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial(npoly.polymul(self.coeffs, other.coeffs))
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(npoly.polyadd(self.coeffs, other.coeffs))
-
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial(npoly.polysub(self.coeffs, other.coeffs))
-
-    def scale(self, k: complex) -> "Polynomial":
-        return Polynomial(self.coeffs * k)
 
     def trim(self, rel: float = 1e-13) -> "Polynomial":
         m = float(np.max(np.abs(self.coeffs)))
@@ -188,31 +182,19 @@ def find_roots(coeffs, tols: Tolerances = DEFAULT_TOLS) -> list[tuple[complex, i
     if work.size > 1:
         raw = list(_aberth(work))
 
-    clusters = _cluster_points(raw, tols)
-    clusters = _merge_multiple_roots(clusters, work, tols)
+    derivs = [work]
+    for _ in range(work.size - 1):
+        derivs.append(npoly.polyder(derivs[-1]))
+
+    clusters = _merge_multiple_roots(_cluster_points(raw, tols), derivs)
     out: list[tuple[complex, int]] = []
     if zero_mult:
         out.append((0j, zero_mult))
 
-    derivs = [work]
-    for _ in range(max((m for _, m in clusters), default=1) - 1):
-        derivs.append(npoly.polyder(derivs[-1]))
-
     residual_cap = tols.root_residual * (1.0 + float(np.max(np.abs(work))))
     worst = 0.0
     for center, mult in clusters:
-        # a multiplicity-m cluster mean is a simple root of the (m-1)th derivative
-        target = derivs[mult - 1]
-        dtarget = npoly.polyder(target) if target.size > 1 else np.array([0j])
-        z = center
-        for _ in range(8):
-            dv = npoly.polyval(z, dtarget)
-            if dv == 0:
-                break
-            step = npoly.polyval(z, target) / dv
-            z = z - step
-            if abs(step) < 1e-15 * (1.0 + abs(z)):
-                break
+        z = _polish(center, mult, derivs, 8)
         res = abs(npoly.polyval(z, work))
         worst = max(worst, res)
         if res > residual_cap * max(1.0, abs(z)) ** max(work.size - 1, 1):
@@ -225,7 +207,23 @@ def find_roots(coeffs, tols: Tolerances = DEFAULT_TOLS) -> list[tuple[complex, i
     return out
 
 
-def _merge_multiple_roots(clusters, work: np.ndarray, tols: Tolerances):
+def _polish(z: complex, m: int, derivs: list[np.ndarray], iters: int) -> complex:
+    """Newton from z on derivs[m - 1]: a multiplicity-m root is a simple root of
+    the (m-1)th derivative.  derivs is the chain p, p', p'', ... of p."""
+    target = derivs[m - 1]
+    dtarget = derivs[m] if m < len(derivs) else np.array([0j])
+    for _ in range(iters):
+        dv = npoly.polyval(z, dtarget)
+        if dv == 0:
+            break
+        step = npoly.polyval(z, target) / dv
+        z = z - step
+        if abs(step) < 1e-15 * (1.0 + abs(z)):
+            break
+    return z
+
+
+def _merge_multiple_roots(clusters, derivs: list[np.ndarray]):
     """Merge root clusters that are indistinguishable from one multiple root.
 
     A multiplicity-m root under coefficient noise eta scatters by eta^(1/m),
@@ -236,26 +234,13 @@ def _merge_multiple_roots(clusters, work: np.ndarray, tols: Tolerances):
     """
     if len(clusters) < 2:
         return clusters
-    derivs = [work]
-    for _ in range(work.size - 1):
-        derivs.append(npoly.polyder(derivs[-1]))
     noise = 1e3 * np.finfo(float).eps
 
     def radius(m, scale):
         return noise ** (1.0 / m) * scale
 
     def verify(center, m):
-        target = derivs[m - 1]
-        dtarget = derivs[m] if m < len(derivs) else np.array([0j])
-        c = center
-        for _ in range(10):
-            dv = npoly.polyval(c, dtarget)
-            if dv == 0:
-                break
-            step = npoly.polyval(c, target) / dv
-            c = c - step
-            if abs(step) < 1e-15 * (1.0 + abs(c)):
-                break
+        c = _polish(center, m, derivs, 10)
         zscale = max(1.0, abs(c))
         for j in range(m):
             gate = 1e-8 * (1.0 + float(np.max(np.abs(derivs[j])))) * zscale ** max(

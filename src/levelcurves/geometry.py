@@ -189,7 +189,8 @@ class SegmentIndex:
         r = np.maximum(np.maximum(-u, u - nx + 1), np.maximum(-v, v - ny + 1)).clip(0)
         r_end = np.maximum(np.maximum(u, nx - 1 - u), np.maximum(v, ny - 1 - v))
         spent = np.zeros(zs.size, dtype=np.int64)
-        active = np.nonzero(ok)[0]
+        # a query whose first ring already lies beyond upto scans nothing
+        active = np.nonzero(ok & ((r - 1) * cell * (1.0 - 1e-12) - self._slack <= upto))[0]
         while active.size:
             # once the rings have cost as much as scanning every segment
             costly = spent[active] >= self._a.size

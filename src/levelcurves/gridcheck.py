@@ -15,8 +15,12 @@ import numpy as np
 from .funcspace import RationalFn
 from .geometry import SegmentIndex, bounding_box
 
+ORACLE_N = 600  # cells per side of the oracle raster
+ORACLE_MARGIN_REL = 0.05  # raster margin around the traced curves, relative to their extent
+PROXIMITY_FACTOR = 2.0  # both one-sided distances must stay within this many cell diagonals
 
-def crossing_cells(f: RationalFn, eps: float, box, n: int = 600) -> tuple[np.ndarray, float]:
+
+def crossing_cells(f: RationalFn, eps: float, box, n: int = ORACLE_N) -> tuple[np.ndarray, float]:
     """Centers of grid cells whose corner values straddle |f| = eps.
 
     Returns (cell centers as complex array, cell diagonal length).
@@ -59,7 +63,6 @@ def two_sided_proximity(
     arcs: list[np.ndarray],
     cells: np.ndarray,
     diag: float,
-    factor: float = 2.0,
 ) -> ProximityReport:
     """Check that crossing cells and traced polylines shadow each other.
 
@@ -73,16 +76,16 @@ def two_sided_proximity(
     return ProximityReport(
         max_cell_to_trace=float(np.max(d_ct)) if d_ct.size else 0.0,
         max_trace_to_cell=float(np.max(d_tc)) if d_tc.size else 0.0,
-        threshold=factor * diag,
+        threshold=PROXIMITY_FACTOR * diag,
         n_cells=int(cells.size),
         n_trace_points=int(trace_points.size),
     )
 
 
-def grid_oracle_report(f: RationalFn, eps: float, components, n: int = 600, margin_rel: float = 0.05) -> ProximityReport:
+def grid_oracle_report(f: RationalFn, eps: float, components) -> ProximityReport:
     """Compare traced components of E_{f, eps} against a fresh rasterization."""
     arcs = [a.points for c in components for a in c.arcs]
     x0, y0, x1, y1 = bounding_box(arcs)
-    m = margin_rel * max(x1 - x0, y1 - y0, 1e-9)
-    cells, diag = crossing_cells(f, eps, (x0 - m, y0 - m, x1 + m, y1 + m), n)
+    m = ORACLE_MARGIN_REL * max(x1 - x0, y1 - y0, 1e-9)
+    cells, diag = crossing_cells(f, eps, (x0 - m, y0 - m, x1 + m, y1 + m), ORACLE_N)
     return two_sided_proximity(arcs, cells, diag)

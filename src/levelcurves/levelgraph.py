@@ -313,27 +313,43 @@ def face_count(graph: LevelGraph) -> tuple[int, int]:
 
 
 def face_of_point(graph: LevelGraph, z: complex, tols: Tolerances = DEFAULT_TOLS) -> int:
-    """Face id containing z, by winding of each face's boundary walk."""
-    d = graph.component.index.distances([z], upto=tols.trace_tol)[0]
-    if d <= tols.trace_tol:
-        raise TopologyError(f"point {z} lies on the traced curve (distance {d:.2e})")
-    hits = []
-    for f in graph.faces:
-        if not f.bounded:
-            continue
-        w = geometry.winding_number(f.polygon, [z])[0]
-        k = round(w)
-        if abs(w - k) > 0.25:
-            raise TopologyError(f"ambiguous winding {w:.3f} of face {f.id} around {z}")
-        if k != 0:
-            if abs(k) != 1:
-                raise TopologyError(f"face {f.id} winds {k} times around {z}")
-            hits.append(f.id)
-    if len(hits) > 1:
-        raise TopologyError(f"point {z} claimed by faces {hits}")
-    if hits:
-        return hits[0]
-    return graph.unbounded_face.id
+    """Face id containing z, by winding of each face's boundary walk.
+
+    A point on the traced curve, a non-integer or multiple winding, and a
+    point claimed by two faces are each a :class:`TopologyError`.
+    """
+    return int(faces_of_points(graph, [z], tols)[0])
+
+
+def faces_of_points(graph: LevelGraph, zs, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """Face id containing each point of zs: one on-curve distance query, then
+    one winding pass per bounded face; errors as :func:`face_of_point`."""
+    zs = geometry.as_points(zs)
+    d = graph.component.index.distances(zs, upto=tols.trace_tol)
+    on = np.flatnonzero(d <= tols.trace_tol)
+    if on.size:
+        raise TopologyError(f"point {zs[on[0]]} lies on the traced curve (distance {d[on[0]]:.2e})")
+    faces = graph.bounded_faces
+    inside = np.zeros((len(faces), zs.size), dtype=bool)
+    for row, f in zip(inside, faces):
+        w = geometry.winding_number(f.polygon, zs)
+        k = np.round(w)
+        bad = np.flatnonzero(np.abs(w - k) > 0.25)
+        if bad.size:
+            raise TopologyError(f"ambiguous winding {w[bad[0]]:.3f} of face {f.id} around {zs[bad[0]]}")
+        bad = np.flatnonzero(np.abs(k) > 1)
+        if bad.size:
+            raise TopologyError(f"face {f.id} winds {int(k[bad[0]])} times around {zs[bad[0]]}")
+        row[:] = k != 0
+    many = np.flatnonzero(inside.sum(axis=0) > 1)
+    if many.size:
+        j = many[0]
+        claims = [f.id for f, row in zip(faces, inside) if row[j]]
+        raise TopologyError(f"point {zs[j]} claimed by faces {claims}")
+    out = np.full(zs.shape, graph.unbounded_face.id)
+    for f, row in zip(faces, inside):
+        out[row] = f.id
+    return out
 
 
 def zeros_per_face(graph: LevelGraph, f: RationalFn, tols: Tolerances = DEFAULT_TOLS) -> dict:
@@ -343,10 +359,9 @@ def zeros_per_face(graph: LevelGraph, f: RationalFn, tols: Tolerances = DEFAULT_
     means the tracing missed structure and is a hard error.
     """
     out: dict[int, list] = {fc.id: [] for fc in graph.faces}
-    for z, m in f.zeros:
-        out[face_of_point(graph, z, tols)].append((z, m, "zero"))
-    for p, m in f.poles:
-        out[face_of_point(graph, p, tols)].append((p, m, "pole"))
+    points = [(z, m, "zero") for z, m in f.zeros] + [(p, m, "pole") for p, m in f.poles]
+    for entry, fid in zip(points, faces_of_points(graph, [z for z, _, _ in points], tols)):
+        out[int(fid)].append(entry)
     for fc in graph.faces:
         if fc.bounded and not out[fc.id]:
             raise TopologyError(

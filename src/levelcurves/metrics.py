@@ -21,6 +21,8 @@ from .geometry import SegmentIndex, max_segment_length
 from .tracer import LevelCurveComponent, _LevelTracer, _domain_scale, _near, _trace_component_with
 
 K_SAMPLES = 8  # audit heights per side of eps in one probe trial
+ETA_FLOOR_REL = 1e-9  # the probe gives up once eta falls below this times eps
+REFINE_ROUNDS = 6  # upward bisection steps after the first passing eta
 
 
 @dataclass
@@ -113,8 +115,6 @@ def continuity_probe(
     domain: DomainSpec | None = None,
     component: LevelCurveComponent | None = None,
     tols: Tolerances = DEFAULT_TOLS,
-    eta_floor_rel: float = 1e-9,
-    refine_rounds: int = 6,
 ) -> ContinuityCertificate:
     """Search for eta such that every zeta within eta of eps has level curves
     within delta of the component.
@@ -150,7 +150,7 @@ def continuity_probe(
         return True, samples
 
     eta = eps / 2.0
-    floor = eta_floor_rel * eps
+    floor = ETA_FLOOR_REL * eps
     best = None
     best_samples: list[tuple[float, float]] = []
     while eta >= floor:
@@ -164,7 +164,7 @@ def continuity_probe(
         return ContinuityCertificate(eps, delta, 0.0, best_samples, False)
 
     lo, hi = best, min(2.0 * best, eps / 2.0)
-    for _ in range(refine_rounds):
+    for _ in range(REFINE_ROUNDS):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break

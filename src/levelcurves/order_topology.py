@@ -5,6 +5,13 @@ faces.  The critical set collects every level curve through a critical point
 (at a finite nonzero level), the zeros and poles as degenerate point members,
 and any bounded boundary components of the domain.  It is finite, carries a
 strict partial order, and has a unique maximal element.
+
+The order is computed once, when the critical set is built, as a forest:
+each member's parent is the innermost (member, bounded face) holding it.
+One rule decides who holds whom: eight points of the inner member, clear of
+the outer curve's chords where possible, vote on the face by winding number
+(:func:`_holding_faces`).  The maximal element, the Hasse diagram and the
+annular decomposition all read the forest.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import TopologyError, TraceError
 from .funcspace import DomainSpec, RationalFn
-from .levelgraph import LevelGraph, build_graph, face_of_point
+from .levelgraph import LevelGraph, build_graph, faces_of_points
 from .tracer import LevelCurveComponent, _LevelTracer, _domain_scale, trace_component
 from . import geometry
 
@@ -49,13 +56,6 @@ class CurveRef:
             self._graph = build_graph(self.component, tols)
         return self._graph
 
-    def sample_points(self, n: int = 8) -> list[complex]:
-        if self.kind is CurveKind.POINT:
-            return [self.point]
-        pts = self.component.points if self.kind is CurveKind.LEVEL_CURVE else self.boundary
-        idx = np.linspace(0, len(pts) - 1, n).astype(int)
-        return [complex(pts[i]) for i in idx]
-
     def all_points(self) -> np.ndarray:
         if self.kind is CurveKind.POINT:
             return np.array([self.point], dtype=complex)
@@ -76,9 +76,15 @@ class CurveRef:
 
 @dataclass
 class CriticalSetC:
-    """All components of the critical set, plus the order scaffolding."""
+    """All components of the critical set and their nesting forest.
+
+    ``parent[i]`` is ``(j, face id)``: member j is the innermost level curve
+    holding member i, in that bounded face of j.  It is None for the maximal
+    member, the one root of the forest.
+    """
 
     components: list[CurveRef]
+    parent: list[tuple[int, int] | None]
 
     def curves(self) -> list[CurveRef]:
         return [c for c in self.components if c.kind is CurveKind.LEVEL_CURVE]
@@ -90,18 +96,53 @@ class CriticalSetC:
 # ---------------------------------------------------------------------------
 
 
-def _membership_face(b: CurveRef, samples: list[complex], tols: Tolerances) -> int | None:
-    """Face of b holding every sample, or None for the unbounded face.
+def _vote(g: LevelGraph, faces: np.ndarray) -> int | None:
+    """The face of g every voter lies in, or None for the unbounded face.
 
-    The samples vote (precedes passes eight, spread along a and clear of b's
-    chords); disagreement is an error, never a silent guess.
+    Disagreement is an error, never a silent guess.
     """
-    g = b.graph(tols)
-    faces = {face_of_point(g, z, tols) for z in samples}
-    if len(faces) != 1:
-        raise TopologyError(f"membership vote split across faces {sorted(faces)}")
-    fid = faces.pop()
+    ids = set(faces.tolist())
+    if len(ids) != 1:
+        raise TopologyError(f"membership vote split across faces {sorted(ids)}")
+    fid = ids.pop()
     return None if fid == g.unbounded_face.id else fid
+
+
+def _membership_face(b: CurveRef, samples, tols: Tolerances) -> int | None:
+    """Face of b holding every sample, or None for the unbounded face."""
+    g = b.graph(tols)
+    return _vote(g, faces_of_points(g, samples, tols))
+
+
+def _holding_faces(b: CurveRef, members: list[CurveRef], tols: Tolerances) -> list[int | None]:
+    """The bounded face of b holding each member, or None where it is outside.
+
+    One distance query over all the members' points refuses any member within
+    ``trace_tol`` of b.  Each member votes with eight of its points that clear
+    b's chords, spread along it, or with its points farthest from b when the
+    two levels are close; all voters go through one face lookup.
+    """
+    pts = [m.all_points() for m in members]
+    # a point farther from b than b's longest chord lies beyond every
+    # chord's sagitta; the index reports it as inf and stops searching
+    reach = b.component.max_segment() if b.kind is CurveKind.LEVEL_CURVE else 0.0
+    dists = b.index.distances(np.concatenate(pts), upto=max(reach, tols.trace_tol))
+    d = float(np.min(dists))
+    if d <= tols.trace_tol:
+        raise TopologyError(f"curves too close to order (min distance {d:.3e})")
+    if b.kind is CurveKind.BOUNDARY:
+        # boundary refs only occur as the outer circle of the unit disk
+        return [0 if np.all(np.abs(p) < 1.0) else None for p in pts]
+    voters = []
+    for p, dp in zip(pts, np.split(dists, np.cumsum([p.size for p in pts])[:-1])):
+        clear = np.flatnonzero(np.isinf(dp))
+        if len(clear) >= 8:
+            voters.append(p[clear[np.linspace(0, len(clear) - 1, 8).astype(int)]])
+        else:
+            voters.append(p[np.argsort(-dp, kind="stable")[:8]])
+    g = b.graph(tols)
+    faces = faces_of_points(g, np.concatenate(voters), tols)
+    return [_vote(g, fs) for fs in np.split(faces, np.cumsum([v.size for v in voters])[:-1])]
 
 
 def precedes(a: CurveRef, b: CurveRef, tols: Tolerances = DEFAULT_TOLS) -> bool:
@@ -110,25 +151,35 @@ def precedes(a: CurveRef, b: CurveRef, tols: Tolerances = DEFAULT_TOLS) -> bool:
         return False
     if a is b:
         raise TopologyError("precedes() requires distinct, disjoint curves")
-    pts = a.all_points()
-    # a point of a farther from b than b's longest chord lies beyond every
-    # chord's sagitta; the index reports it as inf and stops searching
-    reach = b.component.max_segment() if b.kind is CurveKind.LEVEL_CURVE else 0.0
-    dists = b.index.distances(pts, upto=max(reach, tols.trace_tol))
-    d = float(np.min(dists))
-    if d <= tols.trace_tol:
-        raise TopologyError(f"curves too close to order (min distance {d:.3e})")
-    if b.kind is CurveKind.BOUNDARY:
-        # boundary refs only occur as the outer circle of the unit disk
-        return bool(np.all(np.abs(pts) < 1.0))
-    # vote with eight points of a that clear b's chords, spread along a; when
-    # the two levels are close, fall back to the points farthest from b
-    clear = np.flatnonzero(np.isinf(dists))
-    if len(clear) >= 8:
-        voters = clear[np.linspace(0, len(clear) - 1, 8).astype(int)]
-    else:
-        voters = np.argsort(-dists, kind="stable")[:8]
-    return _membership_face(b, [complex(z) for z in pts[voters]], tols) is not None
+    return _holding_faces(b, [a], tols)[0] is not None
+
+
+def _nesting_forest(refs: list[CurveRef], tols: Tolerances) -> list[tuple[int, int] | None]:
+    """The parent of each member: its innermost holder and the face holding it.
+
+    Each level-curve member classifies all the others in one batch.  The
+    parent is the holder that itself has the most holders.  Certificate: the
+    parent's holders are exactly the member's other holders, so by induction
+    every member's holders form one chain.
+    """
+    holders: list[dict[int, int]] = [{} for _ in refs]
+    for j, b in enumerate(refs):
+        if b.kind is not CurveKind.LEVEL_CURVE:
+            continue
+        others = [i for i in range(len(refs)) if i != j]
+        for i, fid in zip(others, _holding_faces(b, [refs[i] for i in others], tols)):
+            if fid is not None:
+                holders[i][j] = fid
+    parent: list[tuple[int, int] | None] = []
+    for i, held in enumerate(holders):
+        if not held:
+            parent.append(None)
+            continue
+        p = max(held, key=lambda j: len(holders[j]))
+        if set(holders[p]) != set(held) - {p}:
+            raise TopologyError(f"holders of {refs[i].label} are not nested around {refs[p].label}")
+        parent.append((p, held[p]))
+    return parent
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +190,13 @@ def critical_level_curves(
     domain: DomainSpec | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> CriticalSetC:
-    """Enumerate the critical set: critical level curves, zeros, and poles.
+    """Enumerate the critical set and its nesting forest.
 
-    Critical points whose value is 0 or infinity sit on zero/pole members
-    rather than on curves.  Components through several critical points are
-    traced once.  For the supported domains no bounded boundary components
-    exist; the unit circle is the outer boundary, not a member.
+    The members are the critical level curves, zeros and poles.  Critical
+    points whose value is 0 or infinity sit on zero/pole members rather than
+    on curves.  Components through several critical points are traced once.
+    For the supported domains no bounded boundary components exist; the unit
+    circle is the outer boundary, not a member.
     """
     domain = domain or f.domain
     f.check_boundary_restriction()
@@ -182,7 +234,7 @@ def critical_level_curves(
         )
     if not refs:
         raise TopologyError("critical set is empty; the function must have zeros or poles")
-    return CriticalSetC(refs)
+    return CriticalSetC(refs, _nesting_forest(refs, tols))
 
 
 def _launch_near(f: RationalFn, c: complex, m: int, level: float, tols: Tolerances) -> complex:
@@ -212,14 +264,14 @@ def separating_curve(
     L: CurveRef,
     K,
     tols: Tolerances = DEFAULT_TOLS,
-    steps: int = 24,
 ) -> tuple[CurveRef, str]:
     """A non-critical level curve with L in one face and all of K in the other.
 
     K is a closed point set (array of complex).  The search walks a short
     transversal from L toward K, tracing the level curve through each probe
-    point and certifying the separation by face tests.  Returns the curve and
-    the placement of K ("bounded" or "unbounded" face).
+    point and certifying the separation by face tests (L by the rule of
+    :func:`precedes`; all of K votes, as K need not be connected).  Returns
+    the curve and the placement of K ("bounded" or "unbounded" face).
     """
     K = np.atleast_1d(np.asarray(K, dtype=complex))
     L_pts = L.all_points()
@@ -232,7 +284,7 @@ def separating_curve(
     crit_pts = [c for c, _ in f.critical_points]
     scale = _domain_scale(f)
 
-    for t in np.linspace(0.04, 0.9, steps):
+    for t in np.linspace(0.04, 0.9, 24):
         z_probe = p_star + t * (k_star - p_star)
         level = f.abs_eval(z_probe)
         if not math.isfinite(level) or level <= 0:
@@ -252,8 +304,8 @@ def separating_curve(
         if crit_pts and np.min(comp.index.distances(crit_pts, upto=1e-5 * scale)) < 1e-5 * scale:
             continue
         try:
-            k_face = _membership_face(cand, [complex(k) for k in K], tols)
-            l_face = _membership_face(cand, L.sample_points(), tols)
+            k_face = _membership_face(cand, K, tols)
+            l_face = _holding_faces(cand, [L], tols)[0]
         except TopologyError:
             continue
         if (k_face is None) != (l_face is None) or (
@@ -284,11 +336,8 @@ def two_curve_critical_witness(
     if C is None:
         C = critical_level_curves(f, f.domain, tols)
     for ref in C.curves():
-        if not ref.is_critical_curve():
-            continue
         try:
-            f1 = _membership_face(ref, L1.sample_points(), tols)
-            f2 = _membership_face(ref, L2.sample_points(), tols)
+            f1, f2 = _holding_faces(ref, [L1, L2], tols)
         except TopologyError:
             continue
         if f1 is not None and f2 is not None and f1 != f2:
@@ -308,17 +357,7 @@ def maximal_component(
     """The unique member of the critical set preceded by no other."""
     if C is None:
         C = critical_level_curves(f, domain, tols)
-    maxima = []
-    for a in C.components:
-        dominated = False
-        for b in C.components:
-            if a is b or b.kind is not CurveKind.LEVEL_CURVE:
-                continue
-            if precedes(a, b, tols):
-                dominated = True
-                break
-        if not dominated:
-            maxima.append(a)
+    maxima = [a for a, p in zip(C.components, C.parent) if p is None]
     if len(maxima) != 1:
         raise TopologyError(
             f"expected a unique maximal element of the critical set, found {len(maxima)}: "
@@ -327,20 +366,6 @@ def maximal_component(
     return maxima[0]
 
 
-def hasse_diagram(C: CriticalSetC, tols: Tolerances = DEFAULT_TOLS) -> list[tuple[int, int]]:
+def hasse_diagram(C: CriticalSetC) -> list[tuple[int, int]]:
     """Covering pairs (i, j) meaning component i is directly below j."""
-    n = len(C.components)
-    below = [[False] * n for _ in range(n)]
-    for i, a in enumerate(C.components):
-        for j, b in enumerate(C.components):
-            if i != j and b.kind is CurveKind.LEVEL_CURVE:
-                below[i][j] = precedes(a, b, tols)
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if not below[i][j]:
-                continue
-            direct = not any(below[i][k] and below[k][j] for k in range(n))
-            if direct:
-                edges.append((i, j))
-    return edges
+    return [(i, p[0]) for i, p in enumerate(C.parent) if p is not None]

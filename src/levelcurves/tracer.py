@@ -33,6 +33,7 @@ TWO_PI = 2.0 * math.pi
 _CAPTURE_LEVEL = 1e-6
 # per-arc hard point budget; hit only by runaway (unbounded) arcs
 MAX_ARC_POINTS = 200_000
+SEED_GRID_N = 48  # points per side of the sign-change sweep in find_seeds
 
 
 @dataclass
@@ -488,7 +489,6 @@ def find_seeds(
     eps: float,
     domain: DomainSpec | None = None,
     tols: Tolerances = DEFAULT_TOLS,
-    grid_n: int = 48,
 ) -> list[complex]:
     """Seed points with at least one on every component of E_{f, eps}.
 
@@ -527,7 +527,7 @@ def find_seeds(
             hit[a] = True
     failed = [p for p, got in zip(anchors, hit) if not got]
 
-    for cell in _grid_crossings(f, eps, box, grid_n, domain):
+    for cell in _grid_crossings(f, eps, box, SEED_GRID_N, domain):
         z, _, _ = tracer.correct(cell, max_iter=40)
         if z is not None and domain.contains(z):
             seeds.append(z)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levelcurves import (
+    DEFAULT_TOLS,
     TopologyError,
     build_graph,
+    critical_level_curves,
     face_count,
     face_of_point,
     parse_function_spec,
@@ -12,6 +16,7 @@ from levelcurves import (
 )
 from levelcurves import geometry
 from levelcurves.gridcheck import crossing_cells
+from levelcurves.levelgraph import faces_of_points
 
 
 def test_z5m1_graph_counts(z5m1):
@@ -155,3 +160,67 @@ def test_graph_json_schema(lemniscate_fn):
     assert d["edges"][0].keys() == {"id", "v_from", "v_to", "closed", "polyline_id"}
     assert d["faces"][0].keys() == {"id", "bounded", "edge_cycle", "rep_re", "rep_im"}
     assert sum(1 for fc in d["faces"] if not fc["bounded"]) == 1
+
+
+def _face_of_point_reference(graph, z, tols=DEFAULT_TOLS):
+    """The scalar face lookup as it was before the batched one, kept as the
+    reference: one distance query and one winding number per face, per point."""
+    d = graph.component.index.distances([z], upto=tols.trace_tol)[0]
+    if d <= tols.trace_tol:
+        raise TopologyError(f"point {z} lies on the traced curve (distance {d:.2e})")
+    hits = []
+    for f in graph.faces:
+        if not f.bounded:
+            continue
+        w = geometry.winding_number(f.polygon, [z])[0]
+        k = round(w)
+        if abs(w - k) > 0.25:
+            raise TopologyError(f"ambiguous winding {w:.3f} of face {f.id} around {z}")
+        if k != 0:
+            if abs(k) != 1:
+                raise TopologyError(f"face {f.id} winds {k} times around {z}")
+            hits.append(f.id)
+    if len(hits) > 1:
+        raise TopologyError(f"point {z} claimed by faces {hits}")
+    if hits:
+        return hits[0]
+    return graph.unbounded_face.id
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TopologyError as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def critical_graphs(z5m1, blaschke_21):
+    return [c.graph() for f in (z5m1, blaschke_21) for c in critical_level_curves(f).curves()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    which=st.integers(0, 2),
+    uv=st.lists(st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2)), min_size=1, max_size=30),
+    on_curve=st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_batched_face_lookup_matches_scalar(critical_graphs, which, uv, on_curve):
+    g = critical_graphs[which]
+    x0, y0, x1, y1 = geometry.bounding_box([g.component.points])
+    zs = [complex(x0 + u * (x1 - x0), y0 + v * (y1 - y0)) for u, v in uv]
+    if on_curve is not None:
+        pts = g.component.points
+        zs.append(complex(pts[int(on_curve * (len(pts) - 1))]))
+    ref = [_outcome(_face_of_point_reference, g, z) for z in zs]
+    if on_curve is not None:
+        assert "lies on the traced curve" in ref[-1]
+    # one point at a time: the same face id or the same error
+    assert [_outcome(lambda z: int(faces_of_points(g, [z])[0]), z) for z in zs] == ref
+    assert [_outcome(face_of_point, g, z) for z in zs] == ref
+    # all points at once: the same face ids, or an error when any point has one
+    if all(isinstance(r, int) for r in ref):
+        assert faces_of_points(g, zs).tolist() == ref
+    else:
+        with pytest.raises(TopologyError):
+            faces_of_points(g, zs)

@@ -12,6 +12,7 @@ from levelcurves import (
     trace_level_set,
     two_curve_critical_witness,
 )
+from levelcurves import order_topology
 from levelcurves.order_topology import CurveKind, CurveRef, hasse_diagram
 
 
@@ -206,3 +207,72 @@ def test_hasse_diagram_z5(z5_C):
     assert sorted(edges) == sorted(
         (i, curve_idx) for i in range(len(z5_C.components)) if i != curve_idx
     )
+
+
+def _pairwise_order(C):
+    """The order as it was computed before the nesting forest: every pair
+    through precedes, an O(n^3) covering pass and a scan for the maximal
+    member.  Kept as the reference for the forest."""
+    n = len(C.components)
+    below = [[False] * n for _ in range(n)]
+    for i, a in enumerate(C.components):
+        for j, b in enumerate(C.components):
+            if i != j and b.kind is CurveKind.LEVEL_CURVE:
+                below[i][j] = precedes(a, b)
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if below[i][j] and not any(below[i][k] and below[k][j] for k in range(n))
+    ]
+    maxima = [i for i in range(n) if not any(below[i])]
+    return edges, maxima
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: parse_function_spec("poly:1,0,0,0,0,-1"),
+        lambda: parse_function_spec("poly:1,0,-1"),
+        lambda: parse_function_spec("blaschke:0.36,-0.34+0.03i/0.05+0.02i"),
+        lambda: parse_function_spec("poly:1,0,-3,0"),
+        # corpus functions whose evenly spaced membership samples split the vote
+        lambda: build_corpus(4, seed=1)[3],
+        lambda: build_corpus(1, seed=5)[0],
+        lambda: build_corpus(11, seed=11)[10],
+    ],
+    ids=["z5m1", "lemniscate", "blaschke21", "z3m3z", "seed1f3", "seed5f0", "seed11f10"],
+)
+def test_forest_matches_pairwise_order(make):
+    f = make()
+    C = critical_level_curves(f)
+    edges, maxima = _pairwise_order(C)
+    assert hasse_diagram(C) == edges
+    assert [C.components.index(maximal_component(f, C=C))] == maxima
+    for i, p in enumerate(C.parent):
+        if p is not None:
+            j, fid = p
+            assert j == next(b for a, b in edges if a == i)
+            assert fid in {fc.id for fc in C.components[j].graph().bounded_faces}
+
+
+def test_forest_certificate_rejects_crossed_holders(blaschke_21, monkeypatch):
+    # plant a defect: the outer critical curve no longer holds the inner one,
+    # so the zeros inside the inner curve have two mutually exterior holders
+    C = critical_level_curves(blaschke_21)
+    outer = maximal_component(blaschke_21, C=C)
+    inner = next(c for c in C.curves() if c is not outer)
+    i_in, i_out = C.components.index(inner), C.components.index(outer)
+    assert sum(1 for p in C.parent if p is not None and p[0] == i_in) == 2
+    assert C.parent[i_in][0] == i_out
+    real = order_topology._holding_faces
+
+    def planted(b, members, tols):
+        faces = real(b, members, tols)
+        if b.label == outer.label:
+            faces = [None if m.label == inner.label else fid for m, fid in zip(members, faces)]
+        return faces
+
+    monkeypatch.setattr(order_topology, "_holding_faces", planted)
+    with pytest.raises(TopologyError, match="not nested"):
+        critical_level_curves(blaschke_21)
