@@ -3,7 +3,12 @@
 d-check(X, Y) = max(sup_x d(x, Y), sup_y d(X, y)), with the convention that
 an empty side makes the distance infinite.  Between traced curves it is
 computed on the polyline point samples; the discretization error is bounded
-by the largest segment length, which the report carries.
+by the largest segment length, which the report carries.  A bound ``upto``
+keeps each distance exact up to it and reports ``inf`` beyond, so a
+threshold test stops scanning early.
+
+The continuity probe audits each trial from its farthest level inward, where
+a failing trial fails first, and runs its d-checks exact up to delta only.
 """
 
 from __future__ import annotations
@@ -33,21 +38,25 @@ class HausdorffReport:
     discretization: float = 0.0
 
 
-def hausdorff(X, Y) -> HausdorffReport:
-    """Two-sided distance between finite point sets."""
+def hausdorff(X, Y, upto: float = math.inf) -> HausdorffReport:
+    """Two-sided distance between finite point sets.
+
+    Each distance is exact where it is at most ``upto`` and ``inf`` above
+    it, as in ``SegmentIndex.distances``.
+    """
     xs = np.asarray(list(X), dtype=complex).ravel()
     ys = np.asarray(list(Y), dtype=complex).ravel()
     if xs.size == 0 or ys.size == 0:
         return HausdorffReport(math.inf, math.inf, math.inf)
-    d1 = float(np.max(SegmentIndex(ys[:, None]).distances(xs)))
-    d2 = float(np.max(SegmentIndex(xs[:, None]).distances(ys)))
+    d1 = float(np.max(SegmentIndex(ys[:, None]).distances(xs, upto)))
+    d2 = float(np.max(SegmentIndex(xs[:, None]).distances(ys, upto)))
     return HausdorffReport(d1, d2, max(d1, d2))
 
 
-def hausdorff_between_curves(comp_a_points, comp_b_points) -> HausdorffReport:
+def hausdorff_between_curves(comp_a_points, comp_b_points, upto: float = math.inf) -> HausdorffReport:
     xs = np.asarray(comp_a_points, dtype=complex).ravel()
     ys = np.asarray(comp_b_points, dtype=complex).ravel()
-    rep = hausdorff(xs, ys)
+    rep = hausdorff(xs, ys, upto)
     disc = max(max_segment_length(xs), max_segment_length(ys))
     return HausdorffReport(rep.d1, rep.d2, rep.d_check, discretization=disc)
 
@@ -120,7 +129,12 @@ def continuity_probe(
     within delta of the component.
 
     Bisection starts at eta0 = eps/2 and halves until a trial passes, then
-    refines upward.  Each trial audits K_SAMPLES heights on both sides of eps.
+    refines upward.  Each trial audits K_SAMPLES heights on both sides of
+    eps, farthest first (+ before -), and passes iff every audited level has
+    a d-check below delta; a failing trial usually stops at its first level.
+    The d-checks are exact up to delta, so a level at or beyond it fails
+    without its distance being finished.  A passing trial's samples are
+    reported nearest first: k ascending, + before -.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -132,44 +146,44 @@ def continuity_probe(
 
     base_points = component.points
 
-    def trial(eta: float) -> tuple[bool, list[tuple[float, float]]]:
-        samples = []
-        for k in range(1, K_SAMPLES + 1):
+    def trial(eta: float) -> list[tuple[float, float]] | None:
+        """The samples of a passing trial, or None.  eta <= eps/2 keeps every zeta positive."""
+        pairs = []
+        for k in range(K_SAMPLES, 0, -1):
+            pair = []
             for sign in (+1.0, -1.0):
                 zeta = eps + sign * eta * k / K_SAMPLES
-                if zeta <= 0:
-                    return False, samples
                 try:
                     union = _nearby_curves_union(f, zeta, component, delta, tols)
                 except TraceError:
-                    return False, samples
-                d = hausdorff_between_curves(union, base_points).d_check
-                samples.append((zeta, d))
+                    return None
+                d = hausdorff_between_curves(union, base_points, upto=delta).d_check
                 if d >= delta:
-                    return False, samples
-        return True, samples
+                    return None
+                pair.append((zeta, d))
+            pairs.append(pair)
+        return [s for pair in reversed(pairs) for s in pair]
 
     eta = eps / 2.0
     floor = ETA_FLOOR_REL * eps
     best = None
-    best_samples: list[tuple[float, float]] = []
     while eta >= floor:
-        ok, samples = trial(eta)
-        if ok:
-            best, best_samples = eta, samples
+        best_samples = trial(eta)
+        if best_samples is not None:
+            best = eta
             break
         eta *= 0.5
 
     if best is None:
-        return ContinuityCertificate(eps, delta, 0.0, best_samples, False)
+        return ContinuityCertificate(eps, delta, 0.0, [], False)
 
     lo, hi = best, min(2.0 * best, eps / 2.0)
     for _ in range(REFINE_ROUNDS):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        ok, samples = trial(mid)
-        if ok:
+        samples = trial(mid)
+        if samples is not None:
             lo = mid
             best, best_samples = mid, samples
         else:

@@ -173,8 +173,10 @@ class _LevelTracer:
 
         Returns (z on the level, updates made, f'/f at z), or (None, updates,
         None) when the iteration hits a zero or pole, a vanishing gradient, or
-        ends off the level.  One fused evaluation per iterate.
+        ends off the level.  One fused evaluation per iterate, on Python
+        complex whatever the type of the seed.
         """
+        z = complex(z)
         for it in range(max_iter + 1):
             av, ld = self.f.abs_and_log_derivative(z)
             if not 0.0 < av < math.inf:

@@ -1,10 +1,23 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import build_corpus
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from levelcurves import continuity_probe, hausdorff, parse_function_spec
-from levelcurves.metrics import hausdorff_between_curves
+from levelcurves import (
+    DEFAULT_TOLS,
+    TraceError,
+    continuity_probe,
+    geometry,
+    hausdorff,
+    metrics,
+    parse_function_spec,
+    trace_level_set,
+)
+from levelcurves.metrics import K_SAMPLES, REFINE_ROUNDS, ContinuityCertificate, hausdorff_between_curves
 
 
 def test_identity_distance_zero():
@@ -81,3 +94,105 @@ def test_probe_certificate_dict():
     f = parse_function_spec("poly:1,0,0")
     d = continuity_probe(f, 1.0, 0.3).to_dict()
     assert set(d) == {"eps", "delta", "eta", "pass", "samples"}
+
+
+coords = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+point_sets = st.lists(st.builds(complex, coords, coords), max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(X=point_sets, Y=point_sets, frac=st.floats(0.0, 1.5), pick=st.integers(0, 3))
+def test_bounded_hausdorff_is_exact_up_to_the_bound(X, Y, frac, pick):
+    full = hausdorff(X, Y)
+    # the bound lands on d1 or d2 exactly, or anywhere up to past d-check
+    upto = [full.d1, full.d2, frac * full.d_check, frac][pick] if X and Y else frac
+    # a tiny block budget sends small inputs through the grid search too
+    for block in (8, geometry._BLOCK_PAIRS):
+        with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
+            rep = hausdorff(X, Y, upto)
+        for got, want in ((rep.d1, full.d1), (rep.d2, full.d2), (rep.d_check, full.d_check)):
+            assert got == (want if want <= upto else math.inf)
+
+
+def _nearest_first_probe(f, eps, delta, tols=DEFAULT_TOLS):
+    """The probe's search audited nearest first (k = 1..K_SAMPLES) with
+    unbounded d-checks, kept as the reference for the farthest-first audit."""
+    component = max(trace_level_set(f, eps, None, tols), key=lambda c: c.total_length())
+
+    def trial(eta):
+        samples = []
+        for k in range(1, K_SAMPLES + 1):
+            for sign in (+1.0, -1.0):
+                zeta = eps + sign * eta * k / K_SAMPLES
+                try:
+                    union = metrics._nearby_curves_union(f, zeta, component, delta, tols)
+                except TraceError:
+                    return False, samples
+                d = hausdorff_between_curves(union, component.points).d_check
+                samples.append((zeta, d))
+                if d >= delta:
+                    return False, samples
+        return True, samples
+
+    eta, best = eps / 2.0, None
+    while eta >= metrics.ETA_FLOOR_REL * eps:
+        ok, samples = trial(eta)
+        if ok:
+            best, best_samples = eta, samples
+            break
+        eta *= 0.5
+    if best is None:
+        return ContinuityCertificate(eps, delta, 0.0, [], False)
+    lo, hi = best, min(2.0 * best, eps / 2.0)
+    for _ in range(REFINE_ROUNDS):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        ok, samples = trial(mid)
+        if ok:
+            lo, best, best_samples = mid, mid, samples
+        else:
+            hi = mid
+    return ContinuityCertificate(eps, delta, best, best_samples, True)
+
+
+def _corpus_f20():
+    f = build_corpus(21)[20]
+    return f, 0.6 * min(f.abs_eval(c) for c, _ in f.critical_points)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (parse_function_spec("poly:1,0,0"), 1.0, 0.05),
+        lambda: (parse_function_spec("poly:1,0,-1"), 1.0, 0.1),
+        # a non-dyadic eps, where a sort by |zeta - eps| would swap the +/- pairs
+        lambda: (*_corpus_f20(), 0.1),
+    ],
+    ids=["z2", "lemniscate", "corpus-f20"],
+)
+def test_probe_matches_nearest_first_reference(case):
+    f, eps, delta = case()
+    got = continuity_probe(f, eps, delta).to_dict()
+    want = _nearest_first_probe(f, eps, delta).to_dict()
+    assert got["pass"] and (got["eta"], got["pass"]) == (want["eta"], want["pass"])
+    assert [s["zeta"] for s in got["samples"]] == [s["zeta"] for s in want["samples"]]
+    for g, w in zip(got["samples"], want["samples"]):
+        assert abs(g["d_check"] - w["d_check"]) <= 1e-11
+
+
+def test_failing_trial_stops_at_its_farthest_level(monkeypatch):
+    zetas = []
+    traced = metrics._nearby_curves_union
+
+    def counted(f, zeta, *args):
+        zetas.append(zeta)
+        return traced(f, zeta, *args)
+
+    monkeypatch.setattr(metrics, "_nearby_curves_union", counted)
+    cert = continuity_probe(parse_function_spec("poly:1,0,0"), 1.0, 0.05)
+    assert cert.passed
+    # the eta = 0.5 trial fails at its farthest level 1.5, so the next call
+    # is already the farthest level of the eta = 0.25 trial, not 1 - 0.5
+    assert zetas[:2] == [1.5, 1.25]
+    assert len(zetas) < 100

@@ -13,7 +13,7 @@ from levelcurves import (
 )
 from levelcurves import geometry
 from levelcurves.gridcheck import grid_oracle_report
-from levelcurves.tracer import _domain_scale, _ray_crossings, _seed_box
+from levelcurves.tracer import _domain_scale, _LevelTracer, _ray_crossings, _seed_box
 
 
 def on_level_residual(f, comp):
@@ -227,3 +227,13 @@ def test_batched_ray_search_matches_scalar_reference(spec, eps):
                 assert np.all(np.abs(got - np.array(want, dtype=complex)) <= 1e-12 * reach)
                 total += len(want)
         assert total == len(pts) > 0
+
+
+def test_corrector_returns_python_complex():
+    f = parse_function_spec("poly:1,0,0")
+    tracer = _LevelTracer(f, 1.0, DEFAULT_TOLS, _domain_scale(f))
+    # one seed off the level, one already on it
+    for seed in (1.1 + 0.1j, 1.0 + 0.0j):
+        z, it, ld = tracer.correct(np.complex128(seed))
+        assert type(z) is complex and type(ld) is complex
+        assert (z, it, ld) == tracer.correct(seed)
