@@ -43,7 +43,7 @@ def show(name, spec):
         print(
             f"  region {region.label}\n"
             f"    |f| in ({region.eps1:.4g}, {region.eps2:.4g}), N={region.N}, M={region.M:+d}\n"
-            f"    |phi| in ({lo:.4g}, {hi:.4g}), mesh {cert.n_mesh}, "
+            f"    |phi| in ({lo:.4g}, {hi:.4g}), samples {cert.n_mesh}, "
             f"max |phi^M - f| = {cert.max_power_residual:.1e}"
         )
     return rows

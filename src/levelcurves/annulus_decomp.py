@@ -1,21 +1,24 @@
 """Annular decomposition of the domain and the conformal power map.
 
 Removing the critical set (critical level curves, zeros, poles) from the
-domain leaves finitely many components, each conformally an annulus.  On
-each component the map phi is a branch of f^(1/M): |f|^(1/M) * e^(i*alpha/M)
-with alpha a continued argument of f on a grid mesh of the region.  alpha is
-unwrapped along the mesh rows and the row runs are joined by column edges
-(one spanning tree); a second tree that joins the columns by row edges and
-the residue of every mesh edge certify it mod 2*pi*N.  M = +N when arg f
-increases along positively oriented level curves in the region (the inner
-boundary encloses net zeros), M = -N for net poles; with this branch the
-power identity f == phi^M holds exactly on both kinds.
+domain leaves finitely many components.  On each, f is conformally z^N: an
+N-fold covering of an annulus of levels, so phi = f^(1/M) carries every level
+loop of the region onto a circle.  phi is therefore built on K_LOOPS traced
+loops of the region: on each, phi = |f|^(1/M) * e^(i*alpha/M), with alpha the
+running sum of the arg-f increments, which the tracer orders to be positive.
+A radial chain of short steps from loop to loop carries alpha across; the
+loops and the chain form a spanning tree whose every edge has its increment
+checked.  M = +N when arg f increases along positively oriented level curves
+in the region (the inner boundary encloses net zeros), M = -N for net poles;
+with this branch the power identity f == phi^M holds exactly on both kinds.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,35 +26,41 @@ from . import geometry
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import CertificateError, TopologyError, TraceError
 from .funcspace import DomainKind, DomainSpec, RationalFn
-from .levelgraph import face_of_point, faces_of_points
-from .order_topology import (
-    CriticalSetC,
-    CurveKind,
-    CurveRef,
-    _membership_face,
-    critical_level_curves,
+from .levelgraph import faces_of_points
+from .order_topology import CriticalSetC, CurveKind, CurveRef, critical_level_curves
+from .tracer import (
+    STEP_MAX_CORRECTION,
+    STEP_MAX_ITER,
+    LevelCurveComponent,
+    _LevelTracer,
+    _domain_scale,
+    _near,
+    _ray_crossings,
+    _trace_component_with,
+    trace_level_set,
 )
-from .tracer import _LevelTracer, _domain_scale, _ray_crossings, _trace_component_with, trace_level_set
 
 TWO_PI = 2.0 * math.pi
-MESH_SIZES = (48, 72, 108, 162, 243)
-MAX_EDGE_TURN = 0.25 * math.pi
-MIN_MESH_POINTS = 64  # a coarser mesh with fewer region points is refined
+K_LOOPS = 8  # traced level loops per region
+MAX_EDGE_TURN = 0.25 * math.pi  # largest arg-f increment on any edge of the tree
 
 
 @dataclass
 class PhiGrid:
-    """Sampled conformal map on a region mesh."""
+    """phi sampled on the region's level loops, concatenated inner to outer."""
 
-    points: np.ndarray  # complex mesh points
+    points: np.ndarray  # each loop from its basepoint on, the closing point dropped
     f_vals: np.ndarray
-    alpha: np.ndarray  # arg f continued on the row-run tree, alpha[basepoint] = principal arg
-    phi: np.ndarray
-    spacing: float
-    basepoint_index: int
-    tree_discrepancy: float  # alpha against the column-run tree, reduced mod 2*pi*N
-    cycle_discrepancy: float  # worst residue of any mesh edge on the row-run tree, mod 2*pi*N
-    n_cycle_samples: int  # mesh edges checked: all of them
+    alpha: np.ndarray  # arg f continued along the loops and the radial chain
+    basepoint_index: int  # alpha here is the principal arg of f
+    levels: np.ndarray  # |f| on each loop, inner to outer
+    offsets: np.ndarray  # loop k is points[offsets[k]:offsets[k + 1]]
+    closure_discrepancy: float  # max over loops of |sum of arg-f increments - 2*pi*N|
+    phi: np.ndarray | None = None  # set by build_phi for the region's M
+
+    def loops(self) -> list[slice]:
+        """The index range of each loop, inner to outer."""
+        return [slice(a, b) for a, b in zip(self.offsets[:-1], self.offsets[1:])]
 
 
 @dataclass
@@ -76,23 +85,6 @@ class AnnularRegion:
     def image_radii(self) -> tuple[float, float]:
         """Open interval of |phi| on the region: between eps1^(1/M) and eps2^(1/M)."""
         return tuple(sorted((_power_radius(self.eps1, self.M), _power_radius(self.eps2, self.M))))
-
-    def contains(self, z: complex, f: RationalFn, tols: Tolerances = DEFAULT_TOLS) -> bool:
-        av = f.abs_eval(z)
-        lo, hi = self.level_interval()
-        if not (lo < av < hi):
-            return False
-        if self.outer_boundary.kind is CurveKind.BOUNDARY:
-            if abs(z) >= 1.0:
-                return False
-        else:
-            g = self.outer_boundary.graph(tols)
-            if face_of_point(g, z, tols) != self.outer_face_id:
-                return False
-        if self.inner_boundary.kind is CurveKind.LEVEL_CURVE:
-            if _membership_face(self.inner_boundary, [z], tols) is not None:
-                return False
-        return True
 
     def to_dict(self) -> dict:
         return {
@@ -221,10 +213,11 @@ def decompose(
         )
     )
 
+    zp, mult = _zeros_and_poles(f)
     for region in regions:
         _certify_region_clean(f, region, tols)
         region.N, region.M = winding_N(f, region, tols, return_sign=True)
-        s = _enclosed_zero_pole_count(f, region, tols)
+        s = int(np.sum(mult[_inside_inner(region, zp, tols)]))
         if s == 0 or abs(s) != region.N or (s > 0) != (region.M > 0):
             raise TopologyError(
                 f"region {region.label}: winding {region.M} disagrees with enclosed "
@@ -235,46 +228,168 @@ def decompose(
 
 
 def _certify_region_clean(f: RationalFn, region: AnnularRegion, tols: Tolerances):
-    inner = region.inner_boundary
-    for z, _ in f.zeros + f.poles + f.critical_points:
-        if inner.kind is CurveKind.POINT and abs(z - inner.point) < 1e-10:
-            continue  # the region's own degenerate boundary point
-        if region.contains(z, f, tols):
-            raise TopologyError(
-                f"region {region.label} contains distinguished point {z}"
-            )
+    """No zero, pole or critical point lies in the region.
 
-
-def _enclosed_zero_pole_count(f: RationalFn, region: AnnularRegion, tols: Tolerances) -> int:
+    The points strictly inside the region's level band go through one face
+    lookup per boundary graph.
+    """
     inner = region.inner_boundary
-    signed = f.zeros + [(p, -m) for p, m in f.poles]
+    pts = np.array([z for z, _ in f.zeros + f.poles + f.critical_points], dtype=complex)
     if inner.kind is CurveKind.POINT:
-        return sum(m for z, m in signed if abs(z - inner.point) < 1e-10)
+        pts = pts[np.abs(pts - inner.point) >= 1e-10]  # the region's own boundary point
+    lo, hi = region.level_interval()
+    av = np.array([f.abs_eval(z) for z in pts])
+    pts = pts[(lo < av) & (av < hi)]
+    if pts.size and region.outer_boundary.kind is CurveKind.BOUNDARY:
+        pts = pts[np.abs(pts) < 1.0]
+    elif pts.size:
+        g = region.outer_boundary.graph(tols)
+        pts = pts[faces_of_points(g, pts, tols) == region.outer_face_id]
+    if pts.size and inner.kind is CurveKind.LEVEL_CURVE:
+        g = inner.graph(tols)
+        pts = pts[faces_of_points(g, pts, tols) == g.unbounded_face.id]
+    if pts.size:
+        raise TopologyError(f"region {region.label} contains distinguished point {pts[0]}")
+
+
+def _zeros_and_poles(f: RationalFn) -> tuple[np.ndarray, np.ndarray]:
+    """The zeros and poles, and their multiplicities signed + for zeros, - for poles."""
+    signed = f.zeros + [(p, -m) for p, m in f.poles]
+    return np.array([z for z, _ in signed], dtype=complex), np.array([m for _, m in signed], dtype=int)
+
+
+def _inside_inner(region: AnnularRegion, zp: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """Which points of zp the inner boundary encloses (a point boundary: itself)."""
+    inner = region.inner_boundary
+    if inner.kind is CurveKind.POINT:
+        return np.abs(zp - inner.point) < 1e-10
     g = inner.graph(tols)
-    faces = faces_of_points(g, [z for z, _ in signed], tols)
-    return sum(m for (_, m), fid in zip(signed, faces) if fid != g.unbounded_face.id)
+    return faces_of_points(g, zp, tols) != g.unbounded_face.id
 
 
 # ---------------------------------------------------------------------------
-# winding
+# the region's level loops
 
 
-def _probe_on_level(f, region, zeta, tols) -> complex:
-    """A point of the region on |f| = zeta, found by ray search from the inner side."""
-    inner = region.inner_boundary
-    anchors = (
-        [inner.point]
-        if inner.kind is CurveKind.POINT
-        else [complex(p) for p in inner.all_points()[:: max(1, len(inner.all_points()) // 12)]]
-    )
-    scale = _domain_scale(f)
-    tracer = _LevelTracer(f, zeta, tols, scale)
-    ts = np.geomspace(1e-6 * scale, 4.0 * scale, 300)
-    for crossing in _ray_crossings(f, zeta, anchors, 0.37, ts)[0]:
+class _Loop(NamedTuple):
+    points: np.ndarray  # from the basepoint on, the closing point dropped
+    f_vals: np.ndarray
+    turn: np.ndarray  # arg f turned from the basepoint to each point
+    total: float  # arg f turned around the closed loop
+    N: int
+    orientation: int  # +1 counterclockwise
+
+
+def _loop_levels(region: AnnularRegion) -> np.ndarray:
+    """K_LOOPS levels strictly inside the region, inner to outer: geometric
+    between eps1 and eps2, linear in |f| toward a zero and in 1/|f| toward a pole."""
+    s = np.arange(1, K_LOOPS + 1) / (K_LOOPS + 1)
+    if region.eps1 == 0.0:
+        return region.eps2 * s
+    if math.isinf(region.eps1):
+        return region.eps2 / s
+    return region.eps1 ** (1.0 - s) * region.eps2**s
+
+
+def _not_region_loop(f: RationalFn, region: AnnularRegion, comp: LevelCurveComponent, tols) -> str | None:
+    """Why comp is not the region's loop at its level, or None when it is.
+
+    A level strictly between the region's two levels has exactly one
+    component in the region: a simple closed curve enclosing exactly the
+    zeros and poles inside the inner boundary.  Those points lie off every
+    loop, so the point-in-polygon test is never near its edge case.
+    """
+    if comp.vertices or not comp.arcs[0].closed:
+        return "is not a simple loop"
+    pts = comp.arcs[0].points
+    if region.outer_boundary.kind is CurveKind.BOUNDARY and np.any(np.abs(pts) >= 1.0):
+        return "leaves the unit disk"
+    zp, _ = _zeros_and_poles(f)
+    w = geometry.winding_number(pts, zp)
+    k = np.round(w)
+    if np.any(np.abs(w - k) > 0.25) or np.any(np.abs(k) > 1):
+        return "winds ambiguously around a zero or pole"
+    enclosed = _inside_inner(region, zp, tols)
+    if not np.array_equal(k != 0, enclosed):
+        return f"encloses the zeros and poles {zp[k != 0]}, not the region's {zp[enclosed]}"
+    return None
+
+
+def _certify_loop(f: RationalFn, region: AnnularRegion, comp: LevelCurveComponent, tols) -> _Loop:
+    """The per-loop certificate: the region's loop (:func:`_not_region_loop`),
+    every arg-f increment in (0, MAX_EDGE_TURN), and a total of 2*pi*N for a
+    nonzero integer N."""
+    why = _not_region_loop(f, region, comp, tols)
+    if why is not None:
+        raise TopologyError(f"level {comp.level} in region {region.label} {why}")
+    pts = comp.arcs[0].points
+    vals = f.eval_grid(pts)
+    inc = np.angle(vals[1:] / vals[:-1])
+    if not (np.all(inc > 0.0) and np.all(inc < MAX_EDGE_TURN)):
+        raise CertificateError(
+            f"arg f increment in [{inc.min():.3g}, {inc.max():.3g}] leaves (0, pi/4) "
+            f"on level {comp.level} in region {region.label}"
+        )
+    turn = np.cumsum(inc)
+    total = float(turn[-1])
+    n = round(total / TWO_PI)
+    if n == 0 or abs(total - TWO_PI * n) > tols.winding_int_tol:
+        raise TopologyError(f"winding {total / TWO_PI:.8f} at level {comp.level} is not a nonzero integer")
+    orientation = 1 if geometry.signed_area(pts) > 0 else -1
+    return _Loop(pts[:-1], vals[:-1], np.concatenate([[0.0], turn[:-1]]), total, n, orientation)
+
+
+def _probe_on_level(f: RationalFn, region: AnnularRegion, tracer: _LevelTracer, tols) -> LevelCurveComponent:
+    """The region's loop at the tracer's level, traced from a ray crossing.
+
+    Rays from the inner boundary cross the level; the first crossing in the
+    domain whose component is the region's loop wins.  Crossings on a
+    component already turned down are skipped.
+    """
+    pts = region.inner_boundary.all_points()
+    anchors = pts[:: max(1, len(pts) // 12)]
+    ts = np.geomspace(1e-6 * tracer.scale, 4.0 * tracer.scale, 300)
+    rejected: list[LevelCurveComponent] = []
+    for crossing in _ray_crossings(f, tracer.eps, anchors, 0.37, ts)[0]:
         z, _, _ = tracer.correct(complex(crossing), max_iter=50)
-        if z is not None and region.contains(z, f, tols):
-            return z
-    raise TraceError(f"no probe point at level {zeta} inside region {region.label}")
+        if z is None or not f.domain.contains(z) or any(_near(c, [z])[0] for c in rejected):
+            continue
+        comp = _trace_component_with(tracer, z)
+        if _not_region_loop(f, region, comp, tols) is None:
+            return comp
+        rejected.append(comp)
+    raise TraceError(f"no loop at level {tracer.eps} inside region {region.label}")
+
+
+def _radial_step(f: RationalFn, tracer: _LevelTracer, z: complex, alpha: float, log_from: float, tols):
+    """From z on |f| = exp(log_from) to the tracer's level across the loops.
+
+    Each step predicts z + dlog / (f'/f), which moves log|f| by dlog and
+    keeps arg f, and corrects with ``_LevelTracer.correct``.  A step is
+    accepted under the march's rule (STEP_MAX_ITER, STEP_MAX_CORRECTION)
+    with an arg-f increment below MAX_EDGE_TURN, and halved otherwise.
+    Returns the point reached and alpha carried there.
+    """
+    now, fz, ld = log_from, f.eval(z), f.abs_and_log_derivative(z)[1]
+    s = tracer.log_eps - now
+    while True:
+        rest = tracer.log_eps - now
+        s = math.copysign(min(abs(s), abs(rest)), rest)
+        step = s / ld
+        on = tracer if s == rest else _LevelTracer(f, math.exp(now + s), tols, tracer.scale)
+        z_new, _, ld_new = on.correct(z + step, STEP_MAX_ITER)
+        if z_new is not None and abs(z_new - (z + step)) <= STEP_MAX_CORRECTION * abs(step):
+            f_new = f.eval(z_new)
+            inc = cmath.phase(f_new / fz)
+            if abs(inc) < MAX_EDGE_TURN:
+                z, fz, ld, alpha = z_new, f_new, ld_new, alpha + inc
+                if on is tracer:
+                    return z, alpha
+                now = on.log_eps
+                continue
+        s *= 0.5
+        if abs(s / ld) < tracer.h_min:
+            raise TraceError(f"radial step underflow near {z} toward level {tracer.eps}")
 
 
 def winding_N(
@@ -283,157 +398,55 @@ def winding_N(
     tols: Tolerances = DEFAULT_TOLS,
     return_sign: bool = False,
 ):
-    """Winding integer of f along level curves inside the region.
+    """Winding integer of f along the level loops of the region.
 
-    Traced on three distinct levels; all three must agree, land on integers
-    within tolerance, and be nonzero.  The sign (returned as M) is positive
-    when arg f increases along the positively oriented curve.
+    Traces the region's K_LOOPS loops and keeps them on the region as its
+    PhiGrid.  The middle loop comes from a ray probe; each other loop starts
+    where a radial step from its neighbour's basepoint lands.  Every loop
+    passes :func:`_certify_loop`, and N and the orientation must agree on all
+    of them.  The sign (returned as M) is positive when arg f increases along
+    the positively oriented curve.  On the middle loop alpha is the principal
+    arg of f at the point of smallest |arg f| (ties by |z|), the basepoint.
     """
-    lo, hi = region.level_interval()
-    if lo == 0.0 and math.isinf(hi):
-        raise TopologyError("region cannot span both a zero and a pole level")
-    if lo == 0.0:
-        zetas = [hi * t for t in (0.15, 0.3, 0.5)]
-    elif math.isinf(hi):
-        zetas = [lo * t for t in (2.0, 4.0, 8.0)]
-    else:
-        zetas = [lo ** (1 - t) * hi**t for t in (0.35, 0.5, 0.65)]
-
+    levels = _loop_levels(region)
     scale = _domain_scale(f)
-    results = []
-    for zeta in zetas:
-        seed = _probe_on_level(f, region, zeta, tols)
-        tracer = _LevelTracer(f, zeta, tols, scale)
-        comp = _trace_component_with(tracer, seed)
-        if comp.vertices or not comp.arcs[0].closed:
-            raise TraceError(f"level {zeta} inside region {region.label} is not a simple loop")
-        pts = comp.arcs[0].points
-        for sample in pts[:: max(1, len(pts) // 6)]:
-            if not region.contains(complex(sample), f, tols):
-                raise TraceError(
-                    f"level curve at {zeta} escapes region {region.label}"
-                )
-        vals = f.eval_grid(pts)
-        turns = float(np.sum(np.angle(vals[1:] / vals[:-1]))) / TWO_PI
-        k = round(turns)
-        if abs(turns - k) > tols.winding_int_tol or k == 0:
-            raise TopologyError(
-                f"winding {turns:.8f} at level {zeta} is not a nonzero integer"
-            )
-        # stored arcs run along increasing arg f, so the raw turn count is +|N|;
-        # the geometric orientation supplies the sign of M
-        orientation = 1.0 if geometry.signed_area(pts) > 0 else -1.0
-        results.append((abs(k), int(orientation * abs(k))))
-    ns = {n for n, _ in results}
-    ms = {m for _, m in results}
-    if len(ns) != 1 or len(ms) != 1:
-        raise TopologyError(f"winding disagrees across levels: {results}")
-    n, m = results[0]
-    return (n, m) if return_sign else n
+    tracers = [_LevelTracer(f, zeta, tols, scale) for zeta in levels]
+    a = K_LOOPS // 2
+    loops: list[_Loop | None] = [None] * K_LOOPS
+    starts: list[float] = [0.0] * K_LOOPS  # alpha at each loop's basepoint
+    loops[a] = mid = _certify_loop(f, region, _probe_on_level(f, region, tracers[a], tols), tols)
+    theta = np.angle(mid.f_vals)
+    b = int(np.lexsort((np.abs(mid.points), np.abs(theta)))[0])
+    starts[a] = float(theta[b] - mid.turn[b])
+    chain = [(k, k - 1) for k in range(a + 1, K_LOOPS)] + [(k, k + 1) for k in range(a - 1, -1, -1)]
+    for k, j in chain:
+        seed, starts[k] = _radial_step(
+            f, tracers[k], complex(loops[j].points[0]), starts[j], math.log(levels[j]), tols
+        )
+        loops[k] = _certify_loop(f, region, _trace_component_with(tracers[k], seed), tols)
+
+    if len({(lp.N, lp.orientation) for lp in loops}) != 1:
+        raise TopologyError(
+            f"winding disagrees across levels: {[(lp.N, lp.orientation) for lp in loops]}"
+        )
+    n = loops[0].N
+    offsets = np.cumsum([0] + [lp.points.size for lp in loops])
+    grid = PhiGrid(
+        points=np.concatenate([lp.points for lp in loops]),
+        f_vals=np.concatenate([lp.f_vals for lp in loops]),
+        alpha=np.concatenate([s + lp.turn for s, lp in zip(starts, loops)]),
+        basepoint_index=int(offsets[a] + b),
+        levels=levels,
+        offsets=offsets,
+        closure_discrepancy=max(abs(lp.total - TWO_PI * n) for lp in loops),
+    )
+    region.phi_grid = grid
+    region.basepoint = complex(grid.points[grid.basepoint_index])
+    return (n, loops[0].orientation * n) if return_sign else n
 
 
 # ---------------------------------------------------------------------------
 # the conformal map
-
-
-def _region_box(region: AnnularRegion, tols: Tolerances):
-    if region.outer_boundary.kind is CurveKind.BOUNDARY:
-        return (-1.0, -1.0, 1.0, 1.0)
-    g = region.outer_boundary.graph(tols)
-    face = next(fc for fc in g.faces if fc.id == region.outer_face_id)
-    return geometry.bounding_box([face.polygon], margin=0.0)
-
-
-def _mesh_mask(f, region, Z, tols) -> np.ndarray:
-    lo, hi = region.level_interval()
-    vals = f.abs_grid(Z)
-    mask = np.isfinite(vals) & (vals > lo) & (vals < hi)
-
-    flat = Z.ravel()
-    sel = np.nonzero(mask.ravel())[0]
-    if sel.size == 0:
-        return np.zeros_like(mask)
-
-    if region.outer_boundary.kind is CurveKind.BOUNDARY:
-        keep = np.abs(flat[sel]) < 1.0
-    else:
-        g = region.outer_boundary.graph(tols)
-        face = next(fc for fc in g.faces if fc.id == region.outer_face_id)
-        w = geometry.winding_number(face.polygon, flat[sel])
-        keep = np.abs(np.round(w)) == 1
-        # stay off the boundary walk itself
-        keep &= geometry.SegmentIndex([face.polygon]).distances(flat[sel], upto=1e-12) > 1e-12
-
-    inner = region.inner_boundary
-    if inner.kind is CurveKind.LEVEL_CURVE:
-        gi = inner.graph(tols)
-        for fc in gi.bounded_faces:
-            w = geometry.winding_number(fc.polygon, flat[sel])
-            keep &= np.abs(np.round(w)) == 0
-
-    m2 = np.zeros(flat.shape, dtype=bool)
-    m2[sel] = keep
-    return m2.reshape(Z.shape)
-
-
-def _comb(mask: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """4-connected component labels of mask, and theta continued over each.
-
-    Each row run of mask is unwrapped by a cumulative sum of wrapped
-    increments (Itoh's 1-D unwrapping).  One column edge per linked pair of
-    runs joins them, and a breadth-first walk over the runs, not the points,
-    sets each run's offset and label.  A component is labelled by its first
-    run, so labels grow in row-major order; its first run keeps its own
-    theta.  Cells outside mask get label -1 and value nan.
-    """
-    start = mask.copy()
-    start[:, 1:] &= ~mask[:, :-1]
-    first = np.flatnonzero(start)  # first cell of each run, in row-major order
-    run = np.cumsum(start.ravel()) - 1
-    cells = np.flatnonzero(mask)
-    th = theta.ravel()
-    inc = np.where(mask[:, 1:] & mask[:, :-1], _wrap(np.diff(theta, axis=1)), 0.0)
-    along = np.cumsum(np.pad(inc, ((0, 0), (1, 0))), axis=1).ravel()
-    local = np.zeros(mask.size)
-    local[cells] = along[cells] - along[first[run[cells]]]
-
-    # the leftmost column edge of each linked pair of runs, both directions
-    tail = np.flatnonzero(mask[:-1] & mask[1:])
-    tail = tail[np.unique(run[tail] * first.size + run[tail + mask.shape[1]], return_index=True)[1]]
-    head = tail + mask.shape[1]
-    jump = local[tail] + _wrap(th[head] - th[tail]) - local[head]
-    src = np.concatenate([run[tail], run[head]])
-    order = np.argsort(src, kind="stable")
-    dst = np.concatenate([run[head], run[tail]])[order].tolist()
-    dlt = np.concatenate([jump, -jump])[order].tolist()
-    ptr = np.searchsorted(src[order], np.arange(first.size + 1)).tolist()
-
-    label = [-1] * first.size
-    offset = th[first].tolist()
-    for root in range(first.size):
-        if label[root] >= 0:
-            continue
-        label[root] = root
-        queue = [root]
-        for u in queue:  # the queue grows as the walk goes: breadth first
-            for k in range(ptr[u], ptr[u + 1]):
-                v = dst[k]
-                if label[v] < 0:
-                    label[v] = root
-                    offset[v] = offset[u] + dlt[k]
-                    queue.append(v)
-
-    labels = np.full(mask.shape, -1)
-    alpha = np.full(mask.shape, np.nan)
-    labels[mask] = np.array(label, dtype=int)[run[cells]]
-    alpha[mask] = np.array(offset)[run[cells]] + local[cells]
-    return labels, alpha
-
-
-def _edge_ends(a: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a at the tail and head of each 4-neighbor edge of mask: row edges, then column edges."""
-    row, col = mask[:, :-1] & mask[:, 1:], mask[:-1] & mask[1:]
-    return np.concatenate([a[:, :-1][row], a[:-1][col]]), np.concatenate([a[:, 1:][row], a[1:][col]])
 
 
 def build_phi(
@@ -441,145 +454,16 @@ def build_phi(
     region: AnnularRegion,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> PhiGrid:
-    """Construct phi = f^(1/M) on a mesh by spanning-tree argument continuation.
+    """phi = |f|^(1/M) e^(i*alpha/M) on the region's level loops, for the region's M.
 
-    The mesh is refined until every 4-neighbor edge carries an arg-f increment
-    below pi/4, so the continued argument is unambiguous.  The tree joins the
-    mesh rows by column edges (see :func:`_comb`).  Path independence is
-    certified mod 2*pi*N on a second tree that joins the columns by row
-    edges (every mesh point) and on the residue of every mesh edge, which
-    covers a generating set of the mesh graph's cycles.
+    The loops and alpha come from :func:`winding_N`, traced once per region;
+    they are traced here only when the region has none yet.
     """
-    if region.N == 0 or region.M == 0:
+    if region.phi_grid is None:
         region.N, region.M = winding_N(f, region, tols, return_sign=True)
-    N, M = region.N, region.M
-    x0, y0, x1, y1 = _region_box(region, tols)
-
-    excl_center = None
-    excl_mult = 1
-    if region.inner_boundary.kind is CurveKind.POINT:
-        excl_center = region.inner_boundary.point
-        for z, m in f.zeros + f.poles:
-            if abs(z - excl_center) < 1e-10:
-                excl_mult = m
-        width = _inner_width(region, excl_center, tols)
-
-    last_error = None
-    for n in MESH_SIZES:
-        xs = np.linspace(x0, x1, n)
-        ys = np.linspace(y0, y1, n)
-        h = max(xs[1] - xs[0], ys[1] - ys[0])
-        Z = xs[None, :] + 1j * ys[:, None]
-        if excl_center is not None:
-            # keep arg increments near the zero/pole under pi/4, and make the
-            # excluded puncture small against the annulus width so the image
-            # coverage reaches toward the inner radius
-            r_excl = (2.0 * excl_mult + 2.0) * h
-            if r_excl > 0.15 * width and n != MESH_SIZES[-1]:
-                last_error = f"mesh {n}x{n}: puncture {r_excl:.3g} too wide for annulus {width:.3g}"
-                continue
-        mask = _mesh_mask(f, region, Z, tols)
-        if excl_center is not None:
-            mask &= np.abs(Z - excl_center) > r_excl
-        # corridors between curve branches pinch off at critical points; a
-        # grid edge there could shortcut across an excluded petal tip, so
-        # carve out a disk wide enough that sectors stay grid-separated
-        for c, m in f.critical_points:
-            r_crit = 3.0 * h / math.sin(math.pi / (m + 1)) + 2.0 * h
-            mask &= np.abs(Z - c) > r_crit
-        if mask.sum() < 16:
-            last_error = f"mesh {n}x{n} has too few region points"
-            continue
-        f_grid = np.zeros(Z.shape, dtype=complex)
-        f_grid[mask] = f.eval_grid(Z[mask])
-        labels, alpha = _comb(mask, np.angle(f_grid))
-        # the largest component; on a tie the first in row-major order
-        mask = labels == np.argmax(np.bincount(labels[mask]))
-        count = int(mask.sum())
-        if count < MIN_MESH_POINTS and n != MESH_SIZES[-1]:
-            last_error = f"mesh {n}x{n}: only {count} points"
-            continue
-
-        try:
-            return _finish_phi(region, Z, mask, f_grid, alpha, h, N, M, tols)
-        except CertificateError as exc:
-            # too coarse for the arg increments, or a residual continuation
-            # defect: an edge still crossed the excluded set; a finer mesh
-            # separates the corridors
-            last_error = f"mesh {n}x{n}: {exc}"
-
-    raise CertificateError(f"could not mesh region {region.label}: {last_error}")
-
-
-def _inner_width(region: AnnularRegion, center: complex, tols: Tolerances) -> float:
-    if region.outer_boundary.kind is CurveKind.BOUNDARY:
-        return 1.0 - abs(center)
-    g = region.outer_boundary.graph(tols)
-    face = next(fc for fc in g.faces if fc.id == region.outer_face_id)
-    return float(geometry.SegmentIndex([face.polygon]).distances([center])[0])
-
-
-def _wrap(a):
-    return (a + math.pi) % TWO_PI - math.pi
-
-
-def _finish_phi(region, Z, mask, f_grid, alpha, h, N, M, tols) -> PhiGrid:
-    """Certify alpha, continued by :func:`_comb` on the connected mask, and store phi."""
-    theta = np.angle(f_grid)
-    t0, t1 = _edge_ends(theta, mask)
-    inc = _wrap(t1 - t0)
-    if np.max(np.abs(inc)) >= MAX_EDGE_TURN:
-        raise CertificateError(f"arg increment {np.max(np.abs(inc)):.3f} too large")
-
-    points = Z[mask]
-    f_vals = f_grid[mask]
-    # basepoint: smallest |arg f| among the mid-band mesh points, ties by |w|
-    mod = np.abs(f_vals)
-    lo_q, hi_q = np.quantile(mod, [0.35, 0.65])
-    band = np.nonzero((mod >= lo_q) & (mod <= hi_q))[0]
-    if band.size == 0:
-        band = np.arange(points.size)
-    order = np.lexsort((np.abs(points[band]), np.abs(theta[mask][band])))
-    base = int(band[order[0]])
-    at_base = np.flatnonzero(mask)[base]
-
-    alpha = alpha - alpha.flat[at_base] + theta.flat[at_base]
-    alpha2 = _comb(mask.T, theta.T)[1].T
-    alpha2 = alpha2 - alpha2.flat[at_base] + alpha.flat[at_base]
-
-    period = TWO_PI * N
-    tree_disc = float(np.max(np.abs(_mod_residue(alpha[mask] - alpha2[mask], period))))
-    # a spanning tree's fundamental cycles generate every cycle of the mesh
-    # graph, so the residues of all edges certify path independence
-    a0, a1 = _edge_ends(alpha, mask)
-    cyc_disc = float(np.max(np.abs(_mod_residue(a0 + inc - a1, period))))
-
-    if tree_disc > tols.winding_int_tol or cyc_disc > tols.winding_int_tol:
-        raise CertificateError(
-            f"argument continuation is path dependent beyond 2*pi*N: "
-            f"tree {tree_disc:.2e}, cycles {cyc_disc:.2e}"
-        )
-
-    alpha = alpha[mask]
-    phi = np.abs(f_vals) ** (1.0 / M) * np.exp(1j * alpha / M)
-    grid = PhiGrid(
-        points=points,
-        f_vals=f_vals,
-        alpha=alpha,
-        phi=phi,
-        spacing=h,
-        basepoint_index=base,
-        tree_discrepancy=tree_disc,
-        cycle_discrepancy=cyc_disc,
-        n_cycle_samples=int(inc.size),
-    )
-    region.basepoint = complex(points[base])
-    region.phi_grid = grid
+    grid = region.phi_grid
+    grid.phi = np.abs(grid.f_vals) ** (1.0 / region.M) * np.exp(1j * grid.alpha / region.M)
     return grid
-
-
-def _mod_residue(x: np.ndarray, period: float) -> np.ndarray:
-    return x - period * np.round(x / period)
 
 
 # ---------------------------------------------------------------------------
@@ -590,15 +474,14 @@ def _mod_residue(x: np.ndarray, period: float) -> np.ndarray:
 class PhiCertificate:
     max_power_residual: float
     power_gate: float
-    tree_discrepancy: float
-    cycle_discrepancy: float
+    closure_discrepancy: float
     radii: tuple[float, float]
     radii_ok: bool
     injectivity_ok: bool
     boundary_inner_gap: float
     boundary_outer_gap: float
     level_image_spread: float
-    n_mesh: int
+    n_mesh: int  # loop samples
 
     @property
     def ok(self) -> bool:
@@ -612,8 +495,7 @@ class PhiCertificate:
         return {
             "max_power_residual": self.max_power_residual,
             "power_gate": self.power_gate,
-            "tree_discrepancy": self.tree_discrepancy,
-            "cycle_discrepancy": self.cycle_discrepancy,
+            "closure_discrepancy": self.closure_discrepancy,
             "radii": [_json_float(r) for r in self.radii],
             "radii_ok": self.radii_ok,
             "injectivity_ok": self.injectivity_ok,
@@ -629,14 +511,15 @@ def verify_phi(
     region: AnnularRegion,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> PhiCertificate:
-    """Certify the constructed map: power identity, injectivity proxy,
-    image-annulus confinement, and sampled boundary limits.
+    """Certify phi on the region's level loops: the power identity, |phi|
+    inside the image annulus, and injectivity, which is exact on the loops.
 
-    Any gate failure raises :class:`CertificateError`.
+    On every loop arg phi turns monotonically through exactly one full turn,
+    in steps below pi/(4|M|), so phi is one-to-one on it; the loops' |phi|
+    ranges are disjoint and ordered, so distinct loops land on distinct
+    circles.  Any gate failure raises :class:`CertificateError`.
     """
-    if region.phi_grid is None:
-        build_phi(f, region, tols)
-    grid = region.phi_grid
+    grid = build_phi(f, region, tols)
     M = region.M
 
     power = grid.phi**M
@@ -655,68 +538,33 @@ def verify_phi(
             f"range [{mods.min():.6g}, {mods.max():.6g}]"
         )
 
-    # injectivity proxy on a point sample
-    rng = np.random.default_rng(99)
-    take = min(400, grid.points.size)
-    sel = rng.choice(grid.points.size, size=take, replace=False)
-    zp = grid.points[sel]
-    fp = grid.phi[sel]
-    dz = np.abs(zp[:, None] - zp[None, :])
-    dphi = np.abs(fp[:, None] - fp[None, :])
-    scale_phi = 1.0 + float(np.max(np.abs(fp[np.isfinite(fp)])))
-    sep = dz > 1.5 * grid.spacing
-    bad = sep & (dphi <= 10.0 * tols.phi_tol * scale_phi)
-    injective = not bool(np.any(bad))
-    if not injective:
-        raise CertificateError("phi image collision: distinct mesh points map together")
+    for sl, level in zip(grid.loops(), grid.levels):
+        ph = grid.phi[sl]
+        steps = math.copysign(1.0, M) * np.angle(np.roll(ph, -1) / ph)
+        turn = float(np.sum(steps))
+        monotone = np.all(steps > 0.0) and np.all(steps < MAX_EDGE_TURN / abs(M))
+        if not monotone or abs(turn - TWO_PI) > tols.winding_int_tol:
+            raise CertificateError(
+                f"phi does not turn once monotonically around the loop at level {level}: "
+                f"total {turn / TWO_PI:.8f} turns"
+            )
+    lo = np.array([mods[sl].min() for sl in grid.loops()])
+    hi = np.array([mods[sl].max() for sl in grid.loops()])
+    if not (np.all(hi[:-1] < lo[1:]) or np.all(lo[:-1] > hi[1:])):
+        raise CertificateError("the |phi| ranges of distinct loops overlap")
 
-    inner_gap, outer_gap = _boundary_gaps(f, region, grid, tols)
-    level_spread = _level_image_spread(grid)
+    def gap(level: float, eps: float) -> float:
+        return abs(_power_radius(level, M) - _power_radius(eps, M))
 
     return PhiCertificate(
         max_power_residual=residual,
         power_gate=gate,
-        tree_discrepancy=grid.tree_discrepancy,
-        cycle_discrepancy=grid.cycle_discrepancy,
+        closure_discrepancy=grid.closure_discrepancy,
         radii=(r_lo, r_hi),
         radii_ok=radii_ok,
-        injectivity_ok=injective,
-        boundary_inner_gap=inner_gap,
-        boundary_outer_gap=outer_gap,
-        level_image_spread=level_spread,
+        injectivity_ok=True,
+        boundary_inner_gap=gap(grid.levels[0], region.eps1),
+        boundary_outer_gap=gap(grid.levels[-1], region.eps2),
+        level_image_spread=float(np.max(hi - lo)),
         n_mesh=int(grid.points.size),
     )
-
-
-def _boundary_gaps(f, region, grid: PhiGrid, tols) -> tuple[float, float]:
-    """Sampled radial-limit check: |phi| near each boundary approaches its radius.
-
-    Returns the worst gap between |phi| on the mesh layer nearest each
-    boundary and the boundary radius; infinite radii report 0 (nothing to
-    approach).  Degenerate point boundaries are checked at the exclusion ring.
-    """
-    r1 = _power_radius(region.eps1, region.M)
-    r2 = _power_radius(region.eps2, region.M)
-
-    def layer_gap(boundary: CurveRef, radius: float) -> float:
-        if not math.isfinite(radius) or radius == 0.0:
-            return 0.0
-        d = boundary.index.distances(grid.points)
-        cut = np.quantile(d, 0.05)
-        layer = grid.phi[d <= cut + 1e-15]
-        if layer.size == 0:
-            return math.inf
-        return float(np.min(np.abs(np.abs(layer) - radius)))
-
-    return layer_gap(region.inner_boundary, r1), layer_gap(region.outer_boundary, r2)
-
-
-def _level_image_spread(grid: PhiGrid) -> float:
-    """Spread of |phi| among mesh points sharing (nearly) one |f| level."""
-    mod_f = np.abs(grid.f_vals)
-    med = float(np.median(mod_f))
-    band = np.abs(mod_f - med) <= 1e-9 * max(1.0, med)
-    if band.sum() < 2:
-        return 0.0
-    sel = np.abs(grid.phi[band])
-    return float(np.max(sel) - np.min(sel))

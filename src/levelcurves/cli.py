@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("order", help="critical set, nesting order, maximal element"))
     d = sub.add_parser("decompose", help="annular decomposition and the map phi")
     common(d)
-    d.add_argument("--emit-phi", default=None, help="CSV path for the phi grid samples")
+    d.add_argument("--emit-phi", default=None, help="CSV path for the phi samples on the level loops")
     common(sub.add_parser("verify-all", help="run the full invariant suite"), eps=True)
     return ap
 

@@ -18,7 +18,7 @@ class Tolerances:
     trace_tol: float = 1e-9
     # band | |f(c)| - eps | within which a critical point counts as on-level
     vertex_tol: float = 1e-7
-    # allowed residual of the power identity phi^M == f on a region mesh
+    # allowed residual of the power identity phi^M == f on the loop samples
     phi_tol: float = 1e-8
     # allowed signed distance of a critical point outside the zero hull
     hull_tol: float = 1e-8

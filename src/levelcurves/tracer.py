@@ -34,6 +34,10 @@ _CAPTURE_LEVEL = 1e-6
 # per-arc hard point budget; hit only by runaway (unbounded) arcs
 MAX_ARC_POINTS = 200_000
 SEED_GRID_N = 48  # points per side of the sign-change sweep in find_seeds
+# a predicted step is accepted after at most STEP_MAX_ITER Newton updates
+# that move it by at most STEP_MAX_CORRECTION times its length
+STEP_MAX_ITER = 3
+STEP_MAX_CORRECTION = 0.6
 
 
 @dataclass
@@ -166,6 +170,29 @@ class _LevelTracer:
         ]
         self._offlevel_radius: dict[complex, float] = {}
 
+    @cached_property
+    def _necks(self) -> list[tuple[complex, float]]:
+        """(c, r_neck) for each off-level saddle whose neck can bind a step.
+
+        Near a critical point c at another level the curve passes a neck of
+        width about r_neck = (|eps - |f(c)|| / |a|)^(1/(m+1)); a longer step
+        can jump across it onto the other branch.  Multiple zeros and poles
+        are no saddles, and a neck wider than 4 * h_max never binds.
+        """
+        out = []
+        for c, m in self._offlevel:
+            av = self.f.abs_eval(c)
+            if not 0.0 < av < math.inf:
+                continue
+            try:
+                a = _local_coefficient(self.f, c, m, self.scale)
+            except TraceError:
+                continue
+            r_neck = (abs(self.eps - av) / abs(a)) ** (1.0 / (m + 1))
+            if 0.25 * r_neck < self.h_max:
+                out.append((c, r_neck))
+        return out
+
     # -- Newton correction onto the level set
 
     def correct(self, z: complex, max_iter: int = 30):
@@ -206,6 +233,7 @@ class _LevelTracer:
         origin_guard = (
             4.0 * self.vertices[origin_vertex].r_cap if origin_vertex is not None else 0.0
         )
+        necks = self._necks
 
         while len(pts) < MAX_ARC_POINTS:
             z = pts[-1]
@@ -217,14 +245,16 @@ class _LevelTracer:
                     continue
                 d = abs(z - v.position)
                 h_eff = min(h_eff, max(0.4 * d, 0.5 * v.r_cap))
+            for c, r_neck in necks:
+                h_eff = min(h_eff, max(0.4 * abs(z - c), 0.25 * r_neck))
             h_eff = max(h_eff, self.h_min)
 
             # predictor-corrector with step halving
             accepted = None
             while True:
                 z_pred = z + h_eff * t
-                z_new, iters, ld_new = self.correct(z_pred, 3)
-                if z_new is not None and abs(z_new - z_pred) <= 0.6 * h_eff:
+                z_new, iters, ld_new = self.correct(z_pred, STEP_MAX_ITER)
+                if z_new is not None and abs(z_new - z_pred) <= STEP_MAX_CORRECTION * h_eff:
                     t_new = _tangent(ld_new, direction, z_new)
                     turn = abs(
                         math.atan2(

@@ -205,8 +205,7 @@ def test_criterion_09_annulus_phi(z5m1, blaschke_21):
             grid = region.phi_grid
             max_f = float(np.max(np.abs(grid.f_vals)))
             assert cert.max_power_residual <= 1e-8 * (1.0 + max_f)
-            assert grid.tree_discrepancy <= 1e-6
-            assert grid.cycle_discrepancy <= 1e-6
+            assert grid.closure_discrepancy <= 1e-6
             lo, hi = region.image_radii()
             mods = np.abs(grid.phi)
             assert np.all(mods > lo) and np.all(mods < hi)

@@ -2,21 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from conftest import build_corpus
 
 from levelcurves import (
     CertificateError,
+    TopologyError,
     build_phi,
     decompose,
     parse_function_spec,
+    trace_component,
     verify_phi,
     winding_N,
 )
-from levelcurves.annulus_decomp import AnnularRegion, _comb, _edge_ends, _finish_phi, _wrap
+from levelcurves.annulus_decomp import _certify_loop
 from levelcurves.config import DEFAULT_TOLS
-from levelcurves.order_topology import CurveKind, CurveRef
+from levelcurves.order_topology import CurveKind
 
 
 def certify_all(f, regions):
@@ -85,8 +85,7 @@ def test_z5m1_all_regions(z5m1, z5_regions):
 
     for cert in certify_all(z5m1, regions):
         assert cert.max_power_residual <= cert.power_gate
-        assert cert.tree_discrepancy <= 1e-6
-        assert cert.cycle_discrepancy <= 1e-6
+        assert cert.closure_discrepancy <= 1e-6
         assert cert.radii_ok and cert.injectivity_ok
 
 
@@ -140,7 +139,7 @@ def test_blaschke_certificates(blaschke_21, blaschke_regions):
     for r, cert in zip(regions, certify_all(blaschke_21, regions)):
         max_f = float(np.max(np.abs(r.phi_grid.f_vals)))
         assert cert.max_power_residual <= 1e-8 * (1.0 + max_f)
-        assert cert.tree_discrepancy <= 1e-6 and cert.cycle_discrepancy <= 1e-6
+        assert cert.closure_discrepancy <= 1e-6
         lo, hi = cert.radii
         mods = np.abs(r.phi_grid.phi)
         assert np.all(mods > lo) and np.all(mods < hi)
@@ -148,7 +147,7 @@ def test_blaschke_certificates(blaschke_21, blaschke_regions):
 
 def test_winding_consistent_across_levels(z5m1, z5_regions):
     outer = next(r for r in z5_regions if r.eps1 != 0.0)
-    # winding_N itself checks three levels agree; run it fresh
+    # winding_N itself checks that all its loops agree; run it fresh
     n, m = winding_N(z5m1, outer, return_sign=True)
     assert (n, m) == (5, 5)
 
@@ -157,126 +156,84 @@ def test_image_coverage_z3(z3_region):
     f, r = z3_region
     grid = r.phi_grid
     lo, hi = r.image_radii()
-    mods = np.sort(np.abs(grid.phi))
-    # |phi| sweeps the annulus: interior gaps at the mesh scale, and the
-    # unreachable sliver at the punctured end stays within the 15%-width
-    # exclusion rule plus one spacing
-    gaps = np.diff(np.concatenate([mods, [hi]]))
-    assert float(np.max(gaps)) / (hi - lo) < 0.05
-    assert mods[0] / (hi - lo) < 0.2
+    radii = [float(np.mean(np.abs(grid.phi[sl]))) for sl in grid.loops()]
+    # one circle per loop, strictly nested from the inner boundary outward
+    assert lo < radii[0] and np.all(np.diff(radii) > 0) and radii[-1] < hi
+    for sl in grid.loops():
+        ph = grid.phi[sl]
+        gaps = np.angle(np.roll(ph, -1) / ph)
+        assert np.all(gaps > 0) and np.all(gaps < math.pi / (4 * abs(r.M)))
+        assert np.sum(gaps) == pytest.approx(2 * math.pi)
 
 
 def test_level_curve_images_share_modulus(z5m1, z5_regions):
     outer = next(r for r in z5_regions if r.eps1 != 0.0)
-    grid = build_phi(z5m1, outer)
+    build_phi(z5m1, outer)
     cert = verify_phi(z5m1, outer)
     assert cert.level_image_spread <= 1e-9
 
 
-def _flood_fill(mask):
-    """Reference labelling: a flood fill from each unvisited point in row-major
-    order, and the largest component (the first one found on a tie)."""
-    labels = np.full(mask.shape, -1)
-    best: list[tuple[int, int]] = []
-    ny, nx = mask.shape
-    for i0 in range(ny):
-        for j0 in range(nx):
-            if not mask[i0, j0] or labels[i0, j0] >= 0:
-                continue
-            stack = [(i0, j0)]
-            labels[i0, j0] = labels.max() + 1
-            comp = []
-            while stack:
-                i, j = stack.pop()
-                comp.append((i, j))
-                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    a, b = i + di, j + dj
-                    if 0 <= a < ny and 0 <= b < nx and mask[a, b] and labels[a, b] < 0:
-                        labels[a, b] = labels[i0, j0]
-                        stack.append((a, b))
-            if len(comp) > len(best):
-                best = comp
-    largest = np.zeros_like(mask)
-    for i, j in best:
-        largest[i, j] = True
-    return labels, largest
+def test_planted_branch_mismatch_fails():
+    # z^2 with M = 1: phi = f passes the power identity, but alpha/M sweeps
+    # 4*pi around every loop, so phi is two-to-one there
+    f = parse_function_spec("poly:1,0,0")
+    (r,) = decompose(f)
+    r.N, r.M = 2, 1
+    with pytest.raises(CertificateError, match="does not turn once"):
+        verify_phi(f, r)
 
 
-masks = st.tuples(st.integers(1, 14), st.integers(1, 14)).flatmap(lambda shape: arrays(bool, shape))
+def test_sibling_petal_loop_fails_enclosed_set(z5m1, z5_regions):
+    petals = [r for r in z5_regions if r.eps1 == 0.0]
+    here, sibling = petals[0], petals[1]
+    loop = trace_component(z5m1, 0.5, 1.1 * sibling.inner_boundary.point)
+    assert _certify_loop(z5m1, sibling, loop, DEFAULT_TOLS).N == 1
+    with pytest.raises(TopologyError, match="encloses the zeros and poles"):
+        _certify_loop(z5m1, here, loop, DEFAULT_TOLS)
 
 
-@settings(max_examples=300, deadline=None)
-@given(mask=masks, slope=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
-def test_comb_labels_match_flood_fill(mask, slope):
-    rows, cols = np.indices(mask.shape)
-    exact = slope[0] * cols + slope[1] * rows  # every increment below pi
-    labels, alpha = _comb(mask, _wrap(exact))
-    want, largest = _flood_fill(mask)
-    assert np.all(labels[~mask] == -1) and np.all(np.isnan(alpha[~mask]))
-    if not mask.any():
-        return
-    # the same partition, numbered in the same row-major order
-    assert np.array_equal(np.unique(labels[mask], return_inverse=True)[1], want[mask])
-    # build_phi's choice: the largest component, the first one on a tie
-    assert np.array_equal(labels == np.argmax(np.bincount(labels[mask])), largest)
-    # the column-run tree (a transposed, non-contiguous view) finds the same
-    # components, and on each one both trees recover the unwrapped field up
-    # to one multiple of 2*pi
-    labels_t, alpha_t = (a.T for a in _comb(mask.T, _wrap(exact).T))
-    pairs = set(zip(labels[mask], labels_t[mask]))
-    assert len(pairs) == len(set(labels[mask])) == len(set(labels_t[mask]))
-    for k in np.unique(labels[mask]):
-        for part in ((alpha - exact)[labels == k], (alpha_t - exact)[labels == k]):
-            assert np.max(np.abs(part - part[0])) < 1e-9
-            assert abs(part[0] / (2 * math.pi) - round(part[0] / (2 * math.pi))) < 1e-9
+def _worst_branch_jump(grid, M):
+    """Largest |phi| step from a point of a loop to the nearest point of the
+    loop inside it, over the gap between two branches of f^(1/M) there."""
+    worst = 0.0
+    loops = grid.loops()
+    for a, b in zip(loops, loops[1:]):
+        za, zb = grid.points[a], grid.points[b]
+        near = np.argmin(np.abs(zb[:, None] - za[None, :]), axis=1)
+        jump = np.abs(grid.phi[b] - grid.phi[a][near])
+        r = min(np.abs(grid.phi[a]).min(), np.abs(grid.phi[b]).min())
+        worst = max(worst, float(jump.max()) / (2.0 * r * math.sin(math.pi / abs(M))))
+    return worst
 
 
-def _power_annulus(planted=None, n=121):
-    """(z - c)^5 on a grid annulus 0.3 < |z - c| < 1 around c, optionally
-    times (z - planted) with a small disk around the planted zero left out."""
-    c = 0.2 - 0.1j
-    xs = np.linspace(c.real - 1.1, c.real + 1.1, n)
-    ys = np.linspace(c.imag - 1.1, c.imag + 1.1, n)
-    h = xs[1] - xs[0]
-    Z = xs[None, :] + 1j * ys[:, None]
-    mask = (np.abs(Z - c) > 0.3) & (np.abs(Z - c) < 1.0)
-    f_grid = (Z - c) ** 5
-    if planted is not None:
-        mask &= np.abs(Z - planted) > 4.0 * h
-        f_grid = f_grid * (Z - planted)
-    f_grid = np.where(mask, f_grid, 0.0)
-    region = AnnularRegion(
-        inner_boundary=CurveRef(CurveKind.POINT, 0.0, point=c),
-        outer_boundary=CurveRef(CurveKind.BOUNDARY, 1.0),
-        outer_face_id=None,
-        eps1=0.0,
-        eps2=1.0,
-    )
-    labels, alpha = _comb(mask, np.angle(f_grid))
-    assert set(np.unique(labels[mask])) == {labels[mask][0]}  # one component
-    return region, Z, mask, f_grid, alpha, h
+def test_adjacent_loops_share_one_branch(z3_region, z5m1, z5_regions):
+    outer = next(r for r in z5_regions if r.eps1 != 0.0)
+    build_phi(z5m1, outer)
+    for f, r in (z3_region, (z5m1, outer)):
+        grid = r.phi_grid
+        assert _worst_branch_jump(grid, r.M) < 0.5
+        # alpha off by 2*pi on one loop puts that loop on the next branch
+        sl = grid.loops()[3]
+        grid.alpha[sl] += 2 * math.pi
+        try:
+            assert _worst_branch_jump(build_phi(f, r), r.M) > 0.5
+        finally:
+            grid.alpha[sl] -= 2 * math.pi
+            build_phi(f, r)
 
 
-def test_every_edge_residue_vanishes_mod_2pi_N():
-    region, Z, mask, f_grid, alpha, h = _power_annulus()
-    grid = _finish_phi(region, Z, mask, f_grid, alpha, h, 5, 5, DEFAULT_TOLS)
-    n_edges = np.sum(mask[:, :-1] & mask[:, 1:]) + np.sum(mask[:-1] & mask[1:])
-    assert grid.n_cycle_samples == n_edges
-    assert grid.cycle_discrepancy <= 1e-12 and grid.tree_discrepancy <= 1e-12
-    # the tree does not close around the hole: some edges carry +-10*pi, which
-    # only the reduction mod 2*pi*N forgives
-    t0, t1 = _edge_ends(np.angle(f_grid), mask)
-    a0, a1 = _edge_ends(alpha, mask)
-    residue = (a0 + _wrap(t1 - t0) - a1) / (10 * math.pi)
-    assert np.max(np.abs(residue - np.round(residue))) <= 1e-12
-    assert np.max(np.abs(residue)) == pytest.approx(1.0)
-    assert float(np.max(np.abs(grid.phi**5 - grid.f_vals))) <= 1e-12
-
-
-def test_planted_zero_fails_the_cycle_certificate():
-    # one more zero inside the annulus: loops around it turn by 2*pi, which
-    # is not a multiple of 2*pi*N = 10*pi, and every edge is checked
-    region, Z, mask, f_grid, alpha, h = _power_annulus(planted=0.8 - 0.1j)
-    with pytest.raises(CertificateError, match=r"cycles 6\.28e\+00"):
-        _finish_phi(region, Z, mask, f_grid, alpha, h, 5, 5, DEFAULT_TOLS)
-    assert region.phi_grid is None
+@pytest.mark.parametrize(
+    "n,seed,index,count",
+    [
+        (30, 20260810, 8, 11),  # acceptance corpus function 8
+        (5, 10, 4, 13),  # with the thin region between levels 1.06714 and 1.06729
+    ],
+)
+def test_corpus_regions_certify(n, seed, index, count):
+    # both once failed: a loop sample inside a boundary chord's sagitta was
+    # taken for a point outside the region, and the thin region had no mesh
+    f = build_corpus(n, seed=seed)[index]
+    regions = decompose(f)
+    assert len(regions) == count
+    for cert in certify_all(f, regions):
+        assert cert.ok and cert.closure_discrepancy <= 1e-6

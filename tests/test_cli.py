@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from levelcurves.cli import main
 
@@ -107,6 +108,21 @@ def test_verify_all_lemniscate(tmp_path):
         "order-and-maximal",
         "annulus-phi",
     } <= names
+    assert all(c["pass"] for c in data["checks"])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # z^5 - 1 turned by 3.9138 and by 5.6903 rad: a sampled injectivity
+        # proxy once refused the correct petal maps near the critical point 0
+        "poly:1+0i,0,0,0,0,-0.75214984908684024-0.65899211263765789i",
+        "poly:1+0i,0,0,0,0,0.9843454098364216+0.17625014647927711i",
+    ],
+)
+def test_verify_all_rotated_z5m1(tmp_path, spec):
+    rc, data = run(["verify-all", "--fn", spec, "--eps", "1"], tmp_path)
+    assert rc == 0
     assert all(c["pass"] for c in data["checks"])
 
 

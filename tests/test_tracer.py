@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import build_corpus
 
 from levelcurves import (
     DEFAULT_TOLS,
@@ -173,6 +174,21 @@ def test_near_critical_warning():
     # a level just off the critical value passes close to the saddle
     with pytest.warns(UserWarning, match="off-level critical point"):
         trace_level_set(f, 1.0 + 5e-6)
+
+
+def test_step_cap_near_off_level_saddle():
+    # the seed lies 0.006 from the saddle at -0.39377+0.32399i, whose level
+    # 1.26845 is just below eps: the component squeezes through the saddle's
+    # neck around zeros 1 and 2, and an uncapped step jumped across the neck
+    # onto a false loop around zero 1 alone
+    f = build_corpus(21, seed=9)[20]
+    comp = trace_component(f, 1.2684832, -0.389039805200021 + 0.325409050796736j)
+    (arc,) = comp.arcs
+    assert arc.closed and not comp.vertices
+    w = np.round(geometry.winding_number(arc.points, [z for z, _ in f.zeros]))
+    assert w.tolist() == [0, 1, 1, 0, 0]
+    vals = f.eval_grid(arc.points)
+    assert np.sum(np.angle(vals[1:] / vals[:-1])) == pytest.approx(4 * math.pi)
 
 
 def _scalar_ray_crossings(f, eps, p, theta, ts):
