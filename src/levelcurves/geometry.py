@@ -243,81 +243,6 @@ def horizontal_crossings(pts, y: float) -> list[complex]:
     return out
 
 
-def segment_crosses_polyline(a: complex, b: complex, pts) -> bool:
-    """Exact test: does the open segment [a, b] cross any polyline segment?"""
-    p = as_points(pts)
-    if p.size < 2:
-        return False
-    d = b - a
-    p0, p1 = p[:-1], p[1:]
-
-    def orient(ox, oy, dx, dy, qx, qy):
-        return dx * (qy - oy) - dy * (qx - ox)
-
-    o1 = orient(a.real, a.imag, d.real, d.imag, p0.real, p0.imag)
-    o2 = orient(a.real, a.imag, d.real, d.imag, p1.real, p1.imag)
-    e = p1 - p0
-    o3 = orient(p0.real, p0.imag, e.real, e.imag, np.full(p0.shape, a.real), np.full(p0.shape, a.imag))
-    o4 = orient(p0.real, p0.imag, e.real, e.imag, np.full(p0.shape, b.real), np.full(p0.shape, b.imag))
-    hit = (np.sign(o1) != np.sign(o2)) & (np.sign(o3) != np.sign(o4))
-    return bool(np.any(hit))
-
-
-def _segments_intersect(a0, a1, b0, b1) -> bool:
-    def orient(p, q, r):
-        v = (q - p).real * (r - p).imag - (q - p).imag * (r - p).real
-        if v > 1e-14:
-            return 1
-        if v < -1e-14:
-            return -1
-        return 0
-
-    o1 = orient(a0, a1, b0)
-    o2 = orient(a0, a1, b1)
-    o3 = orient(b0, b1, a0)
-    o4 = orient(b0, b1, a1)
-    return o1 != o2 and o3 != o4
-
-
-def self_intersections(arcs, exclusion_centers=(), exclusion_radius: float = 0.0):
-    """Pairs of crossing segments across a family of polylines.
-
-    Crossings with both segments inside ``exclusion_radius`` of one of the
-    ``exclusion_centers`` are ignored (vertex stars legitimately cross there),
-    as are adjacent segments of the same polyline.  Only segments sharing a
-    cell of a :class:`SegmentIndex` reach the exact test.
-    """
-    segs = []
-    for arc_id, pts in enumerate(arcs):
-        p = as_points(pts)
-        for i in range(p.size - 1):
-            segs.append((arc_id, i, p[i], p[i + 1]))
-    if not segs:
-        return []
-
-    index = SegmentIndex([p for p in arcs if as_points(p).size > 1])
-
-    def excluded(p0, p1):
-        for c in exclusion_centers:
-            if abs(p0 - c) < exclusion_radius and abs(p1 - c) < exclusion_radius:
-                return True
-        return False
-
-    hits = set()
-    for members in np.split(index._members, index._start[1:-1]):
-        for ii in range(len(members)):
-            for jj in range(ii + 1, len(members)):
-                sa, sb = segs[members[ii]], segs[members[jj]]
-                if sa[0] == sb[0] and abs(sa[1] - sb[1]) <= 1:
-                    continue
-                if not _segments_intersect(sa[2], sa[3], sb[2], sb[3]):
-                    continue
-                if excluded(sa[2], sa[3]) and excluded(sb[2], sb[3]):
-                    continue
-                hits.add((sa[0], sa[1], sb[0], sb[1]))
-    return sorted(hits)
-
-
 def bounding_box(pts_list, margin: float = 0.0):
     """(x0, y0, x1, y1) box around a list of polylines."""
     xs, ys = [], []

@@ -27,7 +27,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .errors import TopologyError, TraceError
 from .funcspace import DomainSpec, RationalFn
 from .levelgraph import LevelGraph, build_graph, faces_of_points
-from .tracer import LevelCurveComponent, _LevelTracer, _domain_scale, trace_component
+from .tracer import LevelCurveComponent, _LevelTracer, _domain_scale, _trace_component_with, trace_component
 from . import geometry
 
 
@@ -212,13 +212,15 @@ def critical_level_curves(
         if domain.contains(c)
     ]
     traced: list[LevelCurveComponent] = []
-    for c, m in pending:
+    scale = _domain_scale(f)
+    for c, _ in pending:
         level = f.abs_eval(c)
         if not math.isfinite(level) or level <= tols.vertex_tol:
             continue  # the critical point is a zero/pole; covered by point members
         if any(any(abs(c - v) < 1e-10 for v, _ in comp.vertices) for comp in traced):
             continue  # another critical point already pulled in this component
-        comp = trace_component(f, level, _launch_near(f, c, m, level, tols), tols)
+        # c lies in its own capture ball, so the trace launches from the vertex
+        comp = _trace_component_with(_LevelTracer(f, level, tols, scale), c)
         if not any(abs(c - v) < 1e-10 for v, _ in comp.vertices):
             raise TraceError(f"critical curve through {c} did not capture it as a vertex")
         traced.append(comp)
@@ -235,21 +237,6 @@ def critical_level_curves(
     if not refs:
         raise TopologyError("critical set is empty; the function must have zeros or poles")
     return CriticalSetC(refs, _nesting_forest(refs, tols))
-
-
-def _launch_near(f: RationalFn, c: complex, m: int, level: float, tols: Tolerances) -> complex:
-    """A seed point on the critical level just off the critical point c."""
-    from .tracer import _vertex_rays
-
-    scale = _domain_scale(f)
-    rays, r_cap = _vertex_rays(f, c, m, level, scale)
-    tracer = _LevelTracer(f, level, tols, scale)
-    for theta in rays:
-        z = c + 2.5 * r_cap * complex(math.cos(theta), math.sin(theta))
-        out, _, _ = tracer.correct(z, max_iter=60)
-        if out is not None and f.domain.contains(out):
-            return out
-    raise TraceError(f"no launch point found near critical point {c}")
 
 
 def _fmt(z: complex) -> str:

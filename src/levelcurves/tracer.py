@@ -9,7 +9,10 @@ gives the next step's tangent.  Critical points whose level matches eps are
 branch points: an arc ends when it enters the capture ball of such a vertex,
 and new arcs are launched along each of the 2*(mult+1) outgoing rays of the
 local model f(c) + a*(z - c)^(mult+1).  Seeds and probe points come from one
-batched ray search, ``_ray_crossings``.
+batched ray search, ``_ray_crossings``.  A traced level set is certified
+complete by the argument principle: its arcs must turn arg f by 2*pi times
+the zeros or the poles of the domain, so a component missed by the seeds, or
+traced twice, is an error rather than a short or long list.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ TWO_PI = 2.0 * math.pi
 _CAPTURE_LEVEL = 1e-6
 # per-arc hard point budget; hit only by runaway (unbounded) arcs
 MAX_ARC_POINTS = 200_000
-SEED_GRID_N = 48  # points per side of the sign-change sweep in find_seeds
 # a predicted step is accepted after at most STEP_MAX_ITER Newton updates
 # that move it by at most STEP_MAX_CORRECTION times its length
 STEP_MAX_ITER = 3
@@ -522,14 +524,14 @@ def find_seeds(
     domain: DomainSpec | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> list[complex]:
-    """Seed points with at least one on every component of E_{f, eps}.
+    """On-level seed points, meant to reach every component of E_{f, eps}.
 
     Every bounded face of a component holds a zero or a pole, so rays cast
     from each zero/pole cross every component.  The 8 rays of every anchor
     are searched together (``_ray_crossings``); the first 6 in-domain
-    crossings of each ray are Newton-corrected into seeds.  A coarse
-    sign-change sweep on a grid provides redundancy.  Duplicates are fine;
-    tracing deduplicates.
+    crossings of each ray are Newton-corrected into seeds.  Duplicates are
+    fine; tracing deduplicates.  The seeds are not checked for completeness
+    here: :func:`trace_level_set` certifies the components it traces.
     """
     domain = domain or f.domain
     if eps <= 0 or not math.isfinite(eps):
@@ -539,13 +541,11 @@ def find_seeds(
 
     scale = _domain_scale(f)
     tracer = _LevelTracer(f, eps, tols, scale)
-    box = _seed_box(f, eps, domain, scale)
-    x0, y0, x1, y1 = box
+    x0, y0, x1, y1 = _seed_box(f, eps, domain, scale)
     reach = max(x1 - x0, y1 - y0)
 
     anchors = [z for z, _ in f.zeros] + [z for z, _ in f.poles]
     seeds: list[complex] = []
-    hit = [False] * len(anchors)
     per_ray: Counter = Counter()
     ts = np.geomspace(1e-6 * reach, 1.6 * reach, 400)
     for crossing, a, k in zip(*_ray_crossings(f, eps, anchors, 0.21, ts)):
@@ -556,18 +556,8 @@ def find_seeds(
         z, _, _ = tracer.correct(crossing, max_iter=60)
         if z is not None and domain.contains(z):
             seeds.append(z)
-            hit[a] = True
-    failed = [p for p, got in zip(anchors, hit) if not got]
-
-    for cell in _grid_crossings(f, eps, box, SEED_GRID_N, domain):
-        z, _, _ = tracer.correct(cell, max_iter=40)
-        if z is not None and domain.contains(z):
-            seeds.append(z)
-
     if not seeds:
-        raise TraceError(
-            f"no seeds found on level {eps}; ray correction failed from {failed or anchors}"
-        )
+        raise TraceError(f"no seeds found on level {eps}; ray correction failed from {anchors}")
     return seeds
 
 
@@ -623,39 +613,30 @@ def _ray_crossings(f, eps, anchors, phase, ts):
     return origin + 0.5 * (lo + hi) * direction, a, k
 
 
-def _grid_crossings(f, eps, box, n, domain):
-    x0, y0, x1, y1 = box
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
-    X, Y = np.meshgrid(xs, ys)
-    Z = X + 1j * Y
-    V = f.abs_grid(Z)
-    S = np.where(V > eps, 1, -1)
-    flip = (S[:, :-1] != S[:, 1:])[:-1, :] | (S[:-1, :] != S[1:, :])[:, :-1]
-    cells = []
-    ii, jj = np.nonzero(flip)
-    for i, j in zip(ii, jj):
-        z = complex(0.5 * (xs[j] + xs[j + 1]), 0.5 * (ys[i] + ys[i + 1]))
-        if domain.contains(z):
-            cells.append(z)
-    # cap for speed; rays already guarantee completeness
-    return cells[:400]
-
-
 def trace_level_set(
     f: RationalFn,
     eps: float,
     domain: DomainSpec | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> list[LevelCurveComponent]:
-    """All components of E_{f, eps} in the domain, pairwise disjoint."""
+    """All components of E_{f, eps} in the domain, each traced once.
+
+    Components are traced from the seeds of :func:`find_seeds`, and from any
+    on-level critical point no seed reached.  The result is certified by the
+    argument principle (:func:`_certify_turn`): the arcs must turn arg f by
+    2*pi times the zeros, or the poles, that the domain holds, so a missing
+    component raises :class:`TraceError`, and so does one traced twice.  On
+    the plane and the unit disk the count is complete.  On a rectangle
+    window it is complete for polynomials under the window contract (no
+    level curve crosses the window edge); rational functions with nesting
+    across the window edge are not covered.
+    """
     domain = domain or f.domain
     seeds = find_seeds(f, eps, domain, tols)
-    scale = _domain_scale(f, seeds)
-    tracer = _LevelTracer(f, eps, tols, scale)
+    tracer = _LevelTracer(f, eps, tols, _domain_scale(f, seeds))
 
     components: list[LevelCurveComponent] = []
-    pending = [z for z, _, _ in (tracer.correct(seed, max_iter=60) for seed in seeds) if z is not None]
+    pending = seeds
     while pending:
         components.append(_trace_component_with(tracer, pending[0]))
         rest = pending[1:]
@@ -681,7 +662,7 @@ def trace_level_set(
                     "the boundary restriction fails for this window"
                 )
 
-    _check_disjoint(components, tols)
+    _certify_turn(f, eps, domain, components, tols)
     components.sort(
         key=lambda c: (
             round(float(np.min(c.points.real)), 9),
@@ -691,21 +672,41 @@ def trace_level_set(
     return components
 
 
+def _certify_turn(f: RationalFn, eps: float, domain: DomainSpec, components, tols: Tolerances):
+    """Raise unless the arcs turn arg f by 2*pi times the domain's zeros or poles.
+
+    Each arc runs along increasing arg f, so {|f| < eps} lies on its left and
+    the arcs together are the oriented boundary of that set in the domain.
+    When |f| > eps on the domain's outer edge the set is bounded and holds
+    every zero, and the argument principle makes the turn 2*pi times the
+    zeros; otherwise the arcs bound {|f| > eps}, which holds every pole, and
+    the turn is 2*pi times the poles.  The edge is the ``_seed_box`` ring on
+    the plane, the unit circle on the disk and the window edge on a
+    rectangle; one point of it decides the side.  Every increment must lie
+    in (0, pi), so that the sum of the increments is the turn.
+    """
+    x0, y0, x1, y1 = _seed_box(f, eps, domain, _domain_scale(f))
+    above = f.abs_eval(complex(x1, 0.5 * (y0 + y1))) > eps
+    want = sum(m for z, m in (f.zeros if above else f.poles) if domain.contains(z))
+    turn = 0.0
+    for comp in components:
+        for arc in comp.arcs:
+            vals = f.eval_grid(arc.points)
+            inc = np.angle(vals[1:] / vals[:-1])
+            if not np.all((inc > 0.0) & (inc < math.pi)):
+                raise TraceError(f"arg f is not increasing in steps below pi along an arc at level {eps}")
+            turn += float(np.sum(inc))
+    if abs(turn - TWO_PI * want) > tols.winding_int_tol:
+        raise TraceError(
+            f"the level set at {eps} turns arg f by {turn / TWO_PI:.6f} turns, but the domain "
+            f"holds {want} {'zeros' if above else 'poles'}: a component is missing or traced twice"
+        )
+
+
 def _near(comp: LevelCurveComponent, zs) -> np.ndarray:
     """Which points of zs lie within half a step of comp, i.e. on it already."""
     gap = 0.5 * max(comp.max_segment(), 1e-12)
     return comp.index.distances(zs, upto=gap) < gap
-
-
-def _check_disjoint(components, tols: Tolerances):
-    for i in range(len(components)):
-        for j in range(i + 1, len(components)):
-            d = float(np.min(components[j].index.distances(components[i].points, upto=tols.trace_tol)))
-            if d <= tols.trace_tol:
-                raise TraceError(
-                    f"components {i} and {j} overlap (distance {d:.3e}); "
-                    "deduplication failed"
-                )
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,19 @@ def test_admissibility_restrictions(z5m1, lemniscate_fn):
             assert g.dart_face[(ei, 0)] != g.dart_face[(ei, 1)]
 
 
+def segment_crosses_polyline(a: complex, b: complex, pts) -> bool:
+    """Exact test: does the open segment [a, b] cross any segment of the polyline pts?"""
+    p0, p1 = pts[:-1], pts[1:]
+
+    def orient(o, d, q):
+        return d.real * (q - o).imag - d.imag * (q - o).real
+
+    hit = (np.sign(orient(a, b - a, p0)) != np.sign(orient(a, b - a, p1))) & (
+        np.sign(orient(p0, p1 - p0, a)) != np.sign(orient(p0, p1 - p0, b))
+    )
+    return bool(np.any(hit))
+
+
 def test_face_membership_total_and_consistent(z5m1):
     g = build_graph(trace_level_set(z5m1, 1.0)[0])
     rng = np.random.default_rng(4)
@@ -140,7 +153,7 @@ def test_face_membership_total_and_consistent(z5m1):
     checked = 0
     for i in range(0, 900, 7):
         a, b = pts[i], pts[i + 1]
-        if not any(geometry.segment_crosses_polyline(a, b, arc) for arc in arcs):
+        if not any(segment_crosses_polyline(a, b, arc) for arc in arcs):
             assert ids[i] == ids[i + 1]
             checked += 1
     assert checked > 10

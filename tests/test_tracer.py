@@ -3,16 +3,20 @@ import math
 import numpy as np
 import pytest
 from conftest import build_corpus
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from levelcurves import (
     DEFAULT_TOLS,
+    RationalFn,
     TraceError,
     find_seeds,
     parse_function_spec,
     trace_component,
     trace_level_set,
 )
-from levelcurves import geometry
+from levelcurves import geometry, tracer
+from levelcurves.funcspace import random_polynomial
 from levelcurves.gridcheck import grid_oracle_report
 from levelcurves.tracer import _domain_scale, _LevelTracer, _ray_crossings, _seed_box
 
@@ -120,11 +124,48 @@ def test_orientation_increasing_arg():
     assert np.all(inc > 0)
 
 
+def _segments_intersect(a0, a1, b0, b1) -> bool:
+    def orient(p, q, r):
+        v = (q - p).real * (r - p).imag - (q - p).imag * (r - p).real
+        return int(v > 1e-14) - int(v < -1e-14)
+
+    return orient(a0, a1, b0) != orient(a0, a1, b1) and orient(b0, b1, a0) != orient(b0, b1, a1)
+
+
+def self_intersections(arcs, exclusion_centers=(), exclusion_radius: float = 0.0):
+    """Pairs of crossing segments across a family of polylines.
+
+    Crossings with both segments inside ``exclusion_radius`` of one of the
+    ``exclusion_centers`` are ignored (vertex stars legitimately cross there),
+    as are adjacent segments of the same polyline.  Only segments sharing a
+    cell of a :class:`SegmentIndex` reach the exact test.
+    """
+    segs = [(arc_id, i, p[i], p[i + 1]) for arc_id, p in enumerate(arcs) for i in range(p.size - 1)]
+    index = geometry.SegmentIndex(arcs)
+
+    def excluded(p0, p1):
+        return any(abs(p0 - c) < exclusion_radius and abs(p1 - c) < exclusion_radius for c in exclusion_centers)
+
+    hits = set()
+    for members in np.split(index._members, index._start[1:-1]):
+        for ii in range(len(members)):
+            for jj in range(ii + 1, len(members)):
+                sa, sb = segs[members[ii]], segs[members[jj]]
+                if sa[0] == sb[0] and abs(sa[1] - sb[1]) <= 1:
+                    continue
+                if not _segments_intersect(sa[2], sa[3], sb[2], sb[3]):
+                    continue
+                if excluded(sa[2], sa[3]) and excluded(sb[2], sb[3]):
+                    continue
+                hits.add((sa[0], sa[1], sb[0], sb[1]))
+    return sorted(hits)
+
+
 def test_simplicity_away_from_vertices():
     f = parse_function_spec("poly:1,0,0,0,0,-1")
     comp = trace_level_set(f, 1.0)[0]
     arcs = [a.points for a in comp.arcs]
-    hits = geometry.self_intersections(
+    hits = self_intersections(
         arcs, exclusion_centers=[v for v, _ in comp.vertices], exclusion_radius=0.05
     )
     assert hits == []
@@ -253,3 +294,75 @@ def test_corrector_returns_python_complex():
         z, it, ld = tracer.correct(np.complex128(seed))
         assert type(z) is complex and type(ld) is complex
         assert (z, it, ld) == tracer.correct(seed)
+
+
+# levels off every critical value (1; 0.68 and 0.70; 0.84).  f = z / (z^3 + 0.5)
+# vanishes at infinity, so its arcs count its 3 poles: on one loop per pole at
+# 5.0, and at 0.3 on the two edges of a ring around the zero
+CERTIFIED_LEVELS = [
+    ("poly:1,0,-1", 0.5),
+    ("poly:1,0,0,0,0,-1", 0.5),
+    ("blaschke:0.36,-0.34+0.03i/0.05+0.02i", 0.5),
+    ("rat:1,0/1,0,0,0.5", 0.3),
+    ("rat:1,0/1,0,0,0.5", 5.0),
+]
+
+
+@pytest.mark.parametrize("spec,eps", CERTIFIED_LEVELS)
+def test_missing_component_fails_the_turn_count(monkeypatch, spec, eps):
+    f = parse_function_spec(spec)
+    dropped = trace_level_set(f, eps)[0]
+    seeds_of = tracer.find_seeds
+
+    def seeds_off_one_component(*args):
+        seeds = seeds_of(*args)
+        return [z for z, on in zip(seeds, tracer._near(dropped, seeds)) if not on]
+
+    monkeypatch.setattr(tracer, "find_seeds", seeds_off_one_component)
+    with pytest.raises(TraceError, match="missing or traced twice"):
+        trace_level_set(f, eps)
+
+
+@pytest.mark.parametrize("spec,eps", [CERTIFIED_LEVELS[0], CERTIFIED_LEVELS[4]])
+def test_duplicate_component_fails_the_turn_count(monkeypatch, spec, eps):
+    f = parse_function_spec(spec)
+    monkeypatch.setattr(tracer, "_near", lambda comp, zs: np.zeros(len(zs), dtype=bool))
+    with pytest.raises(TraceError, match="missing or traced twice"):
+        trace_level_set(f, eps)
+
+
+def _noncritical_level(f, u):
+    """A level at fraction u of a log-range around the critical values, at
+    least 5% (relative) from each of them and, on the disk, from 1.  Critical
+    values within ``vertex_tol`` of 0 sit on multiple zeros and bound the
+    range from below.  Without poles in the disk the level stays below 1,
+    where its level set is not empty."""
+    vals = [f.abs_eval(c) for c, _ in f.critical_points]
+    vals = [v for v in vals if DEFAULT_TOLS.vertex_tol < v < math.inf] + ([1.0] if f.blaschke_degrees else [])
+    assume(vals)
+    lo = max(math.log(min(vals)) - 1.0, math.log(1e3 * DEFAULT_TOLS.vertex_tol))
+    hi = 0.0 if f.blaschke_degrees and not f.poles else math.log(max(vals)) + 1.0
+    eps = math.exp(lo + u * (hi - lo))
+    return eps if all(abs(math.log(eps / v)) > 0.05 for v in vals) else None
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["poly", "blaschke"]),
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(2, 12),
+    u=st.floats(0.0, 1.0),
+)
+def test_random_levels_pass_the_turn_count(kind, seed, degree, u):
+    rng = np.random.default_rng(seed)
+    if kind == "poly":
+        f = RationalFn(random_polynomial(rng, degree))
+    else:
+        # B1 / B2 with 1-4 and 0-3 zeros, uniform in the disk of radius 0.9
+        n1, n2 = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+        assume(n1 != n2)
+        zs = 0.9 * np.sqrt(rng.uniform(size=n1 + n2)) * np.exp(2j * np.pi * rng.uniform(size=n1 + n2))
+        f = RationalFn.blaschke_ratio(zs[:n1], zs[n1:])
+    eps = _noncritical_level(f, u)
+    assume(eps is not None)
+    assert trace_level_set(f, eps)
