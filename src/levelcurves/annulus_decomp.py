@@ -31,6 +31,7 @@ from .order_topology import CriticalSetC, CurveKind, CurveRef, critical_level_cu
 from .tracer import (
     STEP_MAX_CORRECTION,
     STEP_MAX_ITER,
+    WINDING_TOL,
     LevelCurveComponent,
     _LevelTracer,
     _domain_scale,
@@ -141,7 +142,7 @@ def _outer_boundary(f: RationalFn, domain: DomainSpec, C: CriticalSetC, tols: To
     ref = CurveRef(
         CurveKind.LEVEL_CURVE, eps_out, component=comps[0], label=f"outer@{eps_out:.6g}"
     )
-    g = ref.graph(tols)
+    g = ref.graph()
     return ref, g.bounded_faces[0].id
 
 
@@ -180,7 +181,7 @@ def decompose(
     for j, y in enumerate(members):
         if y.kind is not CurveKind.LEVEL_CURVE:
             continue
-        g = y.graph(tols)
+        g = y.graph()
         for face in g.bounded_faces:
             kids = children.get((j, face.id), [])
             if len(kids) != 1:
@@ -216,7 +217,7 @@ def decompose(
     zp, mult = _zeros_and_poles(f)
     for region in regions:
         _certify_region_clean(f, region, tols)
-        region.N, region.M = winding_N(f, region, tols, return_sign=True)
+        region.N, region.M = winding_N(f, region, tols)
         s = int(np.sum(mult[_inside_inner(region, zp, tols)]))
         if s == 0 or abs(s) != region.N or (s > 0) != (region.M > 0):
             raise TopologyError(
@@ -243,10 +244,10 @@ def _certify_region_clean(f: RationalFn, region: AnnularRegion, tols: Tolerances
     if pts.size and region.outer_boundary.kind is CurveKind.BOUNDARY:
         pts = pts[np.abs(pts) < 1.0]
     elif pts.size:
-        g = region.outer_boundary.graph(tols)
+        g = region.outer_boundary.graph()
         pts = pts[faces_of_points(g, pts, tols) == region.outer_face_id]
     if pts.size and inner.kind is CurveKind.LEVEL_CURVE:
-        g = inner.graph(tols)
+        g = inner.graph()
         pts = pts[faces_of_points(g, pts, tols) == g.unbounded_face.id]
     if pts.size:
         raise TopologyError(f"region {region.label} contains distinguished point {pts[0]}")
@@ -263,7 +264,7 @@ def _inside_inner(region: AnnularRegion, zp: np.ndarray, tols: Tolerances) -> np
     inner = region.inner_boundary
     if inner.kind is CurveKind.POINT:
         return np.abs(zp - inner.point) < 1e-10
-    g = inner.graph(tols)
+    g = inner.graph()
     return faces_of_points(g, zp, tols) != g.unbounded_face.id
 
 
@@ -333,7 +334,7 @@ def _certify_loop(f: RationalFn, region: AnnularRegion, comp: LevelCurveComponen
     turn = np.cumsum(inc)
     total = float(turn[-1])
     n = round(total / TWO_PI)
-    if n == 0 or abs(total - TWO_PI * n) > tols.winding_int_tol:
+    if n == 0 or abs(total - TWO_PI * n) > WINDING_TOL:
         raise TopologyError(f"winding {total / TWO_PI:.8f} at level {comp.level} is not a nonzero integer")
     orientation = 1 if geometry.signed_area(pts) > 0 else -1
     return _Loop(pts[:-1], vals[:-1], np.concatenate([[0.0], turn[:-1]]), total, n, orientation)
@@ -396,17 +397,16 @@ def winding_N(
     f: RationalFn,
     region: AnnularRegion,
     tols: Tolerances = DEFAULT_TOLS,
-    return_sign: bool = False,
-):
-    """Winding integer of f along the level loops of the region.
+) -> tuple[int, int]:
+    """Winding integer N of f along the level loops of the region, and M.
 
     Traces the region's K_LOOPS loops and keeps them on the region as its
     PhiGrid.  The middle loop comes from a ray probe; each other loop starts
     where a radial step from its neighbour's basepoint lands.  Every loop
     passes :func:`_certify_loop`, and N and the orientation must agree on all
-    of them.  The sign (returned as M) is positive when arg f increases along
-    the positively oriented curve.  On the middle loop alpha is the principal
-    arg of f at the point of smallest |arg f| (ties by |z|), the basepoint.
+    of them.  M = +-N, positive when arg f increases along the positively
+    oriented curve.  On the middle loop alpha is the principal arg of f at
+    the point of smallest |arg f| (ties by |z|), the basepoint.
     """
     levels = _loop_levels(region)
     scale = _domain_scale(f)
@@ -442,7 +442,7 @@ def winding_N(
     )
     region.phi_grid = grid
     region.basepoint = complex(grid.points[grid.basepoint_index])
-    return (n, loops[0].orientation * n) if return_sign else n
+    return n, loops[0].orientation * n
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +460,7 @@ def build_phi(
     they are traced here only when the region has none yet.
     """
     if region.phi_grid is None:
-        region.N, region.M = winding_N(f, region, tols, return_sign=True)
+        region.N, region.M = winding_N(f, region, tols)
     grid = region.phi_grid
     grid.phi = np.abs(grid.f_vals) ** (1.0 / region.M) * np.exp(1j * grid.alpha / region.M)
     return grid
@@ -543,7 +543,7 @@ def verify_phi(
         steps = math.copysign(1.0, M) * np.angle(np.roll(ph, -1) / ph)
         turn = float(np.sum(steps))
         monotone = np.all(steps > 0.0) and np.all(steps < MAX_EDGE_TURN / abs(M))
-        if not monotone or abs(turn - TWO_PI) > tols.winding_int_tol:
+        if not monotone or abs(turn - TWO_PI) > WINDING_TOL:
             raise CertificateError(
                 f"phi does not turn once monotonically around the loop at level {level}: "
                 f"total {turn / TWO_PI:.8f} turns"

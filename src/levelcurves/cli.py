@@ -157,7 +157,7 @@ def _cmd_trace(args) -> int:
 def _cmd_graph(args) -> int:
     f, domain, tols = _load(args)
     comps = trace_level_set(f, args.eps, domain, tols)
-    graphs = [build_graph(c, tols) for c in comps]
+    graphs = [build_graph(c) for c in comps]
     payload = {
         "schema": SCHEMA,
         "kind": "graph",
@@ -272,7 +272,7 @@ def _cmd_verify_all(args) -> int:
         return f"{len(comps)} component(s)"
 
     def check_graphs():
-        graphs.extend(build_graph(c, tols) for c in comps)
+        graphs.extend(build_graph(c) for c in comps)
         for g in graphs:
             face_count(g)
         return f"{sum(len(g.faces) for g in graphs)} faces"

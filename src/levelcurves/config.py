@@ -1,10 +1,13 @@
 """Central tolerance block.
 
-Every numerical gate in the package reads from one Tolerances instance so a
-run has a single, reportable precision configuration.  The four named fields
-mirror the CLI overrides ``--tol-trace``, ``--tol-vertex``, ``--tol-phi`` and
-``--tol-hull``; the remaining knobs are step-control and matching constants
-that rarely need touching.
+The four numerical gates a run can set live in one Tolerances instance so a
+run has a single, reportable precision configuration.  Each field has a CLI
+override (``--tol-trace``, ``--tol-vertex``, ``--tol-phi``, ``--tol-hull``).
+Constants no caller varies live beside their code: the step bounds in
+``tracer`` (``MAX_STEP_REL``, ``MIN_STEP_REL``) with the winding tolerance
+``WINDING_TOL``, the root clustering and residual scales in ``funcspace``
+(``ROOT_CLUSTER_REL``, ``ROOT_RESIDUAL``), and the rotation-system angle in
+``levelgraph`` (``ANGLE_TOL``).
 """
 
 from __future__ import annotations
@@ -22,18 +25,6 @@ class Tolerances:
     phi_tol: float = 1e-8
     # allowed signed distance of a critical point outside the zero hull
     hull_tol: float = 1e-8
-
-    # predictor step bounds, relative to the domain scale
-    max_step_rel: float = 1e-2
-    min_step_rel: float = 1e-6
-    # minimum angular separation of incident arcs in a rotation system (rad)
-    angle_tol: float = 1e-4
-    # how far a winding sum may sit from an integer multiple of 2*pi
-    winding_int_tol: float = 1e-6
-    # root clustering distance, relative to the root magnitude scale
-    root_cluster_rel: float = 1e-7
-    # residual scale for reported roots: |p(root)| <= root_residual * (1 + max|coeff|)
-    root_residual: float = 1e-9
 
     def with_overrides(self, **kwargs) -> "Tolerances":
         for key, value in kwargs.items():

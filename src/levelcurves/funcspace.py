@@ -28,6 +28,15 @@ from .errors import FunctionSpecError, RootFindingError
 
 INF = complex(math.inf, 0.0)
 
+# coefficients below TRIM_REL times the largest are dropped by Polynomial.trim
+TRIM_REL = 1e-13
+# Aberth iteration budget
+ABERTH_MAX_ITER = 400
+# root clustering distance, relative to the root magnitude scale
+ROOT_CLUSTER_REL = 1e-7
+# residual scale for reported roots: |p(root)| <= ROOT_RESIDUAL * (1 + max|coeff|)
+ROOT_RESIDUAL = 1e-9
+
 
 def is_inf(z: complex) -> bool:
     return not (math.isfinite(z.real) and math.isfinite(z.imag))
@@ -101,26 +110,26 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial(npoly.polysub(self.coeffs, other.coeffs))
 
-    def trim(self, rel: float = 1e-13) -> "Polynomial":
+    def trim(self) -> "Polynomial":
         m = float(np.max(np.abs(self.coeffs)))
         if m == 0.0:
             return Polynomial([0.0])
         c = self.coeffs.copy()
-        c[np.abs(c) <= rel * m] = 0.0
+        c[np.abs(c) <= TRIM_REL * m] = 0.0
         return Polynomial(c)
 
     def coeff_scale(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
 
-    def roots(self, tols: Tolerances = DEFAULT_TOLS) -> list[tuple[complex, int]]:
+    def roots(self) -> list[tuple[complex, int]]:
         """Roots with multiplicities, residual-checked and clustered."""
-        return find_roots(self.coeffs, tols)
+        return find_roots(self.coeffs)
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)})"
 
 
-def _aberth(coeffs: np.ndarray, maxiter: int = 400) -> np.ndarray:
+def _aberth(coeffs: np.ndarray) -> np.ndarray:
     """Simultaneous (Ehrlich-Aberth) iteration on a monic polynomial.
 
     ``coeffs`` ascending with nonzero leading and nonzero constant term
@@ -135,7 +144,7 @@ def _aberth(coeffs: np.ndarray, maxiter: int = 400) -> np.ndarray:
     angles = 2.0 * np.pi * (np.arange(n) + 0.353) / n + 0.41
     z = radius * 0.7 * np.exp(1j * angles)
 
-    for _ in range(maxiter):
+    for _ in range(ABERTH_MAX_ITER):
         pz = npoly.polyval(z, c)
         dpz = npoly.polyval(z, dc)
         dpz = np.where(dpz == 0, 1e-300, dpz)
@@ -153,7 +162,7 @@ def _aberth(coeffs: np.ndarray, maxiter: int = 400) -> np.ndarray:
     return z
 
 
-def find_roots(coeffs, tols: Tolerances = DEFAULT_TOLS) -> list[tuple[complex, int]]:
+def find_roots(coeffs) -> list[tuple[complex, int]]:
     """All roots of a polynomial with multiplicities.
 
     Exact zero roots are factored out first (they carry exact multiplicity),
@@ -186,12 +195,12 @@ def find_roots(coeffs, tols: Tolerances = DEFAULT_TOLS) -> list[tuple[complex, i
     for _ in range(work.size - 1):
         derivs.append(npoly.polyder(derivs[-1]))
 
-    clusters = _merge_multiple_roots(_cluster_points(raw, tols), derivs)
+    clusters = _merge_multiple_roots(_cluster_points(raw), derivs)
     out: list[tuple[complex, int]] = []
     if zero_mult:
         out.append((0j, zero_mult))
 
-    residual_cap = tols.root_residual * (1.0 + float(np.max(np.abs(work))))
+    residual_cap = ROOT_RESIDUAL * (1.0 + float(np.max(np.abs(work))))
     worst = 0.0
     for center, mult in clusters:
         z = _polish(center, mult, derivs, 8)
@@ -276,12 +285,12 @@ def _merge_multiple_roots(clusters, derivs: list[np.ndarray]):
     return clusters
 
 
-def _cluster_points(points, tols: Tolerances) -> list[tuple[complex, int]]:
+def _cluster_points(points) -> list[tuple[complex, int]]:
     if not points:
         return []
     pts = sorted(points, key=lambda z: (z.real, z.imag))
     scale = max(1.0, max(abs(z) for z in pts))
-    tol = tols.root_cluster_rel * scale
+    tol = ROOT_CLUSTER_REL * scale
     groups: list[list[complex]] = []
     for z in pts:
         for g in groups:
@@ -413,8 +422,8 @@ class RationalFn:
         )
 
     def _check_coprime(self):
-        nz = [r for r, _ in self.numerator.roots(self.tols)]
-        dz = [r for r, _ in self.denominator.roots(self.tols)]
+        nz = [r for r, _ in self.numerator.roots()]
+        dz = [r for r, _ in self.denominator.roots()]
         scale = max(
             [1.0]
             + [abs(r) for r in nz]
@@ -505,13 +514,13 @@ class RationalFn:
     @cached_property
     def zeros(self) -> list[tuple[complex, int]]:
         return [
-            (z, m) for z, m in self.numerator.roots(self.tols) if self.domain.contains(z)
+            (z, m) for z, m in self.numerator.roots() if self.domain.contains(z)
         ]
 
     @cached_property
     def poles(self) -> list[tuple[complex, int]]:
         return [
-            (z, m) for z, m in self.denominator.roots(self.tols) if self.domain.contains(z)
+            (z, m) for z, m in self.denominator.roots() if self.domain.contains(z)
         ]
 
     @cached_property
@@ -520,9 +529,9 @@ class RationalFn:
         w = self.derivative_numerator
         if w.is_zero:
             raise FunctionSpecError("f' vanishes identically; f is constant")
-        roots = w.roots(self.tols)
+        roots = w.roots()
         # a pole of order m contributes an (m-1)-fold spurious root of n'd - nd'
-        poles_all = self.denominator.roots(self.tols)
+        poles_all = self.denominator.roots()
         scale = max([1.0] + [abs(p) for p, _ in poles_all])
         out = []
         for z, m in roots:

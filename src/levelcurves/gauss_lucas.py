@@ -25,6 +25,13 @@ from .errors import CertificateError
 from .funcspace import Polynomial, RationalFn
 from .tracer import trace_component
 
+# cross products below COLLINEAR_TOL * scale^2 count as collinear in the hull
+COLLINEAR_TOL = 1e-12
+# c must clear the hull by NORMALIZE_MARGIN * max(1, max|zero|) to be normalized
+NORMALIZE_MARGIN = 1e-6
+# declared zeros of a corrupted instance
+CORRUPTED_ZEROS = 5
+
 
 @dataclass
 class HullReport:
@@ -42,7 +49,7 @@ class HullReport:
         }
 
 
-def convex_hull(points, tol: float = 1e-12) -> list[complex]:
+def convex_hull(points) -> list[complex]:
     """Monotone-chain hull, counterclockwise without collinear repeats.
 
     Degenerate inputs collapse to a single point or a two-point segment.
@@ -59,7 +66,7 @@ def convex_hull(points, tol: float = 1e-12) -> list[complex]:
     def half(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= tol * scale * scale:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= COLLINEAR_TOL * scale * scale:
                 out.pop()
             out.append(p)
         return out
@@ -103,8 +110,8 @@ def check_gauss_lucas(p: Polynomial, tols: Tolerances = DEFAULT_TOLS) -> HullRep
     """
     if not isinstance(p.degree, int) or p.degree < 2:
         raise ValueError("polynomial degree must be at least 2")
-    zeros = [z for z, m in p.roots(tols) for _ in range(m)]
-    crit = [z for z, m in p.deriv().roots(tols) for _ in range(m)]
+    zeros = [z for z, m in p.roots() for _ in range(m)]
+    crit = [z for z, m in p.deriv().roots() for _ in range(m)]
     hull = convex_hull(zeros)
     scale = max(1.0, max(abs(z) for z in zeros))
     worst = max(hull_signed_distance(hull, c) for c in crit)
@@ -152,7 +159,7 @@ class ReplayWitness:
         }
 
 
-def _normalize_outside_hull(zeros: list[complex], c: complex, margin: float = 1e-6):
+def _normalize_outside_hull(zeros: list[complex], c: complex):
     """Affine map sending the zeros strictly into the unit disk and c to (1, inf).
 
     Exists exactly when c is outside the hull: separate c from the hull by
@@ -162,7 +169,7 @@ def _normalize_outside_hull(zeros: list[complex], c: complex, margin: float = 1e
     """
     hull = convex_hull(zeros)
     d = hull_signed_distance(hull, c)
-    if d <= margin * max(1.0, max(abs(z) for z in zeros)):
+    if d <= NORMALIZE_MARGIN * max(1.0, max(abs(z) for z in zeros)):
         return None
 
     # nearest hull point
@@ -225,7 +232,7 @@ def replay_level_curve_argument(
     mapped through the same normalization), and two points at a common
     height right of Re = 1 exhibit the strict product inequality.
     """
-    zeros = [z for z, m in p.roots(tols) for _ in range(m)]
+    zeros = [z for z, m in p.roots() for _ in range(m)]
     norm = _normalize_outside_hull(zeros, c)
     if norm is None:
         return ReplayWitness(False, reason="critical point inside hull; theorem satisfied")
@@ -296,7 +303,7 @@ def replay_level_curve_argument(
     raise CertificateError("replay found no admissible height; curve data too sparse")
 
 
-def corrupted_instance(rng: np.random.Generator, n_zeros: int = 5, tols: Tolerances = DEFAULT_TOLS):
+def corrupted_instance(rng: np.random.Generator, tols: Tolerances = DEFAULT_TOLS):
     """A deliberately inconsistent (polynomial, declared critical point, curve).
 
     The declared zeros live in the unit disk while the supplied "level curve"
@@ -304,8 +311,8 @@ def corrupted_instance(rng: np.random.Generator, n_zeros: int = 5, tols: Toleran
     so same-height curve points with Re > 1 exist and the product inequality
     convicts the instance.
     """
-    r = rng.uniform(0.15, 0.75, n_zeros)
-    th = rng.uniform(0.0, 2.0 * math.pi, n_zeros)
+    r = rng.uniform(0.15, 0.75, CORRUPTED_ZEROS)
+    th = rng.uniform(0.0, 2.0 * math.pi, CORRUPTED_ZEROS)
     declared = [complex(a * math.cos(b), a * math.sin(b)) for a, b in zip(r, th)]
     p = Polynomial.from_roots(declared)
 

@@ -243,7 +243,7 @@ def horizontal_crossings(pts, y: float) -> list[complex]:
     return out
 
 
-def bounding_box(pts_list, margin: float = 0.0):
+def bounding_box(pts_list):
     """(x0, y0, x1, y1) box around a list of polylines."""
     xs, ys = [], []
     for pts in pts_list:
@@ -253,4 +253,4 @@ def bounding_box(pts_list, margin: float = 0.0):
             ys.extend((float(np.min(p.imag)), float(np.max(p.imag))))
     if not xs:
         raise ValueError("no points")
-    return (min(xs) - margin, min(ys) - margin, max(xs) + margin, max(ys) + margin)
+    return (min(xs), min(ys), max(xs), max(ys))

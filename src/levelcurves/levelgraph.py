@@ -23,6 +23,9 @@ from .errors import TopologyError
 from .funcspace import RationalFn
 from .tracer import LevelCurveComponent
 
+# minimum angular separation of incident arcs in a rotation system (rad)
+ANGLE_TOL = 1e-4
+
 
 @dataclass
 class Face:
@@ -95,7 +98,7 @@ class LevelGraph:
 # ---------------------------------------------------------------------------
 
 
-def build_graph(comp: LevelCurveComponent, tols: Tolerances = DEFAULT_TOLS) -> LevelGraph:
+def build_graph(comp: LevelCurveComponent) -> LevelGraph:
     """Embed a traced component and enumerate its faces.
 
     All structural laws are asserted here: vertex degree 2*(mult+1), every
@@ -131,7 +134,7 @@ def build_graph(comp: LevelCurveComponent, tols: Tolerances = DEFAULT_TOLS) -> L
         angles = [s[0] for s in stubs[vi]]
         for k in range(len(angles)):
             gap = (angles[(k + 1) % len(angles)] - angles[k]) % (2.0 * math.pi)
-            if gap < tols.angle_tol:
+            if gap < ANGLE_TOL:
                 raise TopologyError(
                     f"rotation ambiguity at vertex {c}: incident arcs separated by {gap:.2e} rad"
                 )
@@ -169,7 +172,7 @@ def build_graph(comp: LevelCurveComponent, tols: Tolerances = DEFAULT_TOLS) -> L
                 raise TopologyError("face walk re-entered a visited dart; embedding corrupt")
         walks.append(walk)
 
-    faces = _materialize_faces(walks, edges, comp, tols)
+    faces = _materialize_faces(walks, edges, comp)
 
     graph = LevelGraph(comp.level, list(comp.vertices), edges, faces, comp)
     for f in faces:
@@ -200,7 +203,7 @@ def _closed_curve_graph(comp: LevelCurveComponent) -> LevelGraph:
     return g
 
 
-def _materialize_faces(walks, edges, comp, tols) -> list[Face]:
+def _materialize_faces(walks, edges, comp) -> list[Face]:
     polys = []
     areas = []
     cycles = []

@@ -49,11 +49,11 @@ class CurveRef:
     label: str = ""
     _graph: LevelGraph | None = None
 
-    def graph(self, tols: Tolerances = DEFAULT_TOLS) -> LevelGraph:
+    def graph(self) -> LevelGraph:
         if self.kind is not CurveKind.LEVEL_CURVE:
             raise TopologyError(f"{self.kind.value} has no face structure")
         if self._graph is None:
-            self._graph = build_graph(self.component, tols)
+            self._graph = build_graph(self.component)
         return self._graph
 
     def all_points(self) -> np.ndarray:
@@ -110,7 +110,7 @@ def _vote(g: LevelGraph, faces: np.ndarray) -> int | None:
 
 def _membership_face(b: CurveRef, samples, tols: Tolerances) -> int | None:
     """Face of b holding every sample, or None for the unbounded face."""
-    g = b.graph(tols)
+    g = b.graph()
     return _vote(g, faces_of_points(g, samples, tols))
 
 
@@ -140,7 +140,7 @@ def _holding_faces(b: CurveRef, members: list[CurveRef], tols: Tolerances) -> li
             voters.append(p[clear[np.linspace(0, len(clear) - 1, 8).astype(int)]])
         else:
             voters.append(p[np.argsort(-dp, kind="stable")[:8]])
-    g = b.graph(tols)
+    g = b.graph()
     faces = faces_of_points(g, np.concatenate(voters), tols)
     return [_vote(g, fs) for fs in np.split(faces, np.cumsum([v.size for v in voters])[:-1])]
 

@@ -40,6 +40,11 @@ MAX_ARC_POINTS = 200_000
 # that move it by at most STEP_MAX_CORRECTION times its length
 STEP_MAX_ITER = 3
 STEP_MAX_CORRECTION = 0.6
+# predictor step bounds, relative to the domain scale
+MAX_STEP_REL = 1e-2
+MIN_STEP_REL = 1e-6
+# how far a winding sum may sit from an integer multiple of 2*pi
+WINDING_TOL = 1e-6
 
 
 @dataclass
@@ -157,8 +162,8 @@ class _LevelTracer:
         self.scale = scale
         self.log_eps = math.log(eps)
         self.tau = 0.25 * tols.trace_tol / max(1.0, eps)
-        self.h_max = tols.max_step_rel * scale
-        self.h_min = tols.min_step_rel * scale
+        self.h_max = MAX_STEP_REL * scale
+        self.h_min = MIN_STEP_REL * scale
         self.vertices: list[_Vertex] = []
         for c, m in f.critical_points:
             av = f.abs_eval(c)
@@ -378,7 +383,7 @@ def trace_component(
 
 
 def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComponent:
-    f, eps, tols = tracer.f, tracer.eps, tracer.tols
+    eps = tracer.eps
     z0, _, ld0 = tracer.correct(seed, max_iter=60)
     if z0 is None:
         raise TraceError(f"seed {seed} did not converge onto level {eps}")
@@ -518,20 +523,16 @@ def _warn_near_critical(tracer: _LevelTracer, comp: LevelCurveComponent):
             )
 
 
-def find_seeds(
-    f: RationalFn,
-    eps: float,
-    domain: DomainSpec | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> list[complex]:
-    """On-level seed points, meant to reach every component of E_{f, eps}.
+def find_seeds(f: RationalFn, eps: float, domain: DomainSpec | None = None) -> list[complex]:
+    """Seed points on E_{f, eps}, meant to reach every component.
 
     Every bounded face of a component holds a zero or a pole, so rays cast
     from each zero/pole cross every component.  The 8 rays of every anchor
     are searched together (``_ray_crossings``); the first 6 in-domain
-    crossings of each ray are Newton-corrected into seeds.  Duplicates are
-    fine; tracing deduplicates.  The seeds are not checked for completeness
-    here: :func:`trace_level_set` certifies the components it traces.
+    crossings of each ray, each bisected 50 times, are the seeds.  The
+    tracer corrects each seed it starts from.  Duplicates are fine; tracing
+    deduplicates.  The seeds are not checked for completeness here:
+    :func:`trace_level_set` certifies the components it traces.
     """
     domain = domain or f.domain
     if eps <= 0 or not math.isfinite(eps):
@@ -539,9 +540,7 @@ def find_seeds(
     if domain.kind is DomainKind.UNIT_DISK and abs(eps - 1.0) < 1e-6:
         raise TraceError("eps coincides with |f| on the unit circle")
 
-    scale = _domain_scale(f)
-    tracer = _LevelTracer(f, eps, tols, scale)
-    x0, y0, x1, y1 = _seed_box(f, eps, domain, scale)
+    x0, y0, x1, y1 = _seed_box(f, eps, domain)
     reach = max(x1 - x0, y1 - y0)
 
     anchors = [z for z, _ in f.zeros] + [z for z, _ in f.poles]
@@ -553,15 +552,13 @@ def find_seeds(
         if per_ray[a, k] >= 6 or not domain.contains(crossing):
             continue
         per_ray[a, k] += 1
-        z, _, _ = tracer.correct(crossing, max_iter=60)
-        if z is not None and domain.contains(z):
-            seeds.append(z)
+        seeds.append(crossing)
     if not seeds:
-        raise TraceError(f"no seeds found on level {eps}; ray correction failed from {anchors}")
+        raise TraceError(f"no seeds found on level {eps}: no ray from {anchors} crosses it in the domain")
     return seeds
 
 
-def _seed_box(f: RationalFn, eps: float, domain: DomainSpec, scale: float):
+def _seed_box(f: RationalFn, eps: float, domain: DomainSpec):
     if domain.kind is DomainKind.UNIT_DISK:
         return (-1.0, -1.0, 1.0, 1.0)
     if domain.kind is DomainKind.RECTANGLE:
@@ -621,18 +618,18 @@ def trace_level_set(
 ) -> list[LevelCurveComponent]:
     """All components of E_{f, eps} in the domain, each traced once.
 
-    Components are traced from the seeds of :func:`find_seeds`, and from any
-    on-level critical point no seed reached.  The result is certified by the
-    argument principle (:func:`_certify_turn`): the arcs must turn arg f by
-    2*pi times the zeros, or the poles, that the domain holds, so a missing
-    component raises :class:`TraceError`, and so does one traced twice.  On
-    the plane and the unit disk the count is complete.  On a rectangle
-    window it is complete for polynomials under the window contract (no
-    level curve crosses the window edge); rational functions with nesting
-    across the window edge are not covered.
+    Components are traced from the seeds of :func:`find_seeds`.  The result
+    is certified by the argument principle (:func:`_certify_turn`): the arcs
+    must turn arg f by 2*pi times the zeros, or the poles, that the domain
+    holds, so a missing component raises :class:`TraceError`, and so does
+    one traced twice.  On the plane and the unit disk the count is
+    complete.  On a rectangle window it is complete for polynomials under
+    the window contract (no level curve crosses the window edge, checked on
+    every traced point); rational functions with nesting across the window
+    edge are not covered.
     """
     domain = domain or f.domain
-    seeds = find_seeds(f, eps, domain, tols)
+    seeds = find_seeds(f, eps, domain)
     tracer = _LevelTracer(f, eps, tols, _domain_scale(f, seeds))
 
     components: list[LevelCurveComponent] = []
@@ -642,27 +639,18 @@ def trace_level_set(
         rest = pending[1:]
         pending = [z for z, hit in zip(rest, _near(components[-1], rest)) if not hit]
 
-    # critical points on this level must appear even if no seed reached them
-    for idx, v in enumerate(tracer.vertices):
-        if any(abs(v.position - c) < 1e-12 for comp in components for c, _ in comp.vertices):
-            continue
-        if not domain.contains(v.position) or all(v.used):
-            continue
-        launch, _ = tracer.launch_from_vertex(idx, v.used.index(False))
-        if any(_near(comp, [launch])[0] for comp in components):
-            continue
-        components.append(_trace_component_with(tracer, launch))
-
-    if domain.kind is not DomainKind.WHOLE_PLANE:
+    if domain.kind is DomainKind.RECTANGLE:
+        x0, y0, x1, y1 = domain.bounds
         for comp in components:
-            outside = [p for p in comp.points[:: max(1, len(comp.points) // 64)] if not domain.contains(complex(p))]
-            if outside:
+            p = comp.points
+            outside = np.flatnonzero(~((x0 < p.real) & (p.real < x1) & (y0 < p.imag) & (p.imag < y1)))
+            if outside.size:
                 raise TraceError(
-                    f"level curve at {eps} crosses the domain boundary near {outside[0]}; "
+                    f"level curve at {eps} crosses the domain boundary near {p[outside[0]]}; "
                     "the boundary restriction fails for this window"
                 )
 
-    _certify_turn(f, eps, domain, components, tols)
+    _certify_turn(f, eps, domain, components)
     components.sort(
         key=lambda c: (
             round(float(np.min(c.points.real)), 9),
@@ -672,7 +660,7 @@ def trace_level_set(
     return components
 
 
-def _certify_turn(f: RationalFn, eps: float, domain: DomainSpec, components, tols: Tolerances):
+def _certify_turn(f: RationalFn, eps: float, domain: DomainSpec, components):
     """Raise unless the arcs turn arg f by 2*pi times the domain's zeros or poles.
 
     Each arc runs along increasing arg f, so {|f| < eps} lies on its left and
@@ -685,7 +673,7 @@ def _certify_turn(f: RationalFn, eps: float, domain: DomainSpec, components, tol
     rectangle; one point of it decides the side.  Every increment must lie
     in (0, pi), so that the sum of the increments is the turn.
     """
-    x0, y0, x1, y1 = _seed_box(f, eps, domain, _domain_scale(f))
+    x0, y0, x1, y1 = _seed_box(f, eps, domain)
     above = f.abs_eval(complex(x1, 0.5 * (y0 + y1))) > eps
     want = sum(m for z, m in (f.zeros if above else f.poles) if domain.contains(z))
     turn = 0.0
@@ -696,7 +684,7 @@ def _certify_turn(f: RationalFn, eps: float, domain: DomainSpec, components, tol
             if not np.all((inc > 0.0) & (inc < math.pi)):
                 raise TraceError(f"arg f is not increasing in steps below pi along an arc at level {eps}")
             turn += float(np.sum(inc))
-    if abs(turn - TWO_PI * want) > tols.winding_int_tol:
+    if abs(turn - TWO_PI * want) > WINDING_TOL:
         raise TraceError(
             f"the level set at {eps} turns arg f by {turn / TWO_PI:.6f} turns, but the domain "
             f"holds {want} {'zeros' if above else 'poles'}: a component is missing or traced twice"

@@ -148,7 +148,7 @@ def test_blaschke_certificates(blaschke_21, blaschke_regions):
 def test_winding_consistent_across_levels(z5m1, z5_regions):
     outer = next(r for r in z5_regions if r.eps1 != 0.0)
     # winding_N itself checks that all its loops agree; run it fresh
-    n, m = winding_N(z5m1, outer, return_sign=True)
+    n, m = winding_N(z5m1, outer)
     assert (n, m) == (5, 5)
 
 

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from levelcurves.cli import main
+from levelcurves import Tolerances
+from levelcurves.cli import TOL_FLAGS, main
 
 
 def run(args, tmp_path, name="out.json"):
@@ -137,6 +139,11 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["trace", "--fn", "poly:zap", "--eps", "1"]) == 1
     assert main(["trace", "--fn", "poly:1,0", "--eps", "-1"]) == 2
     assert main(["nonsense"]) == 1
+
+
+def test_every_tolerance_has_a_flag():
+    # a gate no flag can set is a constant beside its code, not a field
+    assert set(TOL_FLAGS.values()) == {f.name for f in dataclasses.fields(Tolerances)}
 
 
 def test_tolerance_override(tmp_path):

@@ -53,8 +53,8 @@ def test_violation_is_hard_error(monkeypatch):
 
     orig = gl.convex_hull
 
-    def shrunk(points, tol=1e-12):
-        return [0.01 * v for v in orig(points, tol)]
+    def shrunk(points):
+        return [0.01 * v for v in orig(points)]
 
     monkeypatch.setattr(gl, "convex_hull", shrunk)
     with pytest.raises(CertificateError):

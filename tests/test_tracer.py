@@ -94,7 +94,7 @@ def test_closed_arc_endpoints_coincide():
 def test_max_step_bound():
     f = parse_function_spec("poly:1,0,-1")
     comps = trace_level_set(f, 1.0)
-    scale_cap = DEFAULT_TOLS.max_step_rel * 4.0  # generous domain-scale bound
+    scale_cap = tracer.MAX_STEP_REL * 4.0  # generous domain-scale bound
     for comp in comps:
         assert comp.max_segment() <= scale_cap
 
@@ -208,6 +208,10 @@ def test_rectangle_window_boundary_contract():
     # a window cutting the curve violates the boundary restriction
     with pytest.raises(TraceError, match="crosses the domain boundary"):
         trace_level_set(f, 1.0, DomainSpec.rect(-0.5, -2, 2, 2))
+    # windows that clip the circle only between every 64th point
+    for window in ((-2, -2, 2, 0.9995), (-2, -2, 0.99995, 2)):
+        with pytest.raises(TraceError, match="crosses the domain boundary"):
+            trace_level_set(f, 1.0, DomainSpec.rect(*window))
 
 
 def test_near_critical_warning():
@@ -267,7 +271,7 @@ def _scalar_ray_crossings(f, eps, p, theta, ts):
 )
 def test_batched_ray_search_matches_scalar_reference(spec, eps):
     f = parse_function_spec(spec)
-    x0, y0, x1, y1 = _seed_box(f, eps, f.domain, _domain_scale(f))
+    x0, y0, x1, y1 = _seed_box(f, eps, f.domain)
     reach = max(x1 - x0, y1 - y0)
     ts = np.geomspace(1e-6 * reach, 1.6 * reach, 400)
     anchors = [z for z, _ in f.zeros] + [z for z, _ in f.poles]
@@ -306,6 +310,19 @@ CERTIFIED_LEVELS = [
     ("rat:1,0/1,0,0,0.5", 0.3),
     ("rat:1,0/1,0,0,0.5", 5.0),
 ]
+
+
+def assert_seeds_need_no_correction(f, eps):
+    """Every seed is a fixed point of the corrector, so the tracer starts
+    from the seed itself."""
+    corrector = _LevelTracer(f, eps, DEFAULT_TOLS, _domain_scale(f))
+    for s in find_seeds(f, eps):
+        assert corrector.correct(s, 0)[:2] == (s, 0)
+
+
+@pytest.mark.parametrize("spec,eps", CERTIFIED_LEVELS)
+def test_seeds_need_no_correction(spec, eps):
+    assert_seeds_need_no_correction(parse_function_spec(spec), eps)
 
 
 @pytest.mark.parametrize("spec,eps", CERTIFIED_LEVELS)
@@ -366,3 +383,4 @@ def test_random_levels_pass_the_turn_count(kind, seed, degree, u):
     eps = _noncritical_level(f, u)
     assume(eps is not None)
     assert trace_level_set(f, eps)
+    assert_seeds_need_no_correction(f, eps)
