@@ -22,7 +22,6 @@ from .funcspace import (
     Polynomial,
     RationalFn,
     find_roots,
-    parse_domain_spec,
     parse_function_spec,
     random_polynomial,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "find_seeds",
     "hausdorff",
     "maximal_component",
-    "parse_domain_spec",
     "parse_function_spec",
     "precedes",
     "random_polynomial",

@@ -25,7 +25,7 @@ import numpy as np
 from . import geometry
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import CertificateError, TopologyError, TraceError
-from .funcspace import DomainKind, DomainSpec, RationalFn
+from .funcspace import DomainKind, RationalFn
 from .levelgraph import faces_of_points
 from .order_topology import CriticalSetC, CurveKind, CurveRef, critical_level_curves
 from .tracer import (
@@ -117,15 +117,14 @@ def _power_radius(eps: float, M: int) -> float:
 # decomposition
 
 
-def _outer_boundary(f: RationalFn, domain: DomainSpec, C: CriticalSetC, tols: Tolerances):
+def _outer_boundary(f: RationalFn, C: CriticalSetC, tols: Tolerances):
     """The outer edge of the working domain as a CurveRef.
 
     On the unit disk this is the boundary circle with |f| == 1.  On the plane
-    (or a rectangle window) it is a traced level curve beyond every critical
-    value, which makes the working domain satisfy the boundary restrictions
-    exactly.
+    it is a traced level curve beyond every critical value, which makes the
+    working domain satisfy the boundary restrictions exactly.
     """
-    if domain.kind is DomainKind.UNIT_DISK:
+    if f.domain.kind is DomainKind.UNIT_DISK:
         theta = np.linspace(0.0, TWO_PI, 721)
         circle = np.exp(1j * theta)
         return CurveRef(CurveKind.BOUNDARY, 1.0, boundary=circle, label="unit-circle"), None
@@ -134,7 +133,7 @@ def _outer_boundary(f: RationalFn, domain: DomainSpec, C: CriticalSetC, tols: To
         ref.level for ref in C.components if math.isfinite(ref.level) and ref.level > 0
     ]
     eps_out = 4.0 * max([1.0] + finite_levels)
-    comps = trace_level_set(f, eps_out, DomainSpec.plane(), tols)
+    comps = trace_level_set(f, eps_out, tols)
     if len(comps) != 1 or comps[0].vertices:
         raise TopologyError(
             f"outer level {eps_out} is not a single simple curve; enlarge the level"
@@ -148,7 +147,6 @@ def _outer_boundary(f: RationalFn, domain: DomainSpec, C: CriticalSetC, tols: To
 
 def decompose(
     f: RationalFn,
-    domain: DomainSpec | None = None,
     C: CriticalSetC | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> list[AnnularRegion]:
@@ -161,9 +159,8 @@ def decompose(
     mutually exterior children would be a region whose complement has two
     bounded components, which the two-curve theorem forbids.
     """
-    domain = domain or f.domain
     if C is None:
-        C = critical_level_curves(f, domain, tols)
+        C = critical_level_curves(f, tols)
 
     members = C.components
     roots = [i for i, p in enumerate(C.parent) if p is None]
@@ -201,7 +198,7 @@ def decompose(
                 )
             )
 
-    outer_ref, outer_face = _outer_boundary(f, domain, C, tols)
+    outer_ref, outer_face = _outer_boundary(f, C, tols)
     top = members[roots[0]]
     regions.append(
         AnnularRegion(

@@ -23,7 +23,7 @@ from .errors import (
     TopologyError,
     TraceError,
 )
-from .funcspace import Polynomial, parse_domain_spec, parse_function_spec, random_polynomial
+from .funcspace import Polynomial, parse_function_spec, random_polynomial
 from .gauss_lucas import check_gauss_lucas, corrupted_instance, replay_level_curve_argument
 from .gridcheck import grid_oracle_report
 from .levelgraph import build_graph, face_count, zeros_per_face
@@ -58,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, eps=False, delta=False):
         p.add_argument("--fn", required=True, help="function spec (poly:/rat:/blaschke:)")
-        p.add_argument("--domain", default=None, help="disk | plane | rect:x0,y0,x1,y1")
         if eps:
             p.add_argument("--eps", type=float, required=True)
         if delta:
@@ -115,9 +114,7 @@ def _write_csv(rows, header, path) -> None:
 
 def _load(args):
     tols = _tols_from(args)
-    f = parse_function_spec(args.fn, tols)
-    domain = parse_domain_spec(args.domain) if args.domain else f.domain
-    return f, domain, tols
+    return parse_function_spec(args.fn, tols), tols
 
 
 def _maybe_svg(args, components, graphs=None):
@@ -131,8 +128,8 @@ def _maybe_svg(args, components, graphs=None):
 
 
 def _cmd_trace(args) -> int:
-    f, domain, tols = _load(args)
-    comps = trace_level_set(f, args.eps, domain, tols)
+    f, tols = _load(args)
+    comps = trace_level_set(f, args.eps, tols)
     if args.out and args.out.endswith(".csv"):
         _write_csv(
             components_to_csv_rows(comps),
@@ -155,8 +152,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    f, domain, tols = _load(args)
-    comps = trace_level_set(f, args.eps, domain, tols)
+    f, tols = _load(args)
+    comps = trace_level_set(f, args.eps, tols)
     graphs = [build_graph(c) for c in comps]
     payload = {
         "schema": SCHEMA,
@@ -201,17 +198,17 @@ def _cmd_gauss_lucas(args) -> int:
 
 
 def _cmd_continuity(args) -> int:
-    f, domain, tols = _load(args)
-    cert = continuity_probe(f, args.eps, args.delta, domain, tols=tols)
+    f, tols = _load(args)
+    cert = continuity_probe(f, args.eps, args.delta, tols=tols)
     _emit({"schema": SCHEMA, "kind": "continuity", "fn": args.fn, **cert.to_dict()}, args)
     return EXIT_OK if cert.passed else EXIT_CERTIFICATE
 
 
 def _cmd_order(args) -> int:
-    f, domain, tols = _load(args)
-    C = critical_level_curves(f, domain, tols)
+    f, tols = _load(args)
+    C = critical_level_curves(f, tols)
     edges = hasse_diagram(C)
-    maximal = maximal_component(f, domain, C, tols)
+    maximal = maximal_component(f, C, tols)
     payload = {
         "schema": SCHEMA,
         "kind": "order",
@@ -228,8 +225,8 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    f, domain, tols = _load(args)
-    regions = decompose(f, domain, tols=tols)
+    f, tols = _load(args)
+    regions = decompose(f, tols=tols)
     certs = [verify_phi(f, region, tols) for region in regions]
     payload = {
         "schema": SCHEMA,
@@ -250,7 +247,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    f, domain, tols = _load(args)
+    f, tols = _load(args)
     checks: list[tuple[str, bool, str]] = []
 
     def run(name, fn):
@@ -260,7 +257,7 @@ def _cmd_verify_all(args) -> int:
         except LevelCurveError as exc:
             checks.append((name, False, str(exc)))
 
-    comps = trace_level_set(f, args.eps, domain, tols)
+    comps = trace_level_set(f, args.eps, tols)
     graphs = []
 
     def check_trace():
@@ -301,12 +298,12 @@ def _cmd_verify_all(args) -> int:
 
     def check_order():
         nonlocal C
-        C = critical_level_curves(f, domain, tols)
-        maximal_component(f, domain, C, tols)
+        C = critical_level_curves(f, tols)
+        maximal_component(f, C, tols)
         return f"|C| = {len(C)}"
 
     def check_decompose():
-        regions = decompose(f, domain, C=C, tols=tols)
+        regions = decompose(f, C=C, tols=tols)
         for region in regions:
             verify_phi(f, region, tols)
         return f"{len(regions)} region(s)"

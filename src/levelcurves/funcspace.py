@@ -309,31 +309,16 @@ def _cluster_points(points) -> list[tuple[complex, int]]:
 class DomainKind(Enum):
     WHOLE_PLANE = "plane"
     UNIT_DISK = "disk"
-    RECTANGLE = "rect"
 
 
 @dataclass(frozen=True)
 class DomainSpec:
     kind: DomainKind = DomainKind.WHOLE_PLANE
-    bounds: tuple[float, float, float, float] | None = None  # x0, y0, x1, y1
-
-    def __post_init__(self):
-        if self.kind is DomainKind.RECTANGLE:
-            if self.bounds is None:
-                raise FunctionSpecError("rectangle domain needs bounds")
-            x0, y0, x1, y1 = self.bounds
-            if not (x0 < x1 and y0 < y1):
-                raise FunctionSpecError(f"degenerate rectangle bounds {self.bounds}")
 
     def contains(self, z: complex) -> bool:
         if is_inf(z):
             return False
-        if self.kind is DomainKind.WHOLE_PLANE:
-            return True
-        if self.kind is DomainKind.UNIT_DISK:
-            return abs(z) < 1.0
-        x0, y0, x1, y1 = self.bounds
-        return x0 < z.real < x1 and y0 < z.imag < y1
+        return self.kind is DomainKind.WHOLE_PLANE or abs(z) < 1.0
 
     @staticmethod
     def plane() -> "DomainSpec":
@@ -342,10 +327,6 @@ class DomainSpec:
     @staticmethod
     def disk() -> "DomainSpec":
         return DomainSpec(DomainKind.UNIT_DISK)
-
-    @staticmethod
-    def rect(x0, y0, x1, y1) -> "DomainSpec":
-        return DomainSpec(DomainKind.RECTANGLE, (x0, y0, x1, y1))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +345,6 @@ class RationalFn:
         self,
         numerator: Polynomial,
         denominator: Polynomial | None = None,
-        domain: DomainSpec | None = None,
         tols: Tolerances = DEFAULT_TOLS,
         blaschke_degrees: tuple[int, int] | None = None,
         spec: str | None = None,
@@ -377,14 +357,10 @@ class RationalFn:
             raise FunctionSpecError("constant functions are not allowed")
         self.numerator = numerator
         self.denominator = denominator
-        self.domain = domain or DomainSpec.plane()
+        self.domain = DomainSpec.plane() if blaschke_degrees is None else DomainSpec.disk()
         self.tols = tols
         self.blaschke_degrees = blaschke_degrees
         self.spec = spec
-
-        if self.domain.kind is DomainKind.UNIT_DISK and blaschke_degrees is None:
-            raise FunctionSpecError("unit-disk domain is reserved for Blaschke ratios")
-
         self._check_coprime()
 
     # -- construction helpers
@@ -415,7 +391,6 @@ class RationalFn:
         return cls(
             num.trim(),
             den.trim(),
-            domain=DomainSpec.disk(),
             tols=tols,
             blaschke_degrees=(len(zeros1), len(zeros2)),
             spec=spec,
@@ -556,9 +531,6 @@ class RationalFn:
             z for z, _ in self.critical_points
         ]
 
-    def coeff_scale(self) -> float:
-        return max(self.numerator.coeff_scale(), self.denominator.coeff_scale())
-
     def __repr__(self):
         if self.spec:
             return f"RationalFn({self.spec!r})"
@@ -611,20 +583,6 @@ def parse_function_spec(spec: str, tols: Tolerances = DEFAULT_TOLS) -> RationalF
             raise FunctionSpecError("blaschke: spec needs at least one zero")
         return RationalFn.blaschke_ratio(z1, z2, tols=tols, spec=s)
     raise FunctionSpecError(f"unknown function spec {spec!r}")
-
-
-def parse_domain_spec(spec: str) -> DomainSpec:
-    s = spec.strip().lower()
-    if s == "plane":
-        return DomainSpec.plane()
-    if s == "disk":
-        return DomainSpec.disk()
-    if s.startswith("rect:"):
-        vals = [float(v) for v in s[len("rect:"):].split(",")]
-        if len(vals) != 4:
-            raise FunctionSpecError("rect domain needs x0,y0,x1,y1")
-        return DomainSpec.rect(*vals)
-    raise FunctionSpecError(f"unknown domain spec {spec!r}")
 
 
 def random_polynomial(rng: np.random.Generator, degree: int) -> Polynomial:

@@ -176,10 +176,10 @@ def _normalize_outside_hull(zeros: list[complex], c: complex):
     if len(hull) == 1:
         q = hull[0]
     elif len(hull) == 2:
-        q = _nearest_on_segment(c, hull[0], hull[1])
+        q = geometry.nearest_on_segment(c, hull[0], hull[1])
     else:
         q = min(
-            (_nearest_on_segment(c, hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))),
+            (geometry.nearest_on_segment(c, hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))),
             key=lambda p: abs(c - p),
         )
     d_eu = abs(c - q)
@@ -202,16 +202,6 @@ def _normalize_outside_hull(zeros: list[complex], c: complex):
     if any(abs(z) >= 1.0 for z in zs_n) or not (c_n.imag == 0.0 or abs(c_n.imag) < 1e-12) or c_n.real <= 1.0:
         return None
     return fwd, zs_n, complex(c_n.real, 0.0)
-
-
-def _nearest_on_segment(p: complex, a: complex, b: complex) -> complex:
-    d = b - a
-    dd = d.real**2 + d.imag**2
-    if dd == 0:
-        return a
-    t = ((p - a).real * d.real + (p - a).imag * d.imag) / dd
-    t = min(max(t, 0.0), 1.0)
-    return a + t * d
 
 
 def _abs_product(zeros: list[complex], z: complex) -> float:

@@ -38,6 +38,17 @@ def signed_area(closed_pts) -> float:
     return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
 
+def nearest_on_segment(p: complex, a: complex, b: complex) -> complex:
+    """The point of the segment [a, b] nearest to p."""
+    d = b - a
+    dd = d.real * d.real + d.imag * d.imag
+    if dd == 0.0:
+        return a
+    t = ((p - a).real * d.real + (p - a).imag * d.imag) / dd
+    t = min(max(t, 0.0), 1.0)
+    return a + t * d
+
+
 # Pairs evaluated in one block: bounds the temporaries of a query.
 _BLOCK_PAIRS = 1 << 16
 # Queries whose rings are scanned together.

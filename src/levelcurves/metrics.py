@@ -21,8 +21,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import TraceError
-from .funcspace import DomainSpec, RationalFn
-from .geometry import SegmentIndex, max_segment_length
+from .funcspace import RationalFn
+from .geometry import SegmentIndex, as_points, max_segment_length
 from .tracer import LevelCurveComponent, _LevelTracer, _domain_scale, _near, _trace_component_with
 
 K_SAMPLES = 8  # audit heights per side of eps in one probe trial
@@ -44,8 +44,8 @@ def hausdorff(X, Y, upto: float = math.inf) -> HausdorffReport:
     Each distance is exact where it is at most ``upto`` and ``inf`` above
     it, as in ``SegmentIndex.distances``.
     """
-    xs = np.asarray(list(X), dtype=complex).ravel()
-    ys = np.asarray(list(Y), dtype=complex).ravel()
+    xs = as_points(X)
+    ys = as_points(Y)
     if xs.size == 0 or ys.size == 0:
         return HausdorffReport(math.inf, math.inf, math.inf)
     d1 = float(np.max(SegmentIndex(ys[:, None]).distances(xs, upto)))
@@ -54,8 +54,8 @@ def hausdorff(X, Y, upto: float = math.inf) -> HausdorffReport:
 
 
 def hausdorff_between_curves(comp_a_points, comp_b_points, upto: float = math.inf) -> HausdorffReport:
-    xs = np.asarray(comp_a_points, dtype=complex).ravel()
-    ys = np.asarray(comp_b_points, dtype=complex).ravel()
+    xs = as_points(comp_a_points)
+    ys = as_points(comp_b_points)
     rep = hausdorff(xs, ys, upto)
     disc = max(max_segment_length(xs), max_segment_length(ys))
     return HausdorffReport(rep.d1, rep.d2, rep.d_check, discretization=disc)
@@ -121,7 +121,6 @@ def continuity_probe(
     f: RationalFn,
     eps: float,
     delta: float,
-    domain: DomainSpec | None = None,
     component: LevelCurveComponent | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> ContinuityCertificate:
@@ -141,7 +140,7 @@ def continuity_probe(
     if component is None:
         from .tracer import trace_level_set
 
-        comps = trace_level_set(f, eps, domain, tols)
+        comps = trace_level_set(f, eps, tols)
         component = max(comps, key=lambda c: c.total_length())
 
     base_points = component.points

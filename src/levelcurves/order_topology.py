@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import TopologyError, TraceError
-from .funcspace import DomainSpec, RationalFn
+from .funcspace import RationalFn
 from .levelgraph import LevelGraph, build_graph, faces_of_points
 from .tracer import LevelCurveComponent, _LevelTracer, _domain_scale, _trace_component_with, trace_component
 from . import geometry
@@ -187,7 +187,6 @@ def _nesting_forest(refs: list[CurveRef], tols: Tolerances) -> list[tuple[int, i
 
 def critical_level_curves(
     f: RationalFn,
-    domain: DomainSpec | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> CriticalSetC:
     """Enumerate the critical set and its nesting forest.
@@ -198,7 +197,6 @@ def critical_level_curves(
     For the supported domains no bounded boundary components exist; the unit
     circle is the outer boundary, not a member.
     """
-    domain = domain or f.domain
     f.check_boundary_restriction()
     refs: list[CurveRef] = []
     for z, m in f.zeros:
@@ -206,14 +204,9 @@ def critical_level_curves(
     for p, m in f.poles:
         refs.append(CurveRef(CurveKind.POINT, math.inf, point=p, label=f"pole@{_fmt(p)}"))
 
-    pending = [
-        (c, m)
-        for c, m in f.critical_points
-        if domain.contains(c)
-    ]
     traced: list[LevelCurveComponent] = []
     scale = _domain_scale(f)
-    for c, _ in pending:
+    for c, _ in f.critical_points:
         level = f.abs_eval(c)
         if not math.isfinite(level) or level <= tols.vertex_tol:
             continue  # the critical point is a zero/pole; covered by point members
@@ -321,7 +314,7 @@ def two_curve_critical_witness(
     if precedes(L1, L2, tols) or precedes(L2, L1, tols):
         raise TopologyError("curves are nested; the witness theorem needs mutual exteriority")
     if C is None:
-        C = critical_level_curves(f, f.domain, tols)
+        C = critical_level_curves(f, tols)
     for ref in C.curves():
         try:
             f1, f2 = _holding_faces(ref, [L1, L2], tols)
@@ -337,13 +330,12 @@ def two_curve_critical_witness(
 
 def maximal_component(
     f: RationalFn,
-    domain: DomainSpec | None = None,
     C: CriticalSetC | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> CurveRef:
     """The unique member of the critical set preceded by no other."""
     if C is None:
-        C = critical_level_curves(f, domain, tols)
+        C = critical_level_curves(f, tols)
     maxima = [a for a, p in zip(C.components, C.parent) if p is None]
     if len(maxima) != 1:
         raise TopologyError(

@@ -28,7 +28,7 @@ import numpy as np
 from . import geometry
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import TraceError
-from .funcspace import DomainKind, DomainSpec, RationalFn, is_inf
+from .funcspace import DomainKind, RationalFn, is_inf
 
 TWO_PI = 2.0 * math.pi
 
@@ -298,7 +298,7 @@ class _LevelTracer:
 
             # closure: segment passes the start after having left it
             if origin_vertex is None and arc_len > 6.0 * step_len and len(pts) > 8:
-                d_seg = _point_segment_distance(start, z, z_new)
+                d_seg = abs(start - geometry.nearest_on_segment(start, z, z_new))
                 if d_seg < 0.75 * step_len and abs(z_new - start) < 2.0 * step_len:
                     pts[-1] = start
                     return pts, None
@@ -314,7 +314,7 @@ class _LevelTracer:
                 continue
             if abs(z_new - v.position) < v.r_cap:
                 return idx
-            if _point_segment_distance(v.position, z_prev, z_new) < 0.8 * v.r_cap:
+            if abs(v.position - geometry.nearest_on_segment(v.position, z_prev, z_new)) < 0.8 * v.r_cap:
                 return idx
         return None
 
@@ -346,16 +346,6 @@ def _tangent(ld: complex, direction: float, z: complex) -> complex:
         raise TraceError(f"vanishing level-set gradient at {z}")
     t = 1j * ld.conjugate()
     return direction * t / abs(t)
-
-
-def _point_segment_distance(p: complex, a: complex, b: complex) -> float:
-    d = b - a
-    dd = d.real * d.real + d.imag * d.imag
-    if dd == 0.0:
-        return abs(p - a)
-    t = ((p - a).real * d.real + (p - a).imag * d.imag) / dd
-    t = min(max(t, 0.0), 1.0)
-    return abs(p - (a + t * d))
 
 
 def _domain_scale(f: RationalFn, extra_points=()) -> float:
@@ -523,7 +513,7 @@ def _warn_near_critical(tracer: _LevelTracer, comp: LevelCurveComponent):
             )
 
 
-def find_seeds(f: RationalFn, eps: float, domain: DomainSpec | None = None) -> list[complex]:
+def find_seeds(f: RationalFn, eps: float) -> list[complex]:
     """Seed points on E_{f, eps}, meant to reach every component.
 
     Every bounded face of a component holds a zero or a pole, so rays cast
@@ -534,13 +524,12 @@ def find_seeds(f: RationalFn, eps: float, domain: DomainSpec | None = None) -> l
     deduplicates.  The seeds are not checked for completeness here:
     :func:`trace_level_set` certifies the components it traces.
     """
-    domain = domain or f.domain
     if eps <= 0 or not math.isfinite(eps):
         raise TraceError(f"eps must be in (0, inf), got {eps}")
-    if domain.kind is DomainKind.UNIT_DISK and abs(eps - 1.0) < 1e-6:
+    if f.domain.kind is DomainKind.UNIT_DISK and abs(eps - 1.0) < 1e-6:
         raise TraceError("eps coincides with |f| on the unit circle")
 
-    x0, y0, x1, y1 = _seed_box(f, eps, domain)
+    x0, y0, x1, y1 = _seed_box(f, eps)
     reach = max(x1 - x0, y1 - y0)
 
     anchors = [z for z, _ in f.zeros] + [z for z, _ in f.poles]
@@ -549,7 +538,7 @@ def find_seeds(f: RationalFn, eps: float, domain: DomainSpec | None = None) -> l
     ts = np.geomspace(1e-6 * reach, 1.6 * reach, 400)
     for crossing, a, k in zip(*_ray_crossings(f, eps, anchors, 0.21, ts)):
         crossing = complex(crossing)
-        if per_ray[a, k] >= 6 or not domain.contains(crossing):
+        if per_ray[a, k] >= 6 or not f.domain.contains(crossing):
             continue
         per_ray[a, k] += 1
         seeds.append(crossing)
@@ -558,11 +547,9 @@ def find_seeds(f: RationalFn, eps: float, domain: DomainSpec | None = None) -> l
     return seeds
 
 
-def _seed_box(f: RationalFn, eps: float, domain: DomainSpec):
-    if domain.kind is DomainKind.UNIT_DISK:
+def _seed_box(f: RationalFn, eps: float):
+    if f.domain.kind is DomainKind.UNIT_DISK:
         return (-1.0, -1.0, 1.0, 1.0)
-    if domain.kind is DomainKind.RECTANGLE:
-        return domain.bounds
     # whole plane: grow a box until the level set cannot cross its boundary.
     # With every zero and pole inside the ring, the modulus principles pin
     # the outside behavior: values uniformly above eps certify containment
@@ -613,23 +600,18 @@ def _ray_crossings(f, eps, anchors, phase, ts):
 def trace_level_set(
     f: RationalFn,
     eps: float,
-    domain: DomainSpec | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> list[LevelCurveComponent]:
-    """All components of E_{f, eps} in the domain, each traced once.
+    """All components of E_{f, eps} in ``f.domain``, each traced once.
 
     Components are traced from the seeds of :func:`find_seeds`.  The result
     is certified by the argument principle (:func:`_certify_turn`): the arcs
     must turn arg f by 2*pi times the zeros, or the poles, that the domain
     holds, so a missing component raises :class:`TraceError`, and so does
-    one traced twice.  On the plane and the unit disk the count is
-    complete.  On a rectangle window it is complete for polynomials under
-    the window contract (no level curve crosses the window edge, checked on
-    every traced point); rational functions with nesting across the window
-    edge are not covered.
+    one traced twice.  The count is complete on the plane and on the unit
+    disk.
     """
-    domain = domain or f.domain
-    seeds = find_seeds(f, eps, domain)
+    seeds = find_seeds(f, eps)
     tracer = _LevelTracer(f, eps, tols, _domain_scale(f, seeds))
 
     components: list[LevelCurveComponent] = []
@@ -639,18 +621,7 @@ def trace_level_set(
         rest = pending[1:]
         pending = [z for z, hit in zip(rest, _near(components[-1], rest)) if not hit]
 
-    if domain.kind is DomainKind.RECTANGLE:
-        x0, y0, x1, y1 = domain.bounds
-        for comp in components:
-            p = comp.points
-            outside = np.flatnonzero(~((x0 < p.real) & (p.real < x1) & (y0 < p.imag) & (p.imag < y1)))
-            if outside.size:
-                raise TraceError(
-                    f"level curve at {eps} crosses the domain boundary near {p[outside[0]]}; "
-                    "the boundary restriction fails for this window"
-                )
-
-    _certify_turn(f, eps, domain, components)
+    _certify_turn(f, eps, components)
     components.sort(
         key=lambda c: (
             round(float(np.min(c.points.real)), 9),
@@ -660,7 +631,7 @@ def trace_level_set(
     return components
 
 
-def _certify_turn(f: RationalFn, eps: float, domain: DomainSpec, components):
+def _certify_turn(f: RationalFn, eps: float, components):
     """Raise unless the arcs turn arg f by 2*pi times the domain's zeros or poles.
 
     Each arc runs along increasing arg f, so {|f| < eps} lies on its left and
@@ -669,13 +640,13 @@ def _certify_turn(f: RationalFn, eps: float, domain: DomainSpec, components):
     every zero, and the argument principle makes the turn 2*pi times the
     zeros; otherwise the arcs bound {|f| > eps}, which holds every pole, and
     the turn is 2*pi times the poles.  The edge is the ``_seed_box`` ring on
-    the plane, the unit circle on the disk and the window edge on a
-    rectangle; one point of it decides the side.  Every increment must lie
-    in (0, pi), so that the sum of the increments is the turn.
+    the plane and the unit circle on the disk; one point of it decides the
+    side.  Every increment must lie in (0, pi), so that the sum of the
+    increments is the turn.
     """
-    x0, y0, x1, y1 = _seed_box(f, eps, domain)
+    x0, y0, x1, y1 = _seed_box(f, eps)
     above = f.abs_eval(complex(x1, 0.5 * (y0 + y1))) > eps
-    want = sum(m for z, m in (f.zeros if above else f.poles) if domain.contains(z))
+    want = sum(m for _, m in (f.zeros if above else f.poles))
     turn = 0.0
     for comp in components:
         for arc in comp.arcs:

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from levelcurves import Tolerances
-from levelcurves.cli import TOL_FLAGS, main
+from levelcurves.cli import TOL_FLAGS, _build_parser, main
 
 
 def run(args, tmp_path, name="out.json"):
@@ -139,6 +141,18 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["trace", "--fn", "poly:zap", "--eps", "1"]) == 1
     assert main(["trace", "--fn", "poly:1,0", "--eps", "-1"]) == 2
     assert main(["nonsense"]) == 1
+    # the domain is the function's own; there is no flag to override it
+    assert main(["trace", "--fn", "blaschke:0.36,-0.34+0.03i/0.05+0.02i", "--eps", "0.5", "--domain", "plane"]) == 1
+
+
+def test_readme_flags_exist():
+    # every flag the README documents is accepted by some subcommand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    subparsers = next(a for a in _build_parser()._actions if a.choices).choices.values()
+    accepted = {opt for p in subparsers for a in p._actions for opt in a.option_strings}
+    assert documented and documented <= accepted, documented - accepted
 
 
 def test_every_tolerance_has_a_flag():

@@ -11,10 +11,9 @@ from levelcurves import (
     LevelCurveError,
     Polynomial,
     RationalFn,
-    parse_domain_spec,
     parse_function_spec,
 )
-from levelcurves.funcspace import INF, find_roots, random_polynomial
+from levelcurves.funcspace import INF, DomainSpec, find_roots, random_polynomial
 
 
 def test_eval_constant_term():
@@ -242,12 +241,8 @@ def test_parse_rejects_garbage():
 
 
 def test_domain_specs():
-    assert parse_domain_spec("plane").contains(1e6 + 1j)
-    assert not parse_domain_spec("disk").contains(1.0 + 0j)
-    r = parse_domain_spec("rect:-1,-2,3,4")
-    assert r.contains(0j) and not r.contains(5 + 0j)
-    with pytest.raises(FunctionSpecError):
-        parse_domain_spec("rect:1,1,0,0")
+    assert DomainSpec.plane().contains(1e6 + 1j)
+    assert not DomainSpec.disk().contains(1.0 + 0j)
 
 
 def test_zero_polynomial_degree_sentinel():

@@ -117,7 +117,7 @@ def test_bounded_hausdorff_is_exact_up_to_the_bound(X, Y, frac, pick):
 def _nearest_first_probe(f, eps, delta, tols=DEFAULT_TOLS):
     """The probe's search audited nearest first (k = 1..K_SAMPLES) with
     unbounded d-checks, kept as the reference for the farthest-first audit."""
-    component = max(trace_level_set(f, eps, None, tols), key=lambda c: c.total_length())
+    component = max(trace_level_set(f, eps, tols), key=lambda c: c.total_length())
 
     def trial(eta):
         samples = []
