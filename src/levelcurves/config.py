@@ -3,9 +3,9 @@
 The four numerical gates a run can set live in one Tolerances instance so a
 run has a single, reportable precision configuration.  Each field has a CLI
 override (``--tol-trace``, ``--tol-vertex``, ``--tol-phi``, ``--tol-hull``).
-Constants no caller varies live beside their code: the step bounds in
-``tracer`` (``MAX_STEP_REL``, ``MIN_STEP_REL``) with the winding tolerance
-``WINDING_TOL``, the root clustering and residual scales in ``funcspace``
+Constants no caller varies live beside their code: the step controller's
+sag target ``SAG_REL``, its arg-step cap ``MAX_ARG_STEP`` and its step floor
+``MIN_STEP_REL`` in ``tracer``, with the winding tolerance ``WINDING_TOL``, the root clustering and residual scales in ``funcspace``
 (``ROOT_CLUSTER_REL``, ``ROOT_RESIDUAL``), and the rotation-system angle in
 ``levelgraph`` (``ANGLE_TOL``).
 """

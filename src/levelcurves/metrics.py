@@ -1,11 +1,14 @@
 """The two-sided distance d-check and the level-set continuity probe.
 
 d-check(X, Y) = max(sup_x d(x, Y), sup_y d(X, y)), with the convention that
-an empty side makes the distance infinite.  Between traced curves it is
-computed on the polyline point samples; the discretization error is bounded
-by the largest segment length, which the report carries.  A bound ``upto``
-keeps each distance exact up to it and reports ``inf`` beyond, so a
-threshold test stops scanning early.
+an empty side makes the distance infinite.  Between traced curves it runs
+from the point samples of each side to the polylines of the other.  A
+traced curve lies within its chord sag of its polyline (see
+``tracer.TracedArc``), so each distance is within the other side's sag of
+the distance to the curve itself: the discretization error is the larger
+sag, which the report carries.  A bound ``upto`` keeps each distance exact
+up to it and reports ``inf`` beyond, so a threshold test stops scanning
+early.
 
 The continuity probe audits each trial from its farthest level inward, where
 a failing trial fails first, and runs its d-checks exact up to delta only.
@@ -23,7 +26,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .errors import TraceError
 from .funcspace import RationalFn
 from .geometry import SegmentIndex, as_points, max_segment_length
-from .tracer import LevelCurveComponent, _LevelTracer, _domain_scale, _near, _trace_component_with
+from .tracer import LevelCurveComponent, TracedArc, _LevelTracer, _domain_scale, _near, _trace_component_with
 
 K_SAMPLES = 8  # audit heights per side of eps in one probe trial
 ETA_FLOOR_REL = 1e-9  # the probe gives up once eta falls below this times eps
@@ -53,12 +56,29 @@ def hausdorff(X, Y, upto: float = math.inf) -> HausdorffReport:
     return HausdorffReport(d1, d2, max(d1, d2))
 
 
-def hausdorff_between_curves(comp_a_points, comp_b_points, upto: float = math.inf) -> HausdorffReport:
-    xs = as_points(comp_a_points)
-    ys = as_points(comp_b_points)
-    rep = hausdorff(xs, ys, upto)
-    disc = max(max_segment_length(xs), max_segment_length(ys))
-    return HausdorffReport(rep.d1, rep.d2, rep.d_check, discretization=disc)
+def hausdorff_between_curves(curves_a, curves_b, upto: float = math.inf) -> HausdorffReport:
+    """d-check between two traced curves, each point to the other's polylines.
+
+    Each side is a list of traced arcs, with one ``SegmentIndex`` over its
+    polylines; ``discretization`` is the larger sag of the two sides.  A
+    bare point array is one polyline with no recorded sag, and its longest
+    segment stands in for one.  Distances are bounded by ``upto`` as in
+    :func:`hausdorff`.
+    """
+    (lines_a, sag_a), (lines_b, sag_b) = _polylines(curves_a), _polylines(curves_b)
+    xs, ys = np.concatenate(lines_a), np.concatenate(lines_b)
+    if xs.size == 0 or ys.size == 0:
+        return HausdorffReport(math.inf, math.inf, math.inf)
+    d1 = float(np.max(SegmentIndex(lines_b).distances(xs, upto)))
+    d2 = float(np.max(SegmentIndex(lines_a).distances(ys, upto)))
+    return HausdorffReport(d1, d2, max(d1, d2), discretization=max(sag_a, sag_b))
+
+
+def _polylines(curve) -> tuple[list[np.ndarray], float]:
+    """The polylines of one side of a d-check and their sag bound."""
+    if isinstance(curve, np.ndarray):
+        return [as_points(curve)], max_segment_length(curve)
+    return [a.points for a in curve], max((a.sag for a in curve), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +109,8 @@ def _nearby_curves_union(
     component: LevelCurveComponent,
     delta: float,
     tols: Tolerances,
-) -> np.ndarray:
-    """Union of level curves at level zeta seeded near each edge midpoint."""
+) -> list[TracedArc]:
+    """The arcs of the level curves at level zeta seeded near each edge midpoint."""
     scale = _domain_scale(f, [component.points[0]])
     tracer = _LevelTracer(f, zeta, tols, scale)
     comps: list[LevelCurveComponent] = []
@@ -114,7 +134,7 @@ def _nearby_curves_union(
                 comps.append(_trace_component_with(tracer, z))
     if not comps:
         raise TraceError(f"no level curves found near the component at level {zeta}")
-    return np.concatenate([c.points for c in comps])
+    return [a for c in comps for a in c.arcs]
 
 
 def continuity_probe(
@@ -143,8 +163,6 @@ def continuity_probe(
         comps = trace_level_set(f, eps, tols)
         component = max(comps, key=lambda c: c.total_length())
 
-    base_points = component.points
-
     def trial(eta: float) -> list[tuple[float, float]] | None:
         """The samples of a passing trial, or None.  eta <= eps/2 keeps every zeta positive."""
         pairs = []
@@ -156,7 +174,7 @@ def continuity_probe(
                     union = _nearby_curves_union(f, zeta, component, delta, tols)
                 except TraceError:
                     return None
-                d = hausdorff_between_curves(union, base_points, upto=delta).d_check
+                d = hausdorff_between_curves(union, component.arcs, upto=delta).d_check
                 if d >= delta:
                     return None
                 pair.append((zeta, d))

@@ -8,10 +8,10 @@ strict partial order, and has a unique maximal element.
 
 The order is computed once, when the critical set is built, as a forest:
 each member's parent is the innermost (member, bounded face) holding it.
-One rule decides who holds whom: eight points of the inner member, clear of
-the outer curve's chords where possible, vote on the face by winding number
-(:func:`_holding_faces`).  The maximal element, the Hasse diagram and the
-annular decomposition all read the forest.
+One rule decides who holds whom: eight points of the inner member, farther
+from the outer curve's polyline than its chord sag, vote on the face by
+winding number (:func:`_holding_faces`).  The maximal element, the Hasse
+diagram and the annular decomposition all read the forest.
 """
 
 from __future__ import annotations
@@ -118,15 +118,18 @@ def _holding_faces(b: CurveRef, members: list[CurveRef], tols: Tolerances) -> li
     """The bounded face of b holding each member, or None where it is outside.
 
     One distance query over all the members' points refuses any member within
-    ``trace_tol`` of b.  Each member votes with eight of its points that clear
-    b's chords, spread along it, or with its points farthest from b when the
-    two levels are close; all voters go through one face lookup.
+    ``trace_tol`` of b.  Each member votes with eight of its points, spread
+    along it, that lie farther from b's polyline than b's chord sag: the true
+    curve stays within the sag of its chords, so such a point is in the same
+    face of the curve as of the polyline.  A curve member with fewer than
+    eight such points raises :class:`TopologyError`; a point member votes
+    with itself.  All voters go through one face lookup.
     """
     pts = [m.all_points() for m in members]
-    # a point farther from b than b's longest chord lies beyond every
-    # chord's sagitta; the index reports it as inf and stops searching
-    reach = b.component.max_segment() if b.kind is CurveKind.LEVEL_CURVE else 0.0
-    dists = b.index.distances(np.concatenate(pts), upto=max(reach, tols.trace_tol))
+    # a point farther than the clearance is reported as inf, and the index
+    # stops searching there
+    clearance = b.component.sag if b.kind is CurveKind.LEVEL_CURVE else 0.0
+    dists = b.index.distances(np.concatenate(pts), upto=max(clearance, tols.trace_tol))
     d = float(np.min(dists))
     if d <= tols.trace_tol:
         raise TopologyError(f"curves too close to order (min distance {d:.3e})")
@@ -134,12 +137,15 @@ def _holding_faces(b: CurveRef, members: list[CurveRef], tols: Tolerances) -> li
         # boundary refs only occur as the outer circle of the unit disk
         return [0 if np.all(np.abs(p) < 1.0) else None for p in pts]
     voters = []
-    for p, dp in zip(pts, np.split(dists, np.cumsum([p.size for p in pts])[:-1])):
+    for m, p, dp in zip(members, pts, np.split(dists, np.cumsum([p.size for p in pts])[:-1])):
         clear = np.flatnonzero(np.isinf(dp))
-        if len(clear) >= 8:
-            voters.append(p[clear[np.linspace(0, len(clear) - 1, 8).astype(int)]])
-        else:
-            voters.append(p[np.argsort(-dp, kind="stable")[:8]])
+        need = min(8, p.size)
+        if clear.size < need:
+            raise TopologyError(
+                f"{m.label or m.kind.value} has {clear.size} points clear of the chord sag "
+                f"{clearance:.3e} of {b.label or 'the curve'}; {need} are needed to vote"
+            )
+        voters.append(p[clear[np.linspace(0, clear.size - 1, need).astype(int)]])
     g = b.graph()
     faces = faces_of_points(g, np.concatenate(voters), tols)
     return [_vote(g, fs) for fs in np.split(faces, np.cumsum([v.size for v in voters])[:-1])]

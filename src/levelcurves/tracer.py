@@ -5,10 +5,18 @@ The curve is followed by stepping along the tangent direction i * conj(f'/f)
 the level set after each step.  One corrector, ``_LevelTracer.correct``,
 serves every on-level point; each iterate costs one fused Horner pass
 (``RationalFn.abs_and_log_derivative``), and the f'/f of an accepted point
-gives the next step's tangent.  Critical points whose level matches eps are
-branch points: an arc ends when it enters the capture ball of such a vertex,
-and new arcs are launched along each of the 2*(mult+1) outgoing rays of the
-local model f(c) + a*(z - c)^(mult+1).  Seeds and probe points come from one
+gives the next step's tangent.  The step length follows the chord sag:
+each accepted step estimates its sagitta from the corrector's move and the
+tangent turn, a step whose estimate exceeds 4 * SAG_REL * scale is halved,
+and the next step is scaled by sqrt(SAG_REL * scale / estimate) within
+[0.5, 2].  A step moves arg f by at most MAX_ARG_STEP, and stays short of
+on-level vertices and of the necks of off-level saddles.  Every arc records
+a sag bound that the polyline's consumers use as their margin.
+
+Critical points whose level matches eps are branch points: an arc ends when
+it enters the capture ball of such a vertex, and new arcs are launched along
+each of the 2*(mult+1) outgoing rays of the local model
+f(c) + a*(z - c)^(mult+1).  Seeds and probe points come from one
 batched ray search, ``_ray_crossings``.  A traced level set is certified
 complete by the argument principle: its arcs must turn arg f by 2*pi times
 the zeros or the poles of the domain, so a component missed by the seeds, or
@@ -34,14 +42,22 @@ TWO_PI = 2.0 * math.pi
 
 # relative strength of the local perturbation |a| r^(m+1) / eps at capture range
 _CAPTURE_LEVEL = 1e-6
-# per-arc hard point budget; hit only by runaway (unbounded) arcs
+# per-arc hard point budget; hit only by runaway arcs
 MAX_ARC_POINTS = 200_000
+# an arc farther than this times the domain scale from the origin is taken
+# for an unbounded level curve: the step grows without bound along a nearly
+# straight curve, so the point budget alone no longer stops such an arc
+MAX_REACH_REL = 1e4
 # a predicted step is accepted after at most STEP_MAX_ITER Newton updates
 # that move it by at most STEP_MAX_CORRECTION times its length
 STEP_MAX_ITER = 3
 STEP_MAX_CORRECTION = 0.6
-# predictor step bounds, relative to the domain scale
-MAX_STEP_REL = 1e-2
+# chord sag the step controller aims at, relative to the domain scale; a
+# step whose sag estimate exceeds 4 times this is halved
+SAG_REL = 1e-4
+# largest arg-f increment h * |f'/f| of one predicted step, in radians
+MAX_ARG_STEP = 0.5
+# predictor step floor, relative to the domain scale
 MIN_STEP_REL = 1e-6
 # how far a winding sum may sit from an integer multiple of 2*pi
 WINDING_TOL = 1e-6
@@ -55,10 +71,19 @@ class TracedArc:
     index into the owning component's vertex list; a closed arc has neither.
     ``start_angle``/``end_angle`` are the outgoing ray directions at the
     snapped endpoints, used by the rotation system.
+
+    ``sag`` is the largest tangent-triangle bound h/2 * tan(turn/2) over the
+    march steps, for a chord of length h whose end tangents differ by
+    ``turn``: a step with no inflection inside it keeps the curve within the
+    triangle of its chord and end tangents, so every point of the curve lies
+    within ``sag`` of its chord and every chord point within ``sag`` of the
+    curve.  The short segments at a vertex follow the local model's rays and
+    are not march steps.
     """
 
     points: np.ndarray
     level: float
+    sag: float
     start_vertex: int | None = None
     end_vertex: int | None = None
     closed: bool = False
@@ -84,8 +109,10 @@ class LevelCurveComponent:
     def total_length(self) -> float:
         return sum(a.length() for a in self.arcs)
 
-    def max_segment(self) -> float:
-        return max(geometry.max_segment_length(a.points) for a in self.arcs)
+    @property
+    def sag(self) -> float:
+        """The largest chord-sag bound over the arcs (see :class:`TracedArc`)."""
+        return max(a.sag for a in self.arcs)
 
     @cached_property
     def index(self) -> geometry.SegmentIndex:
@@ -162,8 +189,9 @@ class _LevelTracer:
         self.scale = scale
         self.log_eps = math.log(eps)
         self.tau = 0.25 * tols.trace_tol / max(1.0, eps)
-        self.h_max = MAX_STEP_REL * scale
+        self.sag_target = SAG_REL * scale
         self.h_min = MIN_STEP_REL * scale
+        self.reach = MAX_REACH_REL * scale
         self.vertices: list[_Vertex] = []
         for c, m in f.critical_points:
             av = f.abs_eval(c)
@@ -179,12 +207,12 @@ class _LevelTracer:
 
     @cached_property
     def _necks(self) -> list[tuple[complex, float]]:
-        """(c, r_neck) for each off-level saddle whose neck can bind a step.
+        """(c, r_neck) for each off-level saddle.
 
         Near a critical point c at another level the curve passes a neck of
         width about r_neck = (|eps - |f(c)|| / |a|)^(1/(m+1)); a longer step
         can jump across it onto the other branch.  Multiple zeros and poles
-        are no saddles, and a neck wider than 4 * h_max never binds.
+        are no saddles.
         """
         out = []
         for c, m in self._offlevel:
@@ -195,9 +223,7 @@ class _LevelTracer:
                 a = _local_coefficient(self.f, c, m, self.scale)
             except TraceError:
                 continue
-            r_neck = (abs(self.eps - av) / abs(a)) ** (1.0 / (m + 1))
-            if 0.25 * r_neck < self.h_max:
-                out.append((c, r_neck))
+            out.append((c, (abs(self.eps - av) / abs(a)) ** (1.0 / (m + 1))))
         return out
 
     # -- Newton correction onto the level set
@@ -226,16 +252,20 @@ class _LevelTracer:
 
     def march(self, z0: complex, ld0: complex, direction: float, origin_vertex: int | None = None):
         """Follow the curve from z0 on the level, where f'/f = ld0; returns
-        (points, end_vertex_idx or None).
+        (points, end_vertex_idx or None, sag).
 
         ``None`` end means the arc closed back onto its start.  Only
         vertex-free launches (origin_vertex is None, direction +1) may close.
         Each accepted point's f'/f from the corrector gives the next tangent.
+        ``sag`` is the largest tangent-triangle bound of the steps (see
+        :class:`TracedArc`).
         """
         pts = [z0]
-        h = min(1e-3 * self.scale, self.h_max)
+        h = 1e-3 * self.scale
+        sag = 0.0
         arc_len = 0.0
         start = z0
+        ld = ld0
         t = _tangent(ld0, direction, z0)
         origin_guard = (
             4.0 * self.vertices[origin_vertex].r_cap if origin_vertex is not None else 0.0
@@ -244,9 +274,10 @@ class _LevelTracer:
 
         while len(pts) < MAX_ARC_POINTS:
             z = pts[-1]
+            # arg f moves by about h |f'/f| along a step
+            h_eff = min(h, MAX_ARG_STEP / abs(ld))
             # keep steps below the approach distance of every on-level vertex
             # so a march can never jump across a capture ball
-            h_eff = h
             for idx, v in enumerate(self.vertices):
                 if idx == origin_vertex and arc_len < origin_guard:
                     continue
@@ -257,7 +288,6 @@ class _LevelTracer:
             h_eff = max(h_eff, self.h_min)
 
             # predictor-corrector with step halving
-            accepted = None
             while True:
                 z_pred = z + h_eff * t
                 z_new, iters, ld_new = self.correct(z_pred, STEP_MAX_ITER)
@@ -269,8 +299,10 @@ class _LevelTracer:
                             t.real * t_new.real + t.imag * t_new.imag,
                         )
                     )
-                    if turn <= 0.5:
-                        accepted = (z_new, iters, turn, t_new)
+                    # the chord's sagitta: a quarter of the corrector's move,
+                    # or that of a circular arc turning by turn
+                    sag_est = max(0.25 * abs(z_new - z_pred), 0.5 * h_eff * math.tan(0.25 * turn))
+                    if turn <= 0.5 and sag_est <= 4.0 * self.sag_target:
                         break
                 h_eff *= 0.5
                 if h_eff < self.h_min:
@@ -279,29 +311,35 @@ class _LevelTracer:
                         "curvature too stiff for the configured step bounds"
                     )
 
-            z_new, iters, turn, t = accepted
+            if abs(z_new) > self.reach:
+                raise TraceError(
+                    f"arc left the disk of radius {self.reach:.3g} at level {self.eps}; "
+                    "suspected unbounded level curve"
+                )
             step_len = abs(z_new - z)
+            sag = max(sag, 0.5 * step_len * math.tan(0.5 * turn))
             arc_len += step_len
             pts.append(z_new)
+            t, ld = t_new, ld_new
 
-            # adapt the persistent step
-            if iters <= 1 and turn < 0.12:
-                h = min(h * 1.4, self.h_max)
-            elif iters >= 3 or turn > 0.3:
-                h = max(h * 0.6, self.h_min)
+            # the sagitta grows as h^2: aim the next step at the target
+            grow = 2.0 if sag_est == 0.0 else min(2.0, max(0.5, math.sqrt(self.sag_target / sag_est)))
+            if iters >= STEP_MAX_ITER:
+                grow = min(grow, 0.6)
+            h = max(h_eff * grow, self.h_min)
 
             # vertex capture: endpoint inside the ball, or segment passing through
             hit = self._capture(z, z_new, arc_len, origin_vertex, origin_guard)
             if hit is not None:
                 pts.append(self.vertices[hit].position)
-                return pts, hit
+                return pts, hit, sag
 
             # closure: segment passes the start after having left it
             if origin_vertex is None and arc_len > 6.0 * step_len and len(pts) > 8:
                 d_seg = abs(start - geometry.nearest_on_segment(start, z, z_new))
                 if d_seg < 0.75 * step_len and abs(z_new - start) < 2.0 * step_len:
                     pts[-1] = start
-                    return pts, None
+                    return pts, None, sag
 
         raise TraceError(
             f"arc exceeded {MAX_ARC_POINTS} points at level {self.eps}; "
@@ -385,7 +423,7 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
             start_vertex = idx
             break
 
-    arcs_raw: list[tuple[list[complex], int | None, int | None]] = []
+    arcs_raw: list[tuple[list[complex], int | None, int | None, float]] = []
     used_vertices: list[int] = []
 
     def note_vertex(idx):
@@ -393,15 +431,15 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
             used_vertices.append(idx)
 
     if start_vertex is None:
-        fwd_pts, fwd_end = tracer.march(z0, ld0, +1.0)
+        fwd_pts, fwd_end, fwd_sag = tracer.march(z0, ld0, +1.0)
         if fwd_end is None:
-            arcs_raw.append((fwd_pts, None, None))
+            arcs_raw.append((fwd_pts, None, None, fwd_sag))
         else:
-            bwd_pts, bwd_end = tracer.march(z0, ld0, -1.0)
+            bwd_pts, bwd_end, bwd_sag = tracer.march(z0, ld0, -1.0)
             if bwd_end is None:
                 raise TraceError("inconsistent component: one march closed, the other hit a vertex")
             pts = list(reversed(bwd_pts)) + fwd_pts[1:]
-            arcs_raw.append((pts, bwd_end, fwd_end))
+            arcs_raw.append((pts, bwd_end, fwd_end, max(fwd_sag, bwd_sag)))
             note_vertex(bwd_end)
             note_vertex(fwd_end)
             tracer.vertices[fwd_end].used[tracer.arrival_ray(fwd_end, fwd_pts[-2])] = True
@@ -431,7 +469,7 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
             if dot < 0:
                 continue  # arg f increases into the vertex: this is an arrival slot
             v.used[ray_idx] = True
-            pts, end = tracer.march(z_start, ld, +1.0, origin_vertex=v_idx)
+            pts, end, sag = tracer.march(z_start, ld, +1.0, origin_vertex=v_idx)
             if end is None:
                 raise TraceError("arc from a vertex closed without reaching a vertex")
             arr_ray = tracer.arrival_ray(end, pts[-2])
@@ -442,7 +480,7 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
             tracer.vertices[end].used[arr_ray] = True
             # orientation: stored points run along increasing arg f, and a
             # launched march already does; prepend the vertex itself
-            arcs_raw.append(([v.position] + pts, v_idx, end))
+            arcs_raw.append(([v.position] + pts, v_idx, end, sag))
             if end not in used_vertices:
                 note_vertex(end)
                 queue.append(end)
@@ -469,10 +507,10 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
     ]
 
     arcs: list[TracedArc] = []
-    for pts, a, b in arcs_raw:
+    for pts, a, b, sag in arcs_raw:
         arr = np.array(pts, dtype=complex)
         if a is None and b is None:
-            arcs.append(TracedArc(arr, eps, closed=True))
+            arcs.append(TracedArc(arr, eps, sag, closed=True))
             continue
         va, vb = tracer.vertices[a], tracer.vertices[b]
         start_ang = math.atan2((pts[1] - va.position).imag, (pts[1] - va.position).real)
@@ -481,6 +519,7 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
             TracedArc(
                 arr,
                 eps,
+                sag,
                 start_vertex=remap[a],
                 end_vertex=remap[b],
                 start_angle=start_ang,
@@ -663,8 +702,12 @@ def _certify_turn(f: RationalFn, eps: float, components):
 
 
 def _near(comp: LevelCurveComponent, zs) -> np.ndarray:
-    """Which points of zs lie within half a step of comp, i.e. on it already."""
-    gap = 0.5 * max(comp.max_segment(), 1e-12)
+    """Which points of zs lie within twice comp's chord sag, i.e. on it already.
+
+    Every point of comp's curve lies within the sag of its polyline; the
+    factor 2 is margin.
+    """
+    gap = max(2.0 * comp.sag, 1e-12)
     return comp.index.distances(zs, upto=gap) < gap
 
 

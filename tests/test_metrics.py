@@ -128,7 +128,7 @@ def _nearest_first_probe(f, eps, delta, tols=DEFAULT_TOLS):
                     union = metrics._nearby_curves_union(f, zeta, component, delta, tols)
                 except TraceError:
                     return False, samples
-                d = hausdorff_between_curves(union, component.points).d_check
+                d = hausdorff_between_curves(union, component.arcs).d_check
                 samples.append((zeta, d))
                 if d >= delta:
                     return False, samples

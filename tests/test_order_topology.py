@@ -186,17 +186,30 @@ def test_order_ignores_junction_chords():
 
 def test_membership_votes_from_far_points():
     # corpus seed 1, function 3 (degree 6): the critical curves at levels
-    # 0.67705 and 0.67760 come within 1e-5 of each other, far inside the
-    # sagitta of their 0.026-long chords, so evenly spaced sample points of
-    # the lower one can land on the wrong side of the other's polyline
+    # 0.67705 and 0.67760 come within 1e-5 of each other, so sample points of
+    # the lower one near that pass can lie on the wrong side of the other's
+    # polyline; only points farther from it than its chord sag vote
     f = build_corpus(4, seed=1)[3]
     C = critical_level_curves(f)
     lo, hi = (next(r for r in C.curves() if abs(r.level - lvl) < 1e-5) for lvl in (0.67705, 0.67760))
-    assert float(np.min(hi.index.distances(lo.all_points()))) < 1e-5
-    assert hi.component.max_segment() > 0.02
+    d = hi.index.distances(lo.all_points())
+    assert float(np.min(d)) < 1e-5
+    assert np.count_nonzero(d > hi.component.sag) >= 8
     assert precedes(lo, hi) and not precedes(hi, lo)
     top = maximal_component(f, C=C)
     assert top.is_critical_curve() and abs(top.level - 1.34328) < 1e-5
+
+
+def test_member_without_clear_voters_raises(z5, z5_ovals, z5_big, monkeypatch):
+    # with a sag above its distance to every oval point, the big curve has no
+    # certified voter left, and the vote raises instead of guessing
+    big = z5_big.component
+    oval = z5_ovals[0]
+    reach = float(np.max(big.index.distances(oval.all_points())))
+    recorded = type(big).sag.fget
+    monkeypatch.setattr(type(big), "sag", property(lambda c: 2.0 * reach if c is big else recorded(c)))
+    with pytest.raises(TopologyError, match="oval0 has 0 points clear"):
+        precedes(oval, z5_big)
 
 
 def test_hasse_diagram_z5(z5_C):

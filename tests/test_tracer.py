@@ -91,12 +91,64 @@ def test_closed_arc_endpoints_coincide():
     assert abs(pts[0] - pts[-1]) <= DEFAULT_TOLS.trace_tol
 
 
-def test_max_step_bound():
-    f = parse_function_spec("poly:1,0,-1")
-    comps = trace_level_set(f, 1.0)
-    scale_cap = tracer.MAX_STEP_REL * 4.0  # generous domain-scale bound
-    for comp in comps:
-        assert comp.max_segment() <= scale_cap
+def _corpus_f10_critical_levels():
+    f = build_corpus(11)[10]
+    return [pytest.param(f, f.abs_eval(c), id=f"corpus-f10-crit{k}") for k, (c, _) in enumerate(f.critical_points)]
+
+
+@pytest.mark.parametrize(
+    "f,eps",
+    [
+        pytest.param(parse_function_spec("poly:1,0,-1"), 1.0, id="lemniscate-1"),
+        pytest.param(parse_function_spec("poly:1,0,0,0,0,-1"), 0.5, id="z5m1-0.5"),
+        pytest.param(parse_function_spec("poly:1,0,0,0,0,-1"), 1.0, id="z5m1-1"),
+        pytest.param(parse_function_spec("blaschke:0.36,-0.34+0.03i/0.05+0.02i"), 0.5, id="blaschke21-0.5"),
+        *_corpus_f10_critical_levels(),
+    ],
+)
+def test_recorded_sag_bounds_the_measured_sag(f, eps):
+    # the distance from each chord midpoint to the curve (the midpoint
+    # corrected onto the level) stays within the arc's recorded sag, and the
+    # controller keeps that sag near its target
+    scale = _domain_scale(f, find_seeds(f, eps))
+    corrector = _LevelTracer(f, eps, DEFAULT_TOLS, scale)
+    for comp in trace_level_set(f, eps):
+        for arc in comp.arcs:
+            assert arc.sag <= 10.0 * tracer.SAG_REL * scale
+            for mid in 0.5 * (arc.points[1:] + arc.points[:-1]):
+                z, _, _ = corrector.correct(mid, max_iter=60)
+                assert z is not None and abs(z - mid) <= arc.sag
+
+
+@pytest.mark.parametrize(
+    "spec,eps,points",
+    [
+        ("poly:1,0,0,0,0,-1", 0.5, 325),
+        ("poly:1,0,0,0,0,-1", 1.0, 357),
+        ("poly:1,0,-1", 1.0, 220),
+        ("blaschke:0.36,-0.34+0.03i/0.05+0.02i", 0.5, 209),
+    ],
+)
+def test_step_controller_point_budget(spec, eps, points):
+    # the counts the sag-driven step controller traced when it was written; a
+    # controller whose step stops growing spends several times as many
+    comps = trace_level_set(parse_function_spec(spec), eps)
+    assert sum(c.points.size for c in comps) <= 1.25 * points
+
+
+@pytest.mark.parametrize("eps,count", [(1.0 - 1e-6, 2), (1.0 + 1e-6, 1)])
+def test_near_critical_levels_of_the_lemniscate(eps, count):
+    # just below the saddle value the two ovals come about 2e-3 apart, within
+    # a few chord sags; a seed on one oval must not be taken for the other
+    assert len(trace_level_set(parse_function_spec("poly:1,0,-1"), eps)) == count
+
+
+@pytest.mark.parametrize("spec,seed", [("rat:1,-1/1,1", 1j), ("rat:1,0,-1/1,0,2", 0.5 + 1j)])
+def test_unbounded_level_curve_raises(spec, seed):
+    # |f| tends to eps at infinity, so the level curve through the seed is
+    # unbounded; an arc must not come back from infinity as a closed loop
+    with pytest.raises(TraceError, match="unbounded level curve"):
+        trace_component(parse_function_spec(spec), 1.0, seed)
 
 
 def test_components_disjoint():
