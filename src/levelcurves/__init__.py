@@ -17,8 +17,6 @@ from .errors import (
 )
 from .funcspace import (
     INF,
-    DomainKind,
-    DomainSpec,
     Polynomial,
     RationalFn,
     find_roots,
@@ -49,8 +47,6 @@ __all__ = [
     "CriticalSetC",
     "CurveRef",
     "DEFAULT_TOLS",
-    "DomainKind",
-    "DomainSpec",
     "FunctionSpecError",
     "HausdorffReport",
     "HullReport",

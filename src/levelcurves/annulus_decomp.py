@@ -25,7 +25,7 @@ import numpy as np
 from . import geometry
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import CertificateError, TopologyError, TraceError
-from .funcspace import DomainKind, RationalFn
+from .funcspace import RationalFn
 from .levelgraph import faces_of_points
 from .order_topology import CriticalSetC, CurveKind, CurveRef, critical_level_curves
 from .tracer import (
@@ -124,7 +124,7 @@ def _outer_boundary(f: RationalFn, C: CriticalSetC, tols: Tolerances):
     it is a traced level curve beyond every critical value, which makes the
     working domain satisfy the boundary restrictions exactly.
     """
-    if f.domain.kind is DomainKind.UNIT_DISK:
+    if f.disk:
         theta = np.linspace(0.0, TWO_PI, 721)
         circle = np.exp(1j * theta)
         return CurveRef(CurveKind.BOUNDARY, 1.0, boundary=circle, label="unit-circle"), None
@@ -350,7 +350,7 @@ def _probe_on_level(f: RationalFn, region: AnnularRegion, tracer: _LevelTracer, 
     rejected: list[LevelCurveComponent] = []
     for crossing in _ray_crossings(f, tracer.eps, anchors, 0.37, ts)[0]:
         z, _, _ = tracer.correct(complex(crossing), max_iter=50)
-        if z is None or not f.domain.contains(z) or any(_near(c, [z])[0] for c in rejected):
+        if z is None or not f.in_domain(z) or any(_near(c, [z])[0] for c in rejected):
             continue
         comp = _trace_component_with(tracer, z)
         if _not_region_loop(f, region, comp, tols) is None:

@@ -1,8 +1,10 @@
 """Function space: polynomials, rational functions, Blaschke-product ratios.
 
 A RationalFn is immutable after construction and caches its distinguished
-points (zeros, poles, critical points with multiplicities).  Values at poles
-are reported through the point-at-infinity flag ``INF`` rather than NaN.
+points (zeros, poles, critical points with multiplicities) and the local
+model at each critical point.  Its domain is the unit disk for a Blaschke
+ratio and the plane otherwise.  Values at poles are reported through the
+point-at-infinity flag ``INF`` rather than NaN.
 
 The function-spec grammar shared with the CLI:
 
@@ -16,8 +18,6 @@ Complex literals use ``a+bi`` (or ``j``) notation, e.g. ``-0.4i``, ``1+2i``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -117,9 +117,6 @@ class Polynomial:
         c = self.coeffs.copy()
         c[np.abs(c) <= TRIM_REL * m] = 0.0
         return Polynomial(c)
-
-    def coeff_scale(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
 
     def roots(self) -> list[tuple[complex, int]]:
         """Roots with multiplicities, residual-checked and clustered."""
@@ -303,33 +300,6 @@ def _cluster_points(points) -> list[tuple[complex, int]]:
 
 
 # ---------------------------------------------------------------------------
-# domains
-
-
-class DomainKind(Enum):
-    WHOLE_PLANE = "plane"
-    UNIT_DISK = "disk"
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    kind: DomainKind = DomainKind.WHOLE_PLANE
-
-    def contains(self, z: complex) -> bool:
-        if is_inf(z):
-            return False
-        return self.kind is DomainKind.WHOLE_PLANE or abs(z) < 1.0
-
-    @staticmethod
-    def plane() -> "DomainSpec":
-        return DomainSpec(DomainKind.WHOLE_PLANE)
-
-    @staticmethod
-    def disk() -> "DomainSpec":
-        return DomainSpec(DomainKind.UNIT_DISK)
-
-
-# ---------------------------------------------------------------------------
 # rational functions
 
 
@@ -357,7 +327,6 @@ class RationalFn:
             raise FunctionSpecError("constant functions are not allowed")
         self.numerator = numerator
         self.denominator = denominator
-        self.domain = DomainSpec.plane() if blaschke_degrees is None else DomainSpec.disk()
         self.tols = tols
         self.blaschke_degrees = blaschke_degrees
         self.spec = spec
@@ -418,7 +387,7 @@ class RationalFn:
         collar just inside the circle; the global structure operations
         (nesting order, decomposition) call this before relying on it.
         """
-        if self.domain.kind is not DomainKind.UNIT_DISK:
+        if not self.disk:
             return
         theta = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
         ring = 0.999 * np.exp(1j * theta)
@@ -428,6 +397,15 @@ class RationalFn:
                 "a level curve of |f| = 1 meets the unit circle; "
                 "the boundary restriction fails for this Blaschke ratio"
             )
+
+    # -- the domain: the unit disk for a Blaschke ratio, the plane otherwise
+
+    @property
+    def disk(self) -> bool:
+        return self.blaschke_degrees is not None
+
+    def in_domain(self, z: complex) -> bool:
+        return not is_inf(z) and (not self.disk or abs(z) < 1.0)
 
     # -- evaluation
 
@@ -489,13 +467,13 @@ class RationalFn:
     @cached_property
     def zeros(self) -> list[tuple[complex, int]]:
         return [
-            (z, m) for z, m in self.numerator.roots() if self.domain.contains(z)
+            (z, m) for z, m in self.numerator.roots() if self.in_domain(z)
         ]
 
     @cached_property
     def poles(self) -> list[tuple[complex, int]]:
         return [
-            (z, m) for z, m in self.denominator.roots() if self.domain.contains(z)
+            (z, m) for z, m in self.denominator.roots() if self.in_domain(z)
         ]
 
     @cached_property
@@ -524,12 +502,48 @@ class RationalFn:
     @cached_property
     def critical_points(self) -> list[tuple[complex, int]]:
         """Critical points inside the associated domain."""
-        return [(z, m) for z, m in self.all_critical_points if self.domain.contains(z)]
+        return [(z, m) for z, m in self.all_critical_points if self.in_domain(z)]
 
     def distinguished_points(self) -> list[complex]:
         return [z for z, _ in self.zeros] + [z for z, _ in self.poles] + [
             z for z, _ in self.critical_points
         ]
+
+    @cached_property
+    def scale(self) -> float:
+        """Size of the distinguished points: the largest of 1, their moduli
+        and their pairwise distances."""
+        pts = self.distinguished_points()
+        if not pts:
+            return 1.0
+        p = np.array(pts, dtype=complex)
+        return max(1.0, float(np.max(np.abs(p))), float(np.max(np.abs(p[:, None] - p[None, :]))))
+
+    @cached_property
+    def critical_models(self) -> list[tuple[complex, int, complex | None]]:
+        """(c, m, a) for each critical point c of multiplicity m, where
+        f(z) - f(c) = a (z - c)^(m+1) + ...
+
+        a comes from discrete Cauchy integration on a 64-point circle of
+        radius 1e-2 * max(1, |c|), at most a fifth of the distance to the
+        nearest other distinguished point and at least 1e-8 * scale; exact
+        derivatives of a rational function are avoided on purpose.  a is
+        None where the integral degenerates to 0 or to a non-finite value.
+        """
+        pts = self.distinguished_points()
+        k = 64
+        w = np.exp(2j * np.pi * np.arange(k) / k)
+        out = []
+        for c, m in self.critical_points:
+            others = [p for p in pts if abs(p - c) > 1e-12]
+            rho = 1e-2 * max(1.0, abs(c))
+            if others:
+                rho = min(rho, 0.2 * min(abs(p - c) for p in others))
+            rho = max(rho, 1e-8 * self.scale)
+            vals = self.eval_grid(c + rho * w) - self.eval(c)
+            a = np.sum(vals * w ** (-(m + 1))) / (k * rho ** (m + 1))
+            out.append((c, m, None if a == 0 or is_inf(a) else complex(a)))
+        return out
 
     def __repr__(self):
         if self.spec:

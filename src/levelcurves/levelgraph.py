@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,8 +34,15 @@ class Face:
     bounded: bool
     edge_cycle: list[tuple[int, int]]  # (edge id, +1 forward / -1 reverse)
     polygon: np.ndarray  # closed boundary walk
-    rep_point: complex
-    area: float
+
+    @cached_property
+    def rep_point(self) -> complex:
+        """A point of the face: one the bounded face's walk winds around, or
+        the corner beyond the unbounded face's walk."""
+        if self.bounded:
+            return _interior_point(self.polygon)
+        x0, y0, x1, y1 = geometry.bounding_box([self.polygon])
+        return complex(x0 - (x1 - x0) - 1.0, y0 - (y1 - y0) - 1.0)
 
 
 @dataclass
@@ -116,13 +124,8 @@ def build_graph(comp: LevelCurveComponent) -> LevelGraph:
     for ei, e in enumerate(edges):
         if e.closed or e.start_vertex is None or e.end_vertex is None:
             raise TopologyError("component mixes closed arcs with vertices")
-        p = e.points
-        va = comp.vertices[e.start_vertex][0]
-        vb = comp.vertices[e.end_vertex][0]
-        ang_a = math.atan2((p[1] - va).imag, (p[1] - va).real)
-        ang_b = math.atan2((p[-2] - vb).imag, (p[-2] - vb).real)
-        stubs[e.start_vertex].append((ang_a, ei, 0))
-        stubs[e.end_vertex].append((ang_b, ei, 1))
+        stubs[e.start_vertex].append((e.start_angle, ei, 0))
+        stubs[e.end_vertex].append((e.end_angle, ei, 1))
 
     for vi, (c, m) in enumerate(comp.vertices):
         want = 2 * (m + 1)
@@ -172,7 +175,7 @@ def build_graph(comp: LevelCurveComponent) -> LevelGraph:
                 raise TopologyError("face walk re-entered a visited dart; embedding corrupt")
         walks.append(walk)
 
-    faces = _materialize_faces(walks, edges, comp)
+    faces = _materialize_faces(walks, edges)
 
     graph = LevelGraph(comp.level, list(comp.vertices), edges, faces, comp)
     for f in faces:
@@ -186,24 +189,17 @@ def build_graph(comp: LevelCurveComponent) -> LevelGraph:
 def _closed_curve_graph(comp: LevelCurveComponent) -> LevelGraph:
     if len(comp.arcs) != 1 or not comp.arcs[0].closed:
         raise TopologyError("vertex-free component must be a single closed arc")
-    pts = comp.arcs[0].points
-    area = geometry.signed_area(pts)
-    if area == 0.0:
+    pts = np.asarray(comp.arcs[0].points)
+    if geometry.signed_area(pts) == 0.0:
         raise TopologyError("closed curve has zero area")
-    inner = _interior_point(pts, want_winding=True)
-    x0, y0, x1, y1 = geometry.bounding_box([pts])
-    outer = complex(x0 - (x1 - x0) - 1.0, y0 - (y1 - y0) - 1.0)
-    faces = [
-        Face(0, True, [(0, 1)], np.asarray(pts), inner, abs(area)),
-        Face(1, False, [(0, -1)], np.asarray(pts)[::-1], outer, -abs(area)),
-    ]
+    faces = [Face(0, True, [(0, 1)], pts), Face(1, False, [(0, -1)], pts[::-1])]
     g = LevelGraph(comp.level, [], [comp.arcs[0]], faces, comp)
     g.dart_face[(0, 0)] = 0
     g.dart_face[(0, 1)] = 1
     return g
 
 
-def _materialize_faces(walks, edges, comp) -> list[Face]:
+def _materialize_faces(walks, edges) -> list[Face]:
     polys = []
     areas = []
     cycles = []
@@ -235,19 +231,10 @@ def _materialize_faces(walks, edges, comp) -> list[Face]:
             f"cannot identify the unbounded face from walk orientations {areas}"
         )
 
-    faces = []
-    for i, walk in enumerate(walks):
-        bounded = i != unbounded_idx
-        if bounded:
-            rep = _interior_point(polys[i], want_winding=True)
-        else:
-            x0, y0, x1, y1 = geometry.bounding_box([comp.points])
-            rep = complex(x0 - (x1 - x0) - 1.0, y0 - (y1 - y0) - 1.0)
-        faces.append(Face(i, bounded, cycles[i], polys[i], rep, areas[i]))
-    return faces
+    return [Face(i, i != unbounded_idx, cycles[i], polys[i]) for i in range(len(walks))]
 
 
-def _interior_point(poly, want_winding: bool) -> complex:
+def _interior_point(poly) -> complex:
     """A point with nonzero winding of the given closed walk around it."""
     p = np.asarray(poly)
     n = p.size - 1

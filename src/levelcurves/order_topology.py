@@ -70,9 +70,6 @@ class CurveRef:
             return self.component.index
         return geometry.SegmentIndex([self.all_points()])
 
-    def is_critical_curve(self) -> bool:
-        return self.kind is CurveKind.LEVEL_CURVE and bool(self.component.vertices)
-
 
 @dataclass
 class CriticalSetC:

@@ -16,11 +16,13 @@ a sag bound that the polyline's consumers use as their margin.
 Critical points whose level matches eps are branch points: an arc ends when
 it enters the capture ball of such a vertex, and new arcs are launched along
 each of the 2*(mult+1) outgoing rays of the local model
-f(c) + a*(z - c)^(mult+1).  Seeds and probe points come from one
-batched ray search, ``_ray_crossings``.  A traced level set is certified
-complete by the argument principle: its arcs must turn arg f by 2*pi times
-the zeros or the poles of the domain, so a component missed by the seeds, or
-traced twice, is an error rather than a short or long list.
+f(c) + a*(z - c)^(mult+1).  The vertex rays, the necks of off-level saddles
+and the near-critical warning all read that model from
+``RationalFn.critical_models``, computed once per function.  Seeds and probe
+points come from one batched ray search, ``_ray_crossings``.  A traced level
+set is certified complete by the argument principle: its arcs must turn arg f
+by 2*pi times the zeros or the poles of the domain, so a component missed by
+the seeds, or traced twice, is an error rather than a short or long list.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from . import geometry
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import TraceError
-from .funcspace import DomainKind, RationalFn, is_inf
+from .funcspace import RationalFn, is_inf
 
 TWO_PI = 2.0 * math.pi
 
@@ -118,9 +120,6 @@ class LevelCurveComponent:
     def index(self) -> geometry.SegmentIndex:
         return geometry.SegmentIndex([a.points for a in self.arcs])
 
-    def distance_to(self, z: complex) -> float:
-        return float(self.index.distances([z])[0])
-
 
 @dataclass
 class _Vertex:
@@ -143,38 +142,22 @@ def _wrap_angle(a: float) -> float:
     return (a + math.pi) % TWO_PI - math.pi
 
 
-def _local_coefficient(f: RationalFn, c: complex, m: int, scale: float) -> complex:
-    """Leading Taylor coefficient a of f - f(c) = a (z-c)^(m+1) + ...
-
-    Computed by discrete Cauchy integration on a small circle; exact
-    derivatives of a rational function are avoided on purpose.
-    """
-    others = [p for p in f.distinguished_points() if abs(p - c) > 1e-12]
-    rho = 1e-2 * max(1.0, abs(c))
-    if others:
-        rho = min(rho, 0.2 * min(abs(p - c) for p in others))
-    rho = max(rho, 1e-8 * scale)
-    k = 64
-    w = np.exp(2j * np.pi * np.arange(k) / k)
-    ring = c + rho * w
-    fc = f.eval(c)
-    vals = f.eval_grid(ring) - fc
-    a = np.sum(vals * w ** (-(m + 1))) / (k * rho ** (m + 1))
-    if a == 0 or is_inf(a):
-        raise TraceError(f"degenerate local model at critical point {c}")
-    return complex(a)
-
-
-def _vertex_rays(f: RationalFn, c: complex, m: int, eps: float, scale: float) -> tuple[list[float], float]:
-    """Outgoing ray angles of the level curve at a vertex, plus capture radius."""
-    a = _local_coefficient(f, c, m, scale)
+def _vertex_rays(f: RationalFn, c: complex, m: int, a: complex) -> list[float]:
+    """Outgoing ray angles of the level curve at a vertex with local model a."""
     fc = f.eval(c)
     n = m + 1
     base = (math.pi / 2.0 - math.atan2(a.imag, a.real) + math.atan2(fc.imag, fc.real)) / n
-    rays = sorted(_wrap_angle(base + k * math.pi / n) for k in range(2 * n))
-    r_cap = (_CAPTURE_LEVEL * eps / ((n) * abs(a))) ** (1.0 / n)
-    r_cap = min(max(r_cap, 1e-6 * scale), 5e-2 * scale)
-    return rays, r_cap
+    return sorted(_wrap_angle(base + k * math.pi / n) for k in range(2 * n))
+
+
+def _capture_radius(m: int, a: complex | None, eps: float, scale: float) -> float:
+    """Radius where the local perturbation |a| r^(m+1) is _CAPTURE_LEVEL * eps,
+    kept within [1e-6, 5e-2] * scale; the floor where the model degenerates."""
+    if a is None:
+        return 1e-6 * scale
+    n = m + 1
+    r_cap = (_CAPTURE_LEVEL * eps / (n * abs(a))) ** (1.0 / n)
+    return min(max(r_cap, 1e-6 * scale), 5e-2 * scale)
 
 
 class _LevelTracer:
@@ -193,38 +176,26 @@ class _LevelTracer:
         self.h_min = MIN_STEP_REL * scale
         self.reach = MAX_REACH_REL * scale
         self.vertices: list[_Vertex] = []
-        for c, m in f.critical_points:
+        # (c, m, a, |f(c)|) for each critical point off the level
+        self._offlevel: list[tuple[complex, int, complex | None, float]] = []
+        for c, m, a in f.critical_models:
             av = f.abs_eval(c)
             if math.isfinite(av) and av > 0.0 and abs(av - eps) <= tols.vertex_tol:
-                rays, r_cap = _vertex_rays(f, c, m, eps, scale)
-                self.vertices.append(_Vertex(c, m, rays, r_cap))
-        self._offlevel = [
-            (c, m)
-            for c, m in f.critical_points
-            if all(abs(c - v.position) > 1e-14 for v in self.vertices)
+                if a is None:
+                    raise TraceError(f"degenerate local model at critical point {c}")
+                self.vertices.append(_Vertex(c, m, _vertex_rays(f, c, m, a), _capture_radius(m, a, eps, scale)))
+            else:
+                self._offlevel.append((c, m, a, av))
+        # (c, r_neck) for each off-level saddle.  Near a critical point c at
+        # another level the curve passes a neck of width about
+        # r_neck = (|eps - |f(c)|| / |a|)^(1/(m+1)); a longer step can jump
+        # across it onto the other branch.  Multiple zeros and poles are no
+        # saddles.
+        self._necks = [
+            (c, (abs(eps - av) / abs(a)) ** (1.0 / (m + 1)))
+            for c, m, a, av in self._offlevel
+            if a is not None and 0.0 < av < math.inf
         ]
-        self._offlevel_radius: dict[complex, float] = {}
-
-    @cached_property
-    def _necks(self) -> list[tuple[complex, float]]:
-        """(c, r_neck) for each off-level saddle.
-
-        Near a critical point c at another level the curve passes a neck of
-        width about r_neck = (|eps - |f(c)|| / |a|)^(1/(m+1)); a longer step
-        can jump across it onto the other branch.  Multiple zeros and poles
-        are no saddles.
-        """
-        out = []
-        for c, m in self._offlevel:
-            av = self.f.abs_eval(c)
-            if not 0.0 < av < math.inf:
-                continue
-            try:
-                a = _local_coefficient(self.f, c, m, self.scale)
-            except TraceError:
-                continue
-            out.append((c, (abs(self.eps - av) / abs(a)) ** (1.0 / (m + 1))))
-        return out
 
     # -- Newton correction onto the level set
 
@@ -387,11 +358,13 @@ def _tangent(ld: complex, direction: float, z: complex) -> complex:
 
 
 def _domain_scale(f: RationalFn, extra_points=()) -> float:
-    pts = f.distinguished_points() + [complex(p) for p in extra_points]
-    if not pts:
-        return 1.0
-    p = np.array(pts, dtype=complex)
-    return max(1.0, float(np.max(np.abs(p))), float(np.max(np.abs(p[:, None] - p[None, :]))))
+    """``f.scale`` widened by the moduli of the extra points and their
+    distances to the distinguished points and to each other."""
+    e = np.array(extra_points, dtype=complex)
+    if not e.size:
+        return f.scale
+    p = np.concatenate([np.array(f.distinguished_points(), dtype=complex), e])
+    return max(f.scale, float(np.max(np.abs(e))), float(np.max(np.abs(e[:, None] - p[None, :]))))
 
 
 # ---------------------------------------------------------------------------
@@ -535,16 +508,13 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
 
 
 def _warn_near_critical(tracer: _LevelTracer, comp: LevelCurveComponent):
-    for c, m in tracer._offlevel:
-        d = comp.distance_to(c)
-        # the capture radius this point would have were its level on eps
-        if c not in tracer._offlevel_radius:
-            try:
-                _, r_cap = _vertex_rays(tracer.f, c, m, tracer.eps, tracer.scale)
-            except TraceError:
-                r_cap = 1e-6 * tracer.scale
-            tracer._offlevel_radius[c] = r_cap
-        if d < 10.0 * tracer._offlevel_radius[c]:
+    if not tracer._offlevel:
+        return
+    # ten times the capture radius each point would have were its level on eps
+    reach = [10.0 * _capture_radius(m, a, tracer.eps, tracer.scale) for _, m, a, _ in tracer._offlevel]
+    ds = comp.index.distances([c for c, _, _, _ in tracer._offlevel], upto=max(reach))
+    for (c, _, _, _), d, r in zip(tracer._offlevel, ds, reach):
+        if d < r:
             warnings.warn(
                 f"arc passes within {d:.2e} of off-level critical point {c}; "
                 "the regular/critical classification may be unreliable",
@@ -565,7 +535,7 @@ def find_seeds(f: RationalFn, eps: float) -> list[complex]:
     """
     if eps <= 0 or not math.isfinite(eps):
         raise TraceError(f"eps must be in (0, inf), got {eps}")
-    if f.domain.kind is DomainKind.UNIT_DISK and abs(eps - 1.0) < 1e-6:
+    if f.disk and abs(eps - 1.0) < 1e-6:
         raise TraceError("eps coincides with |f| on the unit circle")
 
     x0, y0, x1, y1 = _seed_box(f, eps)
@@ -577,7 +547,7 @@ def find_seeds(f: RationalFn, eps: float) -> list[complex]:
     ts = np.geomspace(1e-6 * reach, 1.6 * reach, 400)
     for crossing, a, k in zip(*_ray_crossings(f, eps, anchors, 0.21, ts)):
         crossing = complex(crossing)
-        if per_ray[a, k] >= 6 or not f.domain.contains(crossing):
+        if per_ray[a, k] >= 6 or not f.in_domain(crossing):
             continue
         per_ray[a, k] += 1
         seeds.append(crossing)
@@ -587,7 +557,7 @@ def find_seeds(f: RationalFn, eps: float) -> list[complex]:
 
 
 def _seed_box(f: RationalFn, eps: float):
-    if f.domain.kind is DomainKind.UNIT_DISK:
+    if f.disk:
         return (-1.0, -1.0, 1.0, 1.0)
     # whole plane: grow a box until the level set cannot cross its boundary.
     # With every zero and pole inside the ring, the modulus principles pin
@@ -641,7 +611,7 @@ def trace_level_set(
     eps: float,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> list[LevelCurveComponent]:
-    """All components of E_{f, eps} in ``f.domain``, each traced once.
+    """All components of E_{f, eps} in the domain of f, each traced once.
 
     Components are traced from the seeds of :func:`find_seeds`.  The result
     is certified by the argument principle (:func:`_certify_turn`): the arcs

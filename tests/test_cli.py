@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import re
 from pathlib import Path
@@ -153,6 +154,28 @@ def test_readme_flags_exist():
     subparsers = next(a for a in _build_parser()._actions if a.choices).choices.values()
     accepted = {opt for p in subparsers for a in p._actions for opt in a.option_strings}
     assert documented and documented <= accepted, documented - accepted
+
+
+def test_readme_names_exist():
+    # every name the "What is in the box" table gives its module resolves
+    # there; only backticked dotted names with an uppercase letter or an
+    # underscore are names (`f^(1/M)` and `phi` are math)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## What is in the box", 1)[1].split("\n## ", 1)[0]
+    # the contents cell may hold `|f| = eps`, so the row is not split on "|"
+    rows = re.findall(r"^\| `(levelcurves\.\w+)` \| (.*) \|$", section, flags=re.M)
+    names = [
+        (module, name)
+        for module, contents in rows
+        for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", contents)
+        if re.search(r"[A-Z_]", name)
+    ]
+    assert len(rows) >= 10 and names
+    for module, name in names:
+        obj = importlib.import_module(module)
+        for part in name.split("."):
+            assert hasattr(obj, part), f"README names {name} in {module}, which has no such attribute"
+            obj = getattr(obj, part)
 
 
 def test_every_tolerance_has_a_flag():

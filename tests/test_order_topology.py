@@ -127,7 +127,7 @@ def test_separating_curve_exterior_K(z5, z5_ovals):
 def test_separating_curve_is_noncritical(z5, z5_C):
     crit = z5_C.curves()[0]
     sep, _ = separating_curve(z5, crit, [1 + 0j])
-    d = min(sep.component.distance_to(c) for c, _ in z5.critical_points)
+    d = float(np.min(sep.index.distances([c for c, _ in z5.critical_points])))
     assert d > 1e-4
 
 
@@ -197,7 +197,8 @@ def test_membership_votes_from_far_points():
     assert np.count_nonzero(d > hi.component.sag) >= 8
     assert precedes(lo, hi) and not precedes(hi, lo)
     top = maximal_component(f, C=C)
-    assert top.is_critical_curve() and abs(top.level - 1.34328) < 1e-5
+    assert top.kind is CurveKind.LEVEL_CURVE and top.component.vertices
+    assert abs(top.level - 1.34328) < 1e-5
 
 
 def test_member_without_clear_voters_raises(z5, z5_ovals, z5_big, monkeypatch):

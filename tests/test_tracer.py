@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from levelcurves import (
     DEFAULT_TOLS,
     RationalFn,
     TraceError,
+    critical_level_curves,
     find_seeds,
     parse_function_spec,
     trace_component,
@@ -421,3 +423,48 @@ def test_random_levels_pass_the_turn_count(kind, seed, degree, u):
     assume(eps is not None)
     assert trace_level_set(f, eps)
     assert_seeds_need_no_correction(f, eps)
+
+
+def test_local_models_are_computed_once_per_critical_point(monkeypatch):
+    f = parse_function_spec("poly:1,0,0,0,0,-1")
+    prop = RationalFn.__dict__["critical_models"]
+    compute = prop.func
+    computed = []
+
+    def counting(self):
+        out = compute(self)
+        computed.extend(out)
+        return out
+
+    monkeypatch.setattr(prop, "func", counting)
+    for eps in (0.5, 1.0, 2.0):
+        trace_level_set(f, eps)
+    critical_level_curves(f)
+    assert [(c, m) for c, m, _ in computed] == f.critical_points
+
+
+def test_degenerate_local_model(monkeypatch):
+    # the lemniscate's saddle at 0 sits on level 1 and off levels 0.5 and 2
+    f = parse_function_spec("poly:1,0,-1")
+    monkeypatch.setattr(f, "critical_models", [(c, m, None) for c, m in f.critical_points])
+    with pytest.raises(TraceError, match="degenerate local model"):
+        trace_level_set(f, 1.0)
+    assert len(trace_level_set(f, 0.5)) == 2
+    assert len(trace_level_set(f, 2.0)) == 1
+
+
+@pytest.mark.parametrize(
+    "spec,counts",
+    [("poly:1,0,-1", (2, 1, 0, 0)), ("poly:1,0,0,0,0,-1", (5, 1, 5, 1))],
+)
+def test_near_critical_warning_counts(spec, counts):
+    # one warning per traced component passing within ten capture radii of
+    # the off-level saddle, at levels just below and above its value 1
+    f = parse_function_spec(spec)
+    got = []
+    for eps in (1 - 1e-6, 1 + 1e-6, 1 - 1e-4, 1 + 1e-4):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trace_level_set(f, eps)
+        got.append(sum(1 for w in caught if "off-level critical point" in str(w.message)))
+    assert tuple(got) == counts
