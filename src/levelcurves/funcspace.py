@@ -91,13 +91,14 @@ class Polynomial:
             acc = acc * z + c
         return acc
 
-    def value_and_deriv(self, z: complex) -> tuple[complex, complex]:
-        """p(z) and p'(z) from one Horner pass (TAOCP vol. 2, 4.6.4)."""
-        p = dp = 0j
+    def value_and_derivs(self, z: complex) -> tuple[complex, complex, complex]:
+        """p(z), p'(z) and p''(z) from one Horner pass (TAOCP vol. 2, 4.6.4)."""
+        p = dp = hp = 0j
         for c in self._rev:
+            hp = hp * z + dp
             dp = dp * z + p
             p = p * z + c
-        return p, dp
+        return p, dp, 2.0 * hp
 
     def deriv(self) -> "Polynomial":
         if self.coeffs.size == 1:
@@ -330,6 +331,8 @@ class RationalFn:
         self.tols = tols
         self.blaschke_degrees = blaschke_degrees
         self.spec = spec
+        # |den| when the denominator is constant, so the fused pass skips it
+        self._const_den = abs(complex(denominator.coeffs[0])) if denominator.degree == 0 else None
         self._check_coprime()
 
     # -- construction helpers
@@ -439,19 +442,29 @@ class RationalFn:
             out = nv / dv
         return np.where(dv == 0.0, np.inf, out)
 
-    def abs_and_log_derivative(self, z: complex) -> tuple[float, complex]:
-        """(|f|, f'/f) from one Horner pass over numerator and denominator.
+    def abs_and_log_derivative(self, z: complex) -> tuple[float, complex, complex]:
+        """(|f|, f'/f, (f'/f)') from one Horner pass over numerator and denominator.
 
-        f'/f is num'/num - den'/den, stable away from roots; at a pole the
-        pass returns (inf, INF), at a zero (0.0, INF).
+        With L = p'/p for each of them, f'/f = L_num - L_den and
+        (f'/f)' = (p''/p - L^2)_num - (p''/p - L^2)_den, stable away from
+        roots.  A constant denominator, as in every polynomial, contributes
+        nothing and skips its pass.  At a pole the pass returns
+        (inf, INF, INF), at a zero (0.0, INF, INF).
         """
-        nv, dn = self.numerator.value_and_deriv(z)
-        dv, dd = self.denominator.value_and_deriv(z)
+        nv, n1, n2 = self.numerator.value_and_derivs(z)
+        dc = self._const_den
+        if dc is not None:
+            if nv == 0:
+                return 0.0, INF, INF
+            ld = n1 / nv
+            return abs(nv) / dc, ld, n2 / nv - ld * ld
+        dv, d1, d2 = self.denominator.value_and_derivs(z)
         if dv == 0:
-            return math.inf, INF
+            return math.inf, INF, INF
         if nv == 0:
-            return 0.0, INF
-        return abs(nv) / abs(dv), dn / nv - dd / dv
+            return 0.0, INF, INF
+        l_num, l_den = n1 / nv, d1 / dv
+        return abs(nv) / abs(dv), l_num - l_den, (n2 / nv - l_num * l_num) - (d2 / dv - l_den * l_den)
 
     def log_derivative(self, z: complex) -> complex:
         return self.abs_and_log_derivative(z)[1]

@@ -1,17 +1,23 @@
 """Predictor-corrector tracing of the level set {z : |f(z)| = eps}.
 
-The curve is followed by stepping along the tangent direction i * conj(f'/f)
-(arg f increases in the stored direction) with a Newton correction back onto
-the level set after each step.  One corrector, ``_LevelTracer.correct``,
-serves every on-level point; each iterate costs one fused Horner pass
-(``RationalFn.abs_and_log_derivative``), and the f'/f of an accepted point
-gives the next step's tangent.  The step length follows the chord sag:
-each accepted step estimates its sagitta from the corrector's move and the
-tangent turn, a step whose estimate exceeds 4 * SAG_REL * scale is halved,
-and the next step is scaled by sqrt(SAG_REL * scale / estimate) within
-[0.5, 2].  A step moves arg f by at most MAX_ARG_STEP, and stays short of
-on-level vertices and of the necks of off-level saddles.  Every arc records
-a sag bound that the polyline's consumers use as their margin.
+The curve is followed along the tangent direction i * conj(f'/f) (arg f
+increases in the stored direction).  The predictor steps along a circular
+arc: the tangent turned by half the last step's turn per unit length times
+the step, which costs no evaluation.  The corrector brings the point back
+onto the level set.  One corrector, ``_LevelTracer.correct``, serves every
+on-level point: Newton on log|f| = log eps with a second-order (Chebyshev)
+term, each iterate one fused Horner pass
+(``RationalFn.abs_and_log_derivative``, which also gives (f'/f)').  So a
+march step usually takes one update and two evaluations, the predicted
+point and the check of the update, and the f'/f of an accepted point gives
+the next step's tangent.  The step length follows the chord sag: each
+accepted step estimates its sagitta from the corrector's distance to the
+tangent point and from the tangent turn, a step whose estimate exceeds
+4 * SAG_REL * scale is halved, and the next step is scaled by
+sqrt(SAG_REL * scale / estimate) within [0.5, 2].  A step moves arg f by at
+most MAX_ARG_STEP, and stays short of on-level vertices and of the necks of
+off-level saddles.  Every arc records a sag bound that the polyline's
+consumers use as their margin.
 
 Critical points whose level matches eps are branch points: an arc ends when
 it enters the capture ball of such a vertex, and new arcs are launched along
@@ -50,8 +56,8 @@ MAX_ARC_POINTS = 200_000
 # for an unbounded level curve: the step grows without bound along a nearly
 # straight curve, so the point budget alone no longer stops such an arc
 MAX_REACH_REL = 1e4
-# a predicted step is accepted after at most STEP_MAX_ITER Newton updates
-# that move it by at most STEP_MAX_CORRECTION times its length
+# a predicted step is accepted after at most STEP_MAX_ITER corrector updates
+# that land within STEP_MAX_CORRECTION times its length of the tangent point
 STEP_MAX_ITER = 3
 STEP_MAX_CORRECTION = 0.6
 # chord sag the step controller aims at, relative to the domain scale; a
@@ -79,8 +85,10 @@ class TracedArc:
     ``turn``: a step with no inflection inside it keeps the curve within the
     triangle of its chord and end tangents, so every point of the curve lies
     within ``sag`` of its chord and every chord point within ``sag`` of the
-    curve.  The short segments at a vertex follow the local model's rays and
-    are not march steps.
+    curve.  A closed arc ends on the chord from its last march point back to
+    its start, which replaces the last step; its bound, from the tangents at
+    both ends, is in ``sag`` too.  The short segments at a vertex follow the
+    local model's rays and are not march steps.
     """
 
     points: np.ndarray
@@ -200,24 +208,37 @@ class _LevelTracer:
     # -- Newton correction onto the level set
 
     def correct(self, z: complex, max_iter: int = 30):
-        """Newton on log|f| = log eps: up to max_iter updates, then a residual check.
+        """Newton on log|f| = log eps with a second-order term: up to max_iter
+        updates, then a residual check.
 
-        Returns (z on the level, updates made, f'/f at z), or (None, updates,
-        None) when the iteration hits a zero or pole, a vanishing gradient, or
-        ends off the level.  One fused evaluation per iterate, on Python
-        complex whatever the type of the seed.
+        Each update moves along the gradient direction n = conj(f'/f)/|f'/f|
+        of log|f|, where g = log|f| - log eps grows at rate |f'/f| with
+        curvature Re((f'/f)' n^2).  The Newton step s = -g/|f'/f| gets the
+        Chebyshev term -Re((f'/f)' n^2) s^2 / (2 |f'/f|), and stays plain
+        Newton when that term exceeds half the step.  Returns (z on the level,
+        updates made, f'/f at z), or (None, updates, None) when the iteration
+        hits a zero or pole, a vanishing gradient, or ends off the level.  One
+        fused evaluation per iterate, on Python complex whatever the type of
+        the seed.
         """
         z = complex(z)
+        evaluate = self.f.abs_and_log_derivative
         for it in range(max_iter + 1):
-            av, ld = self.f.abs_and_log_derivative(z)
+            av, ld, dld = evaluate(z)
             if not 0.0 < av < math.inf:
                 return None, it, None
             g = math.log(av) - self.log_eps
             if abs(g) <= self.tau:
                 return z, it, ld
-            if it == max_iter or ld == 0 or is_inf(ld):
+            r = abs(ld)
+            if it == max_iter or not 0.0 < r < math.inf:
                 return None, it, None
-            z = z - g * ld.conjugate() / (abs(ld) ** 2)
+            n = ld.conjugate() / r
+            s = -g / r
+            second = 0.5 * (dld * n * n).real * s * s / r
+            if abs(second) <= 0.5 * abs(s):
+                s -= second
+            z = z + s * n
 
     # -- single march from a point to closure or a vertex
 
@@ -227,9 +248,14 @@ class _LevelTracer:
 
         ``None`` end means the arc closed back onto its start.  Only
         vertex-free launches (origin_vertex is None, direction +1) may close.
-        Each accepted point's f'/f from the corrector gives the next tangent.
-        ``sag`` is the largest tangent-triangle bound of the steps (see
-        :class:`TracedArc`).
+        The predictor follows a circular arc: it turns the tangent at the
+        last point by half the signed turn per unit length of the last step
+        times the step, so one corrector update usually lands on the level.
+        The sag estimate and the STEP_MAX_CORRECTION guard measure the
+        corrected point from the tangent point, whatever the predictor.  Each
+        accepted point's f'/f from the corrector gives the next tangent.
+        ``sag`` is the largest tangent-triangle bound of the steps and of the
+        closing chord (see :class:`TracedArc`).
         """
         pts = [z0]
         h = 1e-3 * self.scale
@@ -237,46 +263,56 @@ class _LevelTracer:
         arc_len = 0.0
         start = z0
         ld = ld0
-        t = _tangent(ld0, direction, z0)
-        origin_guard = (
-            4.0 * self.vertices[origin_vertex].r_cap if origin_vertex is not None else 0.0
-        )
-        necks = self._necks
+        t = t_start = _tangent(ld0, direction, z0)
+        # signed tangent turn per unit length over the last step
+        bend = 0.0
+        correct = self.correct
+        sag_target = self.sag_target
+        h_min = self.h_min
+        may_close = origin_vertex is None
+        # (position, floor) of every on-level vertex and every neck: a step
+        # stays below 0.4 times its distance to each, down to the floor, so a
+        # march can never jump across a capture ball or a neck.  The origin
+        # vertex joins the list, and the capture checks, only beyond
+        # origin_guard of arc length.
+        origin_guard = 4.0 * self.vertices[origin_vertex].r_cap if origin_vertex is not None else 0.0
+        limits = [(c, 0.25 * r_neck) for c, r_neck in self._necks]
+        captures = []
+        for idx, v in enumerate(self.vertices):
+            if idx != origin_vertex:
+                limits.append((v.position, 0.5 * v.r_cap))
+                captures.append((v.position, v.r_cap, idx))
+        away = origin_vertex is None
 
         while len(pts) < MAX_ARC_POINTS:
             z = pts[-1]
             # arg f moves by about h |f'/f| along a step
             h_eff = min(h, MAX_ARG_STEP / abs(ld))
-            # keep steps below the approach distance of every on-level vertex
-            # so a march can never jump across a capture ball
-            for idx, v in enumerate(self.vertices):
-                if idx == origin_vertex and arc_len < origin_guard:
-                    continue
-                d = abs(z - v.position)
-                h_eff = min(h_eff, max(0.4 * d, 0.5 * v.r_cap))
-            for c, r_neck in necks:
-                h_eff = min(h_eff, max(0.4 * abs(z - c), 0.25 * r_neck))
-            h_eff = max(h_eff, self.h_min)
+            for p, floor in limits:
+                d = 0.4 * abs(z - p)
+                if d < h_eff:
+                    h_eff = min(h_eff, max(d, floor))
+            h_eff = max(h_eff, h_min)
 
             # predictor-corrector with step halving
             while True:
-                z_pred = z + h_eff * t
-                z_new, iters, ld_new = self.correct(z_pred, STEP_MAX_ITER)
-                if z_new is not None and abs(z_new - z_pred) <= STEP_MAX_CORRECTION * h_eff:
-                    t_new = _tangent(ld_new, direction, z_new)
-                    turn = abs(
-                        math.atan2(
-                            t.real * t_new.imag - t.imag * t_new.real,
-                            t.real * t_new.real + t.imag * t_new.imag,
-                        )
-                    )
-                    # the chord's sagitta: a quarter of the corrector's move,
-                    # or that of a circular arc turning by turn
-                    sag_est = max(0.25 * abs(z_new - z_pred), 0.5 * h_eff * math.tan(0.25 * turn))
-                    if turn <= 0.5 and sag_est <= 4.0 * self.sag_target:
-                        break
+                z_tan = z + h_eff * t
+                phi = 0.5 * bend * h_eff
+                z_new, iters, ld_new = correct(z + h_eff * t * complex(math.cos(phi), math.sin(phi)), STEP_MAX_ITER)
+                if z_new is not None:
+                    off = abs(z_new - z_tan)
+                    if off <= STEP_MAX_CORRECTION * h_eff:
+                        t_new = _tangent(ld_new, direction, z_new)
+                        signed_turn = _turn(t, t_new)
+                        turn = abs(signed_turn)
+                        # the chord's sagitta: a quarter of the corrector's
+                        # move from the tangent point, or that of a circular
+                        # arc turning by turn
+                        sag_est = max(0.25 * off, 0.5 * h_eff * math.tan(0.25 * turn))
+                        if turn <= 0.5 and sag_est <= 4.0 * sag_target:
+                            break
                 h_eff *= 0.5
-                if h_eff < self.h_min:
+                if h_eff < h_min:
                     raise TraceError(
                         f"step size underflow near {z} at level {self.eps}: "
                         "curvature too stiff for the configured step bounds"
@@ -291,41 +327,53 @@ class _LevelTracer:
             sag = max(sag, 0.5 * step_len * math.tan(0.5 * turn))
             arc_len += step_len
             pts.append(z_new)
-            t, ld = t_new, ld_new
 
             # the sagitta grows as h^2: aim the next step at the target
-            grow = 2.0 if sag_est == 0.0 else min(2.0, max(0.5, math.sqrt(self.sag_target / sag_est)))
+            grow = 2.0 if sag_est == 0.0 else min(2.0, max(0.5, math.sqrt(sag_target / sag_est)))
             if iters >= STEP_MAX_ITER:
                 grow = min(grow, 0.6)
-            h = max(h_eff * grow, self.h_min)
+            h = max(h_eff * grow, h_min)
 
-            # vertex capture: endpoint inside the ball, or segment passing through
-            hit = self._capture(z, z_new, arc_len, origin_vertex, origin_guard)
-            if hit is not None:
-                pts.append(self.vertices[hit].position)
-                return pts, hit, sag
+            if not away and arc_len >= origin_guard:
+                origin = self.vertices[origin_vertex]
+                limits.append((origin.position, 0.5 * origin.r_cap))
+                captures = [(v.position, v.r_cap, idx) for idx, v in enumerate(self.vertices)]
+                away = True
 
-            # closure: segment passes the start after having left it
-            if origin_vertex is None and arc_len > 6.0 * step_len and len(pts) > 8:
-                d_seg = abs(start - geometry.nearest_on_segment(start, z, z_new))
-                if d_seg < 0.75 * step_len and abs(z_new - start) < 2.0 * step_len:
-                    pts[-1] = start
-                    return pts, None, sag
+            # vertex capture: endpoint inside the ball, or segment passing
+            # through it; the segment test runs only when the endpoint is
+            # within reach of the ball
+            for p, r_cap, idx in captures:
+                d = abs(z_new - p)
+                if d < r_cap or (
+                    d < 0.8 * r_cap + step_len
+                    and abs(p - geometry.nearest_on_segment(p, z, z_new)) < 0.8 * r_cap
+                ):
+                    pts.append(p)
+                    return pts, idx, sag
+
+            # closure: segment passes the start after having left it.  The
+            # chord from z to start replaces the step; its tangent-triangle
+            # bound comes from the tangents at z and at start.
+            if (
+                may_close
+                and abs(z_new - start) < 2.0 * step_len
+                and arc_len > 6.0 * step_len
+                and len(pts) > 8
+                and abs(start - geometry.nearest_on_segment(start, z, z_new)) < 0.75 * step_len
+            ):
+                close_turn = abs(_turn(t, t_start))
+                sag = max(sag, 0.5 * abs(start - z) * math.tan(0.5 * close_turn))
+                pts[-1] = start
+                return pts, None, sag
+
+            bend = signed_turn / step_len
+            t, ld = t_new, ld_new
 
         raise TraceError(
             f"arc exceeded {MAX_ARC_POINTS} points at level {self.eps}; "
             "suspected unbounded level curve"
         )
-
-    def _capture(self, z_prev, z_new, arc_len, origin_vertex, origin_guard):
-        for idx, v in enumerate(self.vertices):
-            if idx == origin_vertex and arc_len < origin_guard:
-                continue
-            if abs(z_new - v.position) < v.r_cap:
-                return idx
-            if abs(v.position - geometry.nearest_on_segment(v.position, z_prev, z_new)) < 0.8 * v.r_cap:
-                return idx
-        return None
 
     def launch_from_vertex(self, v_idx: int, ray_idx: int):
         v = self.vertices[v_idx]
@@ -347,6 +395,11 @@ class _LevelTracer:
         v = self.vertices[v_idx]
         ang = math.atan2((z_outside - v.position).imag, (z_outside - v.position).real)
         return v.nearest_ray(ang)
+
+
+def _turn(a: complex, b: complex) -> float:
+    """Signed angle from the unit vector a to the unit vector b, in (-pi, pi]."""
+    return math.atan2(a.real * b.imag - a.imag * b.real, a.real * b.real + a.imag * b.imag)
 
 
 def _tangent(ld: complex, direction: float, z: complex) -> complex:

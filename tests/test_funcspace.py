@@ -98,7 +98,7 @@ def test_fused_pass_matches_two_pass_reference(kind, a, b, lead, z):
         reject()
     if min(abs(z - s) for s in sing) < 0.05:
         reject()
-    av, ld = f.abs_and_log_derivative(z)
+    av, ld, _ = f.abs_and_log_derivative(z)
     ref_av, ref_ld = _two_pass_reference(f, z)
     # relative to the running-error scale of Horner (sum |c_k| |z|^k over |p(z)|);
     # both passes stay within a few units of roundoff of it, the bound is 1e-13
@@ -112,10 +112,58 @@ def test_fused_pass_matches_two_pass_reference(kind, a, b, lead, z):
 
 def test_fused_pass_at_zero_and_pole():
     f = parse_function_spec("poly:1,0,-1")
-    assert f.abs_and_log_derivative(1.0) == (0.0, INF)
-    g = parse_function_spec("rat:1/1,-2")
-    assert g.abs_and_log_derivative(2.0) == (math.inf, INF)
+    assert f.abs_and_log_derivative(1.0) == (0.0, INF, INF)
+    g = parse_function_spec("rat:1,1/1,-2")
+    assert g.abs_and_log_derivative(2.0) == (math.inf, INF, INF)
+    assert g.abs_and_log_derivative(-1.0) == (0.0, INF, INF)
     assert g.log_derivative(2.0) == INF
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_log_derivative_slope_of_a_power(n):
+    # f = z^n: f'/f = n/z and (f'/f)' = -n/z^2
+    f = RationalFn(Polynomial([0.0] * n + [1.0]))
+    for z in (0.3 + 0.4j, -1.7 + 0.2j, 2.5j):
+        _, ld, dld = f.abs_and_log_derivative(z)
+        assert abs(ld - n / z) <= 1e-14 * abs(n / z)
+        assert abs(dld + n / z**2) <= 1e-13 * abs(n / z**2)
+
+
+def test_log_derivative_slope_near_a_finite_pole():
+    # f = (z - 1) / (z - 2)^2: f'/f = 1/(z-1) - 2/(z-2), (f'/f)' = -1/(z-1)^2 + 2/(z-2)^2.
+    # Horner on the expanded (z - 2)^2 = z^2 - 4z + 4 loses about 8/|z - 2|^2
+    # units of roundoff near the pole, so the bound is 1e-10
+    f = parse_function_spec("rat:1,-1/1,-4,4")
+    for z in (2.01 + 0.0j, 1.9 - 0.05j, -0.5 + 1j, 1.5 + 0.5j):
+        av, ld, dld = f.abs_and_log_derivative(z)
+        assert av == pytest.approx(abs(z - 1) / abs(z - 2) ** 2, rel=1e-10)
+        assert abs(ld - (1 / (z - 1) - 2 / (z - 2))) <= 1e-10 * (abs(1 / (z - 1)) + abs(2 / (z - 2)))
+        want = -1 / (z - 1) ** 2 + 2 / (z - 2) ** 2
+        assert abs(dld - want) <= 1e-10 * (abs(1 / (z - 1) ** 2) + abs(2 / (z - 2) ** 2))
+
+
+def test_log_derivative_slope_central_difference():
+    rng = np.random.default_rng(11)
+    h = 1e-5
+    for k in range(60):
+        num = random_polynomial(rng, int(rng.integers(2, 8)))
+        den = random_polynomial(rng, int(rng.integers(0, 4))) if k % 2 else None
+        f = RationalFn(num, den)
+        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        _, _, dld = f.abs_and_log_derivative(z)
+        central = (f.log_derivative(z + h) - f.log_derivative(z - h)) / (2 * h)
+        assert abs(central - dld) <= 1e-5 * (1 + abs(dld))
+
+
+@pytest.mark.parametrize("spec", ["poly:1,0,0,0,0,-1", "poly:2-1i,0.3,-1,0.5i", "rat:1,0,-1/2-1i"])
+def test_constant_denominator_skips_its_pass_exactly(monkeypatch, spec):
+    f = parse_function_spec(spec)
+    assert f._const_den is not None
+    rng = np.random.default_rng(3)
+    zs = rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)
+    short = [f.abs_and_log_derivative(complex(z)) for z in zs]
+    monkeypatch.setattr(f, "_const_den", None)
+    assert [f.abs_and_log_derivative(complex(z)) for z in zs] == short
 
 
 def test_critical_points_z5m1():

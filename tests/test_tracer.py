@@ -98,16 +98,16 @@ def _corpus_f10_critical_levels():
     return [pytest.param(f, f.abs_eval(c), id=f"corpus-f10-crit{k}") for k, (c, _) in enumerate(f.critical_points)]
 
 
-@pytest.mark.parametrize(
-    "f,eps",
-    [
-        pytest.param(parse_function_spec("poly:1,0,-1"), 1.0, id="lemniscate-1"),
-        pytest.param(parse_function_spec("poly:1,0,0,0,0,-1"), 0.5, id="z5m1-0.5"),
-        pytest.param(parse_function_spec("poly:1,0,0,0,0,-1"), 1.0, id="z5m1-1"),
-        pytest.param(parse_function_spec("blaschke:0.36,-0.34+0.03i/0.05+0.02i"), 0.5, id="blaschke21-0.5"),
-        *_corpus_f10_critical_levels(),
-    ],
-)
+SAG_CASES = [
+    pytest.param(parse_function_spec("poly:1,0,-1"), 1.0, id="lemniscate-1"),
+    pytest.param(parse_function_spec("poly:1,0,0,0,0,-1"), 0.5, id="z5m1-0.5"),
+    pytest.param(parse_function_spec("poly:1,0,0,0,0,-1"), 1.0, id="z5m1-1"),
+    pytest.param(parse_function_spec("blaschke:0.36,-0.34+0.03i/0.05+0.02i"), 0.5, id="blaschke21-0.5"),
+    *_corpus_f10_critical_levels(),
+]
+
+
+@pytest.mark.parametrize("f,eps", SAG_CASES)
 def test_recorded_sag_bounds_the_measured_sag(f, eps):
     # the distance from each chord midpoint to the curve (the midpoint
     # corrected onto the level) stays within the arc's recorded sag, and the
@@ -122,20 +122,51 @@ def test_recorded_sag_bounds_the_measured_sag(f, eps):
                 assert z is not None and abs(z - mid) <= arc.sag
 
 
-@pytest.mark.parametrize(
-    "spec,eps,points",
-    [
-        ("poly:1,0,0,0,0,-1", 0.5, 325),
-        ("poly:1,0,0,0,0,-1", 1.0, 357),
-        ("poly:1,0,-1", 1.0, 220),
-        ("blaschke:0.36,-0.34+0.03i/0.05+0.02i", 0.5, 209),
-    ],
-)
+@pytest.mark.parametrize("f,eps", SAG_CASES)
+def test_closing_chord_within_recorded_sag(f, eps):
+    # a closed arc ends on the chord from its last march point back to its
+    # start, which is no march step; the arc's sag must bound it as well
+    scale = _domain_scale(f, find_seeds(f, eps))
+    corrector = _LevelTracer(f, eps, DEFAULT_TOLS, scale)
+    closed = [arc for comp in trace_level_set(f, eps) for arc in comp.arcs if arc.closed]
+    for arc in closed:
+        assert arc.points[-1] == arc.points[0]
+        mid = 0.5 * (arc.points[-2] + arc.points[-1])
+        z, _, _ = corrector.correct(mid, max_iter=60)
+        assert z is not None and abs(z - mid) <= arc.sag
+
+
+BUDGET_CASES = [
+    ("poly:1,0,0,0,0,-1", 0.5, 265),
+    ("poly:1,0,0,0,0,-1", 1.0, 357),
+    ("poly:1,0,-1", 1.0, 220),
+    ("blaschke:0.36,-0.34+0.03i/0.05+0.02i", 0.5, 209),
+]
+
+
+@pytest.mark.parametrize("spec,eps,points", BUDGET_CASES)
 def test_step_controller_point_budget(spec, eps, points):
     # the counts the sag-driven step controller traced when it was written; a
     # controller whose step stops growing spends several times as many
     comps = trace_level_set(parse_function_spec(spec), eps)
     assert sum(c.points.size for c in comps) <= 1.25 * points
+
+
+@pytest.mark.parametrize("spec,eps,points", BUDGET_CASES)
+def test_one_corrector_update_per_step(monkeypatch, spec, eps, points):
+    # the arc predictor and the second-order corrector land a step with one
+    # update: two fused evaluations per point (the predicted point and the
+    # check of the update), against about three with a tangent predictor
+    evaluate = RationalFn.abs_and_log_derivative
+    calls = []
+
+    def counted(self, z):
+        calls.append(z)
+        return evaluate(self, z)
+
+    monkeypatch.setattr(RationalFn, "abs_and_log_derivative", counted)
+    comps = trace_level_set(parse_function_spec(spec), eps)
+    assert len(calls) <= 2.2 * sum(c.points.size for c in comps)
 
 
 @pytest.mark.parametrize("eps,count", [(1.0 - 1e-6, 2), (1.0 + 1e-6, 1)])
