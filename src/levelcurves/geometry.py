@@ -88,6 +88,13 @@ class SegmentIndex:
     unscanned cell can hold anything nearer, or a brute-force pass in bounded
     blocks once that is cheaper.  Every candidate goes through one formula,
     so a distance is the same float as the minimum over all segments.
+
+    ``distances`` gives every distance; ``max_distance`` gives only the
+    largest, as the one side of a Hausdorff distance needs.  It keeps the
+    running maximum of the distances finished so far, stops a query as soon
+    as its best candidate cannot raise it (the early break of Taha &
+    Hanbury, IEEE TPAMI 37(11), 2015), and stops the whole search once one
+    query is proven beyond the bound.
     """
 
     def __init__(self, polylines):
@@ -169,6 +176,19 @@ class SegmentIndex:
             out = self._search(zs, upto)
         return np.where(out <= upto, out, np.inf)
 
+    def max_distance(self, zs, upto: float = math.inf) -> float:
+        """``max(self.distances(zs, upto))``, the same float, ``inf`` included.
+
+        Always runs the grid search, which stops each query once it cannot
+        raise the largest distance finished so far, and stops altogether once
+        one query is proven beyond ``upto``.  zs must not be empty.
+        """
+        zs = as_points(zs)
+        if self._a.size == 0:
+            return math.inf
+        out = self._search(zs, upto, running_max=True)
+        return float(np.max(np.where(out <= upto, out, np.inf)))
+
     def _ring(self, u, v, r):
         """(query position, cell id) of the grid cells at Chebyshev distance r from (u, v)."""
         nx, ny = self._nx, self._ny
@@ -186,7 +206,14 @@ class SegmentIndex:
             cells.append(i[k] * ny + j)
         return np.concatenate(owners), np.concatenate(cells)
 
-    def _search(self, zs: np.ndarray, upto: float) -> np.ndarray:
+    def _search(self, zs: np.ndarray, upto: float, running_max: bool = False) -> np.ndarray:
+        """Distance from each query, exact where at most upto.
+
+        With ``running_max`` only the largest distance is kept exact: a query
+        stops with its best so far once that is at most the largest exact
+        distance already finished, and the search returns as soon as one
+        query is proven beyond upto, leaving that query's entry above upto.
+        """
         nx, ny, cell = self._nx, self._ny, self._cell
         best = np.full(zs.shape, np.inf)
         ok = np.isfinite(zs)
@@ -202,17 +229,28 @@ class SegmentIndex:
         spent = np.zeros(zs.size, dtype=np.int64)
         # a query whose first ring already lies beyond upto scans nothing
         active = np.nonzero(ok & ((r - 1) * cell * (1.0 - 1e-12) - self._slack <= upto))[0]
+        if running_max and active.size < np.count_nonzero(ok):
+            return best
+        top = -math.inf  # the largest exact distance finished so far
         while active.size:
             # once the rings have cost as much as scanning every segment
             costly = spent[active] >= self._a.size
-            best[active[costly]] = self._brute(zs[active[costly]])
+            done = active[costly]
+            best[done] = self._brute(zs[done])
             active = active[~costly]
             for s in range(0, active.size, _BLOCK_QUERIES):
                 self._scan_ring(zs, active[s : s + _BLOCK_QUERIES], u, v, r, best, spent)
             ra = r[active]
             lower = ra * cell * (1.0 - 1e-12) - self._slack
-            finished = (best[active] <= lower) | (lower > upto) | (ra >= r_end[active])
+            exact = (best[active] <= lower) | (ra >= r_end[active])
+            finished = exact | (lower > upto)
             r[active] += 1
+            if running_max:
+                found = best[np.concatenate([done, active[exact]])]
+                if np.any(finished & ~exact) or np.any(found > upto):
+                    return best
+                top = max(top, float(np.max(found, initial=-math.inf)))
+                finished |= best[active] <= top
             active = active[~finished]
         return best
 

@@ -6,12 +6,18 @@ from the point samples of each side to the polylines of the other.  A
 traced curve lies within its chord sag of its polyline (see
 ``tracer.TracedArc``), so each distance is within the other side's sag of
 the distance to the curve itself: the discretization error is the larger
-sag, which the report carries.  A bound ``upto`` keeps each distance exact
+sag, which the report carries.  Each side asks its index for the largest
+distance only (``SegmentIndex.max_distance``), so a query stops as soon as
+it cannot raise the side's maximum.  A bound ``upto`` keeps each side exact
 up to it and reports ``inf`` beyond, so a threshold test stops scanning
 early.
 
 The continuity probe audits each trial from its farthest level inward, where
 a failing trial fails first, and runs its d-checks exact up to delta only.
+Its component is one side of every d-check, so the component's cached index
+is built once per probe.  The curves near the component at each audited
+level are traced from corrected seeds through the seed loop of
+``trace_level_set``.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .errors import TraceError
 from .funcspace import RationalFn
 from .geometry import SegmentIndex, as_points, max_segment_length
-from .tracer import LevelCurveComponent, TracedArc, _LevelTracer, _domain_scale, _near, _trace_component_with
+from .tracer import LevelCurveComponent, TracedArc, _LevelTracer, _domain_scale, _trace_seeds
 
 K_SAMPLES = 8  # audit heights per side of eps in one probe trial
 ETA_FLOOR_REL = 1e-9  # the probe gives up once eta falls below this times eps
@@ -44,15 +50,15 @@ class HausdorffReport:
 def hausdorff(X, Y, upto: float = math.inf) -> HausdorffReport:
     """Two-sided distance between finite point sets.
 
-    Each distance is exact where it is at most ``upto`` and ``inf`` above
-    it, as in ``SegmentIndex.distances``.
+    Each side is exact where it is at most ``upto`` and ``inf`` above it,
+    as in ``SegmentIndex.max_distance``.
     """
     xs = as_points(X)
     ys = as_points(Y)
     if xs.size == 0 or ys.size == 0:
         return HausdorffReport(math.inf, math.inf, math.inf)
-    d1 = float(np.max(SegmentIndex(ys[:, None]).distances(xs, upto)))
-    d2 = float(np.max(SegmentIndex(xs[:, None]).distances(ys, upto)))
+    d1 = SegmentIndex(ys[:, None]).max_distance(xs, upto)
+    d2 = SegmentIndex(xs[:, None]).max_distance(ys, upto)
     return HausdorffReport(d1, d2, max(d1, d2))
 
 
@@ -60,25 +66,31 @@ def hausdorff_between_curves(curves_a, curves_b, upto: float = math.inf) -> Haus
     """d-check between two traced curves, each point to the other's polylines.
 
     Each side is a list of traced arcs, with one ``SegmentIndex`` over its
-    polylines; ``discretization`` is the larger sag of the two sides.  A
-    bare point array is one polyline with no recorded sag, and its longest
-    segment stands in for one.  Distances are bounded by ``upto`` as in
+    polylines, or a ``LevelCurveComponent``, whose cached ``index`` serves
+    every d-check against it; ``discretization`` is the larger sag of the
+    two sides.  A bare point array is one polyline with no recorded sag, and
+    its longest segment stands in for one.  Each side is the largest
+    distance from its points to the other side's polylines
+    (``SegmentIndex.max_distance``), bounded by ``upto`` as in
     :func:`hausdorff`.
     """
-    (lines_a, sag_a), (lines_b, sag_b) = _polylines(curves_a), _polylines(curves_b)
-    xs, ys = np.concatenate(lines_a), np.concatenate(lines_b)
+    (xs, index_a, sag_a), (ys, index_b, sag_b) = _side(curves_a), _side(curves_b)
     if xs.size == 0 or ys.size == 0:
         return HausdorffReport(math.inf, math.inf, math.inf)
-    d1 = float(np.max(SegmentIndex(lines_b).distances(xs, upto)))
-    d2 = float(np.max(SegmentIndex(lines_a).distances(ys, upto)))
+    d1 = index_b.max_distance(xs, upto)
+    d2 = index_a.max_distance(ys, upto)
     return HausdorffReport(d1, d2, max(d1, d2), discretization=max(sag_a, sag_b))
 
 
-def _polylines(curve) -> tuple[list[np.ndarray], float]:
-    """The polylines of one side of a d-check and their sag bound."""
+def _side(curve) -> tuple[np.ndarray, SegmentIndex, float]:
+    """The points of one side of a d-check, the index of its polylines and their sag bound."""
+    if isinstance(curve, LevelCurveComponent):
+        return curve.points, curve.index, curve.sag
     if isinstance(curve, np.ndarray):
-        return [as_points(curve)], max_segment_length(curve)
-    return [a.points for a in curve], max((a.sag for a in curve), default=0.0)
+        pts = as_points(curve)
+        return pts, SegmentIndex([pts]), max_segment_length(pts)
+    lines = [a.points for a in curve]
+    return np.concatenate(lines), SegmentIndex(lines), max((a.sag for a in curve), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +122,14 @@ def _nearby_curves_union(
     delta: float,
     tols: Tolerances,
 ) -> list[TracedArc]:
-    """The arcs of the level curves at level zeta seeded near each edge midpoint."""
-    scale = _domain_scale(f, [component.points[0]])
-    tracer = _LevelTracer(f, zeta, tols, scale)
-    comps: list[LevelCurveComponent] = []
+    """The arcs of the level curves at level zeta seeded near each edge midpoint.
 
+    Each seed is corrected onto the level and kept within 4 delta + 1 of its
+    midpoint; the seeds are then traced in order, skipping those on a curve
+    already traced (``tracer._trace_seeds``).
+    """
+    tracer = _LevelTracer(f, zeta, tols, _domain_scale(f, [component.arcs[0].points[0]]))
+    seeds = []
     for arc in component.arcs:
         pts = arc.points
         mid = pts[len(pts) // 2]
@@ -124,14 +139,12 @@ def _nearby_curves_union(
         normal = 1j * tangent / abs(tangent)
         for off in (0.0, 0.25 * delta, -0.25 * delta, 0.75 * delta, -0.75 * delta):
             z, _, _ = tracer.correct(mid + off * normal, max_iter=40)
-            if z is None or any(_near(c, [z])[0] for c in comps):
-                continue
-            if abs(z - mid) > 4.0 * delta + 1.0:
-                continue
-            with warnings.catch_warnings():
-                # the probe samples deliberately near-critical levels
-                warnings.simplefilter("ignore", UserWarning)
-                comps.append(_trace_component_with(tracer, z))
+            if z is not None and abs(z - mid) <= 4.0 * delta + 1.0:
+                seeds.append(z)
+    with warnings.catch_warnings():
+        # the probe samples deliberately near-critical levels
+        warnings.simplefilter("ignore", UserWarning)
+        comps = _trace_seeds(tracer, seeds)
     if not comps:
         raise TraceError(f"no level curves found near the component at level {zeta}")
     return [a for c in comps for a in c.arcs]
@@ -174,7 +187,7 @@ def continuity_probe(
                     union = _nearby_curves_union(f, zeta, component, delta, tols)
                 except TraceError:
                     return None
-                d = hausdorff_between_curves(union, component.arcs, upto=delta).d_check
+                d = hausdorff_between_curves(union, component, upto=delta).d_check
                 if d >= delta:
                     return None
                 pair.append((zeta, d))

@@ -676,20 +676,26 @@ def trace_level_set(
     seeds = find_seeds(f, eps)
     tracer = _LevelTracer(f, eps, tols, _domain_scale(f, seeds))
 
+    components = _trace_seeds(tracer, seeds)
+    _certify_turn(f, eps, components)
+    components.sort(key=lambda c: _lower_left(c.points))
+    return components
+
+
+def _lower_left(pts: np.ndarray) -> tuple[float, float]:
+    """The sort key of a component: the corner of its bounding box, rounded."""
+    return round(float(np.min(pts.real)), 9), round(float(np.min(pts.imag)), 9)
+
+
+def _trace_seeds(tracer: _LevelTracer, seeds) -> list[LevelCurveComponent]:
+    """One component per seed, in seed order, skipping the seeds that lie on
+    a component already traced."""
     components: list[LevelCurveComponent] = []
-    pending = seeds
+    pending = list(seeds)
     while pending:
         components.append(_trace_component_with(tracer, pending[0]))
         rest = pending[1:]
         pending = [z for z, hit in zip(rest, _near(components[-1], rest)) if not hit]
-
-    _certify_turn(f, eps, components)
-    components.sort(
-        key=lambda c: (
-            round(float(np.min(c.points.real)), 9),
-            round(float(np.min(c.points.imag)), 9),
-        )
-    )
     return components
 
 

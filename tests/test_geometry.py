@@ -73,3 +73,41 @@ def test_winding_blocks_match_one_block():
     with mock.patch.object(geometry, "_BLOCK_PAIRS", 8):
         assert np.array_equal(geometry.winding_number(square, zs), whole)
     assert geometry.winding_number(square[::-1], zs[:1])[0] == pytest.approx(-1.0)
+
+
+def _random_scene(rng):
+    """1-3 seeded random polylines of 1-200 points, and queries near them or far off."""
+    lines = []
+    for _ in range(rng.integers(1, 4)):
+        n = int(rng.integers(1, 201))
+        if rng.random() < 0.5:
+            t = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+            lines.append(rng.uniform(0.2, 2.0) * np.exp(1j * t) + complex(*rng.normal(size=2)))
+        else:
+            lines.append(0.1 * np.cumsum(rng.normal(size=n) + 1j * rng.normal(size=n)))
+    m = int(rng.integers(1, 200))
+    pts = np.concatenate(lines)
+    kind = rng.integers(3)
+    if kind == 0:
+        zs = pts[rng.integers(0, pts.size, m)] + 0.01 * (rng.normal(size=m) + 1j * rng.normal(size=m))
+    elif kind == 1:
+        # a shifted copy: many distances nearly tie, so the running maximum decides
+        zs = pts + 0.01 * np.exp(2j * np.pi * rng.random())
+    else:
+        zs = 10.0 ** rng.uniform(-1.0, 3.0) * (rng.normal(size=m) + 1j * rng.normal(size=m))
+    return lines, zs
+
+
+def test_max_distance_is_the_max_of_distances_bitwise():
+    rng = np.random.default_rng(14)
+    for _ in range(150):
+        lines, zs = _random_scene(rng)
+        index = SegmentIndex(lines)
+        top = float(np.max(index.distances(zs)))
+        for upto in (top, np.nextafter(top, 0.0), float(np.median(index.distances(zs))), 0.0, np.inf):
+            want = np.max(index.distances(zs, upto))
+            # a small block budget splits the ring blocks and the brute fallback
+            for block in (256, geometry._BLOCK_PAIRS):
+                with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
+                    got = index.max_distance(zs, upto)
+                assert got == want and type(got) is float

@@ -18,6 +18,7 @@ from levelcurves import (
     trace_level_set,
 )
 from levelcurves.metrics import K_SAMPLES, REFINE_ROUNDS, ContinuityCertificate, hausdorff_between_curves
+from levelcurves.tracer import _LevelTracer, _domain_scale, _near, _trace_component_with
 
 
 def test_identity_distance_zero():
@@ -179,6 +180,62 @@ def test_probe_matches_nearest_first_reference(case):
     assert [s["zeta"] for s in got["samples"]] == [s["zeta"] for s in want["samples"]]
     for g, w in zip(got["samples"], want["samples"]):
         assert abs(g["d_check"] - w["d_check"]) <= 1e-11
+
+
+def _interleaved_union(f, zeta, component, delta, tols=DEFAULT_TOLS):
+    """The union traced with each seed checked against every component so
+    far as soon as it is corrected, kept as the reference for the seed loop."""
+    tracer = _LevelTracer(f, zeta, tols, _domain_scale(f, [component.points[0]]))
+    comps = []
+    for arc in component.arcs:
+        pts = arc.points
+        mid = pts[len(pts) // 2]
+        tangent = pts[min(len(pts) // 2 + 1, len(pts) - 1)] - pts[len(pts) // 2 - 1]
+        if tangent == 0:
+            continue
+        normal = 1j * tangent / abs(tangent)
+        for off in (0.0, 0.25 * delta, -0.25 * delta, 0.75 * delta, -0.75 * delta):
+            z, _, _ = tracer.correct(mid + off * normal, max_iter=40)
+            if z is None or any(_near(c, [z])[0] for c in comps):
+                continue
+            if abs(z - mid) > 4.0 * delta + 1.0:
+                continue
+            comps.append(_trace_component_with(tracer, z))
+    return [a for c in comps for a in c.arcs]
+
+
+BENCH_PROBES = {
+    "lemniscate": ("poly:1,0,-1", 1.0, 0.1),
+    "z2": ("poly:1,0,0", 1.0, 0.05),
+    "z5m1": ("poly:1,0,0,0,0,-1", 1.0, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", list(BENCH_PROBES))
+def test_union_matches_interleaved_reference(name):
+    spec, eps, delta = BENCH_PROBES[name]
+    f = parse_function_spec(spec)
+    component = max(trace_level_set(f, eps), key=lambda c: c.total_length())
+    # both sides of eps; z^5-1 has five loops just below 1 and one curve just above
+    for zeta in (eps * (1.0 + s * r) for r in (1e-5, 0.02, 0.1) for s in (1.0, -1.0)):
+        got = metrics._nearby_curves_union(f, zeta, component, delta, DEFAULT_TOLS)
+        want = _interleaved_union(f, zeta, component, delta)
+        assert len(got) == len(want)
+        assert all(np.array_equal(g.points, w.points) for g, w in zip(got, want))
+        if name == "z5m1" and abs(zeta - eps) < 1e-4:
+            assert len(got) == (5 if zeta < eps else 1)
+
+
+@pytest.mark.parametrize(
+    "name, eta",
+    [("lemniscate", 0.0098876953125), ("z2", 0.0966796875), ("z5m1", 9.894371032714844e-06)],
+)
+def test_bench_probe_results_are_pinned(name, eta):
+    spec, eps, delta = BENCH_PROBES[name]
+    cert = continuity_probe(parse_function_spec(spec), eps, delta)
+    # eta comes from bisection on eps / 2, an exact binary fraction of it
+    assert cert.passed and cert.eta == eta
+    assert len(cert.samples) == 2 * K_SAMPLES
 
 
 def test_failing_trial_stops_at_its_farthest_level(monkeypatch):
