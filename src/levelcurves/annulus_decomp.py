@@ -6,11 +6,13 @@ N-fold covering of an annulus of levels, so phi = f^(1/M) carries every level
 loop of the region onto a circle.  phi is therefore built on K_LOOPS traced
 loops of the region: on each, phi = |f|^(1/M) * e^(i*alpha/M), with alpha the
 running sum of the arg-f increments, which the tracer orders to be positive.
-A radial chain of short steps from loop to loop carries alpha across; the
-loops and the chain form a spanning tree whose every edge has its increment
-checked.  M = +N when arg f increases along positively oriented level curves
-in the region (the inner boundary encloses net zeros), M = -N for net poles;
-with this branch the power identity f == phi^M holds exactly on both kinds.
+One radial chain of short steps, phi's preimage of a radial segment, runs
+from the region's outer boundary inward, seeds every loop and carries alpha
+across; the loops and the chain form a spanning tree whose every edge has
+its increment checked.  M = +N when arg f increases along positively
+oriented level curves in the region (the inner boundary encloses net zeros),
+M = -N for net poles; with this branch the power identity f == phi^M holds
+exactly on both kinds.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from . import geometry
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import CertificateError, TopologyError, TraceError
 from .funcspace import RationalFn
-from .levelgraph import faces_of_points
+from .levelgraph import build_graph, faces_of_points
 from .order_topology import CriticalSetC, CurveKind, CurveRef, critical_level_curves
 from .tracer import (
     STEP_MAX_CORRECTION,
@@ -35,8 +37,6 @@ from .tracer import (
     LevelCurveComponent,
     _LevelTracer,
     _domain_scale,
-    _near,
-    _ray_crossings,
     _trace_component_with,
     trace_level_set,
 )
@@ -289,44 +289,33 @@ def _loop_levels(region: AnnularRegion) -> np.ndarray:
     return region.eps1 ** (1.0 - s) * region.eps2**s
 
 
-def _not_region_loop(f: RationalFn, region: AnnularRegion, comp: LevelCurveComponent, tols) -> str | None:
-    """Why comp is not the region's loop at its level, or None when it is.
+def _certify_loop(f: RationalFn, region: AnnularRegion, comp: LevelCurveComponent, tols) -> _Loop:
+    """The per-loop certificate: comp is the region's loop at its level, every
+    arg-f increment lies in (0, MAX_EDGE_TURN), and the total is 2*pi*N for a
+    nonzero integer N.
 
     A level strictly between the region's two levels has exactly one
     component in the region: a simple closed curve enclosing exactly the
-    zeros and poles inside the inner boundary.  Those points lie off every
-    loop, so the point-in-polygon test is never near its edge case.
+    zeros and poles inside the inner boundary.  One face lookup on the loop's
+    graph says which it encloses; those points lie off every loop.
     """
+    where = f"level {comp.level} in region {region.label}"
     if comp.vertices or not comp.arcs[0].closed:
-        return "is not a simple loop"
+        raise TopologyError(f"{where} is not a simple loop")
     pts = comp.arcs[0].points
     if region.outer_boundary.kind is CurveKind.BOUNDARY and np.any(np.abs(pts) >= 1.0):
-        return "leaves the unit disk"
+        raise TopologyError(f"{where} leaves the unit disk")
     zp, _ = _zeros_and_poles(f)
-    w = geometry.winding_number(pts, zp)
-    k = np.round(w)
-    if np.any(np.abs(w - k) > 0.25) or np.any(np.abs(k) > 1):
-        return "winds ambiguously around a zero or pole"
-    enclosed = _inside_inner(region, zp, tols)
-    if not np.array_equal(k != 0, enclosed):
-        return f"encloses the zeros and poles {zp[k != 0]}, not the region's {zp[enclosed]}"
-    return None
-
-
-def _certify_loop(f: RationalFn, region: AnnularRegion, comp: LevelCurveComponent, tols) -> _Loop:
-    """The per-loop certificate: the region's loop (:func:`_not_region_loop`),
-    every arg-f increment in (0, MAX_EDGE_TURN), and a total of 2*pi*N for a
-    nonzero integer N."""
-    why = _not_region_loop(f, region, comp, tols)
-    if why is not None:
-        raise TopologyError(f"level {comp.level} in region {region.label} {why}")
-    pts = comp.arcs[0].points
+    g = build_graph(comp)
+    enclosed = faces_of_points(g, zp, tols) != g.unbounded_face.id
+    want = _inside_inner(region, zp, tols)
+    if not np.array_equal(enclosed, want):
+        raise TopologyError(f"{where} encloses the zeros and poles {zp[enclosed]}, not the region's {zp[want]}")
     vals = f.eval_grid(pts)
     inc = np.angle(vals[1:] / vals[:-1])
     if not (np.all(inc > 0.0) and np.all(inc < MAX_EDGE_TURN)):
         raise CertificateError(
-            f"arg f increment in [{inc.min():.3g}, {inc.max():.3g}] leaves (0, pi/4) "
-            f"on level {comp.level} in region {region.label}"
+            f"arg f increment in [{inc.min():.3g}, {inc.max():.3g}] leaves (0, pi/4) on {where}"
         )
     turn = np.cumsum(inc)
     total = float(turn[-1])
@@ -337,26 +326,21 @@ def _certify_loop(f: RationalFn, region: AnnularRegion, comp: LevelCurveComponen
     return _Loop(pts[:-1], vals[:-1], np.concatenate([[0.0], turn[:-1]]), total, n, orientation)
 
 
-def _probe_on_level(f: RationalFn, region: AnnularRegion, tracer: _LevelTracer, tols) -> LevelCurveComponent:
-    """The region's loop at the tracer's level, traced from a ray crossing.
+def _outer_start(region: AnnularRegion) -> tuple[complex, float]:
+    """A point on the region's outer boundary, and log|f| there.
 
-    Rays from the inner boundary cross the level; the first crossing in the
-    domain whose component is the region's loop wins.  Crossings on a
-    component already turned down are skipped.
+    On the unit circle the point 1, where |f| = 1.  On a level curve the
+    middle point of the first arc around the region's face, away from the
+    vertices: the region is the one side of that arc where |f| moves toward
+    the loop levels, so a radial step from it walks into the region.
     """
-    pts = region.inner_boundary.all_points()
-    anchors = pts[:: max(1, len(pts) // 12)]
-    ts = np.geomspace(1e-6 * tracer.scale, 4.0 * tracer.scale, 300)
-    rejected: list[LevelCurveComponent] = []
-    for crossing in _ray_crossings(f, tracer.eps, anchors, 0.37, ts)[0]:
-        z, _, _ = tracer.correct(complex(crossing), max_iter=50)
-        if z is None or not f.in_domain(z) or any(_near(c, [z])[0] for c in rejected):
-            continue
-        comp = _trace_component_with(tracer, z)
-        if _not_region_loop(f, region, comp, tols) is None:
-            return comp
-        rejected.append(comp)
-    raise TraceError(f"no loop at level {tracer.eps} inside region {region.label}")
+    outer = region.outer_boundary
+    if outer.kind is CurveKind.BOUNDARY:
+        return 1.0 + 0j, 0.0
+    g = outer.graph()
+    edge, _ = g.faces[region.outer_face_id].edge_cycle[0]
+    pts = g.edges[edge].points
+    return complex(pts[pts.size // 2]), math.log(outer.level)
 
 
 def _radial_step(f: RationalFn, tracer: _LevelTracer, z: complex, alpha: float, log_from: float, tols):
@@ -398,30 +382,32 @@ def winding_N(
     """Winding integer N of f along the level loops of the region, and M.
 
     Traces the region's K_LOOPS loops and keeps them on the region as its
-    PhiGrid.  The middle loop comes from a ray probe; each other loop starts
-    where a radial step from its neighbour's basepoint lands.  Every loop
+    PhiGrid.  The loops are phi's preimages of circles, and one chain of
+    radial steps, phi's preimage of a radial segment, seeds them all: it
+    starts on the outer boundary (:func:`_outer_start`), and each loop,
+    outermost first, starts where the chain reaches its level.  Every loop
     passes :func:`_certify_loop`, and N and the orientation must agree on all
     of them.  M = +-N, positive when arg f increases along the positively
-    oriented curve.  On the middle loop alpha is the principal arg of f at
-    the point of smallest |arg f| (ties by |z|), the basepoint.
+    oriented curve.  alpha is shifted by the multiple of 2*pi that makes it
+    the principal arg of f at the basepoint, the middle loop's point of
+    smallest |arg f| (ties by |z|).
     """
     levels = _loop_levels(region)
     scale = _domain_scale(f)
-    tracers = [_LevelTracer(f, zeta, tols, scale) for zeta in levels]
-    a = K_LOOPS // 2
+    z, log_from = _outer_start(region)
+    alpha = cmath.phase(f.eval(z))
     loops: list[_Loop | None] = [None] * K_LOOPS
-    starts: list[float] = [0.0] * K_LOOPS  # alpha at each loop's basepoint
-    loops[a] = mid = _certify_loop(f, region, _probe_on_level(f, region, tracers[a], tols), tols)
+    starts: list[float] = [0.0] * K_LOOPS  # alpha at each loop's first point
+    for k in range(K_LOOPS - 1, -1, -1):
+        tracer = _LevelTracer(f, levels[k], tols, scale)
+        seed, alpha = _radial_step(f, tracer, z, alpha, log_from, tols)
+        loops[k] = _certify_loop(f, region, _trace_component_with(tracer, seed), tols)
+        starts[k], z, log_from = alpha, complex(loops[k].points[0]), tracer.log_eps
+    a = K_LOOPS // 2
+    mid = loops[a]
     theta = np.angle(mid.f_vals)
     b = int(np.lexsort((np.abs(mid.points), np.abs(theta)))[0])
-    starts[a] = float(theta[b] - mid.turn[b])
-    chain = [(k, k - 1) for k in range(a + 1, K_LOOPS)] + [(k, k + 1) for k in range(a - 1, -1, -1)]
-    for k, j in chain:
-        seed, starts[k] = _radial_step(
-            f, tracers[k], complex(loops[j].points[0]), starts[j], math.log(levels[j]), tols
-        )
-        loops[k] = _certify_loop(f, region, _trace_component_with(tracers[k], seed), tols)
-
+    shift = TWO_PI * round((theta[b] - starts[a] - mid.turn[b]) / TWO_PI)
     if len({(lp.N, lp.orientation) for lp in loops}) != 1:
         raise TopologyError(
             f"winding disagrees across levels: {[(lp.N, lp.orientation) for lp in loops]}"
@@ -431,7 +417,7 @@ def winding_N(
     grid = PhiGrid(
         points=np.concatenate([lp.points for lp in loops]),
         f_vals=np.concatenate([lp.f_vals for lp in loops]),
-        alpha=np.concatenate([s + lp.turn for s, lp in zip(starts, loops)]),
+        alpha=np.concatenate([s + shift + lp.turn for s, lp in zip(starts, loops)]),
         basepoint_index=int(offsets[a] + b),
         levels=levels,
         offsets=offsets,

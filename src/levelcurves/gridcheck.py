@@ -71,11 +71,9 @@ def two_sided_proximity(
     """
     cells = np.asarray(cells, dtype=complex).ravel()
     trace_points = np.concatenate([np.asarray(a, dtype=complex).ravel() for a in arcs])
-    d_ct = SegmentIndex(arcs).distances(cells)
-    d_tc = SegmentIndex(cells[:, None]).distances(trace_points)
     return ProximityReport(
-        max_cell_to_trace=float(np.max(d_ct)) if d_ct.size else 0.0,
-        max_trace_to_cell=float(np.max(d_tc)) if d_tc.size else 0.0,
+        max_cell_to_trace=SegmentIndex(arcs).max_distance(cells) if cells.size else 0.0,
+        max_trace_to_cell=SegmentIndex(cells[:, None]).max_distance(trace_points) if trace_points.size else 0.0,
         threshold=PROXIMITY_FACTOR * diag,
         n_cells=int(cells.size),
         n_trace_points=int(trace_points.size),

@@ -24,11 +24,12 @@ it enters the capture ball of such a vertex, and new arcs are launched along
 each of the 2*(mult+1) outgoing rays of the local model
 f(c) + a*(z - c)^(mult+1).  The vertex rays, the necks of off-level saddles
 and the near-critical warning all read that model from
-``RationalFn.critical_models``, computed once per function.  Seeds and probe
-points come from one batched ray search, ``_ray_crossings``.  A traced level
-set is certified complete by the argument principle: its arcs must turn arg f
-by 2*pi times the zeros or the poles of the domain, so a component missed by
-the seeds, or traced twice, is an error rather than a short or long list.
+``RationalFn.critical_models``, computed once per function.  Only the seeds
+of :func:`find_seeds` come from a ray search, the batched ``_ray_crossings``.
+A traced level set is certified complete by the argument principle: its arcs
+must turn arg f by 2*pi times the zeros or the poles of the domain, so a
+component missed by the seeds, or traced twice, is an error rather than a
+short or long list.
 """
 
 from __future__ import annotations
@@ -86,9 +87,10 @@ class TracedArc:
     triangle of its chord and end tangents, so every point of the curve lies
     within ``sag`` of its chord and every chord point within ``sag`` of the
     curve.  A closed arc ends on the chord from its last march point back to
-    its start, which replaces the last step; its bound, from the tangents at
-    both ends, is in ``sag`` too.  The short segments at a vertex follow the
-    local model's rays and are not march steps.
+    its start, which replaces the last step and may be split at one corrected
+    midpoint; its bound, from the tangents at both ends, is in ``sag`` too.
+    The short segments at a vertex follow the local model's rays and are not
+    march steps.
     """
 
     points: np.ndarray
@@ -354,7 +356,10 @@ class _LevelTracer:
 
             # closure: segment passes the start after having left it.  The
             # chord from z to start replaces the step; its tangent-triangle
-            # bound comes from the tangents at z and at start.
+            # bound comes from the tangents at z and at start.  A chord
+            # longer than a step may move arg f by more than MAX_ARG_STEP, so
+            # it is then split at one corrected midpoint; the triangle of the
+            # whole chord holds both halves.
             if (
                 may_close
                 and abs(z_new - start) < 2.0 * step_len
@@ -365,6 +370,11 @@ class _LevelTracer:
                 close_turn = abs(_turn(t, t_start))
                 sag = max(sag, 0.5 * abs(start - z) * math.tan(0.5 * close_turn))
                 pts[-1] = start
+                if abs(start - z) * max(abs(ld), abs(ld0)) > MAX_ARG_STEP:
+                    mid = correct(0.5 * (z + start))[0]
+                    if mid is None:
+                        raise TraceError(f"could not split the closing chord at {z} on level {self.eps}")
+                    pts.insert(-1, mid)
                 return pts, None, sag
 
             bend = signed_turn / step_len
@@ -707,13 +717,15 @@ def _certify_turn(f: RationalFn, eps: float, components):
     When |f| > eps on the domain's outer edge the set is bounded and holds
     every zero, and the argument principle makes the turn 2*pi times the
     zeros; otherwise the arcs bound {|f| > eps}, which holds every pole, and
-    the turn is 2*pi times the poles.  The edge is the ``_seed_box`` ring on
-    the plane and the unit circle on the disk; one point of it decides the
-    side.  Every increment must lie in (0, pi), so that the sum of the
-    increments is the turn.
+    the turn is 2*pi times the poles.  The modulus principles give the side:
+    |f| = 1 on the unit circle, and on the plane |f| tends to inf, 0 or
+    |f(inf)| as deg(num) - deg(den) is positive, negative or zero.  Every
+    increment must lie in (0, pi), so that the sum of the increments is the
+    turn.
     """
-    x0, y0, x1, y1 = _seed_box(f, eps)
-    above = f.abs_eval(complex(x1, 0.5 * (y0 + y1))) > eps
+    num, den = f.numerator, f.denominator
+    gap = num.degree - den.degree
+    above = eps < 1.0 if f.disk else gap > 0 or (gap == 0 and abs(num.coeffs[-1] / den.coeffs[-1]) > eps)
     want = sum(m for _, m in (f.zeros if above else f.poles))
     turn = 0.0
     for comp in components:

@@ -145,6 +145,15 @@ def test_blaschke_certificates(blaschke_21, blaschke_regions):
         assert np.all(mods > lo) and np.all(mods < hi)
 
 
+def test_two_poles_inside_one_critical_curve_on_the_disk():
+    # the critical curve at |f| = 9.58 holds both poles; a loop chain started
+    # next to a pole underflows here
+    f = parse_function_spec("blaschke:0.2709-0.4540i/0.4286-0.4842i,0.4313-0.6621i")
+    regions = decompose(f)
+    assert [(r.N, r.M) for r in regions] == [(1, 1), (1, -1), (2, -2), (1, -1), (1, -1)]
+    assert all(cert.ok for cert in certify_all(f, regions))
+
+
 def test_winding_consistent_across_levels(z5m1, z5_regions):
     outer = next(r for r in z5_regions if r.eps1 != 0.0)
     # winding_N itself checks that all its loops agree; run it fresh
@@ -227,11 +236,14 @@ def test_adjacent_loops_share_one_branch(z3_region, z5m1, z5_regions):
     [
         (30, 20260810, 8, 11),  # acceptance corpus function 8
         (5, 10, 4, 13),  # with the thin region between levels 1.06714 and 1.06729
+        (30, 20260810, 15, 9),  # a closing chord turned arg f by 0.90 rad
+        (30, 1, 24, 13),  # a closing chord turned arg f by 0.83 rad
     ],
 )
 def test_corpus_regions_certify(n, seed, index, count):
-    # both once failed: a loop sample inside a boundary chord's sagitta was
-    # taken for a point outside the region, and the thin region had no mesh
+    # all once failed: a loop sample inside a boundary chord's sagitta was
+    # taken for a point outside the region, the thin region had no mesh, and
+    # an unsplit closing chord broke the pi/4 gate on one loop
     f = build_corpus(n, seed=seed)[index]
     regions = decompose(f)
     assert len(regions) == count
