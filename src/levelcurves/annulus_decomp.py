@@ -228,13 +228,21 @@ def decompose(
 def _certify_region_clean(f: RationalFn, region: AnnularRegion, tols: Tolerances):
     """No zero, pole or critical point lies in the region.
 
-    The points strictly inside the region's level band go through one face
-    lookup per boundary graph.
+    A point on a boundary is told by identity, not by its level: the region's
+    own boundary point and the vertices of its boundary curves are dropped
+    first, as the critical set tells its curves apart.  A critical point whose
+    |f| ties with a boundary's level to within an ulp would otherwise fall
+    strictly inside the band.  The points strictly inside the region's level
+    band go through one face lookup per boundary graph.
     """
     inner = region.inner_boundary
     pts = np.array([z for z, _ in f.zeros + f.poles + f.critical_points], dtype=complex)
-    if inner.kind is CurveKind.POINT:
-        pts = pts[np.abs(pts - inner.point) >= 1e-10]  # the region's own boundary point
+    own = [inner.point] if inner.kind is CurveKind.POINT else []
+    for b in (inner, region.outer_boundary):
+        if b.kind is CurveKind.LEVEL_CURVE:
+            own += [v for v, _ in b.component.vertices]
+    for p in own:
+        pts = pts[np.abs(pts - p) >= 1e-10]
     lo, hi = region.level_interval()
     av = np.array([f.abs_eval(z) for z in pts])
     pts = pts[(lo < av) & (av < hi)]

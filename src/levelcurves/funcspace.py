@@ -307,9 +307,11 @@ def _cluster_points(points) -> list[tuple[complex, int]]:
 class RationalFn:
     """Ratio of two coprime polynomials with cached distinguished points.
 
-    Instances are immutable; every method is pure, so sharing across threads
-    is safe.  Construction rejects constant functions and numerator /
-    denominator pairs with a (numerically) common root.
+    Instances are immutable apart from their caches of what depends on f
+    alone (distinguished points, local models, critical curves); every
+    method is pure, so sharing across threads is safe.  Construction rejects
+    constant functions and numerator / denominator pairs with a
+    (numerically) common root.
     """
 
     def __init__(
@@ -333,6 +335,9 @@ class RationalFn:
         self.spec = spec
         # |den| when the denominator is constant, so the fused pass skips it
         self._const_den = abs(complex(denominator.coeffs[0])) if denominator.degree == 0 else None
+        # the component through each critical point, filled by
+        # ``tracer._critical_curve`` and keyed by (critical point index, tols)
+        self.critical_curves: dict = {}
         self._check_coprime()
 
     # -- construction helpers

@@ -2,9 +2,9 @@
 
 A curve precedes another when it sits inside one of the other's bounded
 faces.  The critical set collects every level curve through a critical point
-(at a finite nonzero level), the zeros and poles as degenerate point members,
-and any bounded boundary components of the domain.  It is finite, carries a
-strict partial order, and has a unique maximal element.
+(at a finite nonzero level) and the zeros and poles as degenerate point
+members.  It is finite, carries a strict partial order, and has a unique
+maximal element.
 
 The order is computed once, when the critical set is built, as a forest:
 each member's parent is the innermost (member, bounded face) holding it.
@@ -27,7 +27,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .errors import TopologyError, TraceError
 from .funcspace import RationalFn
 from .levelgraph import LevelGraph, build_graph, faces_of_points
-from .tracer import LevelCurveComponent, _LevelTracer, _domain_scale, _trace_component_with, trace_component
+from .tracer import LevelCurveComponent, _critical_curve, _domain_scale, trace_component
 from . import geometry
 
 
@@ -196,9 +196,13 @@ def critical_level_curves(
 
     The members are the critical level curves, zeros and poles.  Critical
     points whose value is 0 or infinity sit on zero/pole members rather than
-    on curves.  Components through several critical points are traced once.
-    For the supported domains no bounded boundary components exist; the unit
-    circle is the outer boundary, not a member.
+    on curves.  The curves are the ones stored on f (``tracer._critical_curve``):
+    each traced once per function and tolerances from the vertex of its first
+    critical point, in the order of ``f.critical_points``, and shared with
+    :func:`~levelcurves.tracer.trace_level_set` at the same level.  A
+    component through several critical points is one member.  The domain's
+    boundary is no member: on the unit disk the circle is the outer boundary
+    of the decomposition, and the plane has none.
     """
     f.check_boundary_restriction()
     refs: list[CurveRef] = []
@@ -208,18 +212,12 @@ def critical_level_curves(
         refs.append(CurveRef(CurveKind.POINT, math.inf, point=p, label=f"pole@{_fmt(p)}"))
 
     traced: list[LevelCurveComponent] = []
-    scale = _domain_scale(f)
-    for c, _ in f.critical_points:
-        level = f.abs_eval(c)
-        if not math.isfinite(level) or level <= tols.vertex_tol:
-            continue  # the critical point is a zero/pole; covered by point members
-        if any(any(abs(c - v) < 1e-10 for v, _ in comp.vertices) for comp in traced):
-            continue  # another critical point already pulled in this component
-        # c lies in its own capture ball, so the trace launches from the vertex
-        comp = _trace_component_with(_LevelTracer(f, level, tols, scale), c)
-        if not any(abs(c - v) < 1e-10 for v, _ in comp.vertices):
-            raise TraceError(f"critical curve through {c} did not capture it as a vertex")
-        traced.append(comp)
+    for i in range(len(f.critical_points)):
+        comp = _critical_curve(f, i, tols)
+        # None: a zero/pole, covered by point members; a component already
+        # listed: another critical point pulled it in
+        if comp is not None and all(comp is not t for t in traced):
+            traced.append(comp)
 
     for i, comp in enumerate(traced):
         refs.append(

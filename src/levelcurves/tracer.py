@@ -24,12 +24,19 @@ it enters the capture ball of such a vertex, and new arcs are launched along
 each of the 2*(mult+1) outgoing rays of the local model
 f(c) + a*(z - c)^(mult+1).  The vertex rays, the necks of off-level saddles
 and the near-critical warning all read that model from
-``RationalFn.critical_models``, computed once per function.  Only the seeds
-of :func:`find_seeds` come from a ray search, the batched ``_ray_crossings``.
-A traced level set is certified complete by the argument principle: its arcs
-must turn arg f by 2*pi times the zeros or the poles of the domain, so a
-component missed by the seeds, or traced twice, is an error rather than a
-short or long list.
+``RationalFn.critical_models``, computed once per function.
+
+The component through each critical point is traced once per function and
+tolerances, from its vertex at the point's own level, and kept on the
+function (``_critical_curve``); the critical set and every level set at
+exactly that level hand out the same object.  A traced level set is
+certified complete by the argument principle: its arcs must turn arg f by
+2*pi times the zeros or the poles of the domain, so a component missed by
+the seeds, or traced twice, is an error rather than a short or long list.
+:func:`trace_level_set` seeds in rungs and stops at the first rung whose
+components make the turn complete: the stored critical curves at the level,
+then one ray per zero and pole, then the other 7 rays of each.  Every ray
+seed comes from :func:`find_seeds` and its batched ``_ray_crossings``.
 """
 
 from __future__ import annotations
@@ -570,6 +577,43 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
     return comp
 
 
+def _critical_curve(f: RationalFn, i: int, tols: Tolerances) -> LevelCurveComponent | None:
+    """The component through critical point i of f, at that point's level.
+
+    Traced once per (i, tols) and kept in ``f.critical_curves``, so every
+    caller gets the same object; its point arrays are read-only.  None where
+    the critical point is a zero or a pole.  A critical point that is a
+    vertex of the curve of an earlier critical point gets that curve;
+    otherwise its curve is traced from the vertex at scale ``f.scale``.  Only
+    a curve at a level within ``vertex_tol`` of this one can hold the point
+    as a vertex, so the entry depends on f, i and tols, not on the order of
+    the calls.
+    """
+    key = (i, tols)
+    if key not in f.critical_curves:
+        f.critical_curves[key] = _trace_critical_curve(f, i, tols)
+    return f.critical_curves[key]
+
+
+def _trace_critical_curve(f: RationalFn, i: int, tols: Tolerances) -> LevelCurveComponent | None:
+    c = f.critical_points[i][0]
+    level = f.abs_eval(c)
+    if not math.isfinite(level) or level <= tols.vertex_tol:
+        return None  # the critical point is a zero/pole
+    for j, (cj, _) in enumerate(f.critical_points[:i]):
+        if abs(f.abs_eval(cj) - level) <= tols.vertex_tol:
+            comp = _critical_curve(f, j, tols)
+            if comp is not None and any(abs(c - v) < 1e-10 for v, _ in comp.vertices):
+                return comp
+    # c lies in its own capture ball, so the trace launches from the vertex
+    comp = _trace_component_with(_LevelTracer(f, level, tols, f.scale), c)
+    if not any(abs(c - v) < 1e-10 for v, _ in comp.vertices):
+        raise TraceError(f"critical curve through {c} did not capture it as a vertex")
+    for arc in comp.arcs:
+        arc.points.flags.writeable = False
+    return comp
+
+
 def _warn_near_critical(tracer: _LevelTracer, comp: LevelCurveComponent):
     if not tracer._offlevel:
         return
@@ -585,22 +629,22 @@ def _warn_near_critical(tracer: _LevelTracer, comp: LevelCurveComponent):
             )
 
 
-def find_seeds(f: RationalFn, eps: float) -> list[complex]:
-    """Seed points on E_{f, eps}, meant to reach every component.
+def find_seeds(f: RationalFn, eps: float, rays=range(8)) -> list[complex]:
+    """Seed points on E_{f, eps} from rays cast from every zero and pole.
 
-    Every bounded face of a component holds a zero or a pole, so rays cast
-    from each zero/pole cross every component.  The 8 rays of every anchor
-    are searched together (``_ray_crossings``); the first 6 in-domain
-    crossings of each ray, each bisected 50 times, are the seeds.  The
-    tracer corrects each seed it starts from.  Duplicates are fine; tracing
-    deduplicates.  The seeds are not checked for completeness here:
+    Every bounded face of a component holds a zero or a pole, so one ray
+    from each zero/pole already crosses every component in the plane, and
+    the 8 rays of every anchor cross each one many times.  ``rays`` picks
+    which of the 8 to cast, all by default; :func:`trace_level_set` casts
+    ray 0 first and the other 7 only when the turn count comes up short.
+    The chosen rays of every anchor are searched together
+    (``_ray_crossings``); the first 6 in-domain crossings of each ray, each
+    bisected 50 times, are the seeds, in anchor, ray and distance order.
+    The tracer corrects each seed it starts from.  Duplicates are fine;
+    tracing deduplicates.  The seeds are not checked for completeness here:
     :func:`trace_level_set` certifies the components it traces.
     """
-    if eps <= 0 or not math.isfinite(eps):
-        raise TraceError(f"eps must be in (0, inf), got {eps}")
-    if f.disk and abs(eps - 1.0) < 1e-6:
-        raise TraceError("eps coincides with |f| on the unit circle")
-
+    _check_level(f, eps)
     x0, y0, x1, y1 = _seed_box(f, eps)
     reach = max(x1 - x0, y1 - y0)
 
@@ -608,15 +652,20 @@ def find_seeds(f: RationalFn, eps: float) -> list[complex]:
     seeds: list[complex] = []
     per_ray: Counter = Counter()
     ts = np.geomspace(1e-6 * reach, 1.6 * reach, 400)
-    for crossing, a, k in zip(*_ray_crossings(f, eps, anchors, 0.21, ts)):
+    for crossing, a, k in zip(*_ray_crossings(f, eps, anchors, 0.21, ts, rays)):
         crossing = complex(crossing)
         if per_ray[a, k] >= 6 or not f.in_domain(crossing):
             continue
         per_ray[a, k] += 1
         seeds.append(crossing)
-    if not seeds:
-        raise TraceError(f"no seeds found on level {eps}: no ray from {anchors} crosses it in the domain")
     return seeds
+
+
+def _check_level(f: RationalFn, eps: float):
+    if eps <= 0 or not math.isfinite(eps):
+        raise TraceError(f"eps must be in (0, inf), got {eps}")
+    if f.disk and abs(eps - 1.0) < 1e-6:
+        raise TraceError("eps coincides with |f| on the unit circle")
 
 
 def _seed_box(f: RationalFn, eps: float):
@@ -645,17 +694,19 @@ def _seed_box(f: RationalFn, eps: float):
     )
 
 
-def _ray_crossings(f, eps, anchors, phase, ts):
-    """Crossings of |f| = eps on the 8 rays p + t e^(i theta_k), t in ts.
+def _ray_crossings(f, eps, anchors, phase, ts, rays=range(8)):
+    """Crossings of |f| = eps on the rays p + t e^(i theta_k), t in ts.
 
-    theta_k = 2 pi (k + phase) / 8 for every anchor p.  Sign changes of
-    |f| - eps between consecutive samples are bracketed with one grid
-    evaluation and all brackets are bisected together, 50 halvings.
-    Returns (points, anchor indices, ray indices), in anchor, ray, distance
-    order.
+    theta_k = 2 pi (k + phase) / 8 for every anchor p and every k in
+    ``rays`` (ascending, within 0..7).  Sign changes of |f| - eps between
+    consecutive samples are bracketed with one grid evaluation and all
+    brackets are bisected together, 50 halvings.  Returns (points, anchor
+    indices, ray indices k), in anchor, ray, distance order; a crossing does
+    not depend on which other rays are cast.
     """
     origins = np.asarray(anchors, dtype=complex)
-    directions = np.exp(1j * TWO_PI * (np.arange(8) + phase) / 8)
+    rays = np.asarray(rays)
+    directions = np.exp(1j * TWO_PI * (rays + phase) / 8)
     sgn = np.sign(f.abs_grid(origins[:, None, None] + directions[:, None] * ts) - eps)
     a, k, i = np.nonzero(sgn[..., :-1] * sgn[..., 1:] < 0)
     side = sgn[a, k, i]
@@ -666,7 +717,7 @@ def _ray_crossings(f, eps, anchors, phase, ts):
         same = np.sign(f.abs_grid(origin + mid * direction) - eps) == side
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
-    return origin + 0.5 * (lo + hi) * direction, a, k
+    return origin + 0.5 * (lo + hi) * direction, a, rays[k]
 
 
 def trace_level_set(
@@ -676,18 +727,45 @@ def trace_level_set(
 ) -> list[LevelCurveComponent]:
     """All components of E_{f, eps} in the domain of f, each traced once.
 
-    Components are traced from the seeds of :func:`find_seeds`.  The result
-    is certified by the argument principle (:func:`_certify_turn`): the arcs
-    must turn arg f by 2*pi times the zeros, or the poles, that the domain
-    holds, so a missing component raises :class:`TraceError`, and so does
-    one traced twice.  The count is complete on the plane and on the unit
-    disk.
-    """
-    seeds = find_seeds(f, eps)
-    tracer = _LevelTracer(f, eps, tols, _domain_scale(f, seeds))
+    The result is certified by the argument principle (:func:`_certify_turn`):
+    the arcs must turn arg f by 2*pi times the zeros, or the poles, that the
+    domain holds.  The components are gathered in rungs, and the turn is
+    counted after each one:
 
-    components = _trace_seeds(tracer, seeds)
-    _certify_turn(f, eps, components)
+    0. the stored curve (``_critical_curve``) of every critical point whose
+       |f| is eps itself, the same objects the critical set holds;
+    1. the components through the seeds of ray 0 of :func:`find_seeds`;
+    2. the components through the seeds of the other 7 rays.
+
+    Seeds on a component already gathered are dropped, and one tracer at the
+    scale of the first ray seeds traces rungs 1 and 2.  A complete turn ends
+    the search.  A turn beyond the count means a component traced twice and
+    raises :class:`TraceError` at once; a shortfall moves on to the next
+    rung, and raises after rung 2.  The count is complete on the plane and
+    on the unit disk.
+    """
+    _check_level(f, eps)
+    components: list[LevelCurveComponent] = []
+    for i, (c, _) in enumerate(f.critical_points):
+        if f.abs_eval(c) == eps:
+            comp = _critical_curve(f, i, tols)
+            # a curve pulled in from another critical point may sit at that
+            # point's level, within vertex_tol of eps; it is traced anew
+            if comp is not None and comp.level == eps and all(comp is not d for d in components):
+                components.append(comp)
+    tracer = None
+    for rays in ((0,), range(1, 8)):
+        if components and _certify_turn(f, eps, components, last=False):
+            break
+        seeds = find_seeds(f, eps, rays)
+        if seeds and tracer is None:
+            tracer = _LevelTracer(f, eps, tols, _domain_scale(f, seeds))
+        components += _trace_seeds(tracer, seeds, components)
+    else:
+        if not components:
+            anchors = [z for z, _ in f.zeros] + [z for z, _ in f.poles]
+            raise TraceError(f"no seeds found on level {eps}: no ray from {anchors} crosses it in the domain")
+        _certify_turn(f, eps, components)
     components.sort(key=lambda c: _lower_left(c.points))
     return components
 
@@ -697,19 +775,25 @@ def _lower_left(pts: np.ndarray) -> tuple[float, float]:
     return round(float(np.min(pts.real)), 9), round(float(np.min(pts.imag)), 9)
 
 
-def _trace_seeds(tracer: _LevelTracer, seeds) -> list[LevelCurveComponent]:
-    """One component per seed, in seed order, skipping the seeds that lie on
-    a component already traced."""
-    components: list[LevelCurveComponent] = []
+def _trace_seeds(tracer: _LevelTracer, seeds, traced=()) -> list[LevelCurveComponent]:
+    """One new component per seed, in seed order, skipping the seeds that lie
+    on a component of ``traced`` or on one traced from an earlier seed."""
     pending = list(seeds)
+    for comp in traced:
+        pending = _off(comp, pending)
+    components: list[LevelCurveComponent] = []
     while pending:
         components.append(_trace_component_with(tracer, pending[0]))
-        rest = pending[1:]
-        pending = [z for z, hit in zip(rest, _near(components[-1], rest)) if not hit]
+        pending = _off(components[-1], pending[1:])
     return components
 
 
-def _certify_turn(f: RationalFn, eps: float, components):
+def _off(comp: LevelCurveComponent, zs) -> list[complex]:
+    """The points of zs that do not lie on comp (see :func:`_near`)."""
+    return [z for z, hit in zip(zs, _near(comp, zs)) if not hit]
+
+
+def _certify_turn(f: RationalFn, eps: float, components, last: bool = True) -> bool:
     """Raise unless the arcs turn arg f by 2*pi times the domain's zeros or poles.
 
     Each arc runs along increasing arg f, so {|f| < eps} lies on its left and
@@ -722,6 +806,11 @@ def _certify_turn(f: RationalFn, eps: float, components):
     |f(inf)| as deg(num) - deg(den) is positive, negative or zero.  Every
     increment must lie in (0, pi), so that the sum of the increments is the
     turn.
+
+    Returns True when the turn is complete.  A turn short of the count
+    returns False unless ``last``, when it raises too: the components found
+    so far may be a subset of the level set.  A turn beyond the count always
+    raises, since it means a component was traced twice.
     """
     num, den = f.numerator, f.denominator
     gap = num.degree - den.degree
@@ -735,11 +824,14 @@ def _certify_turn(f: RationalFn, eps: float, components):
             if not np.all((inc > 0.0) & (inc < math.pi)):
                 raise TraceError(f"arg f is not increasing in steps below pi along an arc at level {eps}")
             turn += float(np.sum(inc))
-    if abs(turn - TWO_PI * want) > WINDING_TOL:
+    if abs(turn - TWO_PI * want) <= WINDING_TOL:
+        return True
+    if last or turn > TWO_PI * want:
         raise TraceError(
             f"the level set at {eps} turns arg f by {turn / TWO_PI:.6f} turns, but the domain "
             f"holds {want} {'zeros' if above else 'poles'}: a component is missing or traced twice"
         )
+    return False
 
 
 def _near(comp: LevelCurveComponent, zs) -> np.ndarray:

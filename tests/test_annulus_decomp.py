@@ -249,3 +249,31 @@ def test_corpus_regions_certify(n, seed, index, count):
     assert len(regions) == count
     for cert in certify_all(f, regions):
         assert cert.ok and cert.closure_discrepancy <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "spec,inventory",
+    [
+        (
+            "poly:-1.284580778805345,1.0988127684144084,0.24754574096284754,0.3476505985155095,"
+            "-0.8135155419815723,-0.20695643620832396,1.0",
+            [1, 1, 1, 1, 1, 1, 3, 4, 6],
+        ),
+        (
+            "poly:-0.454209119721369,0.698059671998619,-0.5156498276026669,0.9616782115907366,"
+            "1.6929555515236436,1.0",
+            [1, 1, 1, 1, 1, 2, 4, 5],
+        ),
+    ],
+)
+def test_tied_conjugate_critical_values(spec, inventory):
+    # real coefficients: the |f| of two conjugate critical points differ by
+    # an ulp, so the partner of the one that set a boundary's level falls
+    # strictly inside the band although it is a vertex of that boundary
+    f = parse_function_spec(spec)
+    vals = sorted(f.abs_eval(c) for c, _ in f.critical_points)
+    assert any(0.0 < b - a < 1e-12 for a, b in zip(vals, vals[1:]))
+    regions = decompose(f)
+    assert sorted(r.N for r in regions) == inventory
+    assert all(r.N == r.M for r in regions)
+    assert all(cert.ok for cert in certify_all(f, regions))

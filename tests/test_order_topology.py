@@ -290,3 +290,60 @@ def test_forest_certificate_rejects_crossed_holders(blaschke_21, monkeypatch):
     monkeypatch.setattr(order_topology, "_holding_faces", planted)
     with pytest.raises(TopologyError, match="not nested"):
         critical_level_curves(blaschke_21)
+
+
+def _store_cases():
+    corpus_f = build_corpus(30)[3]
+    return [
+        pytest.param("poly:1,0,-1", id="lemniscate"),
+        pytest.param("poly:1,0,0,0,0,-1", id="z5m1"),
+        # the saddles +-i share |f| = 2 and one curve, which the second one reuses
+        pytest.param("poly:1,0,3,0", id="z3+3z"),
+        # conjugate saddles on one curve, their |f| an ulp apart
+        pytest.param(
+            "poly:-1.284580778805345,1.0988127684144084,0.24754574096284754,0.3476505985155095,"
+            "-0.8135155419815723,-0.20695643620832396,1.0",
+            id="tied-real",
+        ),
+        pytest.param("poly:" + ",".join(repr(complex(a)) for a in corpus_f.numerator.coeffs[::-1]), id="corpus-3"),
+    ]
+
+
+def _critical_set_dump(C):
+    return (
+        [(m.label, m.level, m.kind) for m in C.components],
+        C.parent,
+        [[a.points.tobytes() for a in m.component.arcs] for m in C.curves()],
+    )
+
+
+@pytest.mark.parametrize("spec", _store_cases())
+def test_stored_critical_curves_do_not_depend_on_call_order(spec):
+    # a fresh f, and one that first traced every critical level (lowest
+    # first), give the same critical set bit for bit
+    fresh = critical_level_curves(parse_function_spec(spec))
+    f = parse_function_spec(spec)
+    levels = sorted(f.abs_eval(c) for c, _ in f.critical_points)
+    for level in levels:
+        trace_level_set(f, level)
+    C = critical_level_curves(f)
+    assert _critical_set_dump(C) == _critical_set_dump(fresh)
+    # a level set at a critical value hands out the critical set's object,
+    # unless that curve was traced at the level of another critical point
+    for c, _ in f.critical_points:
+        (member,) = [m for m in C.curves() if any(abs(c - v) < 1e-10 for v, _ in m.component.vertices)]
+        level = f.abs_eval(c)
+        comps = trace_level_set(f, level)
+        if member.level == level:
+            assert any(comp is member.component for comp in comps)
+        else:
+            assert all(comp.level == level and comp is not member.component for comp in comps)
+    # a level within vertex_tol of a critical value, but not on it, is
+    # traced anew at its own level
+    stored = [m.component for m in C.curves()]
+    for level in levels:
+        near = level * (1.0 + 1e-9)
+        assert near != level and abs(near - level) <= f.tols.vertex_tol
+        comps = trace_level_set(f, near)
+        assert all(comp.level == near and all(comp is not s for s in stored) for comp in comps)
+    assert all(not a.points.flags.writeable for s in stored for a in s.arcs)

@@ -412,10 +412,50 @@ def test_missing_component_fails_the_turn_count(monkeypatch, spec, eps):
 
 @pytest.mark.parametrize("spec,eps", [CERTIFIED_LEVELS[0], CERTIFIED_LEVELS[4]])
 def test_duplicate_component_fails_the_turn_count(monkeypatch, spec, eps):
+    # one ray per anchor may put a single seed on each component, so every
+    # seed is fed twice and the deduplication is turned off
     f = parse_function_spec(spec)
+    seeds_of = tracer.find_seeds
+    monkeypatch.setattr(tracer, "find_seeds", lambda *args: [z for z in seeds_of(*args) for _ in range(2)])
     monkeypatch.setattr(tracer, "_near", lambda comp, zs: np.zeros(len(zs), dtype=bool))
     with pytest.raises(TraceError, match="missing or traced twice"):
         trace_level_set(f, eps)
+
+
+def _rays_cast(monkeypatch, keep=lambda rays, seeds: seeds):
+    """Record the rays of every find_seeds call; keep filters its seeds."""
+    seeds_of = tracer.find_seeds
+    cast = []
+
+    def recorded(f, eps, rays=range(8)):
+        cast.append(tuple(rays))
+        return keep(tuple(rays), seeds_of(f, eps, rays))
+
+    monkeypatch.setattr(tracer, "find_seeds", recorded)
+    return cast
+
+
+@pytest.mark.parametrize("spec,eps", CERTIFIED_LEVELS)
+def test_component_missed_by_the_first_ray_is_traced_from_the_others(monkeypatch, spec, eps):
+    f = parse_function_spec(spec)
+    want = trace_level_set(f, eps)
+    missed = want[-1]
+    cast = _rays_cast(monkeypatch, lambda rays, seeds: tracer._off(missed, seeds) if rays == (0,) else seeds)
+    got = trace_level_set(f, eps)
+    assert cast == [(0,), tuple(range(1, 8))]
+    assert len(got) == len(want)
+    assert [len(c.vertices) for c in got] == [len(c.vertices) for c in want]
+    assert np.all(tracer._near(missed, got[-1].points))
+
+
+@pytest.mark.parametrize("spec,eps", CERTIFIED_LEVELS)
+def test_planted_surplus_raises_before_the_other_rays(monkeypatch, spec, eps):
+    f = parse_function_spec(spec)
+    cast = _rays_cast(monkeypatch, lambda rays, seeds: seeds + seeds[:1])
+    monkeypatch.setattr(tracer, "_near", lambda comp, zs: np.zeros(len(zs), dtype=bool))
+    with pytest.raises(TraceError, match="missing or traced twice"):
+        trace_level_set(f, eps)
+    assert cast == [(0,)]
 
 
 def _noncritical_level(f, u):
