@@ -54,7 +54,7 @@ class Polynomial:
     :meth:`trim`.
     """
 
-    __slots__ = ("coeffs", "_rev")
+    __slots__ = ("coeffs", "_rev", "_roots")
 
     def __init__(self, coeffs):
         c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
@@ -65,6 +65,7 @@ class Polynomial:
         self.coeffs.setflags(write=False)
         # descending Python complex values for the scalar Horner passes
         self._rev = tuple(complex(c) for c in self.coeffs[::-1])
+        self._roots = None
 
     @classmethod
     def from_roots(cls, roots, leading: complex = 1.0) -> "Polynomial":
@@ -85,7 +86,12 @@ class Polynomial:
 
     def __call__(self, z):
         if isinstance(z, np.ndarray):
-            return npoly.polyval(z, self.coeffs)
+            # numpy's polyval Horner without its set-up, the same floats: it
+            # starts from c_n + z * 0 too, and multiplies out of place
+            acc = self.coeffs[-1] + z * 0
+            for c in self._rev[1:]:
+                acc = c + acc * z
+            return acc
         acc = 0j
         for c in self._rev:
             acc = acc * z + c
@@ -120,8 +126,11 @@ class Polynomial:
         return Polynomial(c)
 
     def roots(self) -> list[tuple[complex, int]]:
-        """Roots with multiplicities, residual-checked and clustered."""
-        return find_roots(self.coeffs)
+        """Roots with multiplicities, residual-checked and clustered; found once
+        per polynomial, and a fresh list on every call."""
+        if self._roots is None:
+            self._roots = tuple(find_roots(self.coeffs))
+        return list(self._roots)
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)})"
@@ -442,6 +451,10 @@ class RationalFn:
 
     def abs_grid(self, z: np.ndarray) -> np.ndarray:
         nv = np.abs(self.numerator(z))
+        if self._const_den is not None:
+            # numpy's complex abs, which can differ from Python's in the last
+            # bit, as the two-pass formula below takes it
+            return nv / np.abs(self.denominator.coeffs[0])
         dv = np.abs(self.denominator(z))
         with np.errstate(divide="ignore", invalid="ignore"):
             out = nv / dv

@@ -232,15 +232,18 @@ class _LevelTracer:
         """
         z = complex(z)
         evaluate = self.f.abs_and_log_derivative
-        for it in range(max_iter + 1):
+        log, inf = math.log, math.inf
+        log_eps, tau = self.log_eps, self.tau
+        it = 0
+        while True:
             av, ld, dld = evaluate(z)
-            if not 0.0 < av < math.inf:
+            if not 0.0 < av < inf:
                 return None, it, None
-            g = math.log(av) - self.log_eps
-            if abs(g) <= self.tau:
+            g = log(av) - log_eps
+            if -tau <= g <= tau:
                 return z, it, ld
             r = abs(ld)
-            if it == max_iter or not 0.0 < r < math.inf:
+            if it == max_iter or not 0.0 < r < inf:
                 return None, it, None
             n = ld.conjugate() / r
             s = -g / r
@@ -248,6 +251,7 @@ class _LevelTracer:
             if abs(second) <= 0.5 * abs(s):
                 s -= second
             z = z + s * n
+            it += 1
 
     # -- single march from a point to closure or a vertex
 
@@ -262,22 +266,32 @@ class _LevelTracer:
         times the step, so one corrector update usually lands on the level.
         The sag estimate and the STEP_MAX_CORRECTION guard measure the
         corrected point from the tangent point, whatever the predictor.  Each
-        accepted point's f'/f from the corrector gives the next tangent.
-        ``sag`` is the largest tangent-triangle bound of the steps and of the
-        closing chord (see :class:`TracedArc`).
+        accepted point's f'/f from the corrector gives the next tangent, and
+        its modulus, taken once per point, both normalises that tangent and
+        bounds the next step's arg-f increment.  ``sag`` is the largest
+        tangent-triangle bound of the steps and of the closing chord (see
+        :class:`TracedArc`).
         """
         pts = [z0]
+        append = pts.append
+        n_pts = 1
         h = 1e-3 * self.scale
         sag = 0.0
         arc_len = 0.0
-        start = z0
-        ld = ld0
+        z = start = z0
         t = t_start = _tangent(ld0, direction, z0)
+        t_re, t_im = t.real, t.imag
+        # |f'/f| at the last point: it normalises the tangent there and
+        # bounds the arg-f increment of the next step
+        r = r0 = abs(ld0)
         # signed tangent turn per unit length over the last step
         bend = 0.0
         correct = self.correct
         sag_target = self.sag_target
+        sag_cap = 4.0 * sag_target
         h_min = self.h_min
+        reach = self.reach
+        cos, sin, tan, atan2, sqrt, inf = math.cos, math.sin, math.tan, math.atan2, math.sqrt, math.inf
         may_close = origin_vertex is None
         # (position, floor) of every on-level vertex and every neck: a step
         # stays below 0.4 times its distance to each, down to the floor, so a
@@ -293,33 +307,48 @@ class _LevelTracer:
                 captures.append((v.position, v.r_cap, idx))
         away = origin_vertex is None
 
-        while len(pts) < MAX_ARC_POINTS:
-            z = pts[-1]
+        # below, each min or max of two floats is a comparison that picks the
+        # operand the builtin would, so the floats stay the same
+        while n_pts < MAX_ARC_POINTS:
             # arg f moves by about h |f'/f| along a step
-            h_eff = min(h, MAX_ARG_STEP / abs(ld))
+            h_eff = MAX_ARG_STEP / r
+            if h_eff > h:
+                h_eff = h
             for p, floor in limits:
                 d = 0.4 * abs(z - p)
                 if d < h_eff:
-                    h_eff = min(h_eff, max(d, floor))
-            h_eff = max(h_eff, h_min)
+                    if floor <= d:
+                        h_eff = d
+                    elif floor < h_eff:
+                        h_eff = floor
+            if h_eff < h_min:
+                h_eff = h_min
 
             # predictor-corrector with step halving
             while True:
-                z_tan = z + h_eff * t
+                ht = h_eff * t
                 phi = 0.5 * bend * h_eff
-                z_new, iters, ld_new = correct(z + h_eff * t * complex(math.cos(phi), math.sin(phi)), STEP_MAX_ITER)
+                z_new, iters, ld_new = correct(z + ht * complex(cos(phi), sin(phi)), STEP_MAX_ITER)
                 if z_new is not None:
-                    off = abs(z_new - z_tan)
+                    # the corrector's move from the tangent point
+                    off = abs(z_new - (z + ht))
                     if off <= STEP_MAX_CORRECTION * h_eff:
-                        t_new = _tangent(ld_new, direction, z_new)
-                        signed_turn = _turn(t, t_new)
+                        # the unit tangent i * conj(f'/f) and its turn from t
+                        r_new = abs(ld_new)
+                        if not 0.0 < r_new < inf:
+                            raise TraceError(f"vanishing level-set gradient at {z_new}")
+                        t_new = direction * (1j * ld_new.conjugate()) / r_new
+                        n_re, n_im = t_new.real, t_new.imag
+                        signed_turn = atan2(t_re * n_im - t_im * n_re, t_re * n_re + t_im * n_im)
                         turn = abs(signed_turn)
-                        # the chord's sagitta: a quarter of the corrector's
-                        # move from the tangent point, or that of a circular
-                        # arc turning by turn
-                        sag_est = max(0.25 * off, 0.5 * h_eff * math.tan(0.25 * turn))
-                        if turn <= 0.5 and sag_est <= 4.0 * sag_target:
-                            break
+                        if turn <= 0.5:
+                            # the chord's sagitta: a quarter of the corrector's
+                            # move, or that of a circular arc turning by turn
+                            sag_est = 0.5 * h_eff * tan(0.25 * turn)
+                            if not sag_est > 0.25 * off:
+                                sag_est = 0.25 * off
+                            if sag_est <= sag_cap:
+                                break
                 h_eff *= 0.5
                 if h_eff < h_min:
                     raise TraceError(
@@ -327,21 +356,34 @@ class _LevelTracer:
                         "curvature too stiff for the configured step bounds"
                     )
 
-            if abs(z_new) > self.reach:
+            if abs(z_new) > reach:
                 raise TraceError(
-                    f"arc left the disk of radius {self.reach:.3g} at level {self.eps}; "
+                    f"arc left the disk of radius {reach:.3g} at level {self.eps}; "
                     "suspected unbounded level curve"
                 )
             step_len = abs(z_new - z)
-            sag = max(sag, 0.5 * step_len * math.tan(0.5 * turn))
+            step_sag = 0.5 * step_len * tan(0.5 * turn)
+            if step_sag > sag:
+                sag = step_sag
             arc_len += step_len
-            pts.append(z_new)
+            append(z_new)
+            n_pts += 1
 
-            # the sagitta grows as h^2: aim the next step at the target
-            grow = 2.0 if sag_est == 0.0 else min(2.0, max(0.5, math.sqrt(sag_target / sag_est)))
-            if iters >= STEP_MAX_ITER:
-                grow = min(grow, 0.6)
-            h = max(h_eff * grow, h_min)
+            # the sagitta grows as h^2: aim the next step at the target,
+            # within [0.5, 2]
+            if sag_est == 0.0:
+                grow = 2.0
+            else:
+                grow = sqrt(sag_target / sag_est)
+                if not grow > 0.5:
+                    grow = 0.5
+                if not grow < 2.0:
+                    grow = 2.0
+            if iters >= STEP_MAX_ITER and grow > 0.6:
+                grow = 0.6
+            h = h_eff * grow
+            if h_min > h:
+                h = h_min
 
             if not away and arc_len >= origin_guard:
                 origin = self.vertices[origin_vertex]
@@ -358,7 +400,7 @@ class _LevelTracer:
                     d < 0.8 * r_cap + step_len
                     and abs(p - geometry.nearest_on_segment(p, z, z_new)) < 0.8 * r_cap
                 ):
-                    pts.append(p)
+                    append(p)
                     return pts, idx, sag
 
             # closure: segment passes the start after having left it.  The
@@ -371,13 +413,13 @@ class _LevelTracer:
                 may_close
                 and abs(z_new - start) < 2.0 * step_len
                 and arc_len > 6.0 * step_len
-                and len(pts) > 8
+                and n_pts > 8
                 and abs(start - geometry.nearest_on_segment(start, z, z_new)) < 0.75 * step_len
             ):
                 close_turn = abs(_turn(t, t_start))
-                sag = max(sag, 0.5 * abs(start - z) * math.tan(0.5 * close_turn))
+                sag = max(sag, 0.5 * abs(start - z) * tan(0.5 * close_turn))
                 pts[-1] = start
-                if abs(start - z) * max(abs(ld), abs(ld0)) > MAX_ARG_STEP:
+                if abs(start - z) * max(r, r0) > MAX_ARG_STEP:
                     mid = correct(0.5 * (z + start))[0]
                     if mid is None:
                         raise TraceError(f"could not split the closing chord at {z} on level {self.eps}")
@@ -385,7 +427,8 @@ class _LevelTracer:
                 return pts, None, sag
 
             bend = signed_turn / step_len
-            t, ld = t_new, ld_new
+            z, t, r = z_new, t_new, r_new
+            t_re, t_im = n_re, n_im
 
         raise TraceError(
             f"arc exceeded {MAX_ARC_POINTS} points at level {self.eps}; "
@@ -619,6 +662,15 @@ def _warn_near_critical(tracer: _LevelTracer, comp: LevelCurveComponent):
         return
     # ten times the capture radius each point would have were its level on eps
     reach = [10.0 * _capture_radius(m, a, tracer.eps, tracer.scale) for _, m, a, _ in tracer._offlevel]
+    # the curve lies in the bounding box of its points: no distance query
+    # when every point is beyond its reach from the box, with a margin for
+    # the rounding of the distances
+    x0, y0, x1, y1 = geometry.bounding_box([a.points for a in comp.arcs])
+    if all(
+        math.hypot(max(x0 - c.real, 0.0, c.real - x1), max(y0 - c.imag, 0.0, c.imag - y1)) > 1.001 * r
+        for (c, _, _, _), r in zip(tracer._offlevel, reach)
+    ):
+        return
     ds = comp.index.distances([c for c, _, _, _ in tracer._offlevel], upto=max(reach))
     for (c, _, _, _), d, r in zip(tracer._offlevel, ds, reach):
         if d < r:
@@ -840,6 +892,8 @@ def _near(comp: LevelCurveComponent, zs) -> np.ndarray:
     Every point of comp's curve lies within the sag of its polyline; the
     factor 2 is margin.
     """
+    if not len(zs):
+        return np.zeros(0, dtype=bool)
     gap = max(2.0 * comp.sag, 1e-12)
     return comp.index.distances(zs, upto=gap) < gap
 

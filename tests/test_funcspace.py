@@ -11,8 +11,10 @@ from levelcurves import (
     LevelCurveError,
     Polynomial,
     RationalFn,
+    check_gauss_lucas,
     parse_function_spec,
 )
+from levelcurves import funcspace
 from levelcurves.funcspace import INF, find_roots, random_polynomial
 
 
@@ -305,3 +307,66 @@ def test_zero_polynomial_degree_sentinel():
 def test_find_roots_trailing_zero_factoring():
     # 5 z^4: exact zero root of multiplicity 4
     assert find_roots([0, 0, 0, 0, 5.0]) == [(0j, 4)]
+
+
+@pytest.mark.parametrize("degree", range(10))
+def test_array_evaluation_is_polyval_bitwise(degree):
+    # Polynomial.__call__ on an array runs numpy's polyval Horner without its
+    # set-up: the same floats, dtype and shape on real and complex points,
+    # one-point arrays included, and on the (anchor, ray, distance) grid of
+    # _ray_crossings
+    rng = np.random.default_rng(degree)
+    coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    rays = np.exp(2j * np.pi * (np.arange(8) + 0.21) / 8)
+    ray_grid = rng.normal(size=3)[:, None, None] + rays[:, None] * np.geomspace(1e-6, 3.2, 400)
+    for c in (coeffs, coeffs.real):
+        p = Polynomial(c)
+        for shape in [(1,), (2,), (7,), (400,), (5, 9), (3, 8, 400)]:
+            x = rng.normal(scale=2.0, size=shape)
+            for z in (x, x + 1j * rng.normal(scale=2.0, size=shape), ray_grid):
+                got, want = p(z), npoly.polyval(z, p.coeffs)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "poly:1,0,0,0,0,-1",
+        "poly:2-1i,0.5,3i,-1",
+        # numpy's |c| of this constant differs from Python's in the last bit
+        "rat:1,2i,-1/-0.005677696061279298-0.04526492921104459i",
+        "rat:1,0,1/-2.5",
+    ],
+)
+def test_abs_grid_with_a_constant_denominator_is_the_two_pass_formula(spec):
+    f = parse_function_spec(spec)
+    rng = np.random.default_rng(5)
+    for shape in [(1,), (33,), (3, 8, 400)]:
+        z = rng.normal(scale=2.0, size=shape) + 1j * rng.normal(scale=2.0, size=shape)
+        nv = np.abs(npoly.polyval(z, f.numerator.coeffs))
+        dv = np.abs(npoly.polyval(z, f.denominator.coeffs))
+        assert f.abs_grid(z).tobytes() == np.where(dv == 0.0, np.inf, nv / dv).tobytes()
+
+
+@pytest.mark.parametrize("spec", ["poly:1,-2,0.5+1i,3", "rat:1,0,-1/1,0.5i,0.25"])
+def test_each_polynomial_is_root_found_once(monkeypatch, spec):
+    calls = []
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return find_roots(coeffs)
+
+    monkeypatch.setattr(funcspace, "find_roots", counted)
+    f = parse_function_spec(spec)
+    assert f.zeros and f.critical_points
+    check_gauss_lucas(f.numerator)
+    # the numerator, the denominator, the numerator of f' and the derivative
+    # that check_gauss_lucas takes
+    assert len(calls) == 4
+    zeros = f.numerator.roots()
+    got = f.numerator.roots()
+    got[0] = (0j, 7)
+    got.append((1j, 1))
+    assert f.numerator.roots() == zeros
+    assert len(calls) == 4

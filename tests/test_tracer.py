@@ -382,6 +382,25 @@ CERTIFIED_LEVELS = [
 ]
 
 
+# the points of each arc of each component, as the march traced them when its
+# loop was last rewritten with bit-identical output: at CERTIFIED_LEVELS, and
+# 1e-4 below the saddle value 1 of the lemniscate and of z^5 - 1, where the
+# necks bound the step.  A change to any one of its step decisions moves them
+ARC_POINTS = list(
+    zip(CERTIFIED_LEVELS, [[[78], [78]], [[54]] * 5, [[124], [114]], [[192], [57]], [[56]] * 3])
+) + [
+    (("poly:1,0,-1", 1 - 1e-4), [[109], [108]]),
+    (("poly:1,0,0,0,0,-1", 1 - 1e-4), [[85], [84], [84], [86], [83]]),
+]
+
+
+@pytest.mark.parametrize("level,points", ARC_POINTS)
+def test_points_per_arc(level, points):
+    spec, eps = level
+    comps = trace_level_set(parse_function_spec(spec), eps)
+    assert [[arc.points.size for arc in comp.arcs] for comp in comps] == points
+
+
 def assert_seeds_need_no_correction(f, eps):
     """Every seed is a fixed point of the corrector, so the tracer starts
     from the seed itself."""
