@@ -435,7 +435,9 @@ class RationalFn:
 
     def eval_grid(self, z: np.ndarray) -> np.ndarray:
         nv = self.numerator(z)
-        dv = self.denominator(z)
+        # a constant denominator divides as its complex value, which on
+        # finite z is what its Horner pass gives at every point
+        dv = self.denominator(z) if self._const_den is None else self.denominator.coeffs[0]
         with np.errstate(divide="ignore", invalid="ignore"):
             out = nv / dv
         bad = dv == 0

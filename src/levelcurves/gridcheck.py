@@ -1,8 +1,9 @@
 """Marching-squares rasterization used as an independent check on the tracer.
 
-The raster side never consults traced data: it evaluates |f| on a grid and
-marks cells whose corners straddle the level.  The two-sided proximity report
-then compares crossing-cell centers with traced polyline points.
+The raster side never consults traced data: it evaluates |f| on a grid, a
+band of rows at a time, keeps only whether |f| >= eps at each grid point,
+and marks cells whose corners straddle the level.  The two-sided proximity
+report then compares crossing-cell centers with traced polyline points.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .funcspace import RationalFn
 from .geometry import SegmentIndex, bounding_box
 
@@ -23,19 +25,26 @@ PROXIMITY_FACTOR = 2.0  # both one-sided distances must stay within this many ce
 def crossing_cells(f: RationalFn, eps: float, box, n: int = ORACLE_N) -> tuple[np.ndarray, float]:
     """Centers of grid cells whose corner values straddle |f| = eps.
 
+    |f| is evaluated a band of rows at a time and only the sign grid
+    |f| >= eps is kept.  A cell is a crossing cell when its corners do not
+    all share a sign; a NaN counts as below the level.
+
     Returns (cell centers as complex array, cell diagonal length).
     """
     x0, y0, x1, y1 = box
     xs = np.linspace(x0, x1, n + 1)
     ys = np.linspace(y0, y1, n + 1)
-    X, Y = np.meshgrid(xs, ys)
-    V = f.abs_grid(X + 1j * Y)
-    S = np.where(V >= eps, 1, -1)
-    c00 = S[:-1, :-1]
-    c01 = S[:-1, 1:]
-    c10 = S[1:, :-1]
-    c11 = S[1:, 1:]
-    mixed = ~((c00 == c01) & (c00 == c10) & (c00 == c11))
+    above = np.empty((n + 1, n + 1), dtype=bool)
+    # a band of at most _BLOCK_PAIRS / 8 points keeps each complex temporary,
+    # 16 bytes a point, within 128 KiB, below glibc's default mmap threshold,
+    # so malloc reuses its memory from band to band; with 109-row bands at
+    # ORACLE_N their pages went back to the system and were faulted in again
+    # each band, about 4,300 page faults a raster
+    rows = max(1, geometry._BLOCK_PAIRS // 8 // (n + 1))
+    for i in range(0, n + 1, rows):
+        above[i : i + rows] = f.abs_grid(xs + 1j * ys[i : i + rows, None]) >= eps
+    c00 = above[:-1, :-1]
+    mixed = (c00 != above[:-1, 1:]) | (c00 != above[1:, :-1]) | (c00 != above[1:, 1:])
     ii, jj = np.nonzero(mixed)
     cx = 0.5 * (xs[jj] + xs[jj + 1])
     cy = 0.5 * (ys[ii] + ys[ii + 1])

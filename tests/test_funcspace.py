@@ -329,16 +329,16 @@ def test_array_evaluation_is_polyval_bitwise(degree):
                 assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        "poly:1,0,0,0,0,-1",
-        "poly:2-1i,0.5,3i,-1",
-        # numpy's |c| of this constant differs from Python's in the last bit
-        "rat:1,2i,-1/-0.005677696061279298-0.04526492921104459i",
-        "rat:1,0,1/-2.5",
-    ],
-)
+CONSTANT_DENOMINATOR_SPECS = [
+    "poly:1,0,0,0,0,-1",
+    "poly:2-1i,0.5,3i,-1",
+    # numpy's |c| of this constant differs from Python's in the last bit
+    "rat:1,2i,-1/-0.005677696061279298-0.04526492921104459i",
+    "rat:1,0,1/-2.5",
+]
+
+
+@pytest.mark.parametrize("spec", CONSTANT_DENOMINATOR_SPECS)
 def test_abs_grid_with_a_constant_denominator_is_the_two_pass_formula(spec):
     f = parse_function_spec(spec)
     rng = np.random.default_rng(5)
@@ -347,6 +347,20 @@ def test_abs_grid_with_a_constant_denominator_is_the_two_pass_formula(spec):
         nv = np.abs(npoly.polyval(z, f.numerator.coeffs))
         dv = np.abs(npoly.polyval(z, f.denominator.coeffs))
         assert f.abs_grid(z).tobytes() == np.where(dv == 0.0, np.inf, nv / dv).tobytes()
+
+
+@pytest.mark.parametrize("spec", CONSTANT_DENOMINATOR_SPECS)
+def test_eval_grid_with_a_constant_denominator_is_the_two_pass_formula(spec):
+    f = parse_function_spec(spec)
+    rng = np.random.default_rng(6)
+    for shape in [(1,), (33,), (3, 8, 400)]:
+        z = rng.normal(scale=2.0, size=shape) + 1j * rng.normal(scale=2.0, size=shape)
+        # finite inputs, contiguous and strided; the Horner pass of the
+        # constant is c + z * 0, which is c at every finite z
+        for zz in (z, z[..., ::3], z.real + 0j):
+            nv = npoly.polyval(zz, f.numerator.coeffs)
+            dv = npoly.polyval(zz, f.denominator.coeffs)
+            assert f.eval_grid(zz).tobytes() == (nv / dv).tobytes()
 
 
 @pytest.mark.parametrize("spec", ["poly:1,-2,0.5+1i,3", "rat:1,0,-1/1,0.5i,0.25"])
