@@ -36,7 +36,6 @@ from .tracer import (
     WINDING_TOL,
     LevelCurveComponent,
     _LevelTracer,
-    _domain_scale,
     _trace_component_with,
     trace_level_set,
 )
@@ -401,13 +400,12 @@ def winding_N(
     smallest |arg f| (ties by |z|).
     """
     levels = _loop_levels(region)
-    scale = _domain_scale(f)
     z, log_from = _outer_start(region)
     alpha = cmath.phase(f.eval(z))
     loops: list[_Loop | None] = [None] * K_LOOPS
     starts: list[float] = [0.0] * K_LOOPS  # alpha at each loop's first point
     for k in range(K_LOOPS - 1, -1, -1):
-        tracer = _LevelTracer(f, levels[k], tols, scale)
+        tracer = _LevelTracer(f, levels[k], tols, f.scale)
         seed, alpha = _radial_step(f, tracer, z, alpha, log_from, tols)
         loops[k] = _certify_loop(f, region, _trace_component_with(tracer, seed), tols)
         starts[k], z, log_from = alpha, complex(loops[k].points[0]), tracer.log_eps

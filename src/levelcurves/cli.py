@@ -26,7 +26,7 @@ from .errors import (
 from .funcspace import Polynomial, parse_function_spec, random_polynomial
 from .gauss_lucas import check_gauss_lucas, corrupted_instance, replay_level_curve_argument
 from .gridcheck import grid_oracle_report
-from .levelgraph import build_graph, face_count, zeros_per_face
+from .levelgraph import build_graph, zeros_per_face
 from .metrics import continuity_probe
 from .order_topology import critical_level_curves, hasse_diagram, maximal_component
 from .annulus_decomp import decompose, verify_phi
@@ -270,8 +270,6 @@ def _cmd_verify_all(args) -> int:
 
     def check_graphs():
         graphs.extend(build_graph(c) for c in comps)
-        for g in graphs:
-            face_count(g)
         return f"{sum(len(g.faces) for g in graphs)} faces"
 
     def check_faces_nonempty():

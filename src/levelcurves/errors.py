@@ -10,11 +10,7 @@ class FunctionSpecError(LevelCurveError):
 
 
 class RootFindingError(LevelCurveError):
-    """Polynomial root finder failed to converge; carries the worst residual."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """Polynomial root finder failed to converge."""
 
 
 class TraceError(LevelCurveError):

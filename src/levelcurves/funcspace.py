@@ -208,15 +208,11 @@ def find_roots(coeffs) -> list[tuple[complex, int]]:
         out.append((0j, zero_mult))
 
     residual_cap = ROOT_RESIDUAL * (1.0 + float(np.max(np.abs(work))))
-    worst = 0.0
     for center, mult in clusters:
         z = _polish(center, mult, derivs, 8)
         res = abs(npoly.polyval(z, work))
-        worst = max(worst, res)
         if res > residual_cap * max(1.0, abs(z)) ** max(work.size - 1, 1):
-            raise RootFindingError(
-                f"root candidate {z} has residual {res:.3e} above gate", residual=res
-            )
+            raise RootFindingError(f"root candidate {z} has residual {res:.3e} above gate")
         out.append((complex(z), mult))
 
     out.sort(key=lambda rm: (round(rm[0].real, 12), round(rm[0].imag, 12)))

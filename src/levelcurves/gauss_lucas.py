@@ -237,7 +237,33 @@ def replay_level_curve_argument(
         comp = trace_component(fn, eps, c_n, tols)
         pts = comp.points
 
-    # same-height pairs on the curve with Re > 1
+    pair = next(_replay_pairs(pts, c_n), None)
+    if pair is None:
+        raise CertificateError("replay found no admissible height; curve data too sparse")
+    height, z1, z2, source = pair
+    p1 = _abs_product(zs_n, z1)
+    p2 = _abs_product(zs_n, z2)
+    return ReplayWitness(
+        True,
+        s=height,
+        z1=z1,
+        z2=z2,
+        product1=p1,
+        product2=p2,
+        margin=p2 - p1,
+        pair_source=source,
+        normalized_zeros=zs_n,
+        normalized_c=c_n,
+    )
+
+
+def _replay_pairs(pts: np.ndarray, c_n: complex):
+    """(height, z1, z2, source) candidates for the replay, in search order.
+
+    First the same-height pairs on the curve with Re > 1 ("curve"); then,
+    with no genuine pair, the on-curve crossing nearest c stepped right along
+    its height, the direction in which the product strictly grows ("ray").
+    """
     y_lo = float(np.min(pts.imag))
     y_hi = float(np.max(pts.imag))
     for s in np.linspace(0.08, 0.9, 24) * max(abs(y_lo), abs(y_hi), 1e-6):
@@ -251,46 +277,14 @@ def replay_level_curve_argument(
                 z1, z2 = crossings[0], crossings[-1]
                 if z2.real - z1.real < 1e-9:
                     continue
-                p1 = _abs_product(zs_n, z1)
-                p2 = _abs_product(zs_n, z2)
-                return ReplayWitness(
-                    True,
-                    s=height,
-                    z1=z1,
-                    z2=z2,
-                    product1=p1,
-                    product2=p2,
-                    margin=p2 - p1,
-                    pair_source="curve",
-                    normalized_zeros=zs_n,
-                    normalized_c=c_n,
-                )
-
-    # no genuine pair: take the on-curve crossing nearest c and step right
-    # along its height, the direction in which the product strictly grows
+                yield height, z1, z2, "curve"
     for s in np.linspace(0.02, 0.5, 16) * max(abs(c_n.real) - 1.0, 1e-3):
         for sign in (+1.0, -1.0):
             height = sign * s
             crossings = [z for z in geometry.horizontal_crossings(pts, height) if z.real > 1.0]
             if crossings:
                 z1 = min(crossings, key=lambda z: abs(z - c_n))
-                z2 = z1 + 0.5 * max(z1.real - 1.0, 0.5)
-                p1 = _abs_product(zs_n, z1)
-                p2 = _abs_product(zs_n, z2)
-                return ReplayWitness(
-                    True,
-                    s=height,
-                    z1=z1,
-                    z2=z2,
-                    product1=p1,
-                    product2=p2,
-                    margin=p2 - p1,
-                    pair_source="ray",
-                    normalized_zeros=zs_n,
-                    normalized_c=c_n,
-                )
-
-    raise CertificateError("replay found no admissible height; curve data too sparse")
+                yield height, z1, z1 + 0.5 * max(z1.real - 1.0, 0.5), "ray"
 
 
 def corrupted_instance(rng: np.random.Generator, tols: Tolerances = DEFAULT_TOLS):

@@ -2,8 +2,9 @@
 
 The raster side never consults traced data: it evaluates |f| on a grid, a
 band of rows at a time, keeps only whether |f| >= eps at each grid point,
-and marks cells whose corners straddle the level.  The two-sided proximity
-report then compares crossing-cell centers with traced polyline points.
+and marks cells whose corners straddle the level.  The proximity report is
+then the d-check (``metrics.hausdorff_between_curves``) between the traced
+polylines and the crossing-cell centers, a point set.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import numpy as np
 
 from . import geometry
 from .funcspace import RationalFn
-from .geometry import SegmentIndex, bounding_box
+from .geometry import bounding_box
+from .metrics import hausdorff_between_curves
 
 ORACLE_N = 600  # cells per side of the oracle raster
 ORACLE_MARGIN_REL = 0.05  # raster margin around the traced curves, relative to their extent
@@ -68,31 +70,17 @@ class ProximityReport:
         )
 
 
-def two_sided_proximity(
-    arcs: list[np.ndarray],
-    cells: np.ndarray,
-    diag: float,
-) -> ProximityReport:
-    """Check that crossing cells and traced polylines shadow each other.
-
-    Cell centers are measured against the polyline segments (the curve
-    itself); traced points are measured against the cell-center set.
-    """
-    cells = np.asarray(cells, dtype=complex).ravel()
-    trace_points = np.concatenate([np.asarray(a, dtype=complex).ravel() for a in arcs])
-    return ProximityReport(
-        max_cell_to_trace=SegmentIndex(arcs).max_distance(cells) if cells.size else 0.0,
-        max_trace_to_cell=SegmentIndex(cells[:, None]).max_distance(trace_points) if trace_points.size else 0.0,
-        threshold=PROXIMITY_FACTOR * diag,
-        n_cells=int(cells.size),
-        n_trace_points=int(trace_points.size),
-    )
-
-
 def grid_oracle_report(f: RationalFn, eps: float, components) -> ProximityReport:
     """Compare traced components of E_{f, eps} against a fresh rasterization."""
-    arcs = [a.points for c in components for a in c.arcs]
-    x0, y0, x1, y1 = bounding_box(arcs)
+    arcs = [a for c in components for a in c.arcs]
+    x0, y0, x1, y1 = bounding_box([a.points for a in arcs])
     m = ORACLE_MARGIN_REL * max(x1 - x0, y1 - y0, 1e-9)
     cells, diag = crossing_cells(f, eps, (x0 - m, y0 - m, x1 + m, y1 + m), ORACLE_N)
-    return two_sided_proximity(arcs, cells, diag)
+    rep = hausdorff_between_curves(arcs, cells[:, None])
+    return ProximityReport(
+        max_cell_to_trace=rep.d2,
+        max_trace_to_cell=rep.d1,
+        threshold=PROXIMITY_FACTOR * diag,
+        n_cells=int(cells.size),
+        n_trace_points=sum(a.points.size for a in arcs),
+    )

@@ -265,17 +265,10 @@ def _assert_laws(graph: LevelGraph):
     V = len(graph.vertices)
     E = len(graph.edges)
     F = len(graph.faces)
-    mult_sum = sum(m for _, m in graph.vertices)
 
     if F != E - V + 2:
         raise TopologyError(f"Euler violation: F={F}, E={E}, V={V}")
-    bounded = sum(1 for f in graph.faces if f.bounded)
-    if bounded != mult_sum + 1 or F != mult_sum + 2:
-        raise TopologyError(
-            f"face-count law violated: bounded={bounded}, total={F}, mult sum={mult_sum}"
-        )
-    if sum(1 for f in graph.faces if not f.bounded) != 1:
-        raise TopologyError("exactly one unbounded face expected")
+    face_count(graph)  # its two counts leave exactly one unbounded face
     for vi, (c, m) in enumerate(graph.vertices):
         if graph.degree(vi) != 2 * (m + 1):
             raise TopologyError(f"degree law violated at {c}")

@@ -1,16 +1,18 @@
 """The two-sided distance d-check and the level-set continuity probe.
 
 d-check(X, Y) = max(sup_x d(x, Y), sup_y d(X, y)), with the convention that
-an empty side makes the distance infinite.  Between traced curves it runs
-from the point samples of each side to the polylines of the other.  A
-traced curve lies within its chord sag of its polyline (see
-``tracer.TracedArc``), so each distance is within the other side's sag of
-the distance to the curve itself: the discretization error is the larger
-sag, which the report carries.  Each side asks its index for the largest
-distance only (``SegmentIndex.max_distance``), so a query stops as soon as
-it cannot raise the side's maximum.  A bound ``upto`` keeps each side exact
-up to it and reports ``inf`` beyond, so a threshold test stops scanning
-early.
+an empty side makes the distance infinite.  It is the package's one
+two-sided distance: between traced curves, between point sets (a 2-D
+array) and, in ``gridcheck``, between traced curves and the crossing cells
+of the grid oracle.  It runs from the point samples of each side to the
+polylines of the other.  A traced curve lies within its chord sag of its
+polyline (see ``tracer.TracedArc``), so each distance is within the other
+side's sag of the distance to the curve itself: the discretization error is
+the larger sag, which the report carries.  Each side asks its index for the
+largest distance only (``SegmentIndex.max_distance``), so a query stops as
+soon as it cannot raise the side's maximum.  A bound ``upto`` keeps each
+side exact up to it and reports ``inf`` beyond, so a threshold test stops
+scanning early.
 
 The continuity probe audits each trial from its farthest level inward, where
 a failing trial fails first, and runs its d-checks exact up to delta only.
@@ -32,7 +34,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .errors import TraceError
 from .funcspace import RationalFn
 from .geometry import SegmentIndex, as_points, max_segment_length
-from .tracer import LevelCurveComponent, TracedArc, _LevelTracer, _domain_scale, _trace_seeds
+from .tracer import LevelCurveComponent, TracedArc, _LevelTracer, _domain_scale, _trace_seeds, trace_level_set
 
 K_SAMPLES = 8  # audit heights per side of eps in one probe trial
 ETA_FLOOR_REL = 1e-9  # the probe gives up once eta falls below this times eps
@@ -48,18 +50,9 @@ class HausdorffReport:
 
 
 def hausdorff(X, Y, upto: float = math.inf) -> HausdorffReport:
-    """Two-sided distance between finite point sets.
-
-    Each side is exact where it is at most ``upto`` and ``inf`` above it,
-    as in ``SegmentIndex.max_distance``.
-    """
-    xs = as_points(X)
-    ys = as_points(Y)
-    if xs.size == 0 or ys.size == 0:
-        return HausdorffReport(math.inf, math.inf, math.inf)
-    d1 = SegmentIndex(ys[:, None]).max_distance(xs, upto)
-    d2 = SegmentIndex(xs[:, None]).max_distance(ys, upto)
-    return HausdorffReport(d1, d2, max(d1, d2))
+    """Two-sided distance between finite point sets, bounded by ``upto`` as
+    in :func:`hausdorff_between_curves`."""
+    return hausdorff_between_curves(as_points(X)[:, None], as_points(Y)[:, None], upto)
 
 
 def hausdorff_between_curves(curves_a, curves_b, upto: float = math.inf) -> HausdorffReport:
@@ -68,11 +61,12 @@ def hausdorff_between_curves(curves_a, curves_b, upto: float = math.inf) -> Haus
     Each side is a list of traced arcs, with one ``SegmentIndex`` over its
     polylines, or a ``LevelCurveComponent``, whose cached ``index`` serves
     every d-check against it; ``discretization`` is the larger sag of the
-    two sides.  A bare point array is one polyline with no recorded sag, and
-    its longest segment stands in for one.  Each side is the largest
-    distance from its points to the other side's polylines
-    (``SegmentIndex.max_distance``), bounded by ``upto`` as in
-    :func:`hausdorff`.
+    two sides.  A bare 1-D point array is one polyline with no recorded sag,
+    and its longest segment stands in for one; a 2-D array is a point set,
+    ``pts[:, None]`` as ``SegmentIndex`` takes it, with no sag.  Each side is
+    the largest distance from its points to the other side's polylines
+    (``SegmentIndex.max_distance``): exact where it is at most ``upto`` and
+    ``inf`` above it.
     """
     (xs, index_a, sag_a), (ys, index_b, sag_b) = _side(curves_a), _side(curves_b)
     if xs.size == 0 or ys.size == 0:
@@ -88,6 +82,8 @@ def _side(curve) -> tuple[np.ndarray, SegmentIndex, float]:
         return curve.points, curve.index, curve.sag
     if isinstance(curve, np.ndarray):
         pts = as_points(curve)
+        if curve.ndim == 2:
+            return pts, SegmentIndex(pts[:, None]), 0.0
         return pts, SegmentIndex([pts]), max_segment_length(pts)
     lines = [a.points for a in curve]
     return np.concatenate(lines), SegmentIndex(lines), max((a.sag for a in curve), default=0.0)
@@ -174,8 +170,6 @@ def continuity_probe(
     if delta <= 0:
         raise ValueError("delta must be positive")
     if component is None:
-        from .tracer import trace_level_set
-
         comps = trace_level_set(f, eps, tols)
         component = max(comps, key=lambda c: c.total_length())
 

@@ -27,7 +27,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .errors import TopologyError, TraceError
 from .funcspace import RationalFn
 from .levelgraph import LevelGraph, build_graph, faces_of_points
-from .tracer import LevelCurveComponent, _critical_curve, _domain_scale, trace_component
+from .tracer import LevelCurveComponent, _critical_curve, trace_component
 from . import geometry
 
 
@@ -263,7 +263,6 @@ def separating_curve(
 
     crit_levels = {round(f.abs_eval(c), 12) for c, _ in f.critical_points}
     crit_pts = [c for c, _ in f.critical_points]
-    scale = _domain_scale(f)
 
     for t in np.linspace(0.04, 0.9, 24):
         z_probe = p_star + t * (k_star - p_star)
@@ -282,7 +281,7 @@ def separating_curve(
             continue
         cand = CurveRef(CurveKind.LEVEL_CURVE, level, component=comp, label="separator")
         # non-critical certificate: well clear of every critical point
-        if crit_pts and np.min(comp.index.distances(crit_pts, upto=1e-5 * scale)) < 1e-5 * scale:
+        if crit_pts and np.min(comp.index.distances(crit_pts, upto=1e-5 * f.scale)) < 1e-5 * f.scale:
             continue
         try:
             k_face = _membership_face(cand, K, tols)

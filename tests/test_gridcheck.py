@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from levelcurves import geometry, parse_function_spec, trace_level_set
-from levelcurves.geometry import bounding_box
-from levelcurves.gridcheck import ORACLE_MARGIN_REL, ORACLE_N, crossing_cells, grid_oracle_report
+from levelcurves.geometry import SegmentIndex, bounding_box
+from levelcurves.gridcheck import (
+    ORACLE_MARGIN_REL,
+    ORACLE_N,
+    PROXIMITY_FACTOR,
+    ProximityReport,
+    crossing_cells,
+    grid_oracle_report,
+)
 
 # (spec, eps) of the verify-all fixtures
 FIXTURES = {
@@ -63,6 +70,30 @@ def test_banded_raster_is_the_dense_raster_bitwise(name):
             cells, diag = crossing_cells(f, eps, box, n)
         assert cells.tobytes() == want_cells.tobytes()
         assert diag == want_diag
+
+
+def _two_index_proximity(arcs, cells, diag):
+    """The oracle's report from one index over the traced polylines and one
+    over the crossing-cell centers, kept as the reference for the d-check."""
+    trace_points = np.concatenate(arcs)
+    return ProximityReport(
+        max_cell_to_trace=SegmentIndex(arcs).max_distance(cells),
+        max_trace_to_cell=SegmentIndex(cells[:, None]).max_distance(trace_points),
+        threshold=PROXIMITY_FACTOR * diag,
+        n_cells=int(cells.size),
+        n_trace_points=int(trace_points.size),
+    )
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, "rat-poles"])
+def test_grid_oracle_is_the_two_index_formula_bitwise(name):
+    spec, eps, _, _ = CASES[name]
+    f = parse_function_spec(spec)
+    comps = trace_level_set(f, eps)
+    cells, diag = crossing_cells(f, eps, _oracle_box(f, eps))
+    assert cells.size
+    want = _two_index_proximity([a.points for c in comps for a in c.arcs], cells, diag)
+    assert repr(grid_oracle_report(f, eps, comps)) == repr(want)
 
 
 @pytest.mark.parametrize("name", list(FIXTURES))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from levelcurves import (
 )
 from levelcurves import geometry
 from levelcurves.gridcheck import crossing_cells
-from levelcurves.levelgraph import faces_of_points
+from levelcurves.levelgraph import _assert_laws, faces_of_points
 
 
 def test_z5m1_graph_counts(z5m1):
@@ -25,6 +27,15 @@ def test_z5m1_graph_counts(z5m1):
     assert len(g.edges) == 5
     assert face_count(g) == (5, 6)
     assert g.degree(0) == 10  # 2 * (mult + 1) with mult = 4
+
+
+def test_law_check_rejects_a_face_count_violation(z5m1):
+    """One more multiplicity at each vertex keeps V, E and F, so Euler's
+    relation holds and the face-count law is what refuses the graph."""
+    g = build_graph(trace_level_set(z5m1, 1.0)[0])
+    bad = dataclasses.replace(g, vertices=[(c, m + 1) for c, m in g.vertices])
+    with pytest.raises(TopologyError, match=r"face enumeration \(5, 6\) disagrees with formula \(6, 7\)"):
+        _assert_laws(bad)
 
 
 def test_simple_closed_curve_convention():

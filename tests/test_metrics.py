@@ -17,6 +17,7 @@ from levelcurves import (
     parse_function_spec,
     trace_level_set,
 )
+from levelcurves.geometry import SegmentIndex
 from levelcurves.metrics import K_SAMPLES, REFINE_ROUNDS, ContinuityCertificate, hausdorff_between_curves
 from levelcurves.tracer import LevelCurveComponent, _LevelTracer, _domain_scale, _near, _trace_component_with
 
@@ -101,18 +102,33 @@ coords = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
 point_sets = st.lists(st.builds(complex, coords, coords), max_size=30)
 
 
+def _two_index_hausdorff(X, Y):
+    """(d1, d2, d-check) between point sets, each side by an index over the
+    other set, kept as the reference for the d-check on point sets."""
+    xs, ys = np.array(X, dtype=complex), np.array(Y, dtype=complex)
+    if not xs.size or not ys.size:
+        return math.inf, math.inf, math.inf
+    d1 = SegmentIndex(ys[:, None]).max_distance(xs)
+    d2 = SegmentIndex(xs[:, None]).max_distance(ys)
+    return d1, d2, max(d1, d2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(X=point_sets, Y=point_sets, frac=st.floats(0.0, 1.5), pick=st.integers(0, 3))
 def test_bounded_hausdorff_is_exact_up_to_the_bound(X, Y, frac, pick):
-    full = hausdorff(X, Y)
+    full = _two_index_hausdorff(X, Y)
     # the bound lands on d1 or d2 exactly, or anywhere up to past d-check
-    upto = [full.d1, full.d2, frac * full.d_check, frac][pick] if X and Y else frac
+    upto = [full[0], full[1], frac * full[2], frac][pick] if X and Y else frac
+    # a 2-D array is a point set
+    stacks = np.array(X, dtype=complex)[:, None], np.array(Y, dtype=complex)[:, None]
     # a tiny block budget sends small inputs through the grid search too
     for block in (8, geometry._BLOCK_PAIRS):
         with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
-            rep = hausdorff(X, Y, upto)
-        for got, want in ((rep.d1, full.d1), (rep.d2, full.d2), (rep.d_check, full.d_check)):
-            assert got == (want if want <= upto else math.inf)
+            reps = hausdorff(X, Y, upto), hausdorff_between_curves(*stacks, upto)
+        for rep in reps:
+            assert rep.discretization == 0.0
+            for got, want in zip((rep.d1, rep.d2, rep.d_check), full):
+                assert got == (want if want <= upto else math.inf)
 
 
 def _nearest_first_probe(f, eps, delta, tols=DEFAULT_TOLS):
