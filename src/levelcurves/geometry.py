@@ -2,6 +2,10 @@
 
 Polylines are 1-D numpy arrays of complex points.  Closed polylines repeat
 the first point at the end; the helpers below state which form they expect.
+
+``SegmentIndex``, the package's one spatial index, answers each query from
+the grid cells of a search box that doubles until the distance is exact, and
+gives the same float as brute force.
 """
 
 from __future__ import annotations
@@ -49,9 +53,10 @@ def nearest_on_segment(p: complex, a: complex, b: complex) -> complex:
     return a + t * d
 
 
-# Pairs evaluated in one block: bounds the temporaries of a query.
+# Pairs scored in one block: bounds the temporaries of a query.  A box pass
+# scores a sixteenth of it at a time.
 _BLOCK_PAIRS = 1 << 16
-# Queries whose rings are scanned together.
+# Queries whose search boxes are gathered together.
 _BLOCK_QUERIES = 1024
 
 
@@ -83,18 +88,22 @@ class SegmentIndex:
 
     Each polyline contributes only its own segments; a one-point polyline is
     a point.  A 2-D array is a stack of equal-length polylines, so
-    ``pts[:, None]`` indexes a point set.  Segments are hashed into a uniform
-    grid sized from the data; a query scans rings of cells outward until no
-    unscanned cell can hold anything nearer, or a brute-force pass in bounded
-    blocks once that is cheaper.  Every candidate goes through one formula,
-    so a distance is the same float as the minimum over all segments.
+    ``pts[:, None]`` indexes a point set.  Each segment is hashed into the
+    cells of a uniform grid that its bounding box meets.  A query is answered
+    in passes over the cells that meet a square of half-width r about it (one
+    range of the hash per grid column), r first half a cell beyond the grid
+    and at most ``upto``.  A segment within r has its nearest point in a
+    scanned cell, so a best candidate at most r is exact; otherwise r doubles
+    up to ``upto``, and a square over the whole grid is one brute-force pass.
+    Every candidate goes through one formula, so a distance is the same
+    float as the minimum over all segments.
 
     ``distances`` gives every distance; ``max_distance`` gives only the
     largest, as the one side of a Hausdorff distance needs.  It keeps the
-    running maximum of the distances finished so far, stops a query as soon
-    as its best candidate cannot raise it (the early break of Taha &
-    Hanbury, IEEE TPAMI 37(11), 2015), and stops the whole search once one
-    query is proven beyond the bound.
+    largest exact distance finished so far, stops a query as soon as its
+    best candidate cannot raise it (the early break of Taha & Hanbury, IEEE
+    TPAMI 37(11), 2015), and stops the whole search once one query is proven
+    beyond the bound.
     """
 
     def __init__(self, polylines):
@@ -138,13 +147,16 @@ class SegmentIndex:
         self._members = seg[order]
         counts = np.bincount(cell_id, minlength=self._nx * self._ny)
         self._start = np.concatenate(([0], np.cumsum(counts)))
-        # rounding of cell coordinates and of the distance formula, kept off
-        # the ring lower bound
+        # rounding of cell coordinates and of the distance formula, added to
+        # every search box
         self._slack = 1e-12 * (abs(self._x0) + abs(self._y0) + w + h)
 
     @staticmethod
-    def _cells(x: np.ndarray, x0: float, cell: float) -> np.ndarray:
-        return np.floor((x - x0) / cell).astype(np.int64)
+    def _cells(x: np.ndarray, x0: float, cell: float, n: int | None = None) -> np.ndarray:
+        """Grid coordinate of each x; with n, clipped to [0, n - 1] before the
+        cast, so that a far coordinate cannot overflow."""
+        u = (x - x0) / cell
+        return np.floor(u if n is None else np.clip(u, 0, n - 1)).astype(np.int64)
 
     def _kernel(self, z: np.ndarray, seg) -> np.ndarray:
         """Distance from z to segment seg (arrays broadcast together)."""
@@ -189,23 +201,6 @@ class SegmentIndex:
         out = self._search(zs, upto, running_max=True)
         return float(np.max(np.where(out <= upto, out, np.inf)))
 
-    def _ring(self, u, v, r):
-        """(query position, cell id) of the grid cells at Chebyshev distance r from (u, v)."""
-        nx, ny = self._nx, self._ny
-        i_lo, i_hi = np.maximum(u - r, 0), np.minimum(u + r, nx - 1)
-        j_lo, j_hi = np.maximum(v - r + 1, 0), np.minimum(v + r - 1, ny - 1)
-        sides = r > 0
-        owners, cells = [], []
-        for j, on in ((v - r, True), (v + r, sides)):
-            k, i = _ranges(i_lo, np.where(on & (j >= 0) & (j < ny), i_hi, -1))
-            owners.append(k)
-            cells.append(i * ny + j[k])
-        for i, on in ((u - r, sides), (u + r, sides)):
-            k, j = _ranges(j_lo, np.where(on & (i >= 0) & (i < nx), j_hi, -1))
-            owners.append(k)
-            cells.append(i[k] * ny + j)
-        return np.concatenate(owners), np.concatenate(cells)
-
     def _search(self, zs: np.ndarray, upto: float, running_max: bool = False) -> np.ndarray:
         """Distance from each query, exact where at most upto.
 
@@ -217,36 +212,36 @@ class SegmentIndex:
         nx, ny, cell = self._nx, self._ny, self._cell
         best = np.full(zs.shape, np.inf)
         ok = np.isfinite(zs)
-        best[~ok] = self._brute(zs[~ok])
-        # cell coordinates; clipping a far query toward the grid only
-        # shortens its distance to every cell, so the ring bound stays valid
-        far = 2.0 * (nx + ny)
-        u = np.floor(np.clip(np.nan_to_num((zs.real - self._x0) / cell), -far, nx + far)).astype(np.int64)
-        v = np.floor(np.clip(np.nan_to_num((zs.imag - self._y0) / cell), -far, ny + far)).astype(np.int64)
-        # first ring that meets the grid, and the ring that finishes it
-        r = np.maximum(np.maximum(-u, u - nx + 1), np.maximum(-v, v - ny + 1)).clip(0)
-        r_end = np.maximum(np.maximum(u, nx - 1 - u), np.maximum(v, ny - 1 - v))
-        spent = np.zeros(zs.size, dtype=np.int64)
-        # a query whose first ring already lies beyond upto scans nothing
-        active = np.nonzero(ok & ((r - 1) * cell * (1.0 - 1e-12) - self._slack <= upto))[0]
-        if running_max and active.size < np.count_nonzero(ok):
-            return best
+        if not ok.all():
+            best[~ok] = self._brute(zs[~ok])
+        x, y = zs.real, zs.imag
+        # the first box reaches half a cell into the grid
+        gap = np.maximum(self._x0 - x, x - (self._x0 + nx * cell))
+        gap = np.maximum(gap, np.maximum(self._y0 - y, y - (self._y0 + ny * cell)))
+        r = np.minimum(upto, 0.5 * cell + np.maximum(gap, 0.0))
+        active = np.nonzero(ok)[0]
         top = -math.inf  # the largest exact distance finished so far
         while active.size:
-            # once the rings have cost as much as scanning every segment
-            costly = spent[active] >= self._a.size
-            done = active[costly]
-            best[done] = self._brute(zs[done])
-            active = active[~costly]
-            for s in range(0, active.size, _BLOCK_QUERIES):
-                self._scan_ring(zs, active[s : s + _BLOCK_QUERIES], u, v, r, best, spent)
             ra = r[active]
-            lower = ra * cell * (1.0 - 1e-12) - self._slack
-            exact = (best[active] <= lower) | (ra >= r_end[active])
-            finished = exact | (lower > upto)
-            r[active] += 1
+            # the rounding of cell coordinates and of the distance formula
+            pad = ra * (1.0 + 1e-12) + self._slack
+            xa, ya = x[active], y[active]
+            i_lo, i_hi = self._cells(xa - pad, self._x0, cell, nx), self._cells(xa + pad, self._x0, cell, nx)
+            j_lo, j_hi = self._cells(ya - pad, self._y0, cell, ny), self._cells(ya + pad, self._y0, cell, ny)
+            whole = (i_lo == 0) & (i_hi == nx - 1) & (j_lo == 0) & (j_hi == ny - 1)
+            done = active[whole]
+            if done.size:
+                best[done] = self._brute(zs[done])
+            part = np.nonzero(~whole)[0]
+            for s in range(0, part.size, _BLOCK_QUERIES):
+                k = part[s : s + _BLOCK_QUERIES]
+                self._scan_boxes(zs, active[k], i_lo[k], i_hi[k], j_lo[k], j_hi[k], best)
+            # every segment within ra meets a scanned cell
+            exact = whole | (best[active] <= ra)
+            finished = exact | (ra >= upto)
+            r[active] = np.minimum(2.0 * ra, upto)
             if running_max:
-                found = best[np.concatenate([done, active[exact]])]
+                found = best[active[exact]]
                 if np.any(finished & ~exact) or np.any(found > upto):
                     return best
                 top = max(top, float(np.max(found, initial=-math.inf)))
@@ -254,19 +249,21 @@ class SegmentIndex:
             active = active[~finished]
         return best
 
-    def _scan_ring(self, zs, q, u, v, r, best, spent) -> None:
-        """Fold the segments on the current ring of each query q into best."""
-        owner, cells = self._ring(u[q], v[q], r[q])
-        np.add.at(spent, q[owner], 1)
-        lo, hi = self._start[cells], self._start[cells + 1]
-        # split the cells so that one block holds about _BLOCK_PAIRS pairs
+    def _scan_boxes(self, zs, q, i_lo, i_hi, j_lo, j_hi, best) -> None:
+        """Fold every segment in the cells of each query's box into best; the
+        cells of one grid column are one range of ``_members``."""
+        ny = self._ny
+        owner, i = _ranges(i_lo, i_hi)
+        lo = self._start[i * ny + j_lo[owner]]
+        hi = self._start[i * ny + j_hi[owner] + 1]
+        # split the columns so that one block holds about step pairs
+        step = max(1, _BLOCK_PAIRS // 16)
         ends = np.cumsum(hi - lo)
-        cuts = np.searchsorted(ends, np.arange(_BLOCK_PAIRS, ends[-1] if ends.size else 0, _BLOCK_PAIRS))
-        for c0, c1 in zip(np.r_[0, cuts], np.r_[cuts, cells.size]):
+        cuts = [0, *np.searchsorted(ends, np.arange(step, ends[-1], step)).tolist(), lo.size]
+        for c0, c1 in zip(cuts[:-1], cuts[1:]):
             k, pos = _ranges(lo[c0:c1], hi[c0:c1] - 1)
             who = q[owner[c0:c1][k]]
             np.minimum.at(best, who, self._kernel(zs[who], self._members[pos]))
-            np.add.at(spent, who, 1)
 
 
 def points_to_polyline_distances(zs, pts) -> np.ndarray:

@@ -269,9 +269,6 @@ def _assert_laws(graph: LevelGraph):
     if F != E - V + 2:
         raise TopologyError(f"Euler violation: F={F}, E={E}, V={V}")
     face_count(graph)  # its two counts leave exactly one unbounded face
-    for vi, (c, m) in enumerate(graph.vertices):
-        if graph.degree(vi) != 2 * (m + 1):
-            raise TopologyError(f"degree law violated at {c}")
     for ei in range(E):
         fa = graph.dart_face.get((ei, 0))
         fb = graph.dart_face.get((ei, 1))

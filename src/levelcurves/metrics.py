@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -71,22 +73,23 @@ def hausdorff_between_curves(curves_a, curves_b, upto: float = math.inf) -> Haus
     (xs, index_a, sag_a), (ys, index_b, sag_b) = _side(curves_a), _side(curves_b)
     if xs.size == 0 or ys.size == 0:
         return HausdorffReport(math.inf, math.inf, math.inf)
-    d1 = index_b.max_distance(xs, upto)
-    d2 = index_a.max_distance(ys, upto)
+    # one side's index at a time: side a's is built once side b's is measured
+    d1 = index_b().max_distance(xs, upto)
+    d2 = index_a().max_distance(ys, upto)
     return HausdorffReport(d1, d2, max(d1, d2), discretization=max(sag_a, sag_b))
 
 
-def _side(curve) -> tuple[np.ndarray, SegmentIndex, float]:
-    """The points of one side of a d-check, the index of its polylines and their sag bound."""
+def _side(curve) -> tuple[np.ndarray, Callable[[], SegmentIndex], float]:
+    """The points of one side of a d-check, a maker of its polylines' index and their sag bound."""
     if isinstance(curve, LevelCurveComponent):
-        return curve.points, curve.index, curve.sag
+        return curve.points, lambda: curve.index, curve.sag
     if isinstance(curve, np.ndarray):
         pts = as_points(curve)
         if curve.ndim == 2:
-            return pts, SegmentIndex(pts[:, None]), 0.0
-        return pts, SegmentIndex([pts]), max_segment_length(pts)
+            return pts, partial(SegmentIndex, pts[:, None]), 0.0
+        return pts, partial(SegmentIndex, [pts]), max_segment_length(pts)
     lines = [a.points for a in curve]
-    return np.concatenate(lines), SegmentIndex(lines), max((a.sag for a in curve), default=0.0)
+    return np.concatenate(lines), partial(SegmentIndex, lines), max((a.sag for a in curve), default=0.0)
 
 
 # ---------------------------------------------------------------------------

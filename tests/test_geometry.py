@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -39,9 +40,11 @@ def scenes(draw):
     # points drawn from a small pool repeat, so segments of zero length occur
     vertex = st.one_of(st.sampled_from(pool), points)
     polylines = draw(st.lists(st.lists(vertex, min_size=1, max_size=30), min_size=1, max_size=4))
-    queries = draw(st.lists(points, min_size=1, max_size=40))
+    # vertices as queries: on a segment, and on the grid's lowest cell edges
+    queries = draw(st.lists(st.one_of(points, st.sampled_from(pool)), min_size=1, max_size=40))
     far = draw(st.lists(st.builds(lambda z, k: z * 10.0**k, points, st.integers(1, 9)), max_size=5))
-    zs = np.array(queries + far, dtype=complex) * scale
+    huge = draw(st.lists(st.sampled_from([1e300, -1e300, 1e300j]), max_size=2))
+    zs = np.array(queries + far + huge, dtype=complex) * scale
     return [np.array(p, dtype=complex) * scale for p in polylines], zs, draw(st.floats(0.0, 1.0))
 
 
@@ -106,8 +109,83 @@ def test_max_distance_is_the_max_of_distances_bitwise():
         top = float(np.max(index.distances(zs)))
         for upto in (top, np.nextafter(top, 0.0), float(np.median(index.distances(zs))), 0.0, np.inf):
             want = np.max(index.distances(zs, upto))
-            # a small block budget splits the ring blocks and the brute fallback
+            # a small block budget splits the box passes and the brute force
             for block in (256, geometry._BLOCK_PAIRS):
                 with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
                     got = index.max_distance(zs, upto)
                 assert got == want and type(got) is float
+
+
+def _edge_scenes():
+    """(polylines, index argument) for grids that are degenerate or tiny."""
+    rng = np.random.default_rng(22)
+    walk = np.cumsum(rng.normal(size=100) + 1j * rng.normal(size=100))
+    pts = rng.uniform(-2.0, 2.0, 60) + 1j * rng.uniform(-2.0, 2.0, 60)
+    return {
+        "one segment": ([np.array([0.25 - 1j, 1.5 + 0.5j])], None),
+        "one point": ([np.array([0.5 + 0.5j])], None),
+        "horizontal": ([np.linspace(-3.0, 5.0, 40) + 2j, np.array([7.0 + 2j, 9.0 + 2j])], None),
+        "vertical": ([3.0 + 1j * np.linspace(-5.0, 5.0, 40)], None),
+        "point set": ([p[None] for p in pts], pts[:, None]),
+        "walk": ([walk], None),
+    }
+
+
+@pytest.mark.parametrize("name", list(_edge_scenes()))
+def test_index_edge_cases_match_brute_force_bitwise(name):
+    polylines, arg = _edge_scenes()[name]
+    index = SegmentIndex(polylines if arg is None else arg)
+    rng = np.random.default_rng(5)
+    x0, y0, cell = index._x0, index._y0, index._cell
+    # cell corners, points on vertical and on horizontal cell edges, points
+    # near the data, finite far points and non-finite points
+    u = x0 + np.arange(-1, index._nx + 2) * cell
+    v = y0 + np.arange(-1, index._ny + 2) * cell
+    near = np.concatenate(polylines).ravel()
+    near = near[rng.integers(0, near.size, 50)] + 0.3 * (rng.normal(size=50) + 1j * rng.normal(size=50))
+    finite = np.concatenate(
+        [
+            (u[:, None] + 1j * v[None, :]).ravel(),
+            u + 1j * rng.uniform(v[0], v[-1], u.size),
+            rng.uniform(u[0], u[-1], v.size) + 1j * v,
+            near,
+            [1e300, -1e300, 1e300j, -1e300j, 1e300 + 1e300j],
+        ]
+    )
+    bad = np.array([complex(np.nan, 0.0), complex(np.inf, 0.0), complex(0.0, -np.inf), complex(np.nan, 1.0), complex(1.0, np.inf)])
+    order = rng.permutation(finite.size + bad.size)
+    zs = np.concatenate([finite, bad])[order]
+    want = np.where(np.isfinite(zs), brute_distances(np.nan_to_num(zs), polylines), np.inf)
+    exact = float(np.sort(want[np.isfinite(want)])[finite.size // 2])
+    assert 0.0 < exact < np.inf
+    fin = np.isfinite(zs)
+    for upto in (0.0, exact, np.nextafter(exact, 0.0), np.inf):
+        bounded = np.where(want <= upto, want, np.inf)
+        # a tiny block budget sends every input through the grid search
+        for block in (8, geometry._BLOCK_PAIRS):
+            with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
+                assert np.array_equal(index.distances(zs, upto), bounded)
+                assert index.max_distance(zs[fin], upto) == np.max(bounded[fin])
+                assert index.max_distance(zs, upto) == np.inf
+
+
+def test_distances_memory_peak():
+    """One call of 20,000 queries near a 20,000-point polyline: the candidate
+    pairs are scored in blocks, so the peak stays small."""
+    rng = np.random.default_rng(3)
+    t = np.linspace(0.0, 2.0 * np.pi, 20_000)
+    line = (1.0 + 0.3 * np.cos(7.0 * t)) * np.exp(1j * t)
+    zs = line[rng.permutation(t.size)] + 0.02 * (rng.normal(size=t.size) + 1j * rng.normal(size=t.size))
+    index = SegmentIndex([line])
+    for upto in (np.inf, 1e-6):
+        tracemalloc.start()
+        try:
+            d = index.distances(zs, upto)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(np.isfinite(d)) == (t.size if upto == np.inf else 1)
+        # the ring-by-ring search peaked at 10.5 MiB (upto inf) and 10.3 MiB
+        # (upto 1e-6) here, the box search at 2.7 and 2.6 MiB, and the box
+        # search with its pairs unsplit at 44 MiB
+        assert peak < 6 * 2**20, (upto, peak)

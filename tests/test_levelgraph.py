@@ -29,6 +29,15 @@ def test_z5m1_graph_counts(z5m1):
     assert g.degree(0) == 10  # 2 * (mult + 1) with mult = 4
 
 
+def test_build_graph_rejects_a_degree_violation(z5m1):
+    """Each of the five loops of z^5-1 at 1 leaves and returns to the vertex
+    0 of multiplicity 4, so dropping one leaves 8 of its 10 stubs."""
+    comp = trace_level_set(z5m1, 1.0)[0]
+    bad = dataclasses.replace(comp, arcs=comp.arcs[1:])
+    with pytest.raises(TopologyError, match=r"vertex 0j has degree 8, expected 2\*\(mult\+1\) = 10"):
+        build_graph(bad)
+
+
 def test_law_check_rejects_a_face_count_violation(z5m1):
     """One more multiplicity at each vertex keeps V, E and F, so Euler's
     relation holds and the face-count law is what refuses the graph."""
