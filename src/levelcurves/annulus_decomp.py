@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .errors import CertificateError, TopologyError, TraceError
 from .funcspace import RationalFn
 from .levelgraph import build_graph, faces_of_points
@@ -116,7 +116,7 @@ def _power_radius(eps: float, M: int) -> float:
 # decomposition
 
 
-def _outer_boundary(f: RationalFn, C: CriticalSetC, tols: Tolerances):
+def _outer_boundary(f: RationalFn, C: CriticalSetC):
     """The outer edge of the working domain as a CurveRef.
 
     On the unit disk this is the boundary circle with |f| == 1.  On the plane
@@ -132,7 +132,7 @@ def _outer_boundary(f: RationalFn, C: CriticalSetC, tols: Tolerances):
         ref.level for ref in C.components if math.isfinite(ref.level) and ref.level > 0
     ]
     eps_out = 4.0 * max([1.0] + finite_levels)
-    comps = trace_level_set(f, eps_out, tols)
+    comps = trace_level_set(f, eps_out)
     if len(comps) != 1 or comps[0].vertices:
         raise TopologyError(
             f"outer level {eps_out} is not a single simple curve; enlarge the level"
@@ -144,11 +144,7 @@ def _outer_boundary(f: RationalFn, C: CriticalSetC, tols: Tolerances):
     return ref, g.bounded_faces[0].id
 
 
-def decompose(
-    f: RationalFn,
-    C: CriticalSetC | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> list[AnnularRegion]:
+def decompose(f: RationalFn, C: CriticalSetC | None = None) -> list[AnnularRegion]:
     """All annular components of the domain minus the critical set.
 
     The regions are read off the nesting forest of the critical set: one per
@@ -159,7 +155,7 @@ def decompose(
     bounded components, which the two-curve theorem forbids.
     """
     if C is None:
-        C = critical_level_curves(f, tols)
+        C = critical_level_curves(f)
 
     members = C.components
     roots = [i for i, p in enumerate(C.parent) if p is None]
@@ -197,7 +193,7 @@ def decompose(
                 )
             )
 
-    outer_ref, outer_face = _outer_boundary(f, C, tols)
+    outer_ref, outer_face = _outer_boundary(f, C)
     top = members[roots[0]]
     regions.append(
         AnnularRegion(
@@ -212,9 +208,9 @@ def decompose(
 
     zp, mult = _zeros_and_poles(f)
     for region in regions:
-        _certify_region_clean(f, region, tols)
-        region.N, region.M = winding_N(f, region, tols)
-        s = int(np.sum(mult[_inside_inner(region, zp, tols)]))
+        _certify_region_clean(f, region)
+        region.N, region.M = winding_N(f, region)
+        s = int(np.sum(mult[_inside_inner(region, zp)]))
         if s == 0 or abs(s) != region.N or (s > 0) != (region.M > 0):
             raise TopologyError(
                 f"region {region.label}: winding {region.M} disagrees with enclosed "
@@ -224,7 +220,7 @@ def decompose(
     return regions
 
 
-def _certify_region_clean(f: RationalFn, region: AnnularRegion, tols: Tolerances):
+def _certify_region_clean(f: RationalFn, region: AnnularRegion):
     """No zero, pole or critical point lies in the region.
 
     A point on a boundary is told by identity, not by its level: the region's
@@ -249,10 +245,10 @@ def _certify_region_clean(f: RationalFn, region: AnnularRegion, tols: Tolerances
         pts = pts[np.abs(pts) < 1.0]
     elif pts.size:
         g = region.outer_boundary.graph()
-        pts = pts[faces_of_points(g, pts, tols) == region.outer_face_id]
+        pts = pts[faces_of_points(g, pts) == region.outer_face_id]
     if pts.size and inner.kind is CurveKind.LEVEL_CURVE:
         g = inner.graph()
-        pts = pts[faces_of_points(g, pts, tols) == g.unbounded_face.id]
+        pts = pts[faces_of_points(g, pts) == g.unbounded_face.id]
     if pts.size:
         raise TopologyError(f"region {region.label} contains distinguished point {pts[0]}")
 
@@ -263,13 +259,13 @@ def _zeros_and_poles(f: RationalFn) -> tuple[np.ndarray, np.ndarray]:
     return np.array([z for z, _ in signed], dtype=complex), np.array([m for _, m in signed], dtype=int)
 
 
-def _inside_inner(region: AnnularRegion, zp: np.ndarray, tols: Tolerances) -> np.ndarray:
+def _inside_inner(region: AnnularRegion, zp: np.ndarray) -> np.ndarray:
     """Which points of zp the inner boundary encloses (a point boundary: itself)."""
     inner = region.inner_boundary
     if inner.kind is CurveKind.POINT:
         return np.abs(zp - inner.point) < 1e-10
     g = inner.graph()
-    return faces_of_points(g, zp, tols) != g.unbounded_face.id
+    return faces_of_points(g, zp) != g.unbounded_face.id
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +292,7 @@ def _loop_levels(region: AnnularRegion) -> np.ndarray:
     return region.eps1 ** (1.0 - s) * region.eps2**s
 
 
-def _certify_loop(f: RationalFn, region: AnnularRegion, comp: LevelCurveComponent, tols) -> _Loop:
+def _certify_loop(f: RationalFn, region: AnnularRegion, comp: LevelCurveComponent) -> _Loop:
     """The per-loop certificate: comp is the region's loop at its level, every
     arg-f increment lies in (0, MAX_EDGE_TURN), and the total is 2*pi*N for a
     nonzero integer N.
@@ -314,8 +310,8 @@ def _certify_loop(f: RationalFn, region: AnnularRegion, comp: LevelCurveComponen
         raise TopologyError(f"{where} leaves the unit disk")
     zp, _ = _zeros_and_poles(f)
     g = build_graph(comp)
-    enclosed = faces_of_points(g, zp, tols) != g.unbounded_face.id
-    want = _inside_inner(region, zp, tols)
+    enclosed = faces_of_points(g, zp) != g.unbounded_face.id
+    want = _inside_inner(region, zp)
     if not np.array_equal(enclosed, want):
         raise TopologyError(f"{where} encloses the zeros and poles {zp[enclosed]}, not the region's {zp[want]}")
     vals = f.eval_grid(pts)
@@ -350,7 +346,7 @@ def _outer_start(region: AnnularRegion) -> tuple[complex, float]:
     return complex(pts[pts.size // 2]), math.log(outer.level)
 
 
-def _radial_step(f: RationalFn, tracer: _LevelTracer, z: complex, alpha: float, log_from: float, tols):
+def _radial_step(f: RationalFn, tracer: _LevelTracer, z: complex, alpha: float, log_from: float):
     """From z on |f| = exp(log_from) to the tracer's level across the loops.
 
     Each step predicts z + dlog / (f'/f), which moves log|f| by dlog and
@@ -365,7 +361,7 @@ def _radial_step(f: RationalFn, tracer: _LevelTracer, z: complex, alpha: float, 
         rest = tracer.log_eps - now
         s = math.copysign(min(abs(s), abs(rest)), rest)
         step = s / ld
-        on = tracer if s == rest else _LevelTracer(f, math.exp(now + s), tols, tracer.scale)
+        on = tracer if s == rest else _LevelTracer(f, math.exp(now + s), tracer.scale)
         z_new, _, ld_new = on.correct(z + step, STEP_MAX_ITER)
         if z_new is not None and abs(z_new - (z + step)) <= STEP_MAX_CORRECTION * abs(step):
             f_new = f.eval(z_new)
@@ -381,11 +377,7 @@ def _radial_step(f: RationalFn, tracer: _LevelTracer, z: complex, alpha: float, 
             raise TraceError(f"radial step underflow near {z} toward level {tracer.eps}")
 
 
-def winding_N(
-    f: RationalFn,
-    region: AnnularRegion,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> tuple[int, int]:
+def winding_N(f: RationalFn, region: AnnularRegion) -> tuple[int, int]:
     """Winding integer N of f along the level loops of the region, and M.
 
     Traces the region's K_LOOPS loops and keeps them on the region as its
@@ -405,9 +397,9 @@ def winding_N(
     loops: list[_Loop | None] = [None] * K_LOOPS
     starts: list[float] = [0.0] * K_LOOPS  # alpha at each loop's first point
     for k in range(K_LOOPS - 1, -1, -1):
-        tracer = _LevelTracer(f, levels[k], tols, f.scale)
-        seed, alpha = _radial_step(f, tracer, z, alpha, log_from, tols)
-        loops[k] = _certify_loop(f, region, _trace_component_with(tracer, seed), tols)
+        tracer = _LevelTracer(f, levels[k], f.scale)
+        seed, alpha = _radial_step(f, tracer, z, alpha, log_from)
+        loops[k] = _certify_loop(f, region, _trace_component_with(tracer, seed))
         starts[k], z, log_from = alpha, complex(loops[k].points[0]), tracer.log_eps
     a = K_LOOPS // 2
     mid = loops[a]
@@ -438,18 +430,14 @@ def winding_N(
 # the conformal map
 
 
-def build_phi(
-    f: RationalFn,
-    region: AnnularRegion,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> PhiGrid:
+def build_phi(f: RationalFn, region: AnnularRegion) -> PhiGrid:
     """phi = |f|^(1/M) e^(i*alpha/M) on the region's level loops, for the region's M.
 
     The loops and alpha come from :func:`winding_N`, traced once per region;
     they are traced here only when the region has none yet.
     """
     if region.phi_grid is None:
-        region.N, region.M = winding_N(f, region, tols)
+        region.N, region.M = winding_N(f, region)
     grid = region.phi_grid
     grid.phi = np.abs(grid.f_vals) ** (1.0 / region.M) * np.exp(1j * grid.alpha / region.M)
     return grid
@@ -495,11 +483,7 @@ class PhiCertificate:
         }
 
 
-def verify_phi(
-    f: RationalFn,
-    region: AnnularRegion,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> PhiCertificate:
+def verify_phi(f: RationalFn, region: AnnularRegion) -> PhiCertificate:
     """Certify phi on the region's level loops: the power identity, |phi|
     inside the image annulus, and injectivity, which is exact on the loops.
 
@@ -508,13 +492,13 @@ def verify_phi(
     ranges are disjoint and ordered, so distinct loops land on distinct
     circles.  Any gate failure raises :class:`CertificateError`.
     """
-    grid = build_phi(f, region, tols)
+    grid = build_phi(f, region)
     M = region.M
 
     power = grid.phi**M
     max_f = float(np.max(np.abs(grid.f_vals)))
     residual = float(np.max(np.abs(power - grid.f_vals)))
-    gate = tols.phi_tol * (1.0 + max_f)
+    gate = DEFAULT_TOLS.phi_tol * (1.0 + max_f)
     if residual > gate:
         raise CertificateError(f"power identity fails: {residual:.3e} > {gate:.3e}")
 

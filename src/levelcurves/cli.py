@@ -40,15 +40,6 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_CERTIFICATE = 3
 
-# --tol-<name> flag -> Tolerances field
-TOL_FLAGS = {"trace": "trace_tol", "vertex": "vertex_tol", "phi": "phi_tol", "hull": "hull_tol"}
-
-
-def _add_tol_flags(p) -> None:
-    for name in TOL_FLAGS:
-        p.add_argument(f"--tol-{name}", type=float, default=None)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="levelcurve",
@@ -64,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--delta", type=float, required=True)
         p.add_argument("--out", default=None, help="output path (.json or .csv)")
         p.add_argument("--svg", default=None, help="also write an SVG rendering here")
-        _add_tol_flags(p)
 
     common(sub.add_parser("trace", help="trace the level set as polylines"), eps=True)
     common(sub.add_parser("graph", help="planar graph of each component"), eps=True)
@@ -75,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gl.add_argument("--corrupted", type=int, default=0, help="run N corrupted replays")
     gl.add_argument("--seed", type=int, default=0)
     gl.add_argument("--out", default=None)
-    _add_tol_flags(gl)
 
     common(sub.add_parser("continuity", help="level-set continuity probe"), eps=True, delta=True)
     common(sub.add_parser("order", help="critical set, nesting order, maximal element"))
@@ -84,15 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--emit-phi", default=None, help="CSV path for the phi samples on the level loops")
     common(sub.add_parser("verify-all", help="run the full invariant suite"), eps=True)
     return ap
-
-
-def _tols_from(args):
-    overrides = {}
-    for name, field in TOL_FLAGS.items():
-        v = getattr(args, f"tol_{name}", None)
-        if v is not None:
-            overrides[field] = v
-    return DEFAULT_TOLS.with_overrides(**overrides) if overrides else DEFAULT_TOLS
 
 
 def _emit(payload: dict, args) -> None:
@@ -112,11 +92,6 @@ def _write_csv(rows, header, path) -> None:
             fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _load(args):
-    tols = _tols_from(args)
-    return parse_function_spec(args.fn, tols), tols
-
-
 def _maybe_svg(args, components, graphs=None):
     if getattr(args, "svg", None):
         with open(args.svg, "w", encoding="utf-8") as fh:
@@ -128,8 +103,8 @@ def _maybe_svg(args, components, graphs=None):
 
 
 def _cmd_trace(args) -> int:
-    f, tols = _load(args)
-    comps = trace_level_set(f, args.eps, tols)
+    f = parse_function_spec(args.fn)
+    comps = trace_level_set(f, args.eps)
     if args.out and args.out.endswith(".csv"):
         _write_csv(
             components_to_csv_rows(comps),
@@ -152,8 +127,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    f, tols = _load(args)
-    comps = trace_level_set(f, args.eps, tols)
+    f = parse_function_spec(args.fn)
+    comps = trace_level_set(f, args.eps)
     graphs = [build_graph(c) for c in comps]
     payload = {
         "schema": SCHEMA,
@@ -168,24 +143,23 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_gauss_lucas(args) -> int:
-    tols = _tols_from(args)
-    f = parse_function_spec(args.poly, tols)
+    f = parse_function_spec(args.poly)
     if not f.denominator.degree == 0:
         raise FunctionSpecError("gauss-lucas needs a polynomial (poly: spec)")
     poly = Polynomial(f.numerator.coeffs / f.denominator.coeffs[0])
 
-    reports = [check_gauss_lucas(poly, tols).to_dict()]
+    reports = [check_gauss_lucas(poly).to_dict()]
     if args.corpus:
         rng = np.random.default_rng(args.seed)
         polys = [random_polynomial(rng, int(rng.integers(2, 11))) for _ in range(args.corpus)]
-        reports.extend(check_gauss_lucas(p, tols).to_dict() for p in polys)
+        reports.extend(check_gauss_lucas(p).to_dict() for p in polys)
 
     replays = []
     if args.corrupted:
         rng = np.random.default_rng(args.seed + 1)
         for _ in range(args.corrupted):
-            p, c, curve = corrupted_instance(rng, tols=tols)
-            w = replay_level_curve_argument(p, c, curve_points=curve, tols=tols)
+            p, c, curve = corrupted_instance(rng)
+            w = replay_level_curve_argument(p, c, curve_points=curve)
             if not w.inequality_strict:
                 raise CertificateError("corrupted replay failed to produce a strict inequality")
             replays.append(w.to_dict())
@@ -198,17 +172,17 @@ def _cmd_gauss_lucas(args) -> int:
 
 
 def _cmd_continuity(args) -> int:
-    f, tols = _load(args)
-    cert = continuity_probe(f, args.eps, args.delta, tols=tols)
+    f = parse_function_spec(args.fn)
+    cert = continuity_probe(f, args.eps, args.delta)
     _emit({"schema": SCHEMA, "kind": "continuity", "fn": args.fn, **cert.to_dict()}, args)
     return EXIT_OK if cert.passed else EXIT_CERTIFICATE
 
 
 def _cmd_order(args) -> int:
-    f, tols = _load(args)
-    C = critical_level_curves(f, tols)
+    f = parse_function_spec(args.fn)
+    C = critical_level_curves(f)
     edges = hasse_diagram(C)
-    maximal = maximal_component(f, C, tols)
+    maximal = maximal_component(f, C)
     payload = {
         "schema": SCHEMA,
         "kind": "order",
@@ -225,9 +199,9 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    f, tols = _load(args)
-    regions = decompose(f, tols=tols)
-    certs = [verify_phi(f, region, tols) for region in regions]
+    f = parse_function_spec(args.fn)
+    regions = decompose(f)
+    certs = [verify_phi(f, region) for region in regions]
     payload = {
         "schema": SCHEMA,
         "kind": "decompose",
@@ -247,7 +221,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    f, tols = _load(args)
+    f = parse_function_spec(args.fn)
     checks: list[tuple[str, bool, str]] = []
 
     def run(name, fn):
@@ -257,14 +231,14 @@ def _cmd_verify_all(args) -> int:
         except LevelCurveError as exc:
             checks.append((name, False, str(exc)))
 
-    comps = trace_level_set(f, args.eps, tols)
+    comps = trace_level_set(f, args.eps)
     graphs = []
 
     def check_trace():
         for c in comps:
             for arc in c.arcs:
                 res = np.max(np.abs(f.abs_grid(arc.points) - args.eps))
-                if res > tols.trace_tol:
+                if res > DEFAULT_TOLS.trace_tol:
                     raise TraceError(f"on-level residual {res:.2e}")
         return f"{len(comps)} component(s)"
 
@@ -274,7 +248,7 @@ def _cmd_verify_all(args) -> int:
 
     def check_faces_nonempty():
         for g in graphs:
-            zeros_per_face(g, f, tols)
+            zeros_per_face(g, f)
         return ""
 
     def check_grid():
@@ -288,7 +262,7 @@ def _cmd_verify_all(args) -> int:
 
     def check_gl():
         if f.denominator.degree == 0 and isinstance(f.numerator.degree, int) and f.numerator.degree >= 2:
-            rep = check_gauss_lucas(Polynomial(f.numerator.coeffs), tols)
+            rep = check_gauss_lucas(Polynomial(f.numerator.coeffs))
             return f"max signed distance {rep.max_signed_distance:.2e}"
         return "skipped (not a polynomial of degree >= 2)"
 
@@ -296,14 +270,14 @@ def _cmd_verify_all(args) -> int:
 
     def check_order():
         nonlocal C
-        C = critical_level_curves(f, tols)
-        maximal_component(f, C, tols)
+        C = critical_level_curves(f)
+        maximal_component(f, C)
         return f"|C| = {len(C)}"
 
     def check_decompose():
-        regions = decompose(f, C=C, tols=tols)
+        regions = decompose(f, C=C)
         for region in regions:
-            verify_phi(f, region, tols)
+            verify_phi(f, region)
         return f"{len(regions)} region(s)"
 
     run("on-level-residuals", check_trace)

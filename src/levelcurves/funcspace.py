@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .errors import FunctionSpecError, RootFindingError
 
 INF = complex(math.inf, 0.0)
@@ -319,11 +319,13 @@ class RationalFn:
     (numerically) common root.
     """
 
+    # the fixed certificate gates; ``bench/run.py`` reads ``f.tols.hull_tol``
+    tols = DEFAULT_TOLS
+
     def __init__(
         self,
         numerator: Polynomial,
         denominator: Polynomial | None = None,
-        tols: Tolerances = DEFAULT_TOLS,
         blaschke_degrees: tuple[int, int] | None = None,
         spec: str | None = None,
     ):
@@ -335,13 +337,12 @@ class RationalFn:
             raise FunctionSpecError("constant functions are not allowed")
         self.numerator = numerator
         self.denominator = denominator
-        self.tols = tols
         self.blaschke_degrees = blaschke_degrees
         self.spec = spec
         # |den| when the denominator is constant, so the fused pass skips it
         self._const_den = abs(complex(denominator.coeffs[0])) if denominator.degree == 0 else None
         # the component through each critical point, filled by
-        # ``tracer._critical_curve`` and keyed by (critical point index, tols)
+        # ``tracer._critical_curve`` and keyed by the critical point's index
         self.critical_curves: dict = {}
         self._check_coprime()
 
@@ -352,7 +353,7 @@ class RationalFn:
         return cls(Polynomial(list(reversed(list(coeffs_desc)))), **kw)
 
     @classmethod
-    def blaschke_ratio(cls, zeros1, zeros2, tols: Tolerances = DEFAULT_TOLS, spec=None) -> "RationalFn":
+    def blaschke_ratio(cls, zeros1, zeros2, spec=None) -> "RationalFn":
         """f = B1/B2 for finite Blaschke products with the given zeros."""
         zeros1 = [complex(a) for a in zeros1]
         zeros2 = [complex(b) for b in zeros2]
@@ -373,7 +374,6 @@ class RationalFn:
         return cls(
             num.trim(),
             den.trim(),
-            tols=tols,
             blaschke_degrees=(len(zeros1), len(zeros2)),
             spec=spec,
         )
@@ -601,12 +601,12 @@ def _parse_coeff_list(body: str) -> list[complex]:
     return [_parse_complex(tok) for tok in items]
 
 
-def parse_function_spec(spec: str, tols: Tolerances = DEFAULT_TOLS) -> RationalFn:
+def parse_function_spec(spec: str) -> RationalFn:
     """Parse the shared ``poly:`` / ``rat:`` / ``blaschke:`` grammar."""
     s = spec.strip()
     if s.startswith("poly:"):
         coeffs = _parse_coeff_list(s[len("poly:"):])
-        return RationalFn.from_polynomial(coeffs, tols=tols, spec=s)
+        return RationalFn.from_polynomial(coeffs, spec=s)
     if s.startswith("rat:"):
         body = s[len("rat:"):]
         if "/" not in body:
@@ -614,7 +614,7 @@ def parse_function_spec(spec: str, tols: Tolerances = DEFAULT_TOLS) -> RationalF
         num_s, den_s = body.split("/", 1)
         num = Polynomial(list(reversed(_parse_coeff_list(num_s))))
         den = Polynomial(list(reversed(_parse_coeff_list(den_s))))
-        return RationalFn(num, den, tols=tols, spec=s)
+        return RationalFn(num, den, spec=s)
     if s.startswith("blaschke:"):
         body = s[len("blaschke:"):]
         if "/" not in body:
@@ -624,7 +624,7 @@ def parse_function_spec(spec: str, tols: Tolerances = DEFAULT_TOLS) -> RationalF
         z2 = _parse_coeff_list(z2_s) if z2_s.strip() else []
         if not z1 and not z2:
             raise FunctionSpecError("blaschke: spec needs at least one zero")
-        return RationalFn.blaschke_ratio(z1, z2, tols=tols, spec=s)
+        return RationalFn.blaschke_ratio(z1, z2, spec=s)
     raise FunctionSpecError(f"unknown function spec {spec!r}")
 
 

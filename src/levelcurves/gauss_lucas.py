@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .errors import CertificateError
 from .funcspace import Polynomial, RationalFn
 from .tracer import trace_component
@@ -102,7 +102,7 @@ def hull_signed_distance(hull: list[complex], z: complex) -> float:
     return best
 
 
-def check_gauss_lucas(p: Polynomial, tols: Tolerances = DEFAULT_TOLS) -> HullReport:
+def check_gauss_lucas(p: Polynomial) -> HullReport:
     """Certify hull containment of the critical points of p.
 
     Raises :class:`CertificateError` if any critical point sits outside the
@@ -115,10 +115,10 @@ def check_gauss_lucas(p: Polynomial, tols: Tolerances = DEFAULT_TOLS) -> HullRep
     hull = convex_hull(zeros)
     scale = max(1.0, max(abs(z) for z in zeros))
     worst = max(hull_signed_distance(hull, c) for c in crit)
-    if worst > tols.hull_tol * scale:
+    if worst > DEFAULT_TOLS.hull_tol * scale:
         raise CertificateError(
             f"critical point escapes the zero hull by {worst:.3e} "
-            f"(gate {tols.hull_tol * scale:.3e})"
+            f"(gate {DEFAULT_TOLS.hull_tol * scale:.3e})"
         )
     return HullReport(zeros, hull, crit, worst)
 
@@ -208,12 +208,7 @@ def _abs_product(zeros: list[complex], z: complex) -> float:
     return float(np.prod([abs(z - w) for w in zeros]))
 
 
-def replay_level_curve_argument(
-    p: Polynomial,
-    c: complex,
-    curve_points=None,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> ReplayWitness:
+def replay_level_curve_argument(p: Polynomial, c: complex, curve_points=None) -> ReplayWitness:
     """Replay the product-inequality step of the hull-containment proof.
 
     For a genuine polynomial (c inside the hull) the answer is the
@@ -234,7 +229,7 @@ def replay_level_curve_argument(
         p_n = Polynomial.from_roots(zs_n)
         fn = RationalFn(p_n)
         eps = abs(p_n(c_n))
-        comp = trace_component(fn, eps, c_n, tols)
+        comp = trace_component(fn, eps, c_n)
         pts = comp.points
 
     pair = next(_replay_pairs(pts, c_n), None)
@@ -287,7 +282,7 @@ def _replay_pairs(pts: np.ndarray, c_n: complex):
                 yield height, z1, z1 + 0.5 * max(z1.real - 1.0, 0.5), "ray"
 
 
-def corrupted_instance(rng: np.random.Generator, tols: Tolerances = DEFAULT_TOLS):
+def corrupted_instance(rng: np.random.Generator):
     """A deliberately inconsistent (polynomial, declared critical point, curve).
 
     The declared zeros live in the unit disk while the supplied "level curve"
@@ -304,5 +299,5 @@ def corrupted_instance(rng: np.random.Generator, tols: Tolerances = DEFAULT_TOLS
     center = complex(rng.uniform(1.6, 2.0), 0.0)
     q = Polynomial.from_roots([center + 1j * spread, center - 1j * spread])
     c = center + complex(rng.uniform(0.35, 0.6), 0.0)
-    comp = trace_component(RationalFn(q), abs(q(c)), c, tols)
+    comp = trace_component(RationalFn(q), abs(q(c)), c)
     return p, c, comp.points

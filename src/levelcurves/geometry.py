@@ -159,11 +159,14 @@ class SegmentIndex:
         return np.floor(u if n is None else np.clip(u, 0, n - 1)).astype(np.int64)
 
     def _kernel(self, z: np.ndarray, seg) -> np.ndarray:
-        """Distance from z to segment seg (arrays broadcast together)."""
+        """Distance from z to segment seg (arrays broadcast together).  A
+        NaN, infinite or huge query overflows or gives NaN here, silently:
+        its distance comes out NaN or inf, which the callers resolve."""
         a, d = self._a[seg], self._d[seg]
-        w = z - a
-        t = np.clip((w.real * d.real + w.imag * d.imag) / self._denom[seg], 0.0, 1.0)
-        return np.abs(z - (a + t * d))
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = z - a
+            t = np.clip((w.real * d.real + w.imag * d.imag) / self._denom[seg], 0.0, 1.0)
+            return np.abs(z - (a + t * d))
 
     def _brute(self, zs: np.ndarray) -> np.ndarray:
         out = np.empty(zs.shape)

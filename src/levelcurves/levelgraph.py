@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .errors import TopologyError
 from .funcspace import RationalFn
 from .tracer import LevelCurveComponent
@@ -292,21 +292,21 @@ def face_count(graph: LevelGraph) -> tuple[int, int]:
     return bounded, total
 
 
-def face_of_point(graph: LevelGraph, z: complex, tols: Tolerances = DEFAULT_TOLS) -> int:
+def face_of_point(graph: LevelGraph, z: complex) -> int:
     """Face id containing z, by winding of each face's boundary walk.
 
     A point on the traced curve, a non-integer or multiple winding, and a
     point claimed by two faces are each a :class:`TopologyError`.
     """
-    return int(faces_of_points(graph, [z], tols)[0])
+    return int(faces_of_points(graph, [z])[0])
 
 
-def faces_of_points(graph: LevelGraph, zs, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def faces_of_points(graph: LevelGraph, zs) -> np.ndarray:
     """Face id containing each point of zs: one on-curve distance query, then
     one winding pass per bounded face; errors as :func:`face_of_point`."""
     zs = geometry.as_points(zs)
-    d = graph.component.index.distances(zs, upto=tols.trace_tol)
-    on = np.flatnonzero(d <= tols.trace_tol)
+    d = graph.component.index.distances(zs, upto=DEFAULT_TOLS.trace_tol)
+    on = np.flatnonzero(d <= DEFAULT_TOLS.trace_tol)
     if on.size:
         raise TopologyError(f"point {zs[on[0]]} lies on the traced curve (distance {d[on[0]]:.2e})")
     faces = graph.bounded_faces
@@ -332,7 +332,7 @@ def faces_of_points(graph: LevelGraph, zs, tols: Tolerances = DEFAULT_TOLS) -> n
     return out
 
 
-def zeros_per_face(graph: LevelGraph, f: RationalFn, tols: Tolerances = DEFAULT_TOLS) -> dict:
+def zeros_per_face(graph: LevelGraph, f: RationalFn) -> dict:
     """Map face id -> list of (point, mult, kind) for zeros and poles inside.
 
     Every bounded face must receive at least one entry; an empty bounded face
@@ -340,7 +340,7 @@ def zeros_per_face(graph: LevelGraph, f: RationalFn, tols: Tolerances = DEFAULT_
     """
     out: dict[int, list] = {fc.id: [] for fc in graph.faces}
     points = [(z, m, "zero") for z, m in f.zeros] + [(p, m, "pole") for p, m in f.poles]
-    for entry, fid in zip(points, faces_of_points(graph, [z for z, _, _ in points], tols)):
+    for entry, fid in zip(points, faces_of_points(graph, [z for z, _, _ in points])):
         out[int(fid)].append(entry)
     for fc in graph.faces:
         if fc.bounded and not out[fc.id]:

@@ -32,7 +32,6 @@ from functools import partial
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
 from .errors import TraceError
 from .funcspace import RationalFn
 from .geometry import SegmentIndex, as_points, max_segment_length
@@ -119,7 +118,6 @@ def _nearby_curves_union(
     zeta: float,
     component: LevelCurveComponent,
     delta: float,
-    tols: Tolerances,
 ) -> LevelCurveComponent | list[TracedArc]:
     """The level curves at level zeta seeded near each edge midpoint.
 
@@ -128,7 +126,7 @@ def _nearby_curves_union(
     already traced (``tracer._trace_seeds``).  One curve is returned as its
     component, whose cached index serves the d-check; several as their arcs.
     """
-    tracer = _LevelTracer(f, zeta, tols, _domain_scale(f, [component.arcs[0].points[0]]))
+    tracer = _LevelTracer(f, zeta, _domain_scale(f, [component.arcs[0].points[0]]))
     seeds = []
     for arc in component.arcs:
         pts = arc.points
@@ -157,7 +155,6 @@ def continuity_probe(
     eps: float,
     delta: float,
     component: LevelCurveComponent | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> ContinuityCertificate:
     """Search for eta such that every zeta within eta of eps has level curves
     within delta of the component.
@@ -173,7 +170,7 @@ def continuity_probe(
     if delta <= 0:
         raise ValueError("delta must be positive")
     if component is None:
-        comps = trace_level_set(f, eps, tols)
+        comps = trace_level_set(f, eps)
         component = max(comps, key=lambda c: c.total_length())
 
     def trial(eta: float) -> list[tuple[float, float]] | None:
@@ -184,7 +181,7 @@ def continuity_probe(
             for sign in (+1.0, -1.0):
                 zeta = eps + sign * eta * k / K_SAMPLES
                 try:
-                    union = _nearby_curves_union(f, zeta, component, delta, tols)
+                    union = _nearby_curves_union(f, zeta, component, delta)
                 except TraceError:
                     return None
                 d = hausdorff_between_curves(union, component, upto=delta).d_check

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .errors import TopologyError, TraceError
 from .funcspace import RationalFn
 from .levelgraph import LevelGraph, build_graph, faces_of_points
@@ -105,13 +105,13 @@ def _vote(g: LevelGraph, faces: np.ndarray) -> int | None:
     return None if fid == g.unbounded_face.id else fid
 
 
-def _membership_face(b: CurveRef, samples, tols: Tolerances) -> int | None:
+def _membership_face(b: CurveRef, samples) -> int | None:
     """Face of b holding every sample, or None for the unbounded face."""
     g = b.graph()
-    return _vote(g, faces_of_points(g, samples, tols))
+    return _vote(g, faces_of_points(g, samples))
 
 
-def _holding_faces(b: CurveRef, members: list[CurveRef], tols: Tolerances) -> list[int | None]:
+def _holding_faces(b: CurveRef, members: list[CurveRef]) -> list[int | None]:
     """The bounded face of b holding each member, or None where it is outside.
 
     One distance query over all the members' points refuses any member within
@@ -126,9 +126,9 @@ def _holding_faces(b: CurveRef, members: list[CurveRef], tols: Tolerances) -> li
     # a point farther than the clearance is reported as inf, and the index
     # stops searching there
     clearance = b.component.sag if b.kind is CurveKind.LEVEL_CURVE else 0.0
-    dists = b.index.distances(np.concatenate(pts), upto=max(clearance, tols.trace_tol))
+    dists = b.index.distances(np.concatenate(pts), upto=max(clearance, DEFAULT_TOLS.trace_tol))
     d = float(np.min(dists))
-    if d <= tols.trace_tol:
+    if d <= DEFAULT_TOLS.trace_tol:
         raise TopologyError(f"curves too close to order (min distance {d:.3e})")
     if b.kind is CurveKind.BOUNDARY:
         # boundary refs only occur as the outer circle of the unit disk
@@ -144,20 +144,20 @@ def _holding_faces(b: CurveRef, members: list[CurveRef], tols: Tolerances) -> li
             )
         voters.append(p[clear[np.linspace(0, clear.size - 1, need).astype(int)]])
     g = b.graph()
-    faces = faces_of_points(g, np.concatenate(voters), tols)
+    faces = faces_of_points(g, np.concatenate(voters))
     return [_vote(g, fs) for fs in np.split(faces, np.cumsum([v.size for v in voters])[:-1])]
 
 
-def precedes(a: CurveRef, b: CurveRef, tols: Tolerances = DEFAULT_TOLS) -> bool:
+def precedes(a: CurveRef, b: CurveRef) -> bool:
     """True iff a lies inside one of the bounded faces of b."""
     if b.kind is CurveKind.POINT:
         return False
     if a is b:
         raise TopologyError("precedes() requires distinct, disjoint curves")
-    return _holding_faces(b, [a], tols)[0] is not None
+    return _holding_faces(b, [a])[0] is not None
 
 
-def _nesting_forest(refs: list[CurveRef], tols: Tolerances) -> list[tuple[int, int] | None]:
+def _nesting_forest(refs: list[CurveRef]) -> list[tuple[int, int] | None]:
     """The parent of each member: its innermost holder and the face holding it.
 
     Each level-curve member classifies all the others in one batch.  The
@@ -170,7 +170,7 @@ def _nesting_forest(refs: list[CurveRef], tols: Tolerances) -> list[tuple[int, i
         if b.kind is not CurveKind.LEVEL_CURVE:
             continue
         others = [i for i in range(len(refs)) if i != j]
-        for i, fid in zip(others, _holding_faces(b, [refs[i] for i in others], tols)):
+        for i, fid in zip(others, _holding_faces(b, [refs[i] for i in others])):
             if fid is not None:
                 holders[i][j] = fid
     parent: list[tuple[int, int] | None] = []
@@ -188,16 +188,13 @@ def _nesting_forest(refs: list[CurveRef], tols: Tolerances) -> list[tuple[int, i
 # ---------------------------------------------------------------------------
 
 
-def critical_level_curves(
-    f: RationalFn,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> CriticalSetC:
+def critical_level_curves(f: RationalFn) -> CriticalSetC:
     """Enumerate the critical set and its nesting forest.
 
     The members are the critical level curves, zeros and poles.  Critical
     points whose value is 0 or infinity sit on zero/pole members rather than
     on curves.  The curves are the ones stored on f (``tracer._critical_curve``):
-    each traced once per function and tolerances from the vertex of its first
+    each traced once per function from the vertex of its first
     critical point, in the order of ``f.critical_points``, and shared with
     :func:`~levelcurves.tracer.trace_level_set` at the same level.  A
     component through several critical points is one member.  The domain's
@@ -213,7 +210,7 @@ def critical_level_curves(
 
     traced: list[LevelCurveComponent] = []
     for i in range(len(f.critical_points)):
-        comp = _critical_curve(f, i, tols)
+        comp = _critical_curve(f, i)
         # None: a zero/pole, covered by point members; a component already
         # listed: another critical point pulled it in
         if comp is not None and all(comp is not t for t in traced):
@@ -230,7 +227,7 @@ def critical_level_curves(
         )
     if not refs:
         raise TopologyError("critical set is empty; the function must have zeros or poles")
-    return CriticalSetC(refs, _nesting_forest(refs, tols))
+    return CriticalSetC(refs, _nesting_forest(refs))
 
 
 def _fmt(z: complex) -> str:
@@ -240,12 +237,7 @@ def _fmt(z: complex) -> str:
 # ---------------------------------------------------------------------------
 
 
-def separating_curve(
-    f: RationalFn,
-    L: CurveRef,
-    K,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> tuple[CurveRef, str]:
+def separating_curve(f: RationalFn, L: CurveRef, K) -> tuple[CurveRef, str]:
     """A non-critical level curve with L in one face and all of K in the other.
 
     K is a closed point set (array of complex).  The search walks a short
@@ -271,10 +263,10 @@ def separating_curve(
             continue
         if abs(level - L.level) < 1e-9:
             continue
-        if any(abs(level - cl) <= 10 * tols.vertex_tol for cl in crit_levels):
+        if any(abs(level - cl) <= 10 * DEFAULT_TOLS.vertex_tol for cl in crit_levels):
             continue
         try:
-            comp = trace_component(f, level, z_probe, tols)
+            comp = trace_component(f, level, z_probe)
         except TraceError:
             continue
         if comp.vertices:
@@ -284,8 +276,8 @@ def separating_curve(
         if crit_pts and np.min(comp.index.distances(crit_pts, upto=1e-5 * f.scale)) < 1e-5 * f.scale:
             continue
         try:
-            k_face = _membership_face(cand, K, tols)
-            l_face = _holding_faces(cand, [L], tols)[0]
+            k_face = _membership_face(cand, K)
+            l_face = _holding_faces(cand, [L])[0]
         except TopologyError:
             continue
         if (k_face is None) != (l_face is None) or (
@@ -304,20 +296,19 @@ def two_curve_critical_witness(
     L1: CurveRef,
     L2: CurveRef,
     C: CriticalSetC | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> tuple[CurveRef, int, int]:
     """The critical level curve holding L1 and L2 in distinct bounded faces.
 
     Preconditions: L1 and L2 mutually exterior.  The theorem guarantees a
     witness inside the finite critical set, so exhaustion is a hard error.
     """
-    if precedes(L1, L2, tols) or precedes(L2, L1, tols):
+    if precedes(L1, L2) or precedes(L2, L1):
         raise TopologyError("curves are nested; the witness theorem needs mutual exteriority")
     if C is None:
-        C = critical_level_curves(f, tols)
+        C = critical_level_curves(f)
     for ref in C.curves():
         try:
-            f1, f2 = _holding_faces(ref, [L1, L2], tols)
+            f1, f2 = _holding_faces(ref, [L1, L2])
         except TopologyError:
             continue
         if f1 is not None and f2 is not None and f1 != f2:
@@ -328,14 +319,10 @@ def two_curve_critical_witness(
     )
 
 
-def maximal_component(
-    f: RationalFn,
-    C: CriticalSetC | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> CurveRef:
+def maximal_component(f: RationalFn, C: CriticalSetC | None = None) -> CurveRef:
     """The unique member of the critical set preceded by no other."""
     if C is None:
-        C = critical_level_curves(f, tols)
+        C = critical_level_curves(f)
     maxima = [a for a, p in zip(C.components, C.parent) if p is None]
     if len(maxima) != 1:
         raise TopologyError(

@@ -26,10 +26,10 @@ f(c) + a*(z - c)^(mult+1).  The vertex rays, the necks of off-level saddles
 and the near-critical warning all read that model from
 ``RationalFn.critical_models``, computed once per function.
 
-The component through each critical point is traced once per function and
-tolerances, from its vertex at the point's own level, and kept on the
-function (``_critical_curve``); the critical set and every level set at
-exactly that level hand out the same object.  A traced level set is
+The component through each critical point is traced once per function, from
+its vertex at the point's own level, and kept on the function
+(``_critical_curve``); the critical set and every level set at exactly that
+level hand out the same object.  A traced level set is
 certified complete by the argument principle: its arcs must turn arg f by
 2*pi times the zeros or the poles of the domain, so a component missed by
 the seeds, or traced twice, is an error rather than a short or long list.
@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .errors import TraceError
 from .funcspace import RationalFn, is_inf
 
@@ -180,15 +180,17 @@ def _capture_radius(m: int, a: complex | None, eps: float, scale: float) -> floa
 class _LevelTracer:
     """Shared state for tracing one level of one function."""
 
-    def __init__(self, f: RationalFn, eps: float, tols: Tolerances, scale: float):
+    # the fixed certificate gates; ``bench/spans.py`` reads ``tols.trace_tol``
+    tols = DEFAULT_TOLS
+
+    def __init__(self, f: RationalFn, eps: float, scale: float):
         if not (eps > 0.0 and math.isfinite(eps)):
             raise TraceError(f"level eps must be in (0, inf), got {eps}")
         self.f = f
         self.eps = eps
-        self.tols = tols
         self.scale = scale
         self.log_eps = math.log(eps)
-        self.tau = 0.25 * tols.trace_tol / max(1.0, eps)
+        self.tau = 0.25 * DEFAULT_TOLS.trace_tol / max(1.0, eps)
         self.sag_target = SAG_REL * scale
         self.h_min = MIN_STEP_REL * scale
         self.reach = MAX_REACH_REL * scale
@@ -197,7 +199,7 @@ class _LevelTracer:
         self._offlevel: list[tuple[complex, int, complex | None, float]] = []
         for c, m, a in f.critical_models:
             av = f.abs_eval(c)
-            if math.isfinite(av) and av > 0.0 and abs(av - eps) <= tols.vertex_tol:
+            if math.isfinite(av) and av > 0.0 and abs(av - eps) <= DEFAULT_TOLS.vertex_tol:
                 if a is None:
                     raise TraceError(f"degenerate local model at critical point {c}")
                 self.vertices.append(_Vertex(c, m, _vertex_rays(f, c, m, a), _capture_radius(m, a, eps, scale)))
@@ -484,16 +486,9 @@ def _domain_scale(f: RationalFn, extra_points=()) -> float:
 # public operations
 
 
-def trace_component(
-    f: RationalFn,
-    eps: float,
-    seed: complex,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> LevelCurveComponent:
+def trace_component(f: RationalFn, eps: float, seed: complex) -> LevelCurveComponent:
     """Trace the full component of E_{f, eps} through (the correction of) seed."""
-    scale = _domain_scale(f, [seed])
-    tracer = _LevelTracer(f, eps, tols, scale)
-    return _trace_component_with(tracer, seed)
+    return _trace_component_with(_LevelTracer(f, eps, _domain_scale(f, [seed])), seed)
 
 
 def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComponent:
@@ -620,36 +615,35 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
     return comp
 
 
-def _critical_curve(f: RationalFn, i: int, tols: Tolerances) -> LevelCurveComponent | None:
+def _critical_curve(f: RationalFn, i: int) -> LevelCurveComponent | None:
     """The component through critical point i of f, at that point's level.
 
-    Traced once per (i, tols) and kept in ``f.critical_curves``, so every
-    caller gets the same object; its point arrays are read-only.  None where
+    Traced once per i and kept in ``f.critical_curves``, so every caller
+    gets the same object; its point arrays are read-only.  None where
     the critical point is a zero or a pole.  A critical point that is a
     vertex of the curve of an earlier critical point gets that curve;
     otherwise its curve is traced from the vertex at scale ``f.scale``.  Only
     a curve at a level within ``vertex_tol`` of this one can hold the point
-    as a vertex, so the entry depends on f, i and tols, not on the order of
-    the calls.
+    as a vertex, so the entry depends on f and i, not on the order of the
+    calls.
     """
-    key = (i, tols)
-    if key not in f.critical_curves:
-        f.critical_curves[key] = _trace_critical_curve(f, i, tols)
-    return f.critical_curves[key]
+    if i not in f.critical_curves:
+        f.critical_curves[i] = _trace_critical_curve(f, i)
+    return f.critical_curves[i]
 
 
-def _trace_critical_curve(f: RationalFn, i: int, tols: Tolerances) -> LevelCurveComponent | None:
+def _trace_critical_curve(f: RationalFn, i: int) -> LevelCurveComponent | None:
     c = f.critical_points[i][0]
     level = f.abs_eval(c)
-    if not math.isfinite(level) or level <= tols.vertex_tol:
+    if not math.isfinite(level) or level <= DEFAULT_TOLS.vertex_tol:
         return None  # the critical point is a zero/pole
     for j, (cj, _) in enumerate(f.critical_points[:i]):
-        if abs(f.abs_eval(cj) - level) <= tols.vertex_tol:
-            comp = _critical_curve(f, j, tols)
+        if abs(f.abs_eval(cj) - level) <= DEFAULT_TOLS.vertex_tol:
+            comp = _critical_curve(f, j)
             if comp is not None and any(abs(c - v) < 1e-10 for v, _ in comp.vertices):
                 return comp
     # c lies in its own capture ball, so the trace launches from the vertex
-    comp = _trace_component_with(_LevelTracer(f, level, tols, f.scale), c)
+    comp = _trace_component_with(_LevelTracer(f, level, f.scale), c)
     if not any(abs(c - v) < 1e-10 for v, _ in comp.vertices):
         raise TraceError(f"critical curve through {c} did not capture it as a vertex")
     for arc in comp.arcs:
@@ -772,11 +766,7 @@ def _ray_crossings(f, eps, anchors, phase, ts, rays=range(8)):
     return origin + 0.5 * (lo + hi) * direction, a, rays[k]
 
 
-def trace_level_set(
-    f: RationalFn,
-    eps: float,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> list[LevelCurveComponent]:
+def trace_level_set(f: RationalFn, eps: float) -> list[LevelCurveComponent]:
     """All components of E_{f, eps} in the domain of f, each traced once.
 
     The result is certified by the argument principle (:func:`_certify_turn`):
@@ -800,7 +790,7 @@ def trace_level_set(
     components: list[LevelCurveComponent] = []
     for i, (c, _) in enumerate(f.critical_points):
         if f.abs_eval(c) == eps:
-            comp = _critical_curve(f, i, tols)
+            comp = _critical_curve(f, i)
             # a curve pulled in from another critical point may sit at that
             # point's level, within vertex_tol of eps; it is traced anew
             if comp is not None and comp.level == eps and all(comp is not d for d in components):
@@ -811,7 +801,7 @@ def trace_level_set(
             break
         seeds = find_seeds(f, eps, rays)
         if seeds and tracer is None:
-            tracer = _LevelTracer(f, eps, tols, _domain_scale(f, seeds))
+            tracer = _LevelTracer(f, eps, _domain_scale(f, seeds))
         components += _trace_seeds(tracer, seeds, components)
     else:
         if not components:

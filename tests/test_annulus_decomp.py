@@ -15,7 +15,6 @@ from levelcurves import (
     winding_N,
 )
 from levelcurves.annulus_decomp import _certify_loop
-from levelcurves.config import DEFAULT_TOLS
 from levelcurves.order_topology import CurveKind
 
 
@@ -196,9 +195,9 @@ def test_sibling_petal_loop_fails_enclosed_set(z5m1, z5_regions):
     petals = [r for r in z5_regions if r.eps1 == 0.0]
     here, sibling = petals[0], petals[1]
     loop = trace_component(z5m1, 0.5, 1.1 * sibling.inner_boundary.point)
-    assert _certify_loop(z5m1, sibling, loop, DEFAULT_TOLS).N == 1
+    assert _certify_loop(z5m1, sibling, loop).N == 1
     with pytest.raises(TopologyError, match="encloses the zeros and poles"):
-        _certify_loop(z5m1, here, loop, DEFAULT_TOLS)
+        _certify_loop(z5m1, here, loop)
 
 
 def _worst_branch_jump(grid, M):

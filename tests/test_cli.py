@@ -1,14 +1,15 @@
-import dataclasses
 import importlib
+import inspect
 import json
+import pkgutil
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from levelcurves import Tolerances
-from levelcurves.cli import TOL_FLAGS, _build_parser, main
+import levelcurves
+from levelcurves.cli import _build_parser, main
 
 
 def run(args, tmp_path, name="out.json"):
@@ -144,6 +145,26 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["nonsense"]) == 1
     # the domain is the function's own; there is no flag to override it
     assert main(["trace", "--fn", "blaschke:0.36,-0.34+0.03i/0.05+0.02i", "--eps", "0.5", "--domain", "plane"]) == 1
+    # the certificate gates are fixed; there is no flag to loosen one
+    assert main(["trace", "--fn", "poly:1,0", "--eps", "1", "--tol-trace", "1e-6"]) == 1
+
+
+def test_no_function_takes_tolerances():
+    # every module reads the gates from config.DEFAULT_TOLS
+    taking = []
+    for info in pkgutil.iter_modules(levelcurves.__path__):
+        mod = importlib.import_module(f"levelcurves.{info.name}")
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", value) for attr, value in vars(obj).items()]
+            for qualname, fn in members:
+                fn = getattr(fn, "__func__", fn)  # classmethods and staticmethods
+                if inspect.isfunction(fn) and "tols" in inspect.signature(fn).parameters:
+                    taking.append(f"{mod.__name__}.{qualname}")
+    assert not taking
 
 
 def test_readme_flags_exist():
@@ -176,15 +197,3 @@ def test_readme_names_exist():
         for part in name.split("."):
             assert hasattr(obj, part), f"README names {name} in {module}, which has no such attribute"
             obj = getattr(obj, part)
-
-
-def test_every_tolerance_has_a_flag():
-    # a gate no flag can set is a constant beside its code, not a field
-    assert set(TOL_FLAGS.values()) == {f.name for f in dataclasses.fields(Tolerances)}
-
-
-def test_tolerance_override(tmp_path):
-    rc, data = run(
-        ["trace", "--fn", "poly:1,0", "--eps", "1", "--tol-trace", "1e-6"], tmp_path
-    )
-    assert rc == 0

@@ -22,9 +22,11 @@ def brute_distances(zs, polylines):
             e = (p[1:] - p[:-1])[None, :]
             denom = e.real**2 + e.imag**2
             denom = np.where(denom == 0.0, 1.0, denom)
-            w = zs[:, None] - a
-            t = np.clip((w.real * e.real + w.imag * e.imag) / denom, 0.0, 1.0)
-            d = np.min(np.abs(zs[:, None] - (a + t * e)), axis=1)
+            # huge queries overflow to inf or NaN, as in the index's kernel
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = zs[:, None] - a
+                t = np.clip((w.real * e.real + w.imag * e.imag) / denom, 0.0, 1.0)
+                d = np.min(np.abs(zs[:, None] - (a + t * e)), axis=1)
         out = np.minimum(out, d)
     return out
 

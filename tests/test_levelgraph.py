@@ -195,11 +195,11 @@ def test_graph_json_schema(lemniscate_fn):
     assert sum(1 for fc in d["faces"] if not fc["bounded"]) == 1
 
 
-def _face_of_point_reference(graph, z, tols=DEFAULT_TOLS):
+def _face_of_point_reference(graph, z):
     """The scalar face lookup as it was before the batched one, kept as the
     reference: one distance query and one winding number per face, per point."""
-    d = graph.component.index.distances([z], upto=tols.trace_tol)[0]
-    if d <= tols.trace_tol:
+    d = graph.component.index.distances([z], upto=DEFAULT_TOLS.trace_tol)[0]
+    if d <= DEFAULT_TOLS.trace_tol:
         raise TopologyError(f"point {z} lies on the traced curve (distance {d:.2e})")
     hits = []
     for f in graph.faces:

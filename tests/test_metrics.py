@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelcurves import (
-    DEFAULT_TOLS,
     TraceError,
     continuity_probe,
     geometry,
@@ -131,10 +130,10 @@ def test_bounded_hausdorff_is_exact_up_to_the_bound(X, Y, frac, pick):
                 assert got == (want if want <= upto else math.inf)
 
 
-def _nearest_first_probe(f, eps, delta, tols=DEFAULT_TOLS):
+def _nearest_first_probe(f, eps, delta):
     """The probe's search audited nearest first (k = 1..K_SAMPLES) with
     unbounded d-checks, kept as the reference for the farthest-first audit."""
-    component = max(trace_level_set(f, eps, tols), key=lambda c: c.total_length())
+    component = max(trace_level_set(f, eps), key=lambda c: c.total_length())
 
     def trial(eta):
         samples = []
@@ -142,7 +141,7 @@ def _nearest_first_probe(f, eps, delta, tols=DEFAULT_TOLS):
             for sign in (+1.0, -1.0):
                 zeta = eps + sign * eta * k / K_SAMPLES
                 try:
-                    union = metrics._nearby_curves_union(f, zeta, component, delta, tols)
+                    union = metrics._nearby_curves_union(f, zeta, component, delta)
                 except TraceError:
                     return False, samples
                 d = hausdorff_between_curves(union, component.arcs).d_check
@@ -198,10 +197,10 @@ def test_probe_matches_nearest_first_reference(case):
         assert abs(g["d_check"] - w["d_check"]) <= 1e-11
 
 
-def _interleaved_union(f, zeta, component, delta, tols=DEFAULT_TOLS):
+def _interleaved_union(f, zeta, component, delta):
     """The union traced with each seed checked against every component so
     far as soon as it is corrected, kept as the reference for the seed loop."""
-    tracer = _LevelTracer(f, zeta, tols, _domain_scale(f, [component.points[0]]))
+    tracer = _LevelTracer(f, zeta, _domain_scale(f, [component.points[0]]))
     comps = []
     for arc in component.arcs:
         pts = arc.points
@@ -234,7 +233,7 @@ def test_union_matches_interleaved_reference(name):
     component = max(trace_level_set(f, eps), key=lambda c: c.total_length())
     # both sides of eps; z^5-1 has five loops just below 1 and one curve just above
     for zeta in (eps * (1.0 + s * r) for r in (1e-5, 0.02, 0.1) for s in (1.0, -1.0)):
-        got = metrics._nearby_curves_union(f, zeta, component, delta, DEFAULT_TOLS)
+        got = metrics._nearby_curves_union(f, zeta, component, delta)
         # one curve comes back as its component, several as their arcs
         got = got.arcs if isinstance(got, LevelCurveComponent) else got
         want = _interleaved_union(f, zeta, component, delta)

@@ -3,6 +3,7 @@ import pytest
 from conftest import build_corpus
 
 from levelcurves import (
+    DEFAULT_TOLS,
     TopologyError,
     critical_level_curves,
     maximal_component,
@@ -281,8 +282,8 @@ def test_forest_certificate_rejects_crossed_holders(blaschke_21, monkeypatch):
     assert C.parent[i_in][0] == i_out
     real = order_topology._holding_faces
 
-    def planted(b, members, tols):
-        faces = real(b, members, tols)
+    def planted(b, members):
+        faces = real(b, members)
         if b.label == outer.label:
             faces = [None if m.label == inner.label else fid for m, fid in zip(members, faces)]
         return faces
@@ -343,7 +344,7 @@ def test_stored_critical_curves_do_not_depend_on_call_order(spec):
     stored = [m.component for m in C.curves()]
     for level in levels:
         near = level * (1.0 + 1e-9)
-        assert near != level and abs(near - level) <= f.tols.vertex_tol
+        assert near != level and abs(near - level) <= DEFAULT_TOLS.vertex_tol
         comps = trace_level_set(f, near)
         assert all(comp.level == near and all(comp is not s for s in stored) for comp in comps)
     assert all(not a.points.flags.writeable for s in stored for a in s.arcs)

@@ -113,7 +113,7 @@ def test_recorded_sag_bounds_the_measured_sag(f, eps):
     # corrected onto the level) stays within the arc's recorded sag, and the
     # controller keeps that sag near its target
     scale = _domain_scale(f, find_seeds(f, eps))
-    corrector = _LevelTracer(f, eps, DEFAULT_TOLS, scale)
+    corrector = _LevelTracer(f, eps, scale)
     for comp in trace_level_set(f, eps):
         for arc in comp.arcs:
             assert arc.sag <= 10.0 * tracer.SAG_REL * scale
@@ -127,7 +127,7 @@ def test_closing_chord_within_recorded_sag(f, eps):
     # a closed arc ends on the chord from its last march point back to its
     # start, which is no march step; the arc's sag must bound it as well
     scale = _domain_scale(f, find_seeds(f, eps))
-    corrector = _LevelTracer(f, eps, DEFAULT_TOLS, scale)
+    corrector = _LevelTracer(f, eps, scale)
     closed = [arc for comp in trace_level_set(f, eps) for arc in comp.arcs if arc.closed]
     for arc in closed:
         assert arc.points[-1] == arc.points[0]
@@ -362,7 +362,7 @@ def test_batched_ray_search_matches_scalar_reference(spec, eps):
 
 def test_corrector_returns_python_complex():
     f = parse_function_spec("poly:1,0,0")
-    tracer = _LevelTracer(f, 1.0, DEFAULT_TOLS, _domain_scale(f))
+    tracer = _LevelTracer(f, 1.0, _domain_scale(f))
     # one seed off the level, one already on it
     for seed in (1.1 + 0.1j, 1.0 + 0.0j):
         z, it, ld = tracer.correct(np.complex128(seed))
@@ -404,7 +404,7 @@ def test_points_per_arc(level, points):
 def assert_seeds_need_no_correction(f, eps):
     """Every seed is a fixed point of the corrector, so the tracer starts
     from the seed itself."""
-    corrector = _LevelTracer(f, eps, DEFAULT_TOLS, _domain_scale(f))
+    corrector = _LevelTracer(f, eps, _domain_scale(f))
     for s in find_seeds(f, eps):
         assert corrector.correct(s, 0)[:2] == (s, 0)
 
