@@ -293,17 +293,18 @@ def face_count(graph: LevelGraph) -> tuple[int, int]:
 
 
 def face_of_point(graph: LevelGraph, z: complex) -> int:
-    """Face id containing z, by winding of each face's boundary walk.
-
-    A point on the traced curve, a non-integer or multiple winding, and a
-    point claimed by two faces are each a :class:`TopologyError`.
-    """
+    """The face id of one point, as :func:`faces_of_points` gives it."""
     return int(faces_of_points(graph, [z])[0])
 
 
 def faces_of_points(graph: LevelGraph, zs) -> np.ndarray:
-    """Face id containing each point of zs: one on-curve distance query, then
-    one winding pass per bounded face; errors as :func:`face_of_point`."""
+    """Face id containing each point of zs, by the winding of each bounded
+    face's boundary walk: one on-curve distance query, then one winding pass
+    per bounded face.
+
+    A point on the traced curve, a non-integer or multiple winding, and a
+    point claimed by two faces are each a :class:`TopologyError`.
+    """
     zs = geometry.as_points(zs)
     d = graph.component.index.distances(zs, upto=DEFAULT_TOLS.trace_tol)
     on = np.flatnonzero(d <= DEFAULT_TOLS.trace_tol)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import TraceError
 from .funcspace import RationalFn
-from .geometry import SegmentIndex, as_points, max_segment_length
+from .geometry import SegmentIndex, as_points
 from .tracer import LevelCurveComponent, TracedArc, _LevelTracer, _domain_scale, _trace_seeds, trace_level_set
 
 K_SAMPLES = 8  # audit heights per side of eps in one probe trial
@@ -62,10 +62,9 @@ def hausdorff_between_curves(curves_a, curves_b, upto: float = math.inf) -> Haus
     Each side is a list of traced arcs, with one ``SegmentIndex`` over its
     polylines, or a ``LevelCurveComponent``, whose cached ``index`` serves
     every d-check against it; ``discretization`` is the larger sag of the
-    two sides.  A bare 1-D point array is one polyline with no recorded sag,
-    and its longest segment stands in for one; a 2-D array is a point set,
-    ``pts[:, None]`` as ``SegmentIndex`` takes it, with no sag.  Each side is
-    the largest distance from its points to the other side's polylines
+    two sides.  A 2-D array is a point set, ``pts[:, None]`` as
+    ``SegmentIndex`` takes it, with no sag.  Each side is the largest
+    distance from its points to the other side's polylines
     (``SegmentIndex.max_distance``): exact where it is at most ``upto`` and
     ``inf`` above it.
     """
@@ -84,9 +83,7 @@ def _side(curve) -> tuple[np.ndarray, Callable[[], SegmentIndex], float]:
         return curve.points, lambda: curve.index, curve.sag
     if isinstance(curve, np.ndarray):
         pts = as_points(curve)
-        if curve.ndim == 2:
-            return pts, partial(SegmentIndex, pts[:, None]), 0.0
-        return pts, partial(SegmentIndex, [pts]), max_segment_length(pts)
+        return pts, partial(SegmentIndex, pts[:, None]), 0.0
     lines = [a.points for a in curve]
     return np.concatenate(lines), partial(SegmentIndex, lines), max((a.sag for a in curve), default=0.0)
 
@@ -150,14 +147,9 @@ def _nearby_curves_union(
     return [a for c in comps for a in c.arcs]
 
 
-def continuity_probe(
-    f: RationalFn,
-    eps: float,
-    delta: float,
-    component: LevelCurveComponent | None = None,
-) -> ContinuityCertificate:
+def continuity_probe(f: RationalFn, eps: float, delta: float) -> ContinuityCertificate:
     """Search for eta such that every zeta within eta of eps has level curves
-    within delta of the component.
+    within delta of the longest component of the level set at eps.
 
     Bisection starts at eta0 = eps/2 and halves until a trial passes, then
     refines upward.  Each trial audits K_SAMPLES heights on both sides of
@@ -169,9 +161,7 @@ def continuity_probe(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if component is None:
-        comps = trace_level_set(f, eps)
-        component = max(comps, key=lambda c: c.total_length())
+    component = max(trace_level_set(f, eps), key=lambda c: c.total_length())
 
     def trial(eta: float) -> list[tuple[float, float]] | None:
         """The samples of a passing trial, or None.  eta <= eps/2 keeps every zeta positive."""

@@ -11,6 +11,8 @@ from . import geometry
 
 _CURVE_COLORS = ["#1f3a66", "#7a1f1f", "#1f6637", "#663a1f", "#4a1f66", "#1f5e66"]
 _FACE_COLORS = ["#aec7e8", "#ffbb78", "#98df8a", "#ff9896", "#c5b0d5", "#c49c94", "#f7b6d2"]
+WIDTH = 720  # pixels
+PADDING = 0.06  # margin around the curves, relative to their larger extent
 
 
 def _path(points: np.ndarray, tx, ty) -> str:
@@ -18,19 +20,14 @@ def _path(points: np.ndarray, tx, ty) -> str:
     return f"M {coords}"
 
 
-def render_svg(
-    components,
-    graphs=None,
-    width: int = 720,
-    padding: float = 0.06,
-) -> str:
+def render_svg(components, graphs=None) -> str:
     """SVG for a list of LevelCurveComponents, optionally shading graph faces."""
     all_pts = [c.points for c in components]
     x0, y0, x1, y1 = geometry.bounding_box(all_pts)
     span = max(x1 - x0, y1 - y0, 1e-9)
-    pad = padding * span
+    pad = PADDING * span
     x0, y0, x1, y1 = x0 - pad, y0 - pad, x1 + pad, y1 + pad
-    scale = width / (x1 - x0)
+    scale = WIDTH / (x1 - x0)
     height = int((y1 - y0) * scale)
 
     def tx(x):
@@ -40,9 +37,9 @@ def render_svg(
         return height - (y - y0) * scale
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height}" '
+        f'viewBox="0 0 {WIDTH} {height}">',
+        f'<rect width="{WIDTH}" height="{height}" fill="white"/>',
     ]
 
     if graphs:

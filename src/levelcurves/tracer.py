@@ -21,9 +21,11 @@ consumers use as their margin.
 
 Critical points whose level matches eps are branch points: an arc ends when
 it enters the capture ball of such a vertex, and new arcs are launched along
-each of the 2*(mult+1) outgoing rays of the local model
-f(c) + a*(z - c)^(mult+1).  The vertex rays, the necks of off-level saddles
-and the near-critical warning all read that model from
+the mult+1 outgoing ones of the 2*(mult+1) rays of the local model
+f(c) + a*(z - c)^(mult+1).  Arcs between vertices are launched only from
+vertices, so for a given tracer a branched component's polylines do not
+depend on the seed it was traced from.  The vertex rays, the necks of
+off-level saddles and the near-critical warning all read that model from
 ``RationalFn.critical_models``, computed once per function.
 
 The component through each critical point is traced once per function, from
@@ -44,7 +46,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -144,11 +146,6 @@ class _Vertex:
     mult: int
     rays: list[float]
     r_cap: float
-    used: list[bool] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.used:
-            self.used = [False] * len(self.rays)
 
     def nearest_ray(self, angle: float) -> int:
         diffs = [abs(_wrap_angle(angle - r)) for r in self.rays]
@@ -257,12 +254,14 @@ class _LevelTracer:
 
     # -- single march from a point to closure or a vertex
 
-    def march(self, z0: complex, ld0: complex, direction: float, origin_vertex: int | None = None):
-        """Follow the curve from z0 on the level, where f'/f = ld0; returns
-        (points, end_vertex_idx or None, sag).
+    def march(self, z0: complex, ld0: complex, origin_vertex: int | None = None):
+        """Follow the curve from z0 on the level, where f'/f = ld0, along
+        increasing arg f; returns (points, end_vertex_idx or None, sag).
 
         ``None`` end means the arc closed back onto its start.  Only
-        vertex-free launches (origin_vertex is None, direction +1) may close.
+        vertex-free launches (origin_vertex is None) may close.  An arc
+        between vertices is kept only when launched from its start vertex
+        (see :func:`_trace_component_with`).
         The predictor follows a circular arc: it turns the tangent at the
         last point by half the signed turn per unit length of the last step
         times the step, so one corrector update usually lands on the level.
@@ -281,7 +280,7 @@ class _LevelTracer:
         sag = 0.0
         arc_len = 0.0
         z = start = z0
-        t = t_start = _tangent(ld0, direction, z0)
+        t = t_start = _tangent(ld0, z0)
         t_re, t_im = t.real, t.imag
         # |f'/f| at the last point: it normalises the tangent there and
         # bounds the arg-f increment of the next step
@@ -339,7 +338,7 @@ class _LevelTracer:
                         r_new = abs(ld_new)
                         if not 0.0 < r_new < inf:
                             raise TraceError(f"vanishing level-set gradient at {z_new}")
-                        t_new = direction * (1j * ld_new.conjugate()) / r_new
+                        t_new = (1j * ld_new.conjugate()) / r_new
                         n_re, n_im = t_new.real, t_new.imag
                         signed_turn = atan2(t_re * n_im - t_im * n_re, t_re * n_re + t_im * n_im)
                         turn = abs(signed_turn)
@@ -464,12 +463,12 @@ def _turn(a: complex, b: complex) -> float:
     return math.atan2(a.real * b.imag - a.imag * b.real, a.real * b.real + a.imag * b.imag)
 
 
-def _tangent(ld: complex, direction: float, z: complex) -> complex:
-    """Unit tangent i * conj(f'/f) at z, along increasing arg f for direction +1."""
+def _tangent(ld: complex, z: complex) -> complex:
+    """Unit tangent i * conj(f'/f) at z, along increasing arg f."""
     if ld == 0 or is_inf(ld):
         raise TraceError(f"vanishing level-set gradient at {z}")
     t = 1j * ld.conjugate()
-    return direction * t / abs(t)
+    return t / abs(t)
 
 
 def _domain_scale(f: RationalFn, extra_points=()) -> float:
@@ -492,6 +491,18 @@ def trace_component(f: RationalFn, eps: float, seed: complex) -> LevelCurveCompo
 
 
 def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComponent:
+    """The component of the tracer's level through (the correction of) seed.
+
+    A component without vertices is one closed arc, marched from the seed.
+    A component with vertices is a balanced directed graph: each vertex of
+    multiplicity m has m+1 outgoing and m+1 arriving rays, so a sweep along
+    the outgoing rays from any one of its vertices reaches every arc.  Arcs
+    between vertices are launched only from vertices: a seed inside a
+    capture ball starts the sweep from that vertex, and a seed whose march
+    reaches a vertex drops that march and starts the sweep there.  So, for a
+    given tracer, a branched component's polylines do not depend on the
+    seed, and the tracer is never changed by a trace.
+    """
     eps = tracer.eps
     z0, _, ld0 = tracer.correct(seed, max_iter=60)
     if z0 is None:
@@ -503,44 +514,28 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
         if abs(z0 - v.position) < 2.0 * v.r_cap:
             start_vertex = idx
             break
-
-    arcs_raw: list[tuple[list[complex], int | None, int | None, float]] = []
-    used_vertices: list[int] = []
-
-    def note_vertex(idx):
-        if idx not in used_vertices:
-            used_vertices.append(idx)
-
     if start_vertex is None:
-        fwd_pts, fwd_end, fwd_sag = tracer.march(z0, ld0, +1.0)
-        if fwd_end is None:
-            arcs_raw.append((fwd_pts, None, None, fwd_sag))
-        else:
-            bwd_pts, bwd_end, bwd_sag = tracer.march(z0, ld0, -1.0)
-            if bwd_end is None:
-                raise TraceError("inconsistent component: one march closed, the other hit a vertex")
-            pts = list(reversed(bwd_pts)) + fwd_pts[1:]
-            arcs_raw.append((pts, bwd_end, fwd_end, max(fwd_sag, bwd_sag)))
-            note_vertex(bwd_end)
-            note_vertex(fwd_end)
-            tracer.vertices[fwd_end].used[tracer.arrival_ray(fwd_end, fwd_pts[-2])] = True
-            tracer.vertices[bwd_end].used[tracer.arrival_ray(bwd_end, bwd_pts[-2])] = True
-    else:
-        note_vertex(start_vertex)
+        pts, start_vertex, sag = tracer.march(z0, ld0)
+        if start_vertex is None:
+            comp = LevelCurveComponent([TracedArc(np.array(pts, dtype=complex), eps, sag, closed=True)], [], eps)
+            _warn_near_critical(tracer, comp)
+            return comp
 
     # breadth-first sweep over the outgoing vertex rays; each traced arc
-    # fills its arrival slot, and every vertex has m+1 of each kind
-    queue = list(used_vertices)
+    # fills its departure and arrival slots, and every vertex has m+1 of each
+    arcs_raw: list[tuple[list[complex], int, int, float]] = []
+    used_vertices = [start_vertex]
+    filled: set[tuple[int, int]] = set()
     qi = 0
-    while qi < len(queue):
-        v_idx = queue[qi]
+    while qi < len(used_vertices):
+        v_idx = used_vertices[qi]
         qi += 1
         v = tracer.vertices[v_idx]
         for ray_idx in range(len(v.rays)):
-            if v.used[ray_idx]:
+            if (v_idx, ray_idx) in filled:
                 continue
             z_start, ld = tracer.launch_from_vertex(v_idx, ray_idx)
-            t = _tangent(ld, +1.0, z_start)
+            t = _tangent(ld, z_start)
             radial = complex(math.cos(v.rays[ray_idx]), math.sin(v.rays[ray_idx]))
             dot = t.real * radial.real + t.imag * radial.imag
             if abs(dot) < 0.5:
@@ -549,26 +544,25 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
                 )
             if dot < 0:
                 continue  # arg f increases into the vertex: this is an arrival slot
-            v.used[ray_idx] = True
-            pts, end, sag = tracer.march(z_start, ld, +1.0, origin_vertex=v_idx)
+            filled.add((v_idx, ray_idx))
+            pts, end, sag = tracer.march(z_start, ld, origin_vertex=v_idx)
             if end is None:
                 raise TraceError("arc from a vertex closed without reaching a vertex")
             arr_ray = tracer.arrival_ray(end, pts[-2])
-            if tracer.vertices[end].used[arr_ray] and not (end == v_idx and arr_ray == ray_idx):
+            if (end, arr_ray) in filled and not (end == v_idx and arr_ray == ray_idx):
                 raise TraceError(
                     f"arrival ray {arr_ray} at vertex {tracer.vertices[end].position} already used"
                 )
-            tracer.vertices[end].used[arr_ray] = True
+            filled.add((end, arr_ray))
             # orientation: stored points run along increasing arg f, and a
             # launched march already does; prepend the vertex itself
             arcs_raw.append(([v.position] + pts, v_idx, end, sag))
             if end not in used_vertices:
-                note_vertex(end)
-                queue.append(end)
+                used_vertices.append(end)
 
     for v_idx in used_vertices:
         v = tracer.vertices[v_idx]
-        if not all(v.used):
+        if any((v_idx, ray_idx) not in filled for ray_idx in range(len(v.rays))):
             raise TraceError(
                 f"vertex {v.position} has unmatched rays after the sweep; "
                 "an incident arc was not traced"
@@ -590,9 +584,6 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
     arcs: list[TracedArc] = []
     for pts, a, b, sag in arcs_raw:
         arr = np.array(pts, dtype=complex)
-        if a is None and b is None:
-            arcs.append(TracedArc(arr, eps, sag, closed=True))
-            continue
         va, vb = tracer.vertices[a], tracer.vertices[b]
         start_ang = math.atan2((pts[1] - va.position).imag, (pts[1] - va.position).real)
         end_ang = math.atan2((pts[-2] - vb.position).imag, (pts[-2] - vb.position).real)
@@ -607,8 +598,7 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
                 end_angle=end_ang,
             )
         )
-    arcs.sort(key=lambda arc: (arc.start_vertex if arc.start_vertex is not None else -1,
-                               arc.start_angle if arc.start_angle is not None else 0.0))
+    arcs.sort(key=lambda arc: (arc.start_vertex, arc.start_angle))
 
     comp = LevelCurveComponent(arcs, vertices, eps)
     _warn_near_critical(tracer, comp)

@@ -3,18 +3,25 @@
 ``bench/spans.py`` wraps package functions by name and its hooks read
 ``_LevelTracer.tols`` and ``levelcurves.DEFAULT_TOLS``; ``bench/run.py``
 reads ``RationalFn.tols``.  A rename or deletion breaks the benchmark, so it
-is caught here.
+is caught here, and one job of each workload of ``bench/run.py`` runs on the
+package as it is.
 """
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
+from unittest import mock
+
+import pytest
 
 import levelcurves
+import levelcurves.cli
 from levelcurves import Polynomial, RationalFn, parse_function_spec
 from levelcurves.tracer import _LevelTracer
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def _spans():
@@ -46,3 +53,25 @@ def test_spans_wrap_and_hook_the_package():
         spans.uninstall(undo)
     assert {"tracer.residual_ratio_max", "gauss_lucas.hull_ratio_max"} <= set(rec.maxima)
     assert rec.counts["tracer.points"] > 0
+
+
+@pytest.fixture
+def run(monkeypatch):
+    """``bench/run.py`` as it is; it imports ``spans`` from its own directory
+    and pins the BLAS thread variables, which are restored after loading."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    mod = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(mod)
+    return mod
+
+
+def test_one_job_per_workload_passes(run, monkeypatch, tmp_path):
+    lc = levelcurves
+    ((_, coeffs),) = run.corpus_inputs(lc, 29, 1)
+    assert run.corpus_job(lc, None, coeffs) == []
+    monkeypatch.setattr(run, "TMP", tmp_path)
+    assert run.verify_all_job(lc, None, run.FIXTURES[0]) == []
+    _, *probe = next(p for p in run.PROBES if p[0] == "z2")
+    assert run.continuity_job(lc, None, tuple(probe)) == []

@@ -69,9 +69,11 @@ def test_refinement_never_inflates_much():
 
 
 def test_between_curves_reports_discretization():
-    t = np.linspace(0, 2 * np.pi, 51)[:-1]
-    rep = hausdorff_between_curves(np.exp(1j * t), 2 * np.exp(1j * t))
-    assert rep.discretization > 0
+    # |z^2| = 1 and |z^2| = 4 are the circles of radius 1 and 2
+    f = parse_function_spec("poly:1,0,0")
+    (inner,), (outer,) = trace_level_set(f, 1.0), trace_level_set(f, 4.0)
+    rep = hausdorff_between_curves(inner.arcs, outer)
+    assert rep.discretization == max(inner.sag, outer.sag) > 0
     assert rep.d_check >= 1.0 - 1e-9
 
 

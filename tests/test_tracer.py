@@ -20,7 +20,7 @@ from levelcurves import (
 from levelcurves import geometry, tracer
 from levelcurves.funcspace import random_polynomial
 from levelcurves.gridcheck import grid_oracle_report
-from levelcurves.tracer import _domain_scale, _LevelTracer, _ray_crossings, _seed_box
+from levelcurves.tracer import _domain_scale, _LevelTracer, _ray_crossings, _seed_box, _trace_component_with
 
 
 def on_level_residual(f, comp):
@@ -59,6 +59,37 @@ def test_trace_z5m1_critical_structure():
     assert abs(v) < 1e-9 and m == 4
     assert len(comp.arcs) == 5
     assert all(a.start_vertex == 0 and a.end_vertex == 0 for a in comp.arcs)
+
+
+def _arc_bytes(comp):
+    return comp.vertices, [
+        (a.points.tobytes(), a.sag, a.start_vertex, a.end_vertex, a.start_angle, a.end_angle) for a in comp.arcs
+    ]
+
+
+@pytest.mark.parametrize("spec", ["poly:1,0,0,0,0,-1", "poly:1,0,-1", "poly:1,0,-3,0"])
+def test_branched_component_does_not_depend_on_the_seed(spec):
+    # every arc between vertices is launched from a vertex, so a seed in the
+    # middle of any arc gives the component traced from the vertex itself
+    f = parse_function_spec(spec)
+    c = f.critical_points[0][0]
+    eps = f.abs_eval(c)
+    ref = _trace_component_with(_LevelTracer(f, eps, f.scale), c)
+    assert ref.vertices and ref.arcs
+    for arc in ref.arcs:
+        seed = arc.points[len(arc.points) // 2]
+        comp = _trace_component_with(_LevelTracer(f, eps, f.scale), seed)
+        assert _arc_bytes(comp) == _arc_bytes(ref)
+
+
+@pytest.mark.parametrize("seed", [0j, 1.5 + 0j])
+def test_a_tracer_traces_a_component_twice_alike(seed):
+    # the tracer keeps no state between traces
+    f = parse_function_spec("poly:1,0,0,0,0,-1")
+    t = _LevelTracer(f, 1.0, f.scale)
+    first = _trace_component_with(t, seed)
+    assert len(first.arcs) == 5
+    assert _arc_bytes(_trace_component_with(t, seed)) == _arc_bytes(first)
 
 
 def test_trace_lemniscate_structure():
