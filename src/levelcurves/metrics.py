@@ -14,12 +14,14 @@ soon as it cannot raise the side's maximum.  A bound ``upto`` keeps each
 side exact up to it and reports ``inf`` beyond, so a threshold test stops
 scanning early.
 
-The continuity probe audits each trial from its farthest level inward, where
-a failing trial fails first, and runs its d-checks exact up to delta only.
-Its component is one side of every d-check, so the component's cached index
-is built once per probe.  The curves near the component at each audited
-level are traced from corrected seeds through the seed loop of
-``trace_level_set``.
+The continuity probe steers its eta search by each trial's farthest pair of
+levels, where a failing trial fails first, and audits the inner levels only
+of the etas whose farthest pair passed, from the largest down, until one
+passes in full; if none does, the search resumes below them.  Its d-checks
+are exact up to delta only.  Its component is one side of every d-check, so
+the component's cached index is built once per probe.  The curves near the
+component at each audited level are traced from corrected seeds through the
+seed loop of ``trace_level_set``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .tracer import LevelCurveComponent, TracedArc, _LevelTracer, _domain_scale,
 
 K_SAMPLES = 8  # audit heights per side of eps in one probe trial
 ETA_FLOOR_REL = 1e-9  # the probe gives up once eta falls below this times eps
-REFINE_ROUNDS = 6  # upward bisection steps after the first passing eta
+REFINE_ROUNDS = 6  # upward bisection steps after the first passing farthest pair
 
 
 @dataclass
@@ -151,22 +153,33 @@ def continuity_probe(f: RationalFn, eps: float, delta: float) -> ContinuityCerti
     """Search for eta such that every zeta within eta of eps has level curves
     within delta of the longest component of the level set at eps.
 
-    Bisection starts at eta0 = eps/2 and halves until a trial passes, then
-    refines upward.  Each trial audits K_SAMPLES heights on both sides of
-    eps, farthest first (+ before -), and passes iff every audited level has
-    a d-check below delta; a failing trial usually stops at its first level.
-    The d-checks are exact up to delta, so a level at or beyond it fails
-    without its distance being finished.  A passing trial's samples are
-    reported nearest first: k ascending, + before -.
+    A trial of eta audits K_SAMPLES heights on each side of eps, zeta =
+    eps +- eta k / K_SAMPLES, and a height passes iff its d-check is below
+    delta.  The search decides on each trial's farthest pair (k = K_SAMPLES,
+    + before -), where a failing trial fails first: it starts at eta0 = eps/2
+    and halves until a farthest pair passes, then bisects upward for
+    REFINE_ROUNDS steps.  Every eta whose farthest pair passed is a
+    candidate.  The candidates' inner heights (k = K_SAMPLES - 1 down to 1)
+    are then audited from the largest candidate down, and the first one
+    whose 2 K_SAMPLES heights all pass is returned, so the returned eta
+    always passed a full audit.  If no candidate passes, the descent resumes
+    at half the smallest candidate under the same rule, down to
+    ETA_FLOOR_REL * eps.
+
+    An audit stops at its first failing height, and the d-checks are exact
+    up to delta only, so a height at or beyond it fails without its distance
+    being finished.  The samples are reported nearest first: k ascending,
+    + before -.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     component = max(trace_level_set(f, eps), key=lambda c: c.total_length())
 
-    def trial(eta: float) -> list[tuple[float, float]] | None:
-        """The samples of a passing trial, or None.  eta <= eps/2 keeps every zeta positive."""
+    def audit(eta: float, ks) -> list[list[tuple[float, float]]] | None:
+        """The (+, -) sample pairs at the heights k in ``ks``, or None at the
+        first failing height.  eta <= eps/2 keeps every zeta positive."""
         pairs = []
-        for k in range(K_SAMPLES, 0, -1):
+        for k in ks:
             pair = []
             for sign in (+1.0, -1.0):
                 zeta = eps + sign * eta * k / K_SAMPLES
@@ -179,30 +192,30 @@ def continuity_probe(f: RationalFn, eps: float, delta: float) -> ContinuityCerti
                     return None
                 pair.append((zeta, d))
             pairs.append(pair)
-        return [s for pair in reversed(pairs) for s in pair]
+        return pairs
 
     eta = eps / 2.0
     floor = ETA_FLOOR_REL * eps
-    best = None
-    while eta >= floor:
-        best_samples = trial(eta)
-        if best_samples is not None:
-            best = eta
-            break
-        eta *= 0.5
-
-    if best is None:
-        return ContinuityCertificate(eps, delta, 0.0, [], False)
-
-    lo, hi = best, min(2.0 * best, eps / 2.0)
-    for _ in range(REFINE_ROUNDS):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        samples = trial(mid)
-        if samples is not None:
-            lo = mid
-            best, best_samples = mid, samples
-        else:
-            hi = mid
-    return ContinuityCertificate(eps, delta, best, best_samples, True)
+    while True:
+        while eta >= floor and (far := audit(eta, [K_SAMPLES])) is None:
+            eta *= 0.5
+        if eta < floor:
+            return ContinuityCertificate(eps, delta, 0.0, [], False)
+        candidates = [(eta, far)]  # ascending in eta
+        lo, hi = eta, min(2.0 * eta, eps / 2.0)
+        for _ in range(REFINE_ROUNDS):
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            far = audit(mid, [K_SAMPLES])
+            if far is not None:
+                lo = mid
+                candidates.append((mid, far))
+            else:
+                hi = mid
+        for cand, far in reversed(candidates):
+            inner = audit(cand, range(K_SAMPLES - 1, 0, -1))
+            if inner is not None:
+                samples = [s for pair in reversed(far + inner) for s in pair]
+                return ContinuityCertificate(eps, delta, cand, samples, True)
+        eta = candidates[0][0] * 0.5

@@ -17,7 +17,13 @@ from levelcurves import (
     trace_level_set,
 )
 from levelcurves.geometry import SegmentIndex
-from levelcurves.metrics import K_SAMPLES, REFINE_ROUNDS, ContinuityCertificate, hausdorff_between_curves
+from levelcurves.metrics import (
+    K_SAMPLES,
+    REFINE_ROUNDS,
+    ContinuityCertificate,
+    HausdorffReport,
+    hausdorff_between_curves,
+)
 from levelcurves.tracer import LevelCurveComponent, _LevelTracer, _domain_scale, _near, _trace_component_with
 
 
@@ -133,8 +139,9 @@ def test_bounded_hausdorff_is_exact_up_to_the_bound(X, Y, frac, pick):
 
 
 def _nearest_first_probe(f, eps, delta):
-    """The probe's search audited nearest first (k = 1..K_SAMPLES) with
-    unbounded d-checks, kept as the reference for the farthest-first audit."""
+    """The probe's search with every trial audited in full, nearest first
+    (k = 1..K_SAMPLES), with unbounded d-checks: the reference for the
+    farthest-pair search and its deferred inner audits."""
     component = max(trace_level_set(f, eps), key=lambda c: c.total_length())
 
     def trial(eta):
@@ -186,8 +193,10 @@ def _corpus_f20():
         lambda: (parse_function_spec("poly:1,0,-1"), 1.0, 0.1),
         # a non-dyadic eps, where a sort by |zeta - eps| would swap the +/- pairs
         lambda: (*_corpus_f20(), 0.1),
+        # its refinement passes trials below the returned eta, whose inner audits are skipped
+        lambda: (parse_function_spec("poly:1,0,0,0,0,-1"), 1.0, 0.1),
     ],
-    ids=["z2", "lemniscate", "corpus-f20"],
+    ids=["z2", "lemniscate", "corpus-f20", "z5m1"],
 )
 def test_probe_matches_nearest_first_reference(case):
     f, eps, delta = case()
@@ -257,7 +266,8 @@ def test_bench_probe_results_are_pinned(name, eta):
     assert len(cert.samples) == 2 * K_SAMPLES
 
 
-def test_failing_trial_stops_at_its_farthest_level(monkeypatch):
+def _count_unions(monkeypatch) -> list[float]:
+    """The levels the probe traces near its component, in call order."""
     zetas = []
     traced = metrics._nearby_curves_union
 
@@ -266,9 +276,50 @@ def test_failing_trial_stops_at_its_farthest_level(monkeypatch):
         return traced(f, zeta, *args)
 
     monkeypatch.setattr(metrics, "_nearby_curves_union", counted)
+    return zetas
+
+
+def test_failing_trial_stops_at_its_farthest_level(monkeypatch):
+    zetas = _count_unions(monkeypatch)
     cert = continuity_probe(parse_function_spec("poly:1,0,0"), 1.0, 0.05)
     assert cert.passed
     # the eta = 0.5 trial fails at its farthest level 1.5, so the next call
     # is already the farthest level of the eta = 0.25 trial, not 1 - 0.5
     assert zetas[:2] == [1.5, 1.25]
     assert len(zetas) < 100
+
+
+def test_probe_audits_inner_heights_of_the_returned_eta_only(monkeypatch):
+    zetas = _count_unions(monkeypatch)
+    spec, eps, delta = BENCH_PROBES["z5m1"]
+    cert = continuity_probe(parse_function_spec(spec), eps, delta)
+    assert cert.passed
+    # the search visits 27 levels, one or two per farthest pair, and the
+    # returned eta's 14 inner heights make 41; a full audit of every passing
+    # trial made 83
+    assert len(zetas) == 41
+    assert all(z in zetas for z, _ in cert.samples)
+
+
+def test_probe_falls_back_when_an_inner_height_fails(monkeypatch):
+    spec, eps, delta = BENCH_PROBES["z2"]
+    planted_eta = 0.0966796875  # the eta returned without the planted failure
+    planted = eps + 1.0 * planted_eta * 3 / K_SAMPLES
+    zetas = _count_unions(monkeypatch)
+    dcheck = metrics.hausdorff_between_curves
+
+    def failing_at_planted(union, component, upto=math.inf):
+        if zetas[-1] == planted:
+            return HausdorffReport(math.inf, math.inf, math.inf)
+        return dcheck(union, component, upto)
+
+    monkeypatch.setattr(metrics, "hausdorff_between_curves", failing_at_planted)
+    cert = continuity_probe(parse_function_spec(spec), eps, delta)
+    # the largest candidate fails at its planted inner height, and a smaller
+    # candidate is returned after its own full audit
+    assert planted in zetas
+    assert cert.passed and cert.eta < planted_eta
+    assert len(cert.samples) == 2 * K_SAMPLES
+    assert all(d < delta for _, d in cert.samples)
+    heights = [eps + sign * cert.eta * k / K_SAMPLES for k in range(1, K_SAMPLES + 1) for sign in (1.0, -1.0)]
+    assert [z for z, _ in cert.samples] == heights
