@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -172,6 +173,9 @@ def _cmd_gauss_lucas(args) -> int:
 
 
 def _cmd_continuity(args) -> int:
+    if not 0.0 < args.delta < math.inf:
+        print(f"error: --delta must be positive and finite, not {args.delta}", file=sys.stderr)
+        return EXIT_USAGE
     f = parse_function_spec(args.fn)
     cert = continuity_probe(f, args.eps, args.delta)
     _emit({"schema": SCHEMA, "kind": "continuity", "fn": args.fn, **cert.to_dict()}, args)

@@ -305,6 +305,48 @@ def _cluster_points(points) -> list[tuple[complex, int]]:
     return [(sum(g) / len(g), len(g)) for g in groups]
 
 
+def _modulus_bounds(coeffs: np.ndarray, centers: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds ``lo <= |p(z)| <= hi`` on the closed disk of radius r about each
+    center c, for the polynomial p with ascending ``coeffs`` a_0, ..., a_n.
+
+    The Taylor shift p(c + w) = sum_k b_k w^k comes from the Horner
+    recurrences ``b_i <- b_i + c b_{i+1}`` (i = n-1 down to j, for j = 0 to
+    n-1), batched over the centers (von zur Gathen & Gerhard, "Fast
+    algorithms for Taylor shifts and certain difference equations", ISSAC
+    1997).  On |w| <= r,
+
+        |b_0| - sum_{k>=1} |b_k| r^k  <=  |p(c + w)|  <=  |b_0| + sum_{k>=1} |b_k| r^k.
+
+    Each side is widened by gamma_N S, where S = sum_i |a_i| (|c| + r)^i,
+    N = 12 (n + 1), gamma_N = N u / (1 - N u) and u = 2^-53 (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.1 and 5.1).
+    The count: each term C(i, k) a_i c^(i-k) of b_k meets i - k complex
+    products, each within (1 + u)^3 (Higham, Lemma 3.5), and at most i + 1
+    complex sums, so the computed b_k is off by at most gamma_{4n+1} sum_i
+    C(i, k) |a_i| |c|^(i-k), and these bounds weighted by r^k sum to S;
+    forming the moduli (hypot, within an ulp), the powers of r and the two
+    sides takes at most 2n + 4 more roundings; and S is computed within
+    (1 + u)^(5n+5), since |c| + r carries three roundings into each power.
+    (4n + 1) + (2n + 4) + (5n + 5) <= N.
+    """
+    n = coeffs.size - 1
+    b = [np.full(centers.shape, a) for a in coeffs]
+    for j in range(n):
+        for i in range(n - 1, j - 1, -1):
+            b[i] = b[i] + centers * b[i + 1]
+    tail = np.zeros(centers.shape)
+    for bk in b[:0:-1]:
+        tail = (tail + np.abs(bk)) * radius
+    x = np.abs(centers) + radius
+    majorant = np.full(centers.shape, abs(coeffs[-1]))
+    for a in coeffs[-2::-1]:
+        majorant = majorant * x + abs(a)
+    big_n = 12 * (n + 1)
+    allowance = big_n * 2.0**-53 / (1.0 - big_n * 2.0**-53) * majorant
+    head = np.abs(b[0])
+    return head - tail - allowance, head + tail + allowance
+
+
 # ---------------------------------------------------------------------------
 # rational functions
 
@@ -484,6 +526,25 @@ class RationalFn:
 
     def log_derivative(self, z: complex) -> complex:
         return self.abs_and_log_derivative(z)[1]
+
+    def abs_bounds(self, centers, radius) -> tuple[np.ndarray, np.ndarray]:
+        """Certified bounds ``lo <= |f(z)| <= hi`` for every z in the closed
+        disk of radius ``radius`` (>= 0) about each of ``centers``.
+
+        Numerator and denominator are shifted to each center (see
+        :func:`_modulus_bounds`); then ``lo = lo_num / hi_den``, or 0 where
+        ``lo_num <= 0`` (the disk may hold a zero), and ``hi = hi_num /
+        lo_den``, or inf where ``lo_den <= 0`` (it may hold a pole).  Each
+        quotient is rounded outward by one ulp.  A bound that overflows is
+        vacuous: 0 or inf.
+        """
+        centers = np.asarray(centers, dtype=complex)
+        with np.errstate(all="ignore"):
+            lo_num, hi_num = _modulus_bounds(self.numerator.coeffs, centers, radius)
+            lo_den, hi_den = _modulus_bounds(self.denominator.coeffs, centers, radius)
+            lo = np.where((lo_num > 0) & (hi_den < math.inf), np.nextafter(lo_num / hi_den, 0.0), 0.0)
+            hi = np.where((lo_den > 0) & (hi_num < math.inf), np.nextafter(hi_num / lo_den, math.inf), math.inf)
+        return lo, hi
 
     @cached_property
     def derivative_numerator(self) -> Polynomial:

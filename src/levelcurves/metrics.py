@@ -21,7 +21,11 @@ passes in full; if none does, the search resumes below them.  Its d-checks
 are exact up to delta only.  Its component is one side of every d-check, so
 the component's cached index is built once per probe.  The curves near the
 component at each audited level are traced from corrected seeds through the
-seed loop of ``trace_level_set``.
+seed loop of ``trace_level_set``.  Before any trace, a height is refuted by
+certified bounds on |f| over the closed delta-disk about each component point
+(``RationalFn.abs_bounds``): if |f| stays on one side of the height on one
+such disk, no curve at that height comes within delta of that point, so the
+height fails its d-check and is failed untraced.
 """
 
 from __future__ import annotations
@@ -168,12 +172,20 @@ def continuity_probe(f: RationalFn, eps: float, delta: float) -> ContinuityCerti
 
     An audit stops at its first failing height, and the d-checks are exact
     up to delta only, so a height at or beyond it fails without its distance
-    being finished.  The samples are reported nearest first: k ascending,
-    + before -.
+    being finished.  A height above min hi or below max lo, for the bounds
+    lo <= |f| <= hi on the closed delta-disks about the component's polyline
+    points, fails before any trace: the disk on which |f| stays on one side
+    of it holds no point of its level set.  Such a height would fail its
+    d-check too, so the search decides every trial as it would with no
+    bound, and traces fewer levels.  The samples are reported nearest
+    first: k ascending, + before -.  delta must lie in (0, inf).
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, not {delta}")
     component = max(trace_level_set(f, eps), key=lambda c: c.total_length())
+    # L <= |f| on one delta-disk about a component point and |f| <= H on another
+    lo, hi = f.abs_bounds(component.points, delta)
+    L, H = float(lo.max()), float(hi.min())
 
     def audit(eta: float, ks) -> list[list[tuple[float, float]]] | None:
         """The (+, -) sample pairs at the heights k in ``ks``, or None at the
@@ -183,6 +195,8 @@ def continuity_probe(f: RationalFn, eps: float, delta: float) -> ContinuityCerti
             pair = []
             for sign in (+1.0, -1.0):
                 zeta = eps + sign * eta * k / K_SAMPLES
+                if zeta > H or zeta < L:
+                    return None
                 try:
                     union = _nearby_curves_union(f, zeta, component, delta)
                 except TraceError:

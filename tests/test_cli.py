@@ -147,6 +147,12 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["trace", "--fn", "blaschke:0.36,-0.34+0.03i/0.05+0.02i", "--eps", "0.5", "--domain", "plane"]) == 1
     # the certificate gates are fixed; there is no flag to loosen one
     assert main(["trace", "--fn", "poly:1,0", "--eps", "1", "--tol-trace", "1e-6"]) == 1
+    # the probe's delta is a distance and its disks' radius: positive and finite
+    capsys.readouterr()
+    for delta in ("0", "-1", "nan", "inf"):
+        assert main(["continuity", "--fn", "poly:1,0,0", "--eps", "1", "--delta", delta]) == 1
+        out, err = capsys.readouterr()
+        assert not out and len(err.strip().splitlines()) == 1 and "--delta" in err
 
 
 def test_no_function_takes_tolerances():

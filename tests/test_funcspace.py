@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -384,3 +385,75 @@ def test_each_polynomial_is_root_found_once(monkeypatch, spec):
     got.append((1j, 1))
     assert f.numerator.roots() == zeros
     assert len(calls) == 4
+
+
+def _sqrt_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
+    """Fractions within 2^-200 below and above sqrt(x)."""
+    s = math.isqrt(x.numerator * 4**200 // x.denominator)
+    return Fraction(s, 2**200), Fraction(s + 1, 2**200)
+
+
+def _exact_modulus_bounds(coeffs, c: complex, r: float) -> tuple[Fraction, Fraction]:
+    """Enclosures from below of |b_0| - sum_{k>=1} |b_k| r^k and from above
+    of |b_0| + sum_{k>=1} |b_k| r^k, where b is the exact Taylor shift of the
+    float coefficients to c."""
+    cr, ci, rr = Fraction(c.real), Fraction(c.imag), Fraction(r)
+    b = [(Fraction(a.real), Fraction(a.imag)) for a in coeffs]
+    n = len(b) - 1
+    for j in range(n):
+        for i in range(n - 1, j - 1, -1):
+            (br, bi), (nr, ni) = b[i], b[i + 1]
+            b[i] = (br + cr * nr - ci * ni, bi + cr * ni + ci * nr)
+    mods = [_sqrt_bounds(br * br + bi * bi) for br, bi in b]
+    lower = mods[0][0] - sum(hi * rr**k for k, (_, hi) in enumerate(mods) if k)
+    upper = mods[0][1] + sum(hi * rr**k for k, (_, hi) in enumerate(mods) if k)
+    return lower, upper
+
+
+coords = st.floats(-1.5, 1.5, allow_nan=False, allow_subnormal=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["poly", "blaschke"]),
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(2, 12),
+    centers=st.lists(st.builds(complex, coords, coords), min_size=1, max_size=4),
+    radius=st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
+)
+def test_abs_bounds_enclose_the_exact_shift_and_the_disk(kind, seed, degree, centers, radius):
+    rng = np.random.default_rng(seed)
+    if kind == "poly":
+        f = RationalFn(random_polynomial(rng, degree))
+    else:
+        # B1 / B2 with 1-4 and 0-3 zeros, uniform in the disk of radius 0.9
+        n1, n2 = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+        if n1 == n2:
+            reject()
+        zs = 0.9 * np.sqrt(rng.uniform(size=n1 + n2)) * np.exp(2j * np.pi * rng.uniform(size=n1 + n2))
+        f = RationalFn.blaschke_ratio(zs[:n1], zs[n1:])
+    lo, hi = f.abs_bounds(np.array(centers), radius)
+    ring = np.exp(2j * np.pi * np.arange(16) / 16)
+    for c, low, high in zip(centers, lo, hi):
+        lo_num, hi_num = _exact_modulus_bounds(f.numerator.coeffs, c, radius)
+        lo_den, hi_den = _exact_modulus_bounds(f.denominator.coeffs, c, radius)
+        assert Fraction(low) <= (lo_num / hi_den if lo_num > 0 else 0)
+        assert high == math.inf or (lo_den > 0 and Fraction(high) >= hi_num / lo_den)
+        # the center, a middle ring and the boundary circle
+        disk = c + radius * np.concatenate([[0.0, 1.0], 0.5 * ring, ring])
+        assert np.all((low <= f.abs_grid(disk)) & (f.abs_grid(disk) <= high))
+
+
+def test_abs_bounds_at_zeros_and_poles():
+    # z^2 - 1 has zeros at +-1; the Blaschke ratio has a pole at 0.05+0.02i
+    lemniscate = parse_function_spec("poly:1,0,-1")
+    lo, hi = lemniscate.abs_bounds(np.array([0.9, 1.0, -1.0, 0.0]), np.array([0.2, 0.0, 1e-3, 0.5]))
+    assert list(lo[:3]) == [0.0, 0.0, 0.0] and 0.0 < lo[3] <= 0.75 and np.all(hi < math.inf)
+    f = parse_function_spec("blaschke:0.36,-0.34+0.03i/0.05+0.02i")
+    lo, hi = f.abs_bounds(np.array([0.05, 0.05 + 0.02j, 0.6]), 0.05)
+    assert hi[0] == math.inf and hi[1] == math.inf and hi[2] < math.inf
+    assert lo[2] > 0.0
+    # z^2 shifted to a point c of the unit circle is c^2 + 2c w + w^2, so the
+    # bounds on |w| <= 0.05 are 1 -+ (0.1 + 0.0025), each widened by under 1e-14
+    lo, hi = parse_function_spec("poly:1,0,0").abs_bounds(np.array([1.0, 1j]), 0.05)
+    assert np.all((lo <= 0.8975) & (lo > 0.8975 - 1e-14) & (hi >= 1.1025) & (hi < 1.1025 + 1e-14))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelcurves import (
+    RationalFn,
     TraceError,
     continuity_probe,
     geometry,
@@ -279,14 +280,31 @@ def _count_unions(monkeypatch) -> list[float]:
     return zetas
 
 
+def _vacuous_bounds(f, centers, radius):
+    """``RationalFn.abs_bounds`` with nothing known: 0 <= |f| <= inf."""
+    n = len(centers)
+    return np.zeros(n), np.full(n, math.inf)
+
+
 def test_failing_trial_stops_at_its_farthest_level(monkeypatch):
+    f = parse_function_spec("poly:1,0,0")
     zetas = _count_unions(monkeypatch)
-    cert = continuity_probe(parse_function_spec("poly:1,0,0"), 1.0, 0.05)
+    with monkeypatch.context() as m:
+        # with no disk bound every height the search decides is traced
+        m.setattr(RationalFn, "abs_bounds", _vacuous_bounds)
+        cert = continuity_probe(f, 1.0, 0.05)
     assert cert.passed
-    # the eta = 0.5 trial fails at its farthest level 1.5, so the next call
-    # is already the farthest level of the eta = 0.25 trial, not 1 - 0.5
+    # the eta = 0.5 trial fails at its farthest level 1.5, so the next height
+    # decided is already the farthest level of the eta = 0.25 trial, not 1 - 0.5
     assert zetas[:2] == [1.5, 1.25]
     assert len(zetas) < 100
+    # |z^2| <= 1.05^2 + eps on the delta-disks about the unit circle, so the
+    # disk bound refutes both heights untraced, and the result is the same
+    zetas.clear()
+    assert continuity_probe(f, 1.0, 0.05) == cert
+    (component,) = trace_level_set(f, 1.0)
+    assert max(f.abs_bounds(component.points, 0.05)[1]) < 1.25
+    assert 1.5 not in zetas and 1.25 not in zetas
 
 
 def test_probe_audits_inner_heights_of_the_returned_eta_only(monkeypatch):
@@ -294,11 +312,51 @@ def test_probe_audits_inner_heights_of_the_returned_eta_only(monkeypatch):
     spec, eps, delta = BENCH_PROBES["z5m1"]
     cert = continuity_probe(parse_function_spec(spec), eps, delta)
     assert cert.passed
-    # the search visits 27 levels, one or two per farthest pair, and the
-    # returned eta's 14 inner heights make 41; a full audit of every passing
-    # trial made 83
-    assert len(zetas) == 41
+    # the search decides 27 heights, one or two per farthest pair, and the
+    # returned eta's 14 inner heights make 41 (a full audit of every passing
+    # trial made 83); the disk bound refutes 19 of them untraced, so 22 are
+    # traced (test_refuted_heights_fail_their_full_audit checks the 41)
+    assert len(zetas) == 22
     assert all(z in zetas for z, _ in cert.samples)
+
+
+# (heights the search decides, heights it traces) with the disk bound
+DECIDED_AND_TRACED = {"lemniscate": (30, 20), "z2": (30, 26), "z5m1": (41, 22), "corpus-f20": (16, 16)}
+
+
+@pytest.mark.parametrize("name", list(DECIDED_AND_TRACED))
+def test_refuted_heights_fail_their_full_audit(monkeypatch, name):
+    if name == "corpus-f20":
+        f, eps, delta = (*_corpus_f20(), 0.1)
+    else:
+        spec, eps, delta = BENCH_PROBES[name]
+        f = parse_function_spec(spec)
+    zetas = _count_unions(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(RationalFn, "abs_bounds", _vacuous_bounds)
+        want = continuity_probe(f, eps, delta).to_dict()
+    decided = list(zetas)
+    zetas.clear()
+    assert continuity_probe(f, eps, delta).to_dict() == want
+    traced = list(zetas)
+    assert (len(decided), len(traced)) == DECIDED_AND_TRACED[name]
+    component = max(trace_level_set(f, eps), key=lambda c: c.total_length())
+    lo, hi = f.abs_bounds(component.points, delta)
+    refuted = [z for z in decided if z > hi.min() or z < lo.max()]
+    # the traced heights are the decided ones, in order, less the refuted
+    assert traced == [z for z in decided if z not in refuted]
+    for zeta in refuted:
+        try:
+            union = metrics._nearby_curves_union(f, zeta, component, delta)
+        except TraceError:
+            continue
+        assert hausdorff_between_curves(union, component, upto=delta).d_check >= delta
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
+def test_probe_rejects_a_delta_outside_zero_to_inf(delta):
+    with pytest.raises(ValueError, match="delta"):
+        continuity_probe(parse_function_spec("poly:1,0,0"), 1.0, delta)
 
 
 def test_probe_falls_back_when_an_inner_height_fails(monkeypatch):
