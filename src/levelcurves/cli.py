@@ -173,9 +173,6 @@ def _cmd_gauss_lucas(args) -> int:
 
 
 def _cmd_continuity(args) -> int:
-    if not 0.0 < args.delta < math.inf:
-        print(f"error: --delta must be positive and finite, not {args.delta}", file=sys.stderr)
-        return EXIT_USAGE
     f = parse_function_spec(args.fn)
     cert = continuity_probe(f, args.eps, args.delta)
     _emit({"schema": SCHEMA, "kind": "continuity", "fn": args.fn, **cert.to_dict()}, args)
@@ -321,6 +318,12 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # a level and a distance are positive and finite
+    for flag in ("eps", "delta"):
+        value = getattr(args, flag, None)
+        if value is not None and not 0.0 < value < math.inf:
+            print(f"error: --{flag} must be positive and finite, not {value}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
     except FunctionSpecError as exc:

@@ -1,10 +1,10 @@
 """Function space: polynomials, rational functions, Blaschke-product ratios.
 
 A RationalFn is immutable after construction and caches its distinguished
-points (zeros, poles, critical points with multiplicities) and the local
-model at each critical point.  Its domain is the unit disk for a Blaschke
-ratio and the plane otherwise.  Values at poles are reported through the
-point-at-infinity flag ``INF`` rather than NaN.
+points (zeros, poles, critical points with multiplicities), the local model
+and the certified window of |f| at each critical point.  Its domain is the
+unit disk for a Blaschke ratio and the plane otherwise.  Values at poles are
+reported through the point-at-infinity flag ``INF`` rather than NaN.
 
 The function-spec grammar shared with the CLI:
 
@@ -355,10 +355,10 @@ class RationalFn:
     """Ratio of two coprime polynomials with cached distinguished points.
 
     Instances are immutable apart from their caches of what depends on f
-    alone (distinguished points, local models, critical curves); every
-    method is pure, so sharing across threads is safe.  Construction rejects
-    constant functions and numerator / denominator pairs with a
-    (numerically) common root.
+    alone (distinguished points, local models, critical windows, critical
+    curves); every method is pure, so sharing across threads is safe.
+    Construction rejects constant functions and numerator / denominator
+    pairs with a (numerically) common root.
     """
 
     # the fixed certificate gates; ``bench/run.py`` reads ``f.tols.hull_tol``
@@ -634,6 +634,19 @@ class RationalFn:
             a = np.sum(vals * w ** (-(m + 1))) / (k * rho ** (m + 1))
             out.append((c, m, None if a == 0 or is_inf(a) else complex(a)))
         return out
+
+    @cached_property
+    def critical_windows(self) -> list[tuple[float, float]]:
+        """Certified (lo, hi) about |f(c)| at each critical point c: the
+        rounding of |f(c)|, from :meth:`abs_bounds` at radius 0."""
+        lo, hi = self.abs_bounds([c for c, _ in self.critical_points], 0.0)
+        return list(zip(lo.tolist(), hi.tolist()))
+
+    def critical_on_level(self, i: int, eps: float) -> bool:
+        """The package's one on-level test: critical point i lies on the
+        level eps iff eps is in its window, which holds neither 0 nor inf."""
+        lo, hi = self.critical_windows[i]
+        return 0.0 < lo <= eps <= hi < math.inf
 
     def __repr__(self):
         if self.spec:

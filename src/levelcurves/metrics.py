@@ -31,7 +31,6 @@ height fails its d-check and is failed untraced.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
@@ -142,10 +141,7 @@ def _nearby_curves_union(
             z, _, _ = tracer.correct(mid + off * normal, max_iter=40)
             if z is not None and abs(z - mid) <= 4.0 * delta + 1.0:
                 seeds.append(z)
-    with warnings.catch_warnings():
-        # the probe samples deliberately near-critical levels
-        warnings.simplefilter("ignore", UserWarning)
-        comps = _trace_seeds(tracer, seeds)
+    comps = _trace_seeds(tracer, seeds)
     if not comps:
         raise TraceError(f"no level curves found near the component at level {zeta}")
     if len(comps) == 1:

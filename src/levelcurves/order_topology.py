@@ -253,7 +253,6 @@ def separating_curve(f: RationalFn, L: CurveRef, K) -> tuple[CurveRef, str]:
     k_star = complex(K[int(np.argmax(-dists))])
     p_star = complex(L_pts[int(np.argmin(np.abs(L_pts - k_star)))])
 
-    crit_levels = {round(f.abs_eval(c), 12) for c, _ in f.critical_points}
     crit_pts = [c for c, _ in f.critical_points]
 
     for t in np.linspace(0.04, 0.9, 24):
@@ -262,8 +261,6 @@ def separating_curve(f: RationalFn, L: CurveRef, K) -> tuple[CurveRef, str]:
         if not math.isfinite(level) or level <= 0:
             continue
         if abs(level - L.level) < 1e-9:
-            continue
-        if any(abs(level - cl) <= 10 * DEFAULT_TOLS.vertex_tol for cl in crit_levels):
             continue
         try:
             comp = trace_component(f, level, z_probe)

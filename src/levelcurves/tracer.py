@@ -19,19 +19,22 @@ most MAX_ARG_STEP, and stays short of on-level vertices and of the necks of
 off-level saddles.  Every arc records a sag bound that the polyline's
 consumers use as their margin.
 
-Critical points whose level matches eps are branch points: an arc ends when
-it enters the capture ball of such a vertex, and new arcs are launched along
-the mult+1 outgoing ones of the 2*(mult+1) rays of the local model
-f(c) + a*(z - c)^(mult+1).  Arcs between vertices are launched only from
-vertices, so for a given tracer a branched component's polylines do not
-depend on the seed it was traced from.  The vertex rays, the necks of
-off-level saddles and the near-critical warning all read that model from
-``RationalFn.critical_models``, computed once per function.
+A critical point lies on the level eps when eps is within the certified
+rounding window of |f(c)| (``RationalFn.critical_on_level``, the one on-level
+test).  Such points are branch points: an arc ends when it enters the capture
+ball of such a vertex, and new arcs are launched along the mult+1 outgoing
+ones of the 2*(mult+1) rays of the local model f(c) + a*(z - c)^(mult+1).
+Arcs between vertices are launched only from vertices, so for a given tracer
+a branched component's polylines do not depend on the seed it was traced
+from.  A level off a critical value whose neck the march cannot resolve is
+refused before any march (NECK_MIN_STEPS, LEVEL_MIN_GATES), never snapped
+onto the vertex.  The vertex rays and the necks of off-level saddles read the
+local model from ``RationalFn.critical_models``, computed once per function.
 
 The component through each critical point is traced once per function, from
 its vertex at the point's own level, and kept on the function
-(``_critical_curve``); the critical set and every level set at exactly that
-level hand out the same object.  A traced level set is
+(``_critical_curve``); the critical set and every level set on which that
+point lies hand out the same object.  A traced level set is
 certified complete by the argument principle: its arcs must turn arg f by
 2*pi times the zeros or the poles of the domain, so a component missed by
 the seeds, or traced twice, is an error rather than a short or long list.
@@ -44,7 +47,6 @@ seed comes from :func:`find_seeds` and its batched ``_ray_crossings``.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -77,6 +79,12 @@ SAG_REL = 1e-4
 MAX_ARG_STEP = 0.5
 # predictor step floor, relative to the domain scale
 MIN_STEP_REL = 1e-6
+# a level off a critical value is refused when the saddle's neck half-width
+# is below NECK_MIN_STEPS step floors, where the step floor cannot stay
+# inside the neck, or when |log(eps / |f(c)|)| is at most LEVEL_MIN_GATES
+# corrector gates tau, where the corrector cannot tell the two levels apart
+NECK_MIN_STEPS = 4.0
+LEVEL_MIN_GATES = 4.0
 # how far a winding sum may sit from an integer multiple of 2*pi
 WINDING_TOL = 1e-6
 
@@ -164,18 +172,17 @@ def _vertex_rays(f: RationalFn, c: complex, m: int, a: complex) -> list[float]:
     return sorted(_wrap_angle(base + k * math.pi / n) for k in range(2 * n))
 
 
-def _capture_radius(m: int, a: complex | None, eps: float, scale: float) -> float:
+def _capture_radius(m: int, a: complex, eps: float, scale: float) -> float:
     """Radius where the local perturbation |a| r^(m+1) is _CAPTURE_LEVEL * eps,
-    kept within [1e-6, 5e-2] * scale; the floor where the model degenerates."""
-    if a is None:
-        return 1e-6 * scale
+    kept within [1e-6, 5e-2] * scale."""
     n = m + 1
     r_cap = (_CAPTURE_LEVEL * eps / (n * abs(a))) ** (1.0 / n)
     return min(max(r_cap, 1e-6 * scale), 5e-2 * scale)
 
 
 class _LevelTracer:
-    """Shared state for tracing one level of one function."""
+    """Shared state for tracing one level of one function; a level it cannot
+    resolve is refused on construction (NECK_MIN_STEPS, LEVEL_MIN_GATES)."""
 
     # the fixed certificate gates; ``bench/spans.py`` reads ``tols.trace_tol``
     tols = DEFAULT_TOLS
@@ -192,26 +199,33 @@ class _LevelTracer:
         self.h_min = MIN_STEP_REL * scale
         self.reach = MAX_REACH_REL * scale
         self.vertices: list[_Vertex] = []
-        # (c, m, a, |f(c)|) for each critical point off the level
-        self._offlevel: list[tuple[complex, int, complex | None, float]] = []
-        for c, m, a in f.critical_models:
-            av = f.abs_eval(c)
-            if math.isfinite(av) and av > 0.0 and abs(av - eps) <= DEFAULT_TOLS.vertex_tol:
+        # (c, r_neck) for each off-level saddle.  Near a critical point c at
+        # another level the curve passes a neck of width about
+        # r_neck = (|eps - |f(c)|| / |a|)^(1/(m+1)), inf where a is unknown;
+        # a longer step can jump across it onto the other branch.  Multiple
+        # zeros and poles are no saddles.
+        self._necks: list[tuple[complex, float]] = []
+        for i, (c, m, a) in enumerate(f.critical_models):
+            if f.critical_on_level(i, eps):
                 if a is None:
                     raise TraceError(f"degenerate local model at critical point {c}")
                 self.vertices.append(_Vertex(c, m, _vertex_rays(f, c, m, a), _capture_radius(m, a, eps, scale)))
+                continue
+            av = f.abs_eval(c)
+            if not 0.0 < av < math.inf:
+                continue
+            r_neck = (abs(eps - av) / abs(a)) ** (1.0 / (m + 1)) if a is not None else math.inf
+            if abs(math.log(eps / av)) <= LEVEL_MIN_GATES * self.tau:
+                cause = f"the corrector cannot tell eps from |f(c)| within {LEVEL_MIN_GATES:g} tau ({self.tau:.3g})"
+            elif r_neck < NECK_MIN_STEPS * self.h_min:
+                cause = f"the march cannot stay inside a neck below {NECK_MIN_STEPS:g} h_min ({self.h_min:.3g})"
             else:
-                self._offlevel.append((c, m, a, av))
-        # (c, r_neck) for each off-level saddle.  Near a critical point c at
-        # another level the curve passes a neck of width about
-        # r_neck = (|eps - |f(c)|| / |a|)^(1/(m+1)); a longer step can jump
-        # across it onto the other branch.  Multiple zeros and poles are no
-        # saddles.
-        self._necks = [
-            (c, (abs(eps - av) / abs(a)) ** (1.0 / (m + 1)))
-            for c, m, a, av in self._offlevel
-            if a is not None and 0.0 < av < math.inf
-        ]
+                self._necks.append((c, r_neck))
+                continue
+            raise TraceError(
+                f"level {eps!r} is refused near critical point {c}: |f(c)| = {av!r}, "
+                f"neck half-width {r_neck:.3g}; {cause}"
+            )
 
     # -- Newton correction onto the level set
 
@@ -517,9 +531,7 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
     if start_vertex is None:
         pts, start_vertex, sag = tracer.march(z0, ld0)
         if start_vertex is None:
-            comp = LevelCurveComponent([TracedArc(np.array(pts, dtype=complex), eps, sag, closed=True)], [], eps)
-            _warn_near_critical(tracer, comp)
-            return comp
+            return LevelCurveComponent([TracedArc(np.array(pts, dtype=complex), eps, sag, closed=True)], [], eps)
 
     # breadth-first sweep over the outgoing vertex rays; each traced arc
     # fills its departure and arrival slots, and every vertex has m+1 of each
@@ -600,9 +612,7 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
         )
     arcs.sort(key=lambda arc: (arc.start_vertex, arc.start_angle))
 
-    comp = LevelCurveComponent(arcs, vertices, eps)
-    _warn_near_critical(tracer, comp)
-    return comp
+    return LevelCurveComponent(arcs, vertices, eps)
 
 
 def _critical_curve(f: RationalFn, i: int) -> LevelCurveComponent | None:
@@ -610,12 +620,13 @@ def _critical_curve(f: RationalFn, i: int) -> LevelCurveComponent | None:
 
     Traced once per i and kept in ``f.critical_curves``, so every caller
     gets the same object; its point arrays are read-only.  None where
-    the critical point is a zero or a pole.  A critical point that is a
-    vertex of the curve of an earlier critical point gets that curve;
-    otherwise its curve is traced from the vertex at scale ``f.scale``.  Only
-    a curve at a level within ``vertex_tol`` of this one can hold the point
-    as a vertex, so the entry depends on f and i, not on the order of the
-    calls.
+    0 or inf lies in the critical point's window (``f.critical_windows``):
+    it may be a zero or a pole.  A critical point that is a vertex of the
+    curve of an earlier critical point gets that curve; otherwise its curve
+    is traced from the vertex at its level |f(c)| and scale ``f.scale``.  A
+    curve holds the point as a vertex only if ``f.critical_on_level`` holds
+    at the curve's level, which lies in the earlier point's window, so the
+    entry depends on f and i, not on the order of the calls.
     """
     if i not in f.critical_curves:
         f.critical_curves[i] = _trace_critical_curve(f, i)
@@ -624,45 +635,24 @@ def _critical_curve(f: RationalFn, i: int) -> LevelCurveComponent | None:
 
 def _trace_critical_curve(f: RationalFn, i: int) -> LevelCurveComponent | None:
     c = f.critical_points[i][0]
-    level = f.abs_eval(c)
-    if not math.isfinite(level) or level <= DEFAULT_TOLS.vertex_tol:
-        return None  # the critical point is a zero/pole
-    for j, (cj, _) in enumerate(f.critical_points[:i]):
-        if abs(f.abs_eval(cj) - level) <= DEFAULT_TOLS.vertex_tol:
+    lo, hi = f.critical_windows[i]
+    if lo == 0.0 or hi == math.inf:
+        return None  # 0 or inf lies in the window
+    for j, (lo_j, hi_j) in enumerate(f.critical_windows[:i]):
+        # curve j's level lies in j's window: only a window meeting i's can hold it
+        if lo_j <= hi and lo <= hi_j:
             comp = _critical_curve(f, j)
-            if comp is not None and any(abs(c - v) < 1e-10 for v, _ in comp.vertices):
-                return comp
+            if comp is not None and f.critical_on_level(i, comp.level):
+                if any(abs(c - v) < 1e-10 for v, _ in comp.vertices):
+                    return comp
     # c lies in its own capture ball, so the trace launches from the vertex
+    level = f.abs_eval(c)
     comp = _trace_component_with(_LevelTracer(f, level, f.scale), c)
     if not any(abs(c - v) < 1e-10 for v, _ in comp.vertices):
         raise TraceError(f"critical curve through {c} did not capture it as a vertex")
     for arc in comp.arcs:
         arc.points.flags.writeable = False
     return comp
-
-
-def _warn_near_critical(tracer: _LevelTracer, comp: LevelCurveComponent):
-    if not tracer._offlevel:
-        return
-    # ten times the capture radius each point would have were its level on eps
-    reach = [10.0 * _capture_radius(m, a, tracer.eps, tracer.scale) for _, m, a, _ in tracer._offlevel]
-    # the curve lies in the bounding box of its points: no distance query
-    # when every point is beyond its reach from the box, with a margin for
-    # the rounding of the distances
-    x0, y0, x1, y1 = geometry.bounding_box([a.points for a in comp.arcs])
-    if all(
-        math.hypot(max(x0 - c.real, 0.0, c.real - x1), max(y0 - c.imag, 0.0, c.imag - y1)) > 1.001 * r
-        for (c, _, _, _), r in zip(tracer._offlevel, reach)
-    ):
-        return
-    ds = comp.index.distances([c for c, _, _, _ in tracer._offlevel], upto=max(reach))
-    for (c, _, _, _), d, r in zip(tracer._offlevel, ds, reach):
-        if d < r:
-            warnings.warn(
-                f"arc passes within {d:.2e} of off-level critical point {c}; "
-                "the regular/critical classification may be unreliable",
-                stacklevel=3,
-            )
 
 
 def find_seeds(f: RationalFn, eps: float, rays=range(8)) -> list[complex]:
@@ -764,8 +754,9 @@ def trace_level_set(f: RationalFn, eps: float) -> list[LevelCurveComponent]:
     domain holds.  The components are gathered in rungs, and the turn is
     counted after each one:
 
-    0. the stored curve (``_critical_curve``) of every critical point whose
-       |f| is eps itself, the same objects the critical set holds;
+    0. the stored curve (``_critical_curve``) of every critical point on the
+       level (``f.critical_on_level``), the same objects the critical set
+       holds, each with its own ``level``;
     1. the components through the seeds of ray 0 of :func:`find_seeds`;
     2. the components through the seeds of the other 7 rays.
 
@@ -778,12 +769,10 @@ def trace_level_set(f: RationalFn, eps: float) -> list[LevelCurveComponent]:
     """
     _check_level(f, eps)
     components: list[LevelCurveComponent] = []
-    for i, (c, _) in enumerate(f.critical_points):
-        if f.abs_eval(c) == eps:
+    for i in range(len(f.critical_points)):
+        if f.critical_on_level(i, eps):
             comp = _critical_curve(f, i)
-            # a curve pulled in from another critical point may sit at that
-            # point's level, within vertex_tol of eps; it is traced anew
-            if comp is not None and comp.level == eps and all(comp is not d for d in components):
+            if all(comp is not d for d in components):
                 components.append(comp)
     tracer = None
     for rays in ((0,), range(1, 8)):

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -58,10 +56,3 @@ def lemniscate_fn():
 @pytest.fixture(scope="session")
 def blaschke_21():
     return parse_function_spec("blaschke:0.36,-0.34+0.03i/0.05+0.02i")
-
-
-@pytest.fixture(autouse=True)
-def _quiet_near_critical():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        yield

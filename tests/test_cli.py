@@ -141,7 +141,8 @@ def test_determinism_byte_identical(tmp_path):
 
 def test_exit_codes(tmp_path, capsys):
     assert main(["trace", "--fn", "poly:zap", "--eps", "1"]) == 1
-    assert main(["trace", "--fn", "poly:1,0", "--eps", "-1"]) == 2
+    # a level the tracer cannot resolve is a numerical failure, refused with its cause
+    assert main(["trace", "--fn", "poly:1,0,0,0,0,-1", "--eps", "1.00000000001"]) == 2
     assert main(["nonsense"]) == 1
     # the domain is the function's own; there is no flag to override it
     assert main(["trace", "--fn", "blaschke:0.36,-0.34+0.03i/0.05+0.02i", "--eps", "0.5", "--domain", "plane"]) == 1
@@ -153,6 +154,13 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["continuity", "--fn", "poly:1,0,0", "--eps", "1", "--delta", delta]) == 1
         out, err = capsys.readouterr()
         assert not out and len(err.strip().splitlines()) == 1 and "--delta" in err
+    # so is the level, on every subcommand that takes one
+    for cmd in ("trace", "graph", "continuity", "verify-all"):
+        delta = ["--delta", "0.1"] if cmd == "continuity" else []
+        for eps in ("0", "-1", "nan", "inf"):
+            assert main([cmd, "--fn", "poly:1,0,0", "--eps", eps, *delta]) == 1
+            out, err = capsys.readouterr()
+            assert not out and len(err.strip().splitlines()) == 1 and "--eps" in err
 
 
 def test_no_function_takes_tolerances():

@@ -280,8 +280,15 @@ def _count_unions(monkeypatch) -> list[float]:
     return zetas
 
 
+_abs_bounds = RationalFn.abs_bounds
+
+
 def _vacuous_bounds(f, centers, radius):
-    """``RationalFn.abs_bounds`` with nothing known: 0 <= |f| <= inf."""
+    """``RationalFn.abs_bounds`` with nothing known on the probe's disks:
+    0 <= |f| <= inf.  The radius-0 windows of the on-level test
+    (``RationalFn.critical_windows``) are left as they are."""
+    if radius == 0.0:
+        return _abs_bounds(f, centers, radius)
     n = len(centers)
     return np.zeros(n), np.full(n, math.inf)
 
