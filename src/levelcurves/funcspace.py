@@ -2,9 +2,12 @@
 
 A RationalFn is immutable after construction and caches its distinguished
 points (zeros, poles, critical points with multiplicities), the local model
-and the certified window of |f| at each critical point.  Its domain is the
-unit disk for a Blaschke ratio and the plane otherwise.  Values at poles are
-reported through the point-at-infinity flag ``INF`` rather than NaN.
+and the certified window of |f| at each critical point.  The local model and
+the certified |f| bounds (``RationalFn.abs_bounds``) both read one batched
+Taylor shift of numerator and denominator (``_taylor_shift``).  Its domain
+is the unit disk for a Blaschke ratio and the plane otherwise.  Values at
+poles are reported through the point-at-infinity flag ``INF`` rather than
+NaN.
 
 The function-spec grammar shared with the CLI:
 
@@ -305,15 +308,30 @@ def _cluster_points(points) -> list[tuple[complex, int]]:
     return [(sum(g) / len(g), len(g)) for g in groups]
 
 
+def _taylor_shift(coeffs: np.ndarray, centers: np.ndarray) -> list[np.ndarray]:
+    """The Taylor shift p(c + w) = sum_k b_k w^k of the polynomial p with
+    ascending ``coeffs`` a_0, ..., a_n to each of ``centers``: the list
+    b_0, ..., b_n, each an array over the centers.
+
+    It comes from the Horner recurrences ``b_i <- b_i + c b_{i+1}`` (i = n-1
+    down to j, for j = 0 to n-1), batched over the centers (von zur Gathen &
+    Gerhard, "Fast algorithms for Taylor shifts and certain difference
+    equations", ISSAC 1997).
+    """
+    n = coeffs.size - 1
+    b = [np.full(centers.shape, a) for a in coeffs]
+    for j in range(n):
+        for i in range(n - 1, j - 1, -1):
+            b[i] = b[i] + centers * b[i + 1]
+    return b
+
+
 def _modulus_bounds(coeffs: np.ndarray, centers: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
     """Bounds ``lo <= |p(z)| <= hi`` on the closed disk of radius r about each
     center c, for the polynomial p with ascending ``coeffs`` a_0, ..., a_n.
 
-    The Taylor shift p(c + w) = sum_k b_k w^k comes from the Horner
-    recurrences ``b_i <- b_i + c b_{i+1}`` (i = n-1 down to j, for j = 0 to
-    n-1), batched over the centers (von zur Gathen & Gerhard, "Fast
-    algorithms for Taylor shifts and certain difference equations", ISSAC
-    1997).  On |w| <= r,
+    With the Taylor shift p(c + w) = sum_k b_k w^k of :func:`_taylor_shift`,
+    on |w| <= r,
 
         |b_0| - sum_{k>=1} |b_k| r^k  <=  |p(c + w)|  <=  |b_0| + sum_{k>=1} |b_k| r^k.
 
@@ -330,10 +348,7 @@ def _modulus_bounds(coeffs: np.ndarray, centers: np.ndarray, radius) -> tuple[np
     (4n + 1) + (2n + 4) + (5n + 5) <= N.
     """
     n = coeffs.size - 1
-    b = [np.full(centers.shape, a) for a in coeffs]
-    for j in range(n):
-        for i in range(n - 1, j - 1, -1):
-            b[i] = b[i] + centers * b[i + 1]
+    b = _taylor_shift(coeffs, centers)
     tail = np.zeros(centers.shape)
     for bk in b[:0:-1]:
         tail = (tail + np.abs(bk)) * radius
@@ -614,25 +629,23 @@ class RationalFn:
         """(c, m, a) for each critical point c of multiplicity m, where
         f(z) - f(c) = a (z - c)^(m+1) + ...
 
-        a comes from discrete Cauchy integration on a 64-point circle of
-        radius 1e-2 * max(1, |c|), at most a fifth of the distance to the
-        nearest other distinguished point and at least 1e-8 * scale; exact
-        derivatives of a rational function are avoided on purpose.  a is
-        None where the integral degenerates to 0 or to a non-finite value.
+        Numerator and denominator are shifted to every c at once by
+        :func:`_taylor_shift`, the shift behind :meth:`abs_bounds`, and a is
+        the coefficient q_(m+1) of their quotient series n(c + w) / d(c + w)
+        = sum_k q_k w^k, from q_k = (n_k - sum_{j=1..k} d_j q_(k-j)) / d_0.
+        a is None where d(c) = 0, or where a is 0 or not finite.
         """
-        pts = self.distinguished_points()
-        k = 64
-        w = np.exp(2j * np.pi * np.arange(k) / k)
+        cs = np.array([c for c, _ in self.critical_points], dtype=complex)
+        top = max([m + 1 for _, m in self.critical_points], default=0)
+        num, den = (_taylor_shift(p.coeffs, cs) + [0j] * top for p in (self.numerator, self.denominator))
+        q = []
+        with np.errstate(all="ignore"):
+            for k in range(top + 1):
+                q.append((num[k] - sum(den[j] * q[k - j] for j in range(1, k + 1))) / den[0])
         out = []
-        for c, m in self.critical_points:
-            others = [p for p in pts if abs(p - c) > 1e-12]
-            rho = 1e-2 * max(1.0, abs(c))
-            if others:
-                rho = min(rho, 0.2 * min(abs(p - c) for p in others))
-            rho = max(rho, 1e-8 * self.scale)
-            vals = self.eval_grid(c + rho * w) - self.eval(c)
-            a = np.sum(vals * w ** (-(m + 1))) / (k * rho ** (m + 1))
-            out.append((c, m, None if a == 0 or is_inf(a) else complex(a)))
+        for i, (c, m) in enumerate(self.critical_points):
+            a = complex(q[m + 1][i])
+            out.append((c, m, None if a == 0 or is_inf(a) else a))
         return out
 
     @cached_property

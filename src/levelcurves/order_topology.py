@@ -260,8 +260,6 @@ def separating_curve(f: RationalFn, L: CurveRef, K) -> tuple[CurveRef, str]:
         level = f.abs_eval(z_probe)
         if not math.isfinite(level) or level <= 0:
             continue
-        if abs(level - L.level) < 1e-9:
-            continue
         try:
             comp = trace_component(f, level, z_probe)
         except TraceError:

@@ -29,7 +29,8 @@ a branched component's polylines do not depend on the seed it was traced
 from.  A level off a critical value whose neck the march cannot resolve is
 refused before any march (NECK_MIN_STEPS, LEVEL_MIN_GATES), never snapped
 onto the vertex.  The vertex rays and the necks of off-level saddles read the
-local model from ``RationalFn.critical_models``, computed once per function.
+local model a from ``RationalFn.critical_models``: the coefficient of order
+mult+1 of f's Taylor series at c, computed once per function.
 
 The component through each critical point is traced once per function, from
 its vertex at the point's own level, and kept on the function

@@ -393,18 +393,25 @@ def _sqrt_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
     return Fraction(s, 2**200), Fraction(s + 1, 2**200)
 
 
-def _exact_modulus_bounds(coeffs, c: complex, r: float) -> tuple[Fraction, Fraction]:
-    """Enclosures from below of |b_0| - sum_{k>=1} |b_k| r^k and from above
-    of |b_0| + sum_{k>=1} |b_k| r^k, where b is the exact Taylor shift of the
-    float coefficients to c."""
-    cr, ci, rr = Fraction(c.real), Fraction(c.imag), Fraction(r)
+def _exact_shift(coeffs, c: complex) -> list[tuple[Fraction, Fraction]]:
+    """The exact Taylor shift b_0, ..., b_n of the float coefficients to the
+    float c, each b_k as (real, imaginary) Fractions."""
+    cr, ci = Fraction(c.real), Fraction(c.imag)
     b = [(Fraction(a.real), Fraction(a.imag)) for a in coeffs]
     n = len(b) - 1
     for j in range(n):
         for i in range(n - 1, j - 1, -1):
             (br, bi), (nr, ni) = b[i], b[i + 1]
             b[i] = (br + cr * nr - ci * ni, bi + cr * ni + ci * nr)
-    mods = [_sqrt_bounds(br * br + bi * bi) for br, bi in b]
+    return b
+
+
+def _exact_modulus_bounds(coeffs, c: complex, r: float) -> tuple[Fraction, Fraction]:
+    """Enclosures from below of |b_0| - sum_{k>=1} |b_k| r^k and from above
+    of |b_0| + sum_{k>=1} |b_k| r^k, where b is the exact Taylor shift of the
+    float coefficients to c."""
+    rr = Fraction(r)
+    mods = [_sqrt_bounds(br * br + bi * bi) for br, bi in _exact_shift(coeffs, c)]
     lower = mods[0][0] - sum(hi * rr**k for k, (_, hi) in enumerate(mods) if k)
     upper = mods[0][1] + sum(hi * rr**k for k, (_, hi) in enumerate(mods) if k)
     return lower, upper
@@ -457,3 +464,37 @@ def test_abs_bounds_at_zeros_and_poles():
     # bounds on |w| <= 0.05 are 1 -+ (0.1 + 0.0025), each widened by under 1e-14
     lo, hi = parse_function_spec("poly:1,0,0").abs_bounds(np.array([1.0, 1j]), 0.05)
     assert np.all((lo <= 0.8975) & (lo > 0.8975 - 1e-14) & (hi >= 1.1025) & (hi < 1.1025 + 1e-14))
+
+
+def _exact_local_model(f: RationalFn, c: complex, m: int) -> tuple[Fraction, Fraction]:
+    """The coefficient of w^(m+1) in n(c + w) / d(c + w), from the exact
+    shifts of the float coefficients to the float c, by exact series division."""
+    zero = (Fraction(0), Fraction(0))
+    num, den = (_exact_shift(p.coeffs, c) + [zero] * (m + 2) for p in (f.numerator, f.denominator))
+    dr, di = den[0]
+    d0 = dr * dr + di * di
+    q = []
+    for k in range(m + 2):
+        tr, ti = num[k]
+        for j in range(1, k + 1):
+            (ar, ai), (br, bi) = den[j], q[k - j]
+            tr, ti = tr - (ar * br - ai * bi), ti - (ar * bi + ai * br)
+        q.append(((tr * dr + ti * di) / d0, (ti * dr - tr * di) / d0))
+    return q[m + 1]
+
+
+def test_local_model_matches_the_exact_series(corpus30, lemniscate_fn, z5m1, blaschke_21):
+    cluster = parse_function_spec("poly:1,-4,6,-4,1.0000001")
+    for f in corpus30 + [lemniscate_fn, z5m1, blaschke_21, cluster]:
+        assert [(c, m) for c, m, _ in f.critical_models] == f.critical_points
+        for c, m, a in f.critical_models:
+            er, ei = _exact_local_model(f, c, m)
+            dr, di = Fraction(a.real) - er, Fraction(a.imag) - ei
+            assert dr * dr + di * di <= Fraction(1, 10**24) * (er * er + ei * ei), (f, c, a)
+
+
+@pytest.mark.parametrize("spec", ["poly:1,0,0,0,0,-1", "poly:1,-4,6,-4,1.0000001"])
+def test_local_model_of_a_multiple_critical_point_is_exact(spec):
+    # z^5 - 1 has a 4-fold critical point at 0, and (z - 1)^4 + 1e-7 a triple
+    # one at 1: both shifts give a = 1 with no rounding
+    assert parse_function_spec(spec).critical_models[0][2] == 1.0

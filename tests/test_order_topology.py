@@ -107,11 +107,14 @@ def test_separating_curve_around_zero(z5, z5_C):
     assert precedes(CurveRef(CurveKind.POINT, 0.0, point=1 + 0j), sep)
 
 
-def test_separating_curve_concentric():
-    f = parse_function_spec("poly:1,0,0")
-    circle = ref_of(trace_level_set(f, 4.0)[0], 4.0)
+@pytest.mark.parametrize("s", [1.0, 1e-10, 1e-12, 1e6])
+def test_separating_curve_concentric(s):
+    # f = s z^2 and L = the circle at level 4s: the search is scale-free, so
+    # every s finds the same separator
+    f = parse_function_spec(f"poly:{s!r},0,0")
+    circle = ref_of(trace_level_set(f, 4.0 * s)[0], 4.0 * s)
     sep, placement = separating_curve(f, circle, [0j])
-    assert 0 < sep.level < 4.0
+    assert sep.level / s == pytest.approx(3.6864, abs=1e-4)
     assert placement == "bounded"
 
 
