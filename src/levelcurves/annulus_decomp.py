@@ -206,16 +206,9 @@ def decompose(f: RationalFn, C: CriticalSetC | None = None) -> list[AnnularRegio
         )
     )
 
-    zp, mult = _zeros_and_poles(f)
     for region in regions:
         _certify_region_clean(f, region)
         region.N, region.M = winding_N(f, region)
-        s = int(np.sum(mult[_inside_inner(region, zp)]))
-        if s == 0 or abs(s) != region.N or (s > 0) != (region.M > 0):
-            raise TopologyError(
-                f"region {region.label}: winding {region.M} disagrees with enclosed "
-                f"zero-pole count {s}"
-            )
     regions.sort(key=lambda r: (min(r.eps1, r.eps2), max(r.eps1, r.eps2), r.label))
     return regions
 
@@ -292,15 +285,18 @@ def _loop_levels(region: AnnularRegion) -> np.ndarray:
     return region.eps1 ** (1.0 - s) * region.eps2**s
 
 
-def _certify_loop(f: RationalFn, region: AnnularRegion, comp: LevelCurveComponent) -> _Loop:
+def _certify_loop(
+    f: RationalFn, region: AnnularRegion, comp: LevelCurveComponent, zp: np.ndarray, want: np.ndarray
+) -> _Loop:
     """The per-loop certificate: comp is the region's loop at its level, every
     arg-f increment lies in (0, MAX_EDGE_TURN), and the total is 2*pi*N for a
     nonzero integer N.
 
     A level strictly between the region's two levels has exactly one
     component in the region: a simple closed curve enclosing exactly the
-    zeros and poles inside the inner boundary.  One face lookup on the loop's
-    graph says which it encloses; those points lie off every loop.
+    zeros and poles inside the inner boundary, ``want`` of the points ``zp``
+    (:func:`_inside_inner`).  One face lookup on the loop's graph says which
+    it encloses; those points lie off every loop.
     """
     where = f"level {comp.level} in region {region.label}"
     if comp.vertices or not comp.arcs[0].closed:
@@ -308,10 +304,8 @@ def _certify_loop(f: RationalFn, region: AnnularRegion, comp: LevelCurveComponen
     pts = comp.arcs[0].points
     if region.outer_boundary.kind is CurveKind.BOUNDARY and np.any(np.abs(pts) >= 1.0):
         raise TopologyError(f"{where} leaves the unit disk")
-    zp, _ = _zeros_and_poles(f)
     g = build_graph(comp)
     enclosed = faces_of_points(g, zp) != g.unbounded_face.id
-    want = _inside_inner(region, zp)
     if not np.array_equal(enclosed, want):
         raise TopologyError(f"{where} encloses the zeros and poles {zp[enclosed]}, not the region's {zp[want]}")
     vals = f.eval_grid(pts)
@@ -387,19 +381,22 @@ def winding_N(f: RationalFn, region: AnnularRegion) -> tuple[int, int]:
     outermost first, starts where the chain reaches its level.  Every loop
     passes :func:`_certify_loop`, and N and the orientation must agree on all
     of them.  M = +-N, positive when arg f increases along the positively
-    oriented curve.  alpha is shifted by the multiple of 2*pi that makes it
-    the principal arg of f at the basepoint, the middle loop's point of
-    smallest |arg f| (ties by |z|).
+    oriented curve, and M must be the signed count of the zeros (+) and poles
+    (-) inside the inner boundary.  alpha is shifted by the multiple of 2*pi
+    that makes it the principal arg of f at the basepoint, the middle loop's
+    point of smallest |arg f| (ties by |z|).
     """
     levels = _loop_levels(region)
     z, log_from = _outer_start(region)
     alpha = cmath.phase(f.eval(z))
+    zp, mult = _zeros_and_poles(f)
+    want = _inside_inner(region, zp)
     loops: list[_Loop | None] = [None] * K_LOOPS
     starts: list[float] = [0.0] * K_LOOPS  # alpha at each loop's first point
     for k in range(K_LOOPS - 1, -1, -1):
         tracer = _LevelTracer(f, levels[k], f.scale)
         seed, alpha = _radial_step(f, tracer, z, alpha, log_from)
-        loops[k] = _certify_loop(f, region, _trace_component_with(tracer, seed))
+        loops[k] = _certify_loop(f, region, _trace_component_with(tracer, seed), zp, want)
         starts[k], z, log_from = alpha, complex(loops[k].points[0]), tracer.log_eps
     a = K_LOOPS // 2
     mid = loops[a]
@@ -410,7 +407,12 @@ def winding_N(f: RationalFn, region: AnnularRegion) -> tuple[int, int]:
         raise TopologyError(
             f"winding disagrees across levels: {[(lp.N, lp.orientation) for lp in loops]}"
         )
-    n = loops[0].N
+    n, m = loops[0].N, loops[0].orientation * loops[0].N
+    s = int(np.sum(mult[want]))
+    if s != m:
+        raise TopologyError(
+            f"region {region.label}: winding {m} disagrees with enclosed zero-pole count {s}"
+        )
     offsets = np.cumsum([0] + [lp.points.size for lp in loops])
     grid = PhiGrid(
         points=np.concatenate([lp.points for lp in loops]),
@@ -423,7 +425,7 @@ def winding_N(f: RationalFn, region: AnnularRegion) -> tuple[int, int]:
     )
     region.phi_grid = grid
     region.basepoint = complex(grid.points[grid.basepoint_index])
-    return n, loops[0].orientation * n
+    return n, m
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ the first point at the end; the helpers below state which form they expect.
 
 ``SegmentIndex``, the package's one spatial index, answers each query from
 the grid cells of a search box that doubles until the distance is exact, and
-gives the same float as brute force.
+gives the same float as brute force; it builds the grid on its first grid
+search, not before.
 """
 
 from __future__ import annotations
@@ -88,15 +89,18 @@ class SegmentIndex:
 
     Each polyline contributes only its own segments; a one-point polyline is
     a point.  A 2-D array is a stack of equal-length polylines, so
-    ``pts[:, None]`` indexes a point set.  Each segment is hashed into the
-    cells of a uniform grid that its bounding box meets.  A query is answered
-    in passes over the cells that meet a square of half-width r about it (one
-    range of the hash per grid column), r first half a cell beyond the grid
-    and at most ``upto``.  A segment within r has its nearest point in a
-    scanned cell, so a best candidate at most r is exact; otherwise r doubles
-    up to ``upto``, and a square over the whole grid is one brute-force pass.
-    Every candidate goes through one formula, so a distance is the same
-    float as the minimum over all segments.
+    ``pts[:, None]`` indexes a point set.  The first grid search hashes each
+    segment into the cells of a uniform grid that its bounding box meets;
+    ``distances`` scores a call of at most _BLOCK_PAIRS pairs by brute force,
+    so an index that sees only such calls never builds its grid.  A grid
+    search answers a query in passes over the cells that meet a square of
+    half-width r about it (one range of the hash per grid column), r first
+    half a cell beyond the grid and at most ``upto``.  A segment within r
+    has its nearest point in a scanned cell, so a best candidate at most r
+    is exact; otherwise r doubles up to ``upto``, and a square over the
+    whole grid is one brute-force pass.  Every candidate goes through one
+    formula, so a distance is the same float as the minimum over all
+    segments.
 
     ``distances`` gives every distance; ``max_distance`` gives only the
     largest, as the one side of a Hausdorff distance needs.  It keeps the
@@ -119,11 +123,14 @@ class SegmentIndex:
         self._d = b - a
         denom = self._d.real**2 + self._d.imag**2
         self._denom = np.where(denom == 0.0, 1.0, denom)
-        if a.size:
-            self._build_grid(b)
+        # the segment ends, kept for the grid: a + d need not be b
+        self._b: np.ndarray | None = b
 
-    def _build_grid(self, b: np.ndarray) -> None:
-        a, n = self._a, self._a.size
+    def _build_grid(self) -> None:
+        """Hash the segments into the grid, once; the first grid search calls it."""
+        if self._b is None:
+            return
+        a, b, n = self._a, self._b, self._a.size
         lo_x, hi_x = np.minimum(a.real, b.real), np.maximum(a.real, b.real)
         lo_y, hi_y = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
         self._x0, self._y0 = float(lo_x.min()), float(lo_y.min())
@@ -150,6 +157,7 @@ class SegmentIndex:
         # rounding of cell coordinates and of the distance formula, added to
         # every search box
         self._slack = 1e-12 * (abs(self._x0) + abs(self._y0) + w + h)
+        self._b = None
 
     @staticmethod
     def _cells(x: np.ndarray, x0: float, cell: float, n: int | None = None) -> np.ndarray:
@@ -212,6 +220,7 @@ class SegmentIndex:
         distance already finished, and the search returns as soon as one
         query is proven beyond upto, leaving that query's entry above upto.
         """
+        self._build_grid()
         nx, ny, cell = self._nx, self._ny, self._cell
         best = np.full(zs.shape, np.inf)
         ok = np.isfinite(zs)

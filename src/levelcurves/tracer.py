@@ -42,7 +42,9 @@ the seeds, or traced twice, is an error rather than a short or long list.
 :func:`trace_level_set` seeds in rungs and stops at the first rung whose
 components make the turn complete: the stored critical curves at the level,
 then one ray per zero and pole, then the other 7 rays of each.  Every ray
-seed comes from :func:`find_seeds` and its batched ``_ray_crossings``.
+seed comes from :func:`find_seeds` and its batched ``_ray_crossings``, which
+narrows all the crossings of a call together in ten 32-way rounds, one grid
+evaluation each.
 """
 
 from __future__ import annotations
@@ -666,7 +668,8 @@ def find_seeds(f: RationalFn, eps: float, rays=range(8)) -> list[complex]:
     ray 0 first and the other 7 only when the turn count comes up short.
     The chosen rays of every anchor are searched together
     (``_ray_crossings``); the first 6 in-domain crossings of each ray, each
-    bisected 50 times, are the seeds, in anchor, ray and distance order.
+    narrowed to 2^-50 of its sample interval, are the seeds, in anchor, ray
+    and distance order.
     The tracer corrects each seed it starts from.  Duplicates are fine;
     tracing deduplicates.  The seeds are not checked for completeness here:
     :func:`trace_level_set` certifies the components it traces.
@@ -721,30 +724,48 @@ def _seed_box(f: RationalFn, eps: float):
     )
 
 
+# each round of the ray search splits every bracket into _RAY_SPLIT parts in
+# one grid evaluation; _RAY_ROUNDS rounds shrink it by 32^10 = 2^50.  Few,
+# wide rounds: the cost of a round is mostly numpy's fixed cost per call
+_RAY_SPLIT = 32
+_RAY_ROUNDS = 10
+
+
 def _ray_crossings(f, eps, anchors, phase, ts, rays=range(8)):
     """Crossings of |f| = eps on the rays p + t e^(i theta_k), t in ts.
 
     theta_k = 2 pi (k + phase) / 8 for every anchor p and every k in
     ``rays`` (ascending, within 0..7).  Sign changes of |f| - eps between
-    consecutive samples are bracketed with one grid evaluation and all
-    brackets are bisected together, 50 halvings.  Returns (points, anchor
-    indices, ray indices k), in anchor, ray, distance order; a crossing does
-    not depend on which other rays are cast.
+    consecutive samples are bracketed with one grid evaluation.  Then
+    _RAY_ROUNDS rounds shrink every bracket together: one grid evaluation at
+    the _RAY_SPLIT - 1 interior points of each splits it into _RAY_SPLIT
+    equal parts, and the part ending at the first sign change from the lo end
+    is kept, or the last part where there is none.  The crossing is the
+    midpoint of the last bracket, 2^-50 of a sample interval wide, as after
+    50 halvings.  Returns (points, anchor indices, ray indices k), in anchor,
+    ray, distance order; a crossing does not depend on which other rays are
+    cast.
     """
     origins = np.asarray(anchors, dtype=complex)
     rays = np.asarray(rays)
     directions = np.exp(1j * TWO_PI * (rays + phase) / 8)
     sgn = np.sign(f.abs_grid(origins[:, None, None] + directions[:, None] * ts) - eps)
     a, k, i = np.nonzero(sgn[..., :-1] * sgn[..., 1:] < 0)
-    side = sgn[a, k, i]
-    origin, direction = origins[a], directions[k]
-    lo, hi = ts[i], ts[i + 1]
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        same = np.sign(f.abs_grid(origin + mid * direction) - eps) == side
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    return origin + 0.5 * (lo + hi) * direction, a, rays[k]
+    side = sgn[a, k, i, None]
+    origin, direction = origins[a, None], directions[k, None]
+    lo, hi = ts[i, None], ts[i + 1, None]
+    row = np.arange(a.size)[:, None]
+    split = np.arange(1, _RAY_SPLIT) / _RAY_SPLIT
+    for _ in range(_RAY_ROUNDS):
+        # hi - lo is exact while hi <= 2 lo (Sterbenz), as in every sample
+        # interval, so the points stay in [lo, hi] and in order
+        t = np.concatenate([lo, lo + (hi - lo) * split, hi], axis=1)
+        same = np.sign(f.abs_grid(origin + t[:, 1:-1] * direction) - eps) == side
+        # the count of leading points on the lo side of eps: the kept part
+        # starts at point n and ends at the first point past the change
+        n = np.cumprod(same, axis=1).sum(axis=1, keepdims=True)
+        lo, hi = t[row, n], t[row, n + 1]
+    return (origin + 0.5 * (lo + hi) * direction)[:, 0], a, rays[k]
 
 
 def trace_level_set(f: RationalFn, eps: float) -> list[LevelCurveComponent]:

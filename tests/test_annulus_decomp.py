@@ -6,7 +6,9 @@ from conftest import build_corpus
 
 from levelcurves import (
     CertificateError,
+    RationalFn,
     TopologyError,
+    TraceError,
     build_phi,
     decompose,
     parse_function_spec,
@@ -14,7 +16,8 @@ from levelcurves import (
     verify_phi,
     winding_N,
 )
-from levelcurves.annulus_decomp import _certify_loop
+from levelcurves.annulus_decomp import _certify_loop, _inside_inner, _zeros_and_poles
+from levelcurves.funcspace import random_polynomial
 from levelcurves.order_topology import CurveKind
 
 
@@ -153,6 +156,21 @@ def test_two_poles_inside_one_critical_curve_on_the_disk():
     assert all(cert.ok for cert in certify_all(f, regions))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=TraceError,
+    reason="TraceError: could not launch from vertex (-1.888387378385972-0.9622048344853161j) along ray 2.8015",
+)
+def test_degree_20_draw_decomposes():
+    # the fourth of random_polynomial(default_rng(7), d) for d = 15, 15, 15,
+    # 20, 20, 20; the other five decompose and pass verify_phi
+    rng = np.random.default_rng(7)
+    for d in (15, 15, 15):
+        random_polynomial(rng, d)
+    f = RationalFn(random_polynomial(rng, 20))
+    assert all(cert.ok for cert in certify_all(f, decompose(f)))
+
+
 def test_winding_consistent_across_levels(z5m1, z5_regions):
     outer = next(r for r in z5_regions if r.eps1 != 0.0)
     # winding_N itself checks that all its loops agree; run it fresh
@@ -195,9 +213,10 @@ def test_sibling_petal_loop_fails_enclosed_set(z5m1, z5_regions):
     petals = [r for r in z5_regions if r.eps1 == 0.0]
     here, sibling = petals[0], petals[1]
     loop = trace_component(z5m1, 0.5, 1.1 * sibling.inner_boundary.point)
-    assert _certify_loop(z5m1, sibling, loop).N == 1
+    zp, _ = _zeros_and_poles(z5m1)
+    assert _certify_loop(z5m1, sibling, loop, zp, _inside_inner(sibling, zp)).N == 1
     with pytest.raises(TopologyError, match="encloses the zeros and poles"):
-        _certify_loop(z5m1, here, loop)
+        _certify_loop(z5m1, here, loop, zp, _inside_inner(here, zp))
 
 
 def _worst_branch_jump(grid, M):

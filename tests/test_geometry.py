@@ -66,6 +66,22 @@ def test_index_matches_brute_force_exactly(scene):
         assert np.array_equal(SegmentIndex(np.array(polylines)).distances(zs), want)
 
 
+def test_grid_is_built_by_the_first_grid_search():
+    rng = np.random.default_rng(8)
+    line = np.cumsum(rng.normal(size=201) + 1j * rng.normal(size=201))
+    zs = line[rng.integers(0, line.size, 400)] + rng.normal(size=400) + 1j * rng.normal(size=400)
+    index = SegmentIndex([line])
+    # 40 queries x 200 segments lie within _BLOCK_PAIRS: brute force, no grid
+    small = index.distances(zs[:40])
+    assert not hasattr(index, "_members")
+    assert np.array_equal(small, index._brute(zs[:40]))
+    index.max_distance(zs[:40])
+    assert hasattr(index, "_members")
+    # 400 x 200 pairs go through the grid, to the same floats
+    assert zs.size * (line.size - 1) > geometry._BLOCK_PAIRS
+    assert np.array_equal(index.distances(zs), index._brute(zs))
+
+
 def test_empty_index_is_infinitely_far():
     assert np.all(SegmentIndex([]).distances([0j, 1 + 1j]) == np.inf)
 
@@ -137,6 +153,7 @@ def _edge_scenes():
 def test_index_edge_cases_match_brute_force_bitwise(name):
     polylines, arg = _edge_scenes()[name]
     index = SegmentIndex(polylines if arg is None else arg)
+    index._build_grid()  # the first grid search would build it
     rng = np.random.default_rng(5)
     x0, y0, cell = index._x0, index._y0, index._cell
     # cell corners, points on vertical and on horizontal cell edges, points

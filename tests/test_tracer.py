@@ -258,6 +258,7 @@ def self_intersections(arcs, exclusion_centers=(), exclusion_radius: float = 0.0
     """
     segs = [(arc_id, i, p[i], p[i + 1]) for arc_id, p in enumerate(arcs) for i in range(p.size - 1)]
     index = geometry.SegmentIndex(arcs)
+    index._build_grid()  # the first grid search would build it
 
     def excluded(p0, p1):
         return any(abs(p0 - c) < exclusion_radius and abs(p1 - c) < exclusion_radius for c in exclusion_centers)
@@ -361,27 +362,65 @@ def _scalar_ray_crossings(f, eps, p, theta, ts):
         ("poly:1,0,-1", 0.7),
         ("blaschke:0.36,-0.34+0.03i/0.05+0.02i", 0.5),
         ("rat:1,0,-1/1,0.5i,0.25", 0.5),
-    ],
+    ]
+    # ten of the acceptance corpus at every critical level, the levels that
+    # send the benchmark's corpus pass through find_seeds
+    + [(f"corpus30[{i}]", "critical") for i in range(0, 30, 3)],
 )
-def test_batched_ray_search_matches_scalar_reference(spec, eps):
-    f = parse_function_spec(spec)
-    x0, y0, x1, y1 = _seed_box(f, eps)
-    reach = max(x1 - x0, y1 - y0)
-    ts = np.geomspace(1e-6 * reach, 1.6 * reach, 400)
-    anchors = [z for z, _ in f.zeros] + [z for z, _ in f.poles]
-    for phase in (0.21, 0.37):
-        pts, a, k = _ray_crossings(f, eps, anchors, phase, ts)
-        assert list(zip(a, k)) == sorted(zip(a, k))  # anchor, then ray order
-        total = 0
-        for ai, p in enumerate(anchors):
-            for ki in range(8):
-                want = _scalar_ray_crossings(f, eps, p, 2 * math.pi * (ki + phase) / 8, ts)
-                got = pts[(a == ai) & (k == ki)]
-                assert len(got) == len(want)
-                # same crossings in the same order: outward along the ray
-                assert np.all(np.abs(got - np.array(want, dtype=complex)) <= 1e-12 * reach)
-                total += len(want)
-        assert total == len(pts) > 0
+def test_batched_ray_search_matches_scalar_reference(spec, eps, corpus30):
+    if eps == "critical":
+        f = corpus30[int(spec[9:-1])]
+        levels = [f.abs_eval(c) for c, _ in f.critical_points]
+    else:
+        f, levels = parse_function_spec(spec), [eps]
+    for eps in levels:
+        x0, y0, x1, y1 = _seed_box(f, eps)
+        reach = max(x1 - x0, y1 - y0)
+        ts = np.geomspace(1e-6 * reach, 1.6 * reach, 400)
+        anchors = [z for z, _ in f.zeros] + [z for z, _ in f.poles]
+        for phase in (0.21, 0.37):
+            pts, a, k = _ray_crossings(f, eps, anchors, phase, ts)
+            assert list(zip(a, k)) == sorted(zip(a, k))  # anchor, then ray order
+            total = 0
+            for ai, p in enumerate(anchors):
+                for ki in range(8):
+                    want = _scalar_ray_crossings(f, eps, p, 2 * math.pi * (ki + phase) / 8, ts)
+                    got = pts[(a == ai) & (k == ki)]
+                    assert len(got) == len(want)
+                    # same crossings in the same order: outward along the ray
+                    assert np.all(np.abs(got - np.array(want, dtype=complex)) <= 1e-12 * reach)
+                    total += len(want)
+            assert total == len(pts) > 0
+
+
+def test_ray_search_makes_eleven_grid_passes(monkeypatch):
+    # one pass over the ray samples, then one per round for all brackets
+    f = parse_function_spec("poly:1,0,0,0,0,-1")
+    sizes = []
+    abs_grid = f.abs_grid
+    monkeypatch.setattr(f, "abs_grid", lambda z: sizes.append(np.size(z)) or abs_grid(z))
+    ts = np.geomspace(1e-6, 3.0, 400)
+    pts, _, _ = _ray_crossings(f, 0.5, [z for z, _ in f.zeros], 0.21, ts)
+    assert len(sizes) == 11
+    assert sizes == [5 * 8 * 400] + [31 * len(pts)] * 10
+
+
+def test_ray_search_keeps_a_bracket_that_straddles_eps():
+    # (x - 1)(x - 2)(x - 3) = +-0.1 three times on [0.5, 2.05], near 0.95,
+    # 1.05 and 1.9: one sample interval holds three crossings
+    f = parse_function_spec("poly:1,-6,11,-6")
+    eps, ts = 0.1, np.array([0.5, 2.05])
+    (p,), a, k = _ray_crossings(f, eps, [0j], 0.0, ts, rays=(0,))
+    assert (a.tolist(), k.tolist()) == ([0], [0])
+    crossings = [r.real for s in (1, -1) for r in np.roots([1, -6, 11, -6 - s * eps]) if abs(r.imag) < 1e-9]
+    crossings = sorted(c for c in crossings if ts[0] < c < ts[1])
+    assert len(crossings) == 3
+    assert abs(p.imag) <= 1e-15 and min(abs(p.real - c) for c in crossings) < 1e-14
+    # the last bracket is 2^-50 of the sample interval wide, and |f| - eps
+    # changes sign across it
+    half = 0.5 * (ts[1] - ts[0]) * 2.0**-50
+    lo, hi = f.abs_grid(np.array([p.real - half, p.real + half])) - eps
+    assert lo * hi < 0
 
 
 def test_corrector_returns_python_complex():
