@@ -9,9 +9,10 @@ to one algorithm live beside their code: the step controller's sag target
 ``SAG_REL``, its arg-step cap ``MAX_ARG_STEP`` and its step floor
 ``MIN_STEP_REL`` in ``tracer``, with the refused near-critical band
 (``NECK_MIN_STEPS``, ``LEVEL_MIN_GATES``) and the winding tolerance
-``WINDING_TOL``, the root clustering and residual scales in ``funcspace``
-(``ROOT_CLUSTER_REL``, ``ROOT_RESIDUAL``), and the rotation-system angle in
-``levelgraph`` (``ANGLE_TOL``).
+``WINDING_TOL``, and the rotation-system angle in ``levelgraph``
+(``ANGLE_TOL``).  Root multiplicities take no tolerance either: each root
+cluster carries a disk in which Pellet's test certifies its count
+(``funcspace.find_roots``).
 """
 
 from __future__ import annotations

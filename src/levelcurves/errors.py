@@ -10,7 +10,7 @@ class FunctionSpecError(LevelCurveError):
 
 
 class RootFindingError(LevelCurveError):
-    """Polynomial root finder failed to converge."""
+    """No radius certifies a polynomial's root cluster."""
 
 
 class TraceError(LevelCurveError):

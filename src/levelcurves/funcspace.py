@@ -21,7 +21,7 @@ Complex literals use ``a+bi`` (or ``j``) notation, e.g. ``-0.4i``, ``1+2i``.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -35,11 +35,6 @@ INF = complex(math.inf, 0.0)
 TRIM_REL = 1e-13
 # Aberth iteration budget
 ABERTH_MAX_ITER = 400
-# root clustering distance, relative to the root magnitude scale
-ROOT_CLUSTER_REL = 1e-7
-# residual scale for reported roots: |p(root)| <= ROOT_RESIDUAL * (1 + max|coeff|)
-ROOT_RESIDUAL = 1e-9
-
 
 def is_inf(z: complex) -> bool:
     return not (math.isfinite(z.real) and math.isfinite(z.imag))
@@ -128,9 +123,11 @@ class Polynomial:
         c[np.abs(c) <= TRIM_REL * m] = 0.0
         return Polynomial(c)
 
-    def roots(self) -> list[tuple[complex, int]]:
-        """Roots with multiplicities, residual-checked and clustered; found once
-        per polynomial, and a fresh list on every call."""
+    def roots(self) -> list[RootCluster]:
+        """The certified root clusters (z, m) of :func:`find_roots`, each with
+        its disk's radius: m is a certified count of roots in that disk, not a
+        proven m-fold root.  Found once per polynomial; a fresh list on every
+        call."""
         if self._roots is None:
             self._roots = tuple(find_roots(self.coeffs))
         return list(self._roots)
@@ -172,13 +169,29 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
     return z
 
 
-def find_roots(coeffs) -> list[tuple[complex, int]]:
-    """All roots of a polynomial with multiplicities.
+class RootCluster(tuple):
+    """A root cluster ``(z, m)`` of a polynomial with the radius of its
+    certified disk: exactly m roots, counted with multiplicity, lie in
+    |w - z| < ``radius`` (see :func:`find_roots`).  It compares, unpacks and
+    prints as the pair (z, m)."""
 
-    Exact zero roots are factored out first (they carry exact multiplicity),
-    the rest go through Aberth iteration, distance clustering, and a Newton
-    polish of each cluster on the appropriate derivative.  Raises
-    :class:`RootFindingError` when a reported root fails its residual gate.
+    def __new__(cls, z: complex, m: int, radius: float):
+        self = super().__new__(cls, (z, m))
+        self.radius = radius
+        return self
+
+    def __getnewargs__(self):
+        return (*self, self.radius)
+
+
+def find_roots(coeffs) -> list[RootCluster]:
+    """All roots of a polynomial, as clusters (z, m) whose disks of radius
+    ``RootCluster.radius`` are disjoint and hold exactly m roots each by
+    Pellet's test (:func:`_pellet_radii`), so the counts sum to the degree.
+    m is a certified count in a disk, not a proven m-fold root: roots closer
+    than double precision can tell apart form one cluster.  Exact zero roots
+    are factored out first, as one cluster at 0; the others start as Aberth
+    roots, one cluster each, merged by :func:`_certified_clusters`.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
     n = c.size
@@ -197,37 +210,49 @@ def find_roots(coeffs) -> list[tuple[complex, int]]:
         work = work[1:]
         zero_mult += 1
 
-    raw: list[complex] = []
-    if work.size > 1:
-        raw = list(_aberth(work))
-
-    derivs = [work]
-    for _ in range(work.size - 1):
-        derivs.append(npoly.polyder(derivs[-1]))
-
-    clusters = _merge_multiple_roots(_cluster_points(raw), derivs)
-    out: list[tuple[complex, int]] = []
+    derivs = [work, npoly.polyder(work)]
+    clusters = [(_polish(z, 1, derivs), [(z, 1)]) for z in (_aberth(work) if work.size > 1 else [])]
     if zero_mult:
-        out.append((0j, zero_mult))
-
-    residual_cap = ROOT_RESIDUAL * (1.0 + float(np.max(np.abs(work))))
-    for center, mult in clusters:
-        z = _polish(center, mult, derivs, 8)
-        res = abs(npoly.polyval(z, work))
-        if res > residual_cap * max(1.0, abs(z)) ** max(work.size - 1, 1):
-            raise RootFindingError(f"root candidate {z} has residual {res:.3e} above gate")
-        out.append((complex(z), mult))
-
-    out.sort(key=lambda rm: (round(rm[0].real, 12), round(rm[0].imag, 12)))
-    return out
+        clusters.append((0j, [(0j, zero_mult)]))
+    return _certified_clusters(clusters, work, partial(_pellet_radii, c))
 
 
-def _polish(z: complex, m: int, derivs: list[np.ndarray], iters: int) -> complex:
-    """Newton from z on derivs[m - 1]: a multiplicity-m root is a simple root of
-    the (m-1)th derivative.  derivs is the chain p, p', p'', ... of p."""
-    target = derivs[m - 1]
-    dtarget = derivs[m] if m < len(derivs) else np.array([0j])
-    for _ in range(iters):
+def _certified_clusters(clusters, coeffs: np.ndarray, radii_of) -> list[RootCluster]:
+    """Merge clusters (center, members (z, m)) until ``radii_of(centers,
+    counts, gaps)``, gaps being the distances to the nearest other center,
+    gives each a radius, not nan.  Each round the uncertified cluster nearest
+    another joins it, at the weighted mean of their members polished on the
+    ascending ``coeffs`` (:func:`_polish`), or at 0 with the exact zero root
+    of :func:`find_roots`.  A lone uncertified cluster raises
+    :class:`RootFindingError`.
+    """
+    while True:
+        centers = np.array([z for z, _ in clusters], dtype=complex)
+        counts = np.array([sum(m for _, m in g) for _, g in clusters])
+        dist = np.abs(centers[:, None] - centers[None, :])
+        np.fill_diagonal(dist, math.inf)
+        gaps = dist.min(axis=1)
+        radii = radii_of(centers, counts, gaps)
+        bad = np.isnan(radii)
+        if not bad.any():
+            out = [RootCluster(complex(z), int(m), float(r)) for z, m, r in zip(centers, counts, radii)]
+            return sorted(out, key=lambda rm: (round(rm[0].real, 12), round(rm[0].imag, 12)))
+        if len(clusters) == 1:
+            raise RootFindingError(f"no radius certifies the cluster of {counts[0]} about {centers[0]}")
+        i = int(np.argmin(np.where(bad, gaps, math.inf)))
+        i, j = sorted((i, int(np.argmin(dist[i]))))
+        g = sorted(clusters.pop(j)[1] + clusters.pop(i)[1], key=lambda zm: (zm[0].real, zm[0].imag))
+        m = sum(k for _, k in g)
+        derivs = [npoly.polyder(coeffs, k) for k in range(m + 1)]
+        clusters.append((0j if any(z == 0 for z, _ in g) else _polish(sum(z * k for z, k in g) / m, m, derivs), g))
+
+
+def _polish(z: complex, m: int, derivs: list[np.ndarray]) -> complex:
+    """8 Newton steps from z on derivs[m - 1]: a cluster of m roots about z
+    is a simple root of the (m-1)th derivative.  derivs is the chain p, p',
+    p'', ... of p, to order m at least."""
+    target, dtarget = derivs[m - 1], derivs[m]
+    for _ in range(8):
         dv = npoly.polyval(z, dtarget)
         if dv == 0:
             break
@@ -238,74 +263,34 @@ def _polish(z: complex, m: int, derivs: list[np.ndarray], iters: int) -> complex
     return z
 
 
-def _merge_multiple_roots(clusters, derivs: list[np.ndarray]):
-    """Merge root clusters that are indistinguishable from one multiple root.
-
-    A multiplicity-m root under coefficient noise eta scatters by eta^(1/m),
-    so candidates within (1e3*eps_mach)^(1/m) of each other are tried as one
-    root of multiplicity m.  The merge is accepted only when the polished
-    center annihilates p and its first m-1 derivatives to noise level, which
-    a genuinely separated simple cluster cannot do.
+def _pellet_radii(coeffs: np.ndarray, centers: np.ndarray, counts: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """For each center c with count k, the smallest rung r of its ladder at
+    which Pellet's test certifies exactly k roots of the polynomial with
+    ascending ``coeffs`` (one column per center, or one for all) in
+    |z - c| < r; nan where no rung does.  With the Taylor shift
+    p(c + w) = sum_j b_j w^j of :func:`_taylor_shift`, |b_k| r^k - sum_{j != k}
+    |b_j| r^j must exceed :func:`_rounding_allowance`: then b_k w^k outweighs
+    the rest on |w| = r (Rouche; Becker, Sagraloff, Sharma & Yap, J. Symbolic
+    Comput. 86, 2018; Rump, J. Comput. Appl. Math. 156, 2003).  The ladder's
+    53 rungs, the mantissa length, halve from half the gap to the nearest
+    other center, which keeps the disks disjoint, to about u times it; a lone
+    center (gap inf) starts at twice the Cauchy bound 1 + max_{j<n} |b_j / b_n|
+    of its shift.
     """
-    if len(clusters) < 2:
-        return clusters
-    noise = 1e3 * np.finfo(float).eps
-
-    def radius(m, scale):
-        return noise ** (1.0 / m) * scale
-
-    def verify(center, m):
-        c = _polish(center, m, derivs, 10)
-        zscale = max(1.0, abs(c))
-        for j in range(m):
-            gate = 1e-8 * (1.0 + float(np.max(np.abs(derivs[j])))) * zscale ** max(
-                derivs[j].size - 1, 1
-            )
-            if abs(npoly.polyval(c, derivs[j])) > gate:
-                return None
-        return c
-
-    merged = True
-    while merged and len(clusters) > 1:
-        merged = False
-        for i, (ci, mi) in enumerate(clusters):
-            others = sorted(
-                (abs(cj - ci), j) for j, (cj, _) in enumerate(clusters) if j != i
-            )
-            scale = max(1.0, abs(ci))
-            for k in range(len(others), 0, -1):
-                group = [i] + [j for _, j in others[:k]]
-                m_total = sum(clusters[j][1] for j in group)
-                if others[k - 1][0] > radius(m_total, scale):
-                    continue
-                center = sum(clusters[j][0] * clusters[j][1] for j in group) / m_total
-                polished = verify(center, m_total)
-                if polished is None:
-                    continue
-                clusters = [clusters[j] for j in range(len(clusters)) if j not in group]
-                clusters.append((polished, m_total))
-                merged = True
-                break
-            if merged:
-                break
-    return clusters
-
-
-def _cluster_points(points) -> list[tuple[complex, int]]:
-    if not points:
-        return []
-    pts = sorted(points, key=lambda z: (z.real, z.imag))
-    scale = max(1.0, max(abs(z) for z in pts))
-    tol = ROOT_CLUSTER_REL * scale
-    groups: list[list[complex]] = []
-    for z in pts:
-        for g in groups:
-            if abs(z - g[0]) < tol or abs(z - sum(g) / len(g)) < tol:
-                g.append(z)
-                break
-        else:
-            groups.append([z])
-    return [(sum(g) / len(g), len(g)) for g in groups]
+    n = len(coeffs) - 1
+    mods = np.abs(np.array(_taylor_shift(coeffs, centers)))
+    top = np.where(np.isinf(gaps), 2.0 * (1.0 + mods[:-1].max(axis=0) / mods[-1]), gaps / 2)
+    rungs = np.finfo(float).nmant + 1
+    ladder = top[:, None] * 2.0 ** -np.arange(rungs)
+    signed = np.where(np.arange(n + 1)[:, None] == counts, mods, -mods)
+    margin = np.zeros(ladder.shape)
+    with np.errstate(all="ignore"):
+        for s in signed[::-1]:
+            margin = margin * ladder + s[:, None]
+        ok = margin > _rounding_allowance(coeffs[..., None], centers[:, None], ladder)
+    # the rungs descend, so the last one that passes is the smallest
+    last = rungs - 1 - np.argmax(ok[:, ::-1], axis=1)
+    return np.where(ok.any(axis=1), ladder[np.arange(centers.size), last], np.nan)
 
 
 def _taylor_shift(coeffs: np.ndarray, centers: np.ndarray) -> list[np.ndarray]:
@@ -318,12 +303,38 @@ def _taylor_shift(coeffs: np.ndarray, centers: np.ndarray) -> list[np.ndarray]:
     Gerhard, "Fast algorithms for Taylor shifts and certain difference
     equations", ISSAC 1997).
     """
-    n = coeffs.size - 1
+    n = len(coeffs) - 1
     b = [np.full(centers.shape, a) for a in coeffs]
     for j in range(n):
         for i in range(n - 1, j - 1, -1):
             b[i] = b[i] + centers * b[i + 1]
     return b
+
+
+def _rounding_allowance(coeffs: np.ndarray, centers: np.ndarray, radius) -> np.ndarray:
+    """gamma_N S, where S = sum_i |a_i| (|c| + r)^i, N = 12 (n + 1),
+    gamma_N = N u / (1 - N u) and u = 2^-53: a bound on the rounding error of
+    a sum sum_k +-|b_k| r^k formed by Horner from the computed Taylor shift
+    b_0, ..., b_n of the ascending ``coeffs`` a_0, ..., a_n to each center c
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.1
+    and 5.1).
+
+    The count: each term C(i, k) a_i c^(i-k) of b_k meets i - k complex
+    products, each within (1 + u)^3 (Higham, Lemma 3.5), and at most i + 1
+    complex sums, so the computed b_k is off by at most gamma_{4n+1} sum_i
+    C(i, k) |a_i| |c|^(i-k), and these bounds weighted by r^k sum to S;
+    forming the moduli (hypot, within an ulp), the powers of r and the sum
+    takes at most 2n + 4 more roundings; and S is computed within
+    (1 + u)^(5n+5), since |c| + r carries three roundings into each power.
+    (4n + 1) + (2n + 4) + (5n + 5) <= N.
+    """
+    n = len(coeffs) - 1
+    x = np.abs(centers) + radius
+    majorant = np.full(centers.shape, abs(coeffs[-1]))
+    for a in coeffs[-2::-1]:
+        majorant = majorant * x + abs(a)
+    big_n = 12 * (n + 1)
+    return big_n * 2.0**-53 / (1.0 - big_n * 2.0**-53) * majorant
 
 
 def _modulus_bounds(coeffs: np.ndarray, centers: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
@@ -333,31 +344,15 @@ def _modulus_bounds(coeffs: np.ndarray, centers: np.ndarray, radius) -> tuple[np
     With the Taylor shift p(c + w) = sum_k b_k w^k of :func:`_taylor_shift`,
     on |w| <= r,
 
-        |b_0| - sum_{k>=1} |b_k| r^k  <=  |p(c + w)|  <=  |b_0| + sum_{k>=1} |b_k| r^k.
+        |b_0| - sum_{k>=1} |b_k| r^k  <=  |p(c + w)|  <=  |b_0| + sum_{k>=1} |b_k| r^k,
 
-    Each side is widened by gamma_N S, where S = sum_i |a_i| (|c| + r)^i,
-    N = 12 (n + 1), gamma_N = N u / (1 - N u) and u = 2^-53 (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.1 and 5.1).
-    The count: each term C(i, k) a_i c^(i-k) of b_k meets i - k complex
-    products, each within (1 + u)^3 (Higham, Lemma 3.5), and at most i + 1
-    complex sums, so the computed b_k is off by at most gamma_{4n+1} sum_i
-    C(i, k) |a_i| |c|^(i-k), and these bounds weighted by r^k sum to S;
-    forming the moduli (hypot, within an ulp), the powers of r and the two
-    sides takes at most 2n + 4 more roundings; and S is computed within
-    (1 + u)^(5n+5), since |c| + r carries three roundings into each power.
-    (4n + 1) + (2n + 4) + (5n + 5) <= N.
+    each side widened by :func:`_rounding_allowance`.
     """
-    n = coeffs.size - 1
     b = _taylor_shift(coeffs, centers)
     tail = np.zeros(centers.shape)
     for bk in b[:0:-1]:
         tail = (tail + np.abs(bk)) * radius
-    x = np.abs(centers) + radius
-    majorant = np.full(centers.shape, abs(coeffs[-1]))
-    for a in coeffs[-2::-1]:
-        majorant = majorant * x + abs(a)
-    big_n = 12 * (n + 1)
-    allowance = big_n * 2.0**-53 / (1.0 - big_n * 2.0**-53) * majorant
+    allowance = _rounding_allowance(coeffs, centers, radius)
     head = np.abs(b[0])
     return head - tail - allowance, head + tail + allowance
 
@@ -373,7 +368,8 @@ class RationalFn:
     alone (distinguished points, local models, critical windows, critical
     curves); every method is pure, so sharing across threads is safe.
     Construction rejects constant functions and numerator / denominator
-    pairs with a (numerically) common root.
+    pairs with a common root: a pair of root clusters whose certified disks
+    meet.
     """
 
     # the fixed certificate gates; ``bench/run.py`` reads ``f.tols.hull_tol``
@@ -436,19 +432,11 @@ class RationalFn:
         )
 
     def _check_coprime(self):
-        nz = [r for r, _ in self.numerator.roots()]
-        dz = [r for r, _ in self.denominator.roots()]
-        scale = max(
-            [1.0]
-            + [abs(r) for r in nz]
-            + [abs(r) for r in dz]
-        )
-        for a in nz:
-            for b in dz:
-                if abs(a - b) < 1e-9 * scale:
-                    raise FunctionSpecError(
-                        f"numerator and denominator share a root near {a}"
-                    )
+        # a shared root cannot be told from two roots whose certified disks meet
+        for a in self.numerator.roots():
+            for b in self.denominator.roots():
+                if abs(a[0] - b[0]) < a.radius + b.radius:
+                    raise FunctionSpecError(f"numerator and denominator share a root near {a[0]}")
 
     def check_boundary_restriction(self):
         """Reject configurations whose level curves touch the domain boundary.
@@ -583,26 +571,42 @@ class RationalFn:
 
     @cached_property
     def all_critical_points(self) -> list[tuple[complex, int]]:
-        """Zeros of f' in the plane with multiplicities (pole factors removed)."""
+        """Zeros of f' in the plane as vertices (c, m) of the local model
+        f - f(c) = a (z - c)^(m+1) + ...
+
+        They start as the root clusters of n'd - nd', less the spurious roots
+        at multiple poles.  Each carries a disk about c where Pellet's test
+        (:func:`_pellet_radii`) certifies exactly m + 1 roots of n - f(c) d; a
+        critical point no disk certifies has neighbours that f cannot tell
+        apart from it in double precision, and is merged with them
+        (:func:`_certified_clusters`).
+        """
         w = self.derivative_numerator
         if w.is_zero:
             raise FunctionSpecError("f' vanishes identically; f is constant")
         roots = w.roots()
-        # a pole of order m contributes an (m-1)-fold spurious root of n'd - nd'
-        poles_all = self.denominator.roots()
-        scale = max([1.0] + [abs(p) for p, _ in poles_all])
-        out = []
-        for z, m in roots:
-            drop = 0
-            for p, pm in poles_all:
-                if pm >= 2 and abs(z - p) < 1e-7 * scale:
-                    drop = pm - 1
-                    break
-            if m > drop:
-                out.append((z, m - drop))
-            elif drop == 0:
-                out.append((z, m))
-        return out
+        # a pole of order pm >= 2 is a root of n'd - nd' of order pm - 1: the
+        # critical cluster nearest the pole among those whose disks meet its
+        # disk gives up that count
+        drop = [0] * len(roots)
+        for p in self.denominator.roots():
+            if p[1] >= 2:
+                meets = [i for i, z in enumerate(roots) if abs(z[0] - p[0]) < z.radius + p.radius]
+                if not meets:
+                    raise RootFindingError(f"no critical cluster meets the pole {p[0]} of order {p[1]}")
+                drop[min(meets, key=lambda i: abs(roots[i][0] - p[0]))] += p[1] - 1
+        crit = [(z, [(z, m - d)]) for (z, m), d in zip(roots, drop) if m > d]
+        if not crit:
+            return []
+        size = max(self.numerator.coeffs.size, self.denominator.coeffs.size)
+        num, den = (np.pad(q.coeffs, (0, size - q.coeffs.size))[:, None] for q in (self.numerator, self.denominator))
+
+        def radii_of(centers, counts, gaps):
+            with np.errstate(all="ignore"):
+                level = num - self.numerator(centers) / self.denominator(centers) * den
+                return _pellet_radii(level, centers, counts + 1, gaps)
+
+        return _certified_clusters(crit, w.coeffs, radii_of)
 
     @cached_property
     def critical_points(self) -> list[tuple[complex, int]]:

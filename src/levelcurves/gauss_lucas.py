@@ -1,8 +1,9 @@
 """Gauss-Lucas verification and the level-curve product-inequality replay.
 
 check_gauss_lucas certifies that every critical point of a polynomial lies
-inside the convex hull of its zeros, with a signed-distance tolerance since
-roots are floating point.  A violation is a hard failure, not a report row.
+inside the convex hull of its zeros, with a signed-distance tolerance beyond
+the radii of the certified root disks.  A violation is a hard failure, not a
+report row.
 
 replay_level_curve_argument re-enacts the mechanics used to prove the
 containment: normalize so the declared critical point sits at x > 1 with all
@@ -105,22 +106,27 @@ def hull_signed_distance(hull: list[complex], z: complex) -> float:
 def check_gauss_lucas(p: Polynomial) -> HullReport:
     """Certify hull containment of the critical points of p.
 
-    Raises :class:`CertificateError` if any critical point sits outside the
-    hull of the zeros beyond hull_tol * scale.
+    Each root is known only to its certified disk (``RootCluster.radius``),
+    so a critical cluster may sit outside the hull of the zero centers by its
+    radius plus the largest zero radius.  Raises :class:`CertificateError` if
+    one sits farther out than that by more than hull_tol * scale.
     """
     if not isinstance(p.degree, int) or p.degree < 2:
         raise ValueError("polynomial degree must be at least 2")
-    zeros = [z for z, m in p.roots() for _ in range(m)]
-    crit = [z for z, m in p.deriv().roots() for _ in range(m)]
+    zero_clusters, crit_clusters = p.roots(), p.deriv().roots()
+    zeros = [z for z, m in zero_clusters for _ in range(m)]
+    crit = [z for z, m in crit_clusters for _ in range(m)]
     hull = convex_hull(zeros)
     scale = max(1.0, max(abs(z) for z in zeros))
-    worst = max(hull_signed_distance(hull, c) for c in crit)
-    if worst > DEFAULT_TOLS.hull_tol * scale:
+    spread = max(z.radius for z in zero_clusters)
+    dist = [hull_signed_distance(hull, c[0]) for c in crit_clusters]
+    excess = max(d - c.radius - spread for d, c in zip(dist, crit_clusters))
+    if excess > DEFAULT_TOLS.hull_tol * scale:
         raise CertificateError(
-            f"critical point escapes the zero hull by {worst:.3e} "
+            f"critical point escapes the zero hull by {excess:.3e} beyond the cluster radii "
             f"(gate {DEFAULT_TOLS.hull_tol * scale:.3e})"
         )
-    return HullReport(zeros, hull, crit, worst)
+    return HullReport(zeros, hull, crit, max(dist))
 
 
 # ---------------------------------------------------------------------------

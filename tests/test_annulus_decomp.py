@@ -1,11 +1,13 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 from conftest import build_corpus
 
 from levelcurves import (
     CertificateError,
+    Polynomial,
     RationalFn,
     TopologyError,
     TraceError,
@@ -156,6 +158,20 @@ def test_two_poles_inside_one_critical_curve_on_the_disk():
     assert all(cert.ok for cert in certify_all(f, regions))
 
 
+@pytest.mark.parametrize("spacing", [2e-5, 1e-4])
+def test_critical_points_f_cannot_tell_apart_are_one_vertex(spacing):
+    # f' has three simple roots about `spacing` apart, which Pellet's test
+    # tells apart, but f - f(c) varies below its rounding across them: they
+    # form one vertex of order 3, and the annuli certify
+    cluster = [0.1 + 0.1j + spacing * np.exp(2j * np.pi * k / 3) for k in range(3)]
+    coeffs = npoly.polyint(npoly.polyfromroots(cluster + [-0.6 + 0.3j, 0.5 + 0.6j]))
+    coeffs[0] = 0.3 - 0.2j
+    f = RationalFn(Polynomial(coeffs))
+    assert [m for _, m in f.derivative_numerator.roots()] == [1, 1, 1, 1, 1]
+    assert [m for _, m in f.critical_points] == [1, 3, 1]
+    assert all(cert.ok for cert in certify_all(f, decompose(f)))
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=TraceError,
@@ -239,8 +255,9 @@ def test_adjacent_loops_share_one_branch(z3_region, z5m1, z5_regions):
     for f, r in (z3_region, (z5m1, outer)):
         grid = r.phi_grid
         assert _worst_branch_jump(grid, r.M) < 0.5
-        # alpha off by 2*pi on one loop puts that loop on the next branch
-        sl = grid.loops()[3]
+        # alpha off by 2*pi on one interior loop puts that loop on the next branch
+        loops = grid.loops()
+        sl = loops[(len(loops) - 1) // 2]
         grid.alpha[sl] += 2 * math.pi
         try:
             assert _worst_branch_jump(build_phi(f, r), r.M) > 0.5

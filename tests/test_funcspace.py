@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -13,6 +14,7 @@ from levelcurves import (
     Polynomial,
     RationalFn,
     check_gauss_lucas,
+    critical_level_curves,
     parse_function_spec,
 )
 from levelcurves import funcspace
@@ -464,6 +466,131 @@ def test_abs_bounds_at_zeros_and_poles():
     # bounds on |w| <= 0.05 are 1 -+ (0.1 + 0.0025), each widened by under 1e-14
     lo, hi = parse_function_spec("poly:1,0,0").abs_bounds(np.array([1.0, 1j]), 0.05)
     assert np.all((lo <= 0.8975) & (lo > 0.8975 - 1e-14) & (hi >= 1.1025) & (hi < 1.1025 + 1e-14))
+
+
+def _pellet_holds_exactly(coeffs, c: complex, k: int, r: float) -> bool:
+    """Pellet's inequality |b_k| r^k > sum_{j != k} |b_j| r^j on the exact
+    Taylor shift b of the float coefficients to the float c, with |b_k| taken
+    from below and the other moduli from above."""
+    rr = Fraction(r)
+    mods = [
+        (Fraction(0), Fraction(0)) if br == bi == 0 else _sqrt_bounds(br * br + bi * bi)
+        for br, bi in _exact_shift(coeffs, c)
+    ]
+    return mods[k][0] * rr**k > sum(hi * rr**j for j, (_, hi) in enumerate(mods) if j != k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["random", "multiple", "cluster"]),
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(2, 15),
+)
+def test_root_disks_pass_pellet_in_exact_arithmetic(kind, seed, degree):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        p = random_polynomial(rng, degree)
+    else:
+        # k of the roots planted at one center, at 0 one time in five: equal
+        # (a k-fold root) or on a circle 1e-7 to 1e-2 wide (a cluster)
+        roots = rng.uniform(-1, 1, degree) + 1j * rng.uniform(-1, 1, degree)
+        k = int(rng.integers(2, min(degree, 5) + 1))
+        center = roots[0] if rng.uniform() < 0.8 else 0j
+        spread = 0.0 if kind == "multiple" else 10 ** rng.uniform(-7, -2)
+        roots[:k] = center + spread * np.exp(2j * np.pi * rng.uniform(size=k))
+        p = Polynomial.from_roots(roots, rng.uniform(0.5, 2.0))
+    disks = p.roots()
+    assert sum(m for _, m in disks) == p.degree
+    for d in disks:
+        assert _pellet_holds_exactly(p.coeffs, d[0], d[1], d.radius), d
+    for a, b in combinations(disks, 2):
+        dr, di = Fraction(a[0].real) - Fraction(b[0].real), Fraction(a[0].imag) - Fraction(b[0].imag)
+        assert dr * dr + di * di >= (Fraction(a.radius) + Fraction(b.radius)) ** 2, (a, b)
+
+
+def test_three_roots_that_double_precision_cannot_separate_are_one_cluster():
+    # 2e-5 apart, |b_1| r of each root stays below the rounding allowance at
+    # every radius that keeps the disks apart: one certified disk holds all
+    # three (3e-5 apart, they are certified one by one)
+    cluster = [0.3 + 0.2j + 2e-5 / math.sqrt(3) * np.exp(2j * np.pi * t / 3) for t in range(3)]
+    p = Polynomial.from_roots(cluster + [-0.7 + 0.1j, 0.5 - 0.9j])
+    (c, m), *_ = [d for d in p.roots() if abs(d[0] - (0.3 + 0.2j)) < 1e-3]
+    assert m == 3
+    assert sorted(m for _, m in p.roots()) == [1, 1, 3]
+
+
+# (spec, all critical points): each denominator has a double or triple pole,
+# whose spurious roots of n'd - nd' are dropped
+POLE_RULE_CASES = [
+    ("rat:1,-1/1,-4,4", [(0j, 1)]),
+    ("rat:1/1,-3,3,-1", []),
+    (
+        "rat:1,0,0,1/1,-2.2,1.21",
+        [
+            (-0.0832208590586099 - 0.7550064926437283j, 1),
+            (-0.08322085905860988 + 0.7550064926437283j, 1),
+            (3.4664417181172196 + 0j, 1),
+        ],
+    ),
+    (
+        "rat:1,2,3,4,5/1,-1.4,0.49",
+        [
+            (-1.3856674878712658 - 6.908934844075556e-77j, 1),
+            (-0.3170534356680887 - 1.3446984975374843j, 1),
+            (-0.3170534356680887 + 1.3446984975374843j, 1),
+            (2.419774359207443 - 9.956824444577827e-60j, 1),
+        ],
+    ),
+    (
+        "blaschke:0.3,0.2i,0.5/0.1+0.1i,0.1+0.1i",
+        [
+            (-2.953856195296744 - 1.2293321239671153j, 1),
+            (-0.28856047482772657 - 0.12009273233333267j, 1),
+            (0.14177825484143552 + 0.38380396853744486j, 1),
+            (0.3831623290679662 - 0.005576397637826603j, 1),
+            (0.8469097925524764 + 2.292645933174978j, 1),
+            (2.609307234164871 - 0.03797485711174582j, 1),
+            (4.999999999999996 + 4.999999999999982j, 1),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("spec,want", POLE_RULE_CASES)
+def test_spurious_roots_at_multiple_poles_are_dropped(spec, want):
+    f = parse_function_spec(spec)
+    assert f.all_critical_points == want
+    # n'd - nd' has a root of order pm - 1 at each pole of order pm >= 2
+    w = f.derivative_numerator.roots()
+    for p, pm in f.denominator.roots():
+        if pm >= 2:
+            assert any(abs(z - p) < 1e-6 for z, _ in w)
+            assert all(abs(z - p) > 1e-6 for z, _ in f.all_critical_points)
+
+
+# the Blaschke ratio of a double zero 3e-3 from a pole: its derivative
+# numerator also has a root near |z| = 1e5, so a cluster distance relative to
+# the largest root would be 1e-2 and merge two simple critical points
+DOUBLE_ZERO_NEAR_A_POLE = (
+    [1.8936205382480023e-06 + 9.819073340042092e-06j] * 2 + [-0.16830128075653625 + 0.7421047765550758j],
+    [-0.0020553810104348784 + 0.002365831794946803j, 0.5349782044865122 + 0.2623481824646632j],
+)
+
+
+def test_double_zero_near_a_pole_has_four_simple_critical_points():
+    f = RationalFn.blaschke_ratio(*DOUBLE_ZERO_NEAR_A_POLE)
+    want = [
+        -0.14811571481791225 + 0.39760697352569596j,
+        -0.004111289797460159 + 0.004743497281626962j,
+        1.8936205382480031e-06 + 9.819073340042095e-06j,
+        0.5238133833629314 + 0.85183304667633j,
+    ]
+    assert [m for _, m in f.critical_points] == [1, 1, 1, 1]
+    assert max(abs(c - w) for (c, _), w in zip(f.critical_points, want)) < 1e-12
+    # the last one sits 1e-16 inside the unit circle with |f(c)| = 1, so the
+    # level curve |f| = 1 meets the circle
+    with pytest.raises(FunctionSpecError, match="boundary restriction fails"):
+        critical_level_curves(f)
 
 
 def _exact_local_model(f: RationalFn, c: complex, m: int) -> tuple[Fraction, Fraction]:

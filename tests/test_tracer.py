@@ -673,3 +673,24 @@ def test_rotated_fixtures_hand_out_the_stored_critical_curve(coeffs, seed):
     (comp,) = trace_level_set(f, 1.0)
     assert comp is f.critical_curves[0]
     assert comp.level == f.abs_eval(f.critical_points[0][0])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=TraceError,
+    reason="the level set at 10.0 turns arg f by 1.000000 turns, but the domain holds 2 poles",
+)
+def test_loop_about_a_weak_pole_is_traced():
+    # the pole -0.00206+0.00237i lies 3e-3 from a double zero, so |f| is only
+    # 1.24 at 1e-5 from it and its loop at level 10 is about 1e-6 wide; no
+    # seed lands on it, while levels 0.5 and 2 trace
+    f = RationalFn.blaschke_ratio(
+        [1.8936205382480023e-06 + 9.819073340042092e-06j] * 2 + [-0.16830128075653625 + 0.7421047765550758j],
+        [-0.0020553810104348784 + 0.002365831794946803j, 0.5349782044865122 + 0.2623481824646632j],
+    )
+    try:
+        comps = trace_level_set(f, 10.0)
+    except TraceError as exc:
+        assert "turns arg f by 1.000000 turns, but the domain holds 2 poles" in str(exc)
+        raise
+    assert len(comps) == 2
