@@ -2,17 +2,26 @@
 
 Removing the critical set (critical level curves, zeros, poles) from the
 domain leaves finitely many components.  On each, f is conformally z^N: an
-N-fold covering of an annulus of levels, so phi = f^(1/M) carries every level
-loop of the region onto a circle.  phi is therefore built on K_LOOPS traced
-loops of the region: on each, phi = |f|^(1/M) * e^(i*alpha/M), with alpha the
-running sum of the arg-f increments, which the tracer orders to be positive.
-One radial chain of short steps, phi's preimage of a radial segment, runs
-from the region's outer boundary inward, seeds every loop and carries alpha
-across; the loops and the chain form a spanning tree whose every edge has
-its increment checked.  M = +N when arg f increases along positively
-oriented level curves in the region (the inner boundary encloses net zeros),
-M = -N for net poles; with this branch the power identity f == phi^M holds
-exactly on both kinds.
+N-fold covering of an annulus of levels.  That is the covering argument,
+which :func:`decompose` states and whose inputs it certifies completely: the
+critical-point list is complete, the region holds no distinguished point,
+its two boundary levels are known, and one loop's winding gives N.
+
+phi = f^(1/M) carries every level loop of the region onto a circle, and is
+built on K_LOOPS = 2 traced loops of the region: on each, phi = |f|^(1/M) *
+e^(i*alpha/M), with alpha the running sum of the arg-f increments, which the
+tracer orders to be positive.  One radial chain of short steps, phi's
+preimage of a radial segment, runs from the region's outer boundary inward,
+seeds both loops and carries alpha across; the loops and the chain form a
+spanning tree whose every edge has its increment checked.  The basepoint,
+where alpha is the principal arg of f, lies on the outer loop (K_LOOPS // 2
+= 1).  On the two loops the theorem's consequences are re-checked, not
+certified: N and the orientation agree across the levels (:func:`winding_N`),
+and the power identity, the monotone turn of arg phi and the ordered |phi|
+ranges hold (:func:`verify_phi`).  M = +N when arg f increases along
+positively oriented level curves in the region (the inner boundary encloses
+net zeros), M = -N for net poles; with this branch the power identity
+f == phi^M holds exactly on both kinds.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from .tracer import (
 )
 
 TWO_PI = 2.0 * math.pi
-K_LOOPS = 8  # traced level loops per region
+K_LOOPS = 2  # traced level loops per region
 MAX_EDGE_TURN = 0.25 * math.pi  # largest arg-f increment on any edge of the tree
 
 
@@ -153,7 +162,20 @@ def decompose(f: RationalFn, C: CriticalSetC | None = None) -> list[AnnularRegio
     Each bounded face must hold exactly one direct child; a face with two
     mutually exterior children would be a region whose complement has two
     bounded components, which the two-curve theorem forbids.
+
+    On each region f is conformally z^N, by the covering argument:
+
+    - the critical-point list is complete (:func:`_certify_critical_list`,
+      checked first), so every critical point is a known point;
+    - the region holds no zero, pole or critical point
+      (:func:`_certify_region_clean`), so f is a local homeomorphism on it;
+    - its boundaries lie on the levels eps1 and eps2 of the critical set,
+      so f is proper onto the annulus eps1 < |w| < eps2, hence a finite
+      covering of it;
+    - its degree N is the winding of f along one loop (:func:`_certify_loop`
+      in :func:`winding_N`).
     """
+    _certify_critical_list(f)
     if C is None:
         C = critical_level_curves(f)
 
@@ -211,6 +233,20 @@ def decompose(f: RationalFn, C: CriticalSetC | None = None) -> list[AnnularRegio
         region.N, region.M = winding_N(f, region)
     regions.sort(key=lambda r: (min(r.eps1, r.eps2), max(r.eps1, r.eps2), r.label))
     return regions
+
+
+def _certify_critical_list(f: RationalFn):
+    """The critical points are all of f': the counts m of the certified
+    clusters ``f.all_critical_points``, plus the pm - 1 roots that each pole
+    of order pm >= 2 gives n'd - nd', are its degree."""
+    found = sum(m for _, m in f.all_critical_points)
+    at_poles = sum(pm - 1 for _, pm in f.denominator.roots())
+    degree = f.derivative_numerator.degree
+    if found + at_poles != degree:
+        raise CertificateError(
+            f"critical points account for {found} + {at_poles} at poles of the {degree} "
+            f"roots of n'd - nd'; {degree - found - at_poles} missing"
+        )
 
 
 def _certify_region_clean(f: RationalFn, region: AnnularRegion):
@@ -383,8 +419,8 @@ def winding_N(f: RationalFn, region: AnnularRegion) -> tuple[int, int]:
     of them.  M = +-N, positive when arg f increases along the positively
     oriented curve, and M must be the signed count of the zeros (+) and poles
     (-) inside the inner boundary.  alpha is shifted by the multiple of 2*pi
-    that makes it the principal arg of f at the basepoint, the middle loop's
-    point of smallest |arg f| (ties by |z|).
+    that makes it the principal arg of f at the basepoint, the point of
+    smallest |arg f| (ties by |z|) on loop K_LOOPS // 2, the outer loop.
     """
     levels = _loop_levels(region)
     z, log_from = _outer_start(region)
@@ -486,13 +522,16 @@ class PhiCertificate:
 
 
 def verify_phi(f: RationalFn, region: AnnularRegion) -> PhiCertificate:
-    """Certify phi on the region's level loops: the power identity, |phi|
-    inside the image annulus, and injectivity, which is exact on the loops.
+    """Re-check phi on the region's two level loops: the power identity,
+    |phi| inside the image annulus, and injectivity, which is exact on the
+    loops.
 
-    On every loop arg phi turns monotonically through exactly one full turn,
-    in steps below pi/(4|M|), so phi is one-to-one on it; the loops' |phi|
-    ranges are disjoint and ordered, so distinct loops land on distinct
-    circles.  Any gate failure raises :class:`CertificateError`.
+    That f is conformally z^N on the whole region is the covering argument
+    :func:`decompose` certifies; these gates re-check its consequences where
+    phi is sampled.  On each loop arg phi turns monotonically through exactly
+    one full turn, in steps below pi/(4|M|), so phi is one-to-one on it; the
+    loops' |phi| ranges are disjoint and ordered, so the two loops land on
+    distinct circles.  Any gate failure raises :class:`CertificateError`.
     """
     grid = build_phi(f, region)
     M = region.M

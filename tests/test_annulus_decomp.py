@@ -18,9 +18,16 @@ from levelcurves import (
     verify_phi,
     winding_N,
 )
-from levelcurves.annulus_decomp import _certify_loop, _inside_inner, _zeros_and_poles
+from levelcurves.annulus_decomp import (
+    AnnularRegion,
+    _certify_loop,
+    _certify_region_clean,
+    _inside_inner,
+    _zeros_and_poles,
+)
 from levelcurves.funcspace import random_polynomial
 from levelcurves.order_topology import CurveKind
+from levelcurves.tracer import MAX_ARG_STEP
 
 
 def certify_all(f, regions):
@@ -233,6 +240,60 @@ def test_sibling_petal_loop_fails_enclosed_set(z5m1, z5_regions):
     assert _certify_loop(z5m1, sibling, loop, zp, _inside_inner(sibling, zp)).N == 1
     with pytest.raises(TopologyError, match="encloses the zeros and poles"):
         _certify_loop(z5m1, here, loop, zp, _inside_inner(here, zp))
+
+
+def test_region_holding_a_critical_point_is_refused(z5m1, z5_regions):
+    # from the zero 1 straight out to the outer boundary: the band (0, eps_out)
+    # holds the critical point 0, where |f(0)| = 1
+    petal = next(r for r in z5_regions if r.eps1 == 0.0 and r.inner_boundary.point == pytest.approx(1.0))
+    outer = next(r for r in z5_regions if r.eps1 != 0.0)
+    planted = AnnularRegion(
+        inner_boundary=petal.inner_boundary,
+        outer_boundary=outer.outer_boundary,
+        outer_face_id=outer.outer_face_id,
+        eps1=0.0,
+        eps2=outer.eps2,
+        label="zero@1->outer",
+    )
+    with pytest.raises(TopologyError, match="contains distinguished point"):
+        _certify_region_clean(z5m1, planted)
+
+
+def test_incomplete_critical_list_is_refused():
+    # f' = 3z^2 - 3 has two simple roots; a list that misses one would let a
+    # region hold an unseen critical point
+    f = parse_function_spec("poly:1,0,-3,1")
+    f.__dict__["all_critical_points"] = f.all_critical_points[1:]
+    assert "critical_points" not in vars(f)
+    with pytest.raises(CertificateError, match="1 missing"):
+        decompose(f)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the march bounds a step's arg-f increment only from |f'/f| at its start, and "
+    "never checks the step it made: 19 of the loop's 86 chords exceed MAX_ARG_STEP",
+)
+def test_march_keeps_each_chord_within_max_arg_step():
+    # the loop of the region between the saddles -0.3205 (|f| = 0.95021) and
+    # -0.488 (|f| = 0.95392), at the level where decompose's pi/4 gate saw
+    # increments up to 0.804 while it traced 8 loops per region.  The whole
+    # level set cannot be traced here: it misses the loop of radius 4e-10
+    # about the zero 70.1
+    f = parse_function_spec(
+        "poly:0.02152207288173195,-1.5092262959174658,0.024636521891160987,0.8125416961203998,"
+        "0.7807870336863958,0.8181502040703489,0.35872203290802274,1.0"
+    )
+    eps = 0.9530924676793712
+    lo, hi = -0.488, -0.3205  # |f| falls through eps on this segment
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f.abs_eval(complex(mid)) > eps else (lo, mid)
+    comp = trace_component(f, eps, complex(lo))
+    for arc in comp.arcs:
+        vals = f.eval_grid(arc.points)
+        assert np.max(np.angle(vals[1:] / vals[:-1])) <= MAX_ARG_STEP
 
 
 def _worst_branch_jump(grid, M):

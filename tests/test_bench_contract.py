@@ -1,10 +1,11 @@
 """The package names the benchmark harness in ``bench/`` reads.
 
 ``bench/spans.py`` wraps package functions by name and its hooks read
-``_LevelTracer.tols`` and ``levelcurves.DEFAULT_TOLS``; ``bench/run.py``
-reads ``RationalFn.tols``.  A rename or deletion breaks the benchmark, so it
-is caught here, and one job of each workload of ``bench/run.py`` runs on the
-package as it is.
+``_LevelTracer.tols``, ``levelcurves.DEFAULT_TOLS`` and the
+``PhiCertificate`` fields ``n_mesh``, ``max_power_residual`` and
+``power_gate``; ``bench/run.py`` reads ``RationalFn.tols``.  A rename or
+deletion breaks the benchmark, so it is caught here, and one job of each
+workload of ``bench/run.py`` runs on the package as it is.
 """
 
 import importlib.util
@@ -49,10 +50,19 @@ def test_spans_wrap_and_hook_the_package():
         # looked up at call time, so the wrappers run with their hooks
         levelcurves.trace_level_set(parse_function_spec("poly:1,0,-1"), 1.0)
         levelcurves.check_gauss_lucas(Polynomial([1, 0, 1]))
+        f = parse_function_spec("poly:1,0,0")
+        for region in levelcurves.decompose(f):
+            levelcurves.verify_phi(f, region)
     finally:
         spans.uninstall(undo)
-    assert {"tracer.residual_ratio_max", "gauss_lucas.hull_ratio_max"} <= set(rec.maxima)
+    assert {
+        "tracer.residual_ratio_max",
+        "gauss_lucas.hull_ratio_max",
+        "annulus_decomp.power_residual_ratio_max",
+    } <= set(rec.maxima)
     assert rec.counts["tracer.points"] > 0
+    # the verify_phi hook reads the PhiCertificate fields by name
+    assert rec.counts["annulus_decomp.mesh_points.sum"] > 0
 
 
 @pytest.fixture
