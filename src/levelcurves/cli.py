@@ -9,6 +9,7 @@ are derived artifacts.  Exit codes: 0 all certificates pass, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -41,7 +42,9 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_CERTIFICATE = 3
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; nothing changes it."""
     ap = argparse.ArgumentParser(
         prog="levelcurve",
         description="Level curves of rational functions: tracing, structure, certificates.",
@@ -263,7 +266,7 @@ def _cmd_verify_all(args) -> int:
 
     def check_gl():
         if f.denominator.degree == 0 and isinstance(f.numerator.degree, int) and f.numerator.degree >= 2:
-            rep = check_gauss_lucas(Polynomial(f.numerator.coeffs))
+            rep = check_gauss_lucas(f.numerator)
             return f"max signed distance {rep.max_signed_distance:.2e}"
         return "skipped (not a polynomial of degree >= 2)"
 

@@ -52,7 +52,7 @@ class Polynomial:
     :meth:`trim`.
     """
 
-    __slots__ = ("coeffs", "_rev", "_roots")
+    __slots__ = ("coeffs", "_rev", "_roots", "_deriv")
 
     def __init__(self, coeffs):
         c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
@@ -64,6 +64,7 @@ class Polynomial:
         # descending Python complex values for the scalar Horner passes
         self._rev = tuple(complex(c) for c in self.coeffs[::-1])
         self._roots = None
+        self._deriv = None
 
     @classmethod
     def from_roots(cls, roots, leading: complex = 1.0) -> "Polynomial":
@@ -105,9 +106,10 @@ class Polynomial:
         return p, dp, 2.0 * hp
 
     def deriv(self) -> "Polynomial":
-        if self.coeffs.size == 1:
-            return Polynomial([0.0])
-        return Polynomial(npoly.polyder(self.coeffs))
+        """p', built once per polynomial: the same object on every call."""
+        if self._deriv is None:
+            self._deriv = Polynomial(npoly.polyder(self.coeffs) if self.coeffs.size > 1 else [0.0])
+        return self._deriv
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial(npoly.polymul(self.coeffs, other.coeffs))
@@ -337,7 +339,7 @@ def _rounding_allowance(coeffs: np.ndarray, centers: np.ndarray, radius) -> np.n
     return big_n * 2.0**-53 / (1.0 - big_n * 2.0**-53) * majorant
 
 
-def _modulus_bounds(coeffs: np.ndarray, centers: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
+def _modulus_bounds(coeffs: np.ndarray, centers: np.ndarray, radius, passes: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Bounds ``lo <= |p(z)| <= hi`` on the closed disk of radius r about each
     center c, for the polynomial p with ascending ``coeffs`` a_0, ..., a_n.
 
@@ -346,13 +348,16 @@ def _modulus_bounds(coeffs: np.ndarray, centers: np.ndarray, radius) -> tuple[np
 
         |b_0| - sum_{k>=1} |b_k| r^k  <=  |p(c + w)|  <=  |b_0| + sum_{k>=1} |b_k| r^k,
 
-    each side widened by :func:`_rounding_allowance`.
+    each side widened by ``passes`` times :func:`_rounding_allowance`: once
+    for the shift, and once more to enclose the value a Horner pass computes
+    at z, whose error is within gamma_{4n+1} sum_i |a_i| |z|^i (Higham 3.5
+    and 5.1), below the allowance for |z| <= |c| + r.
     """
     b = _taylor_shift(coeffs, centers)
     tail = np.zeros(centers.shape)
     for bk in b[:0:-1]:
         tail = (tail + np.abs(bk)) * radius
-    allowance = _rounding_allowance(coeffs, centers, radius)
+    allowance = passes * _rounding_allowance(coeffs, centers, radius)
     head = np.abs(b[0])
     return head - tail - allowance, head + tail + allowance
 
@@ -530,9 +535,10 @@ class RationalFn:
     def log_derivative(self, z: complex) -> complex:
         return self.abs_and_log_derivative(z)[1]
 
-    def abs_bounds(self, centers, radius) -> tuple[np.ndarray, np.ndarray]:
+    def abs_bounds(self, centers, radius, computed: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Certified bounds ``lo <= |f(z)| <= hi`` for every z in the closed
-        disk of radius ``radius`` (>= 0) about each of ``centers``.
+        disk of radius ``radius`` (>= 0, a scalar or one per center) about
+        each of ``centers``.
 
         Numerator and denominator are shifted to each center (see
         :func:`_modulus_bounds`); then ``lo = lo_num / hi_den``, or 0 where
@@ -540,20 +546,32 @@ class RationalFn:
         lo_den``, or inf where ``lo_den <= 0`` (it may hold a pole).  Each
         quotient is rounded outward by one ulp.  A bound that overflows is
         vacuous: 0 or inf.
+
+        With ``computed`` the bounds enclose instead the float that
+        :meth:`abs_grid` returns at every such z: the moduli are widened for
+        its Horner passes (``passes=2``) and the quotient by 2^-49 relative,
+        for its complex abs (within an ulp) and its division.
         """
         centers = np.asarray(centers, dtype=complex)
+        passes = 2 if computed else 1
         with np.errstate(all="ignore"):
-            lo_num, hi_num = _modulus_bounds(self.numerator.coeffs, centers, radius)
-            lo_den, hi_den = _modulus_bounds(self.denominator.coeffs, centers, radius)
+            lo_num, hi_num = _modulus_bounds(self.numerator.coeffs, centers, radius, passes)
+            lo_den, hi_den = _modulus_bounds(self.denominator.coeffs, centers, radius, passes)
             lo = np.where((lo_num > 0) & (hi_den < math.inf), np.nextafter(lo_num / hi_den, 0.0), 0.0)
             hi = np.where((lo_den > 0) & (hi_num < math.inf), np.nextafter(hi_num / lo_den, math.inf), math.inf)
+            if computed:
+                lo, hi = lo * (1.0 - 2.0**-49), hi * (1.0 + 2.0**-49)
         return lo, hi
 
     @cached_property
     def derivative_numerator(self) -> Polynomial:
-        """Numerator of f' before removal of pole factors: n'd - nd'."""
+        """Numerator of f' before removal of pole factors: n'd - nd'.  Where
+        that is n' to the bit, as for a polynomial whose n' loses no
+        coefficient to the trim, it is ``numerator.deriv()`` itself, so the
+        critical points and ``gauss_lucas.check_gauss_lucas`` share its root clusters."""
         n, d = self.numerator, self.denominator
-        return (n.deriv() * d - n * d.deriv()).trim()
+        w = (n.deriv() * d - n * d.deriv()).trim()
+        return n.deriv() if w.coeffs.tobytes() == n.deriv().coeffs.tobytes() else w
 
     # -- distinguished points
 

@@ -111,8 +111,20 @@ def build_graph(comp: LevelCurveComponent) -> LevelGraph:
 
     All structural laws are asserted here: vertex degree 2*(mult+1), every
     edge adjacent to two distinct faces, the face-count formula, and Euler's
-    relation.  A violation raises :class:`TopologyError`.
+    relation.  A violation raises :class:`TopologyError`.  The embedding is
+    found once per component and kept on it (``comp.embedding``), like its
+    ``index``; every graph of the component shares its lists and faces, and
+    none may change them.
     """
+    if comp.embedding is None:
+        g = _embed(comp)
+        comp.embedding = g.vertices, g.edges, g.faces, g.dart_face
+        return g
+    vertices, edges, faces, dart_face = comp.embedding
+    return LevelGraph(comp.level, vertices, edges, faces, comp, dart_face)
+
+
+def _embed(comp: LevelCurveComponent) -> LevelGraph:
     if not comp.vertices:
         return _closed_curve_graph(comp)
 

@@ -47,14 +47,11 @@ class CurveRef:
     point: complex | None = None
     boundary: np.ndarray | None = None
     label: str = ""
-    _graph: LevelGraph | None = None
 
     def graph(self) -> LevelGraph:
         if self.kind is not CurveKind.LEVEL_CURVE:
             raise TopologyError(f"{self.kind.value} has no face structure")
-        if self._graph is None:
-            self._graph = build_graph(self.component)
-        return self._graph
+        return build_graph(self.component)
 
     def all_points(self) -> np.ndarray:
         if self.kind is CurveKind.POINT:

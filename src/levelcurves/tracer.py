@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -111,6 +111,9 @@ class TracedArc:
     midpoint; its bound, from the tangents at both ends, is in ``sag`` too.
     The short segments at a vertex follow the local model's rays and are not
     march steps.
+
+    ``turn`` is the arg-f turn along the arc, kept by :func:`_certify_turn`
+    once it has checked the arc's increments.
     """
 
     points: np.ndarray
@@ -121,6 +124,7 @@ class TracedArc:
     closed: bool = False
     start_angle: float | None = None
     end_angle: float | None = None
+    turn: float | None = field(default=None, init=False, compare=False, repr=False)
 
     def length(self) -> float:
         return geometry.polyline_length(self.points)
@@ -133,6 +137,9 @@ class LevelCurveComponent:
     arcs: list[TracedArc]
     vertices: list[tuple[complex, int]]
     level: float
+    # the planar embedding, kept by ``levelgraph.build_graph`` like ``index``;
+    # it holds no reference back to the component, so no cycle keeps it alive
+    embedding: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def points(self) -> np.ndarray:
@@ -862,11 +869,13 @@ def _certify_turn(f: RationalFn, eps: float, components, last: bool = True) -> b
     turn = 0.0
     for comp in components:
         for arc in comp.arcs:
-            vals = f.eval_grid(arc.points)
-            inc = np.angle(vals[1:] / vals[:-1])
-            if not np.all((inc > 0.0) & (inc < math.pi)):
-                raise TraceError(f"arg f is not increasing in steps below pi along an arc at level {eps}")
-            turn += float(np.sum(inc))
+            if arc.turn is None:
+                vals = f.eval_grid(arc.points)
+                inc = np.angle(vals[1:] / vals[:-1])
+                if not np.all((inc > 0.0) & (inc < math.pi)):
+                    raise TraceError(f"arg f is not increasing in steps below pi along an arc at level {eps}")
+                arc.turn = float(np.sum(inc))
+            turn += arc.turn
     if abs(turn - TWO_PI * want) <= WINDING_TOL:
         return True
     if last or turn > TWO_PI * want:

@@ -379,14 +379,16 @@ def test_each_polynomial_is_root_found_once(monkeypatch, spec):
     assert f.zeros and f.critical_points
     check_gauss_lucas(f.numerator)
     # the numerator, the denominator, the numerator of f' and the derivative
-    # that check_gauss_lucas takes
-    assert len(calls) == 4
+    # that check_gauss_lucas takes; for a polynomial the numerator of f' is
+    # that derivative, found once
+    want = 3 if f.denominator.degree == 0 else 4
+    assert len(calls) == want
     zeros = f.numerator.roots()
     got = f.numerator.roots()
     got[0] = (0j, 7)
     got.append((1j, 1))
     assert f.numerator.roots() == zeros
-    assert len(calls) == 4
+    assert len(calls) == want
 
 
 def _sqrt_bounds(x: Fraction) -> tuple[Fraction, Fraction]:

@@ -4,10 +4,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from levelcurves import geometry, parse_function_spec, trace_level_set
+from levelcurves import LevelCurveError, RationalFn, geometry, parse_function_spec, trace_level_set
+from levelcurves.funcspace import random_polynomial
 from levelcurves.geometry import SegmentIndex, bounding_box
 from levelcurves.gridcheck import (
+    BLOCK,
     ORACLE_MARGIN_REL,
     ORACLE_N,
     PROXIMITY_FACTOR,
@@ -70,6 +74,116 @@ def test_banded_raster_is_the_dense_raster_bitwise(name):
             cells, diag = crossing_cells(f, eps, box, n)
         assert cells.tobytes() == want_cells.tobytes()
         assert diag == want_diag
+
+
+def _random_function(kind: str, rng: np.random.Generator) -> RationalFn:
+    if kind == "poly":
+        return RationalFn(random_polynomial(rng, int(rng.integers(2, 10))))
+    if kind == "blaschke":
+        # B1 / B2 with 1-4 and 0-3 zeros, uniform in the disk of radius 0.9
+        n1, n2 = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+        if n1 == n2:
+            reject()
+        zs = 0.9 * np.sqrt(rng.uniform(size=n1 + n2)) * np.exp(2j * np.pi * rng.uniform(size=n1 + n2))
+        return RationalFn.blaschke_ratio(zs[:n1], zs[n1:])
+    # rat: a numerator of degree 1-6 over a denominator of degree 1-3
+    return RationalFn(random_polynomial(rng, int(rng.integers(1, 7))), random_polynomial(rng, int(rng.integers(1, 4))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["poly", "blaschke", "rat"]),
+    seed=st.integers(0, 2**32 - 1),
+    level=st.sampled_from(["below", "above", "random"]),
+    box_kind=st.sampled_from(["oracle", "points", "off-center"]),
+    n=st.sampled_from([5, 37, 220, 600]),
+)
+def test_block_raster_is_the_dense_raster_bitwise(kind, seed, level, box_kind, n):
+    rng = np.random.default_rng(seed)
+    try:
+        f = _random_function(kind, rng)
+        crit = [f.abs_eval(c) for c, _ in f.critical_points]
+    except LevelCurveError:
+        reject()
+    # a critical value times 1 -+ 1e-12, where the level set nearly pinches
+    eps = float(np.exp(rng.normal())) if level == "random" or not crit else rng.choice(crit) * (
+        1.0 - 1e-12 if level == "below" else 1.0 + 1e-12
+    )
+    # the zeros, poles and critical points, with a margin
+    pts = np.array(f.distinguished_points())
+    x0, y0, x1, y1 = pts.real.min(), pts.imag.min(), pts.real.max(), pts.imag.max()
+    m = 0.3 * max(x1 - x0, y1 - y0, 1.0)
+    box = (x0 - m, y0 - m, x1 + m, y1 + m)
+    if box_kind == "oracle":
+        try:
+            box = _oracle_box(f, eps)
+        except LevelCurveError:
+            pass
+    elif box_kind == "off-center":
+        # an oblong box about a point near a distinguished one
+        c = rng.choice(pts) + complex(*rng.uniform(-1.0, 1.0, 2))
+        hx, hy = np.exp(rng.uniform(-5.0, 1.0, 2))
+        box = (c.real - hx, c.imag - hy, c.real + hx, c.imag + hy)
+    want_cells, want_diag = _dense_crossing_cells(f, eps, box, n)
+    cells, diag = crossing_cells(f, eps, box, n)
+    assert cells.tobytes() == want_cells.tobytes()
+    assert diag == want_diag
+
+
+def _evaluated_points(f, eps, box, n):
+    """The crossing cells and every point ``f.abs_grid`` saw on the way."""
+    seen = []
+    grid = f.abs_grid
+
+    def record(z):
+        seen.append(np.ravel(z))
+        return grid(z)
+
+    f.abs_grid = record
+    try:
+        cells, _ = crossing_cells(f, eps, box, n)
+    finally:
+        del f.abs_grid
+    return cells, np.concatenate(seen)
+
+
+def test_a_block_holding_a_pole_is_evaluated():
+    spec, eps, box, n = CASES["rat-poles"]
+    f = parse_function_spec(spec)
+    cells, seen = _evaluated_points(f, eps, box, n)
+    xs, ys = np.linspace(box[0], box[2], n + 1), np.linspace(box[1], box[3], n + 1)
+    for pole, _ in f.poles:
+        # the grid points of the block whose rectangle holds the pole
+        i, j = (int(np.searchsorted(v, t)) // BLOCK * BLOCK for v, t in ((ys, pole.imag), (xs, pole.real)))
+        block = (xs[j : j + BLOCK + 1] + 1j * ys[i : i + BLOCK + 1, None]).ravel()
+        assert block.size == (BLOCK + 1) ** 2
+        assert np.isin(block, seen).all()
+    assert cells.tobytes() == _dense_crossing_cells(f, eps, box, n)[0].tobytes()
+
+
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_raster_evaluates_the_undecided_blocks_only(name):
+    spec, eps = FIXTURES[name]
+    f = parse_function_spec(spec)
+    _, seen = _evaluated_points(f, eps, _oracle_box(f, eps), ORACLE_N)
+    # each undecided block is evaluated whole, edges shared with its neighbours included
+    assert seen.size % (BLOCK + 1) ** 2 == 0
+    # the 2,600 to 4,200 crossing cells lie in 480 to 810 of the 5,625 blocks
+    assert seen.size < (ORACLE_N + 1) ** 2 / 4
+
+
+def test_blocks_whose_bounds_overflow_are_evaluated():
+    # |z|^2 passes the largest float all over the box, so every bound
+    # overflows to hi = inf, and so does every value
+    f = parse_function_spec("poly:1,0,-1")
+    box, n = (1.35e154, -1e153, 1.45e154, 1e153), 37
+    with np.errstate(all="ignore"):
+        _, hi = f.abs_bounds([box[0]], 0.0, computed=True)
+        cells, seen = _evaluated_points(f, 1.0, box, n)
+        want_cells, _ = _dense_crossing_cells(f, 1.0, box, n)
+    assert hi[0] == math.inf
+    assert np.unique(seen).size == (n + 1) ** 2
+    assert cells.tobytes() == want_cells.tobytes()
 
 
 def _two_index_proximity(arcs, cells, diag):
