@@ -6,12 +6,15 @@ the first point at the end; the helpers below state which form they expect.
 ``SegmentIndex``, the package's one spatial index, answers each query from
 the grid cells of a search box that doubles until the distance is exact, and
 gives the same float as brute force; it builds the grid on its first grid
-search, not before.
+search, not before.  A query bounded by ``upto``, if larger than one box
+pass, scores only the points within ``upto`` of the segments' bounding box:
+the rest are ``inf`` at once.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -92,15 +95,19 @@ class SegmentIndex:
     ``pts[:, None]`` indexes a point set.  The first grid search hashes each
     segment into the cells of a uniform grid that its bounding box meets;
     ``distances`` scores a call of at most _BLOCK_PAIRS pairs by brute force,
-    so an index that sees only such calls never builds its grid.  A grid
-    search answers a query in passes over the cells that meet a square of
-    half-width r about it (one range of the hash per grid column), r first
-    half a cell beyond the grid and at most ``upto``.  A segment within r
-    has its nearest point in a scanned cell, so a best candidate at most r
-    is exact; otherwise r doubles up to ``upto``, and a square over the
-    whole grid is one brute-force pass.  Every candidate goes through one
-    formula, so a distance is the same float as the minimum over all
-    segments.
+    so an index that sees only such calls never builds its grid.  With a
+    finite ``upto`` that budget is _BLOCK_PAIRS / 16 pairs, one box pass; a
+    larger bounded call gives ``inf`` at once to the queries farther than
+    ``upto`` from the segments' box, padded as a search box is, and sends
+    only the rest to the grid search, whose square is then at most
+    ``upto`` wide.  A grid search answers a query in passes over the cells
+    that meet a square of half-width r about it (one range of the hash per
+    grid column), r first half a cell beyond the grid and at most ``upto``.
+    A segment within r has its nearest point in a scanned cell, so a best
+    candidate at most r is exact; otherwise r doubles up to ``upto``, and a
+    square over the whole grid is one brute-force pass.  Every candidate
+    goes through one formula, so a distance is the same float as the
+    minimum over all segments.
 
     ``distances`` gives every distance; ``max_distance`` gives only the
     largest, as the one side of a Hausdorff distance needs.  It keeps the
@@ -123,8 +130,17 @@ class SegmentIndex:
         self._d = b - a
         denom = self._d.real**2 + self._d.imag**2
         self._denom = np.where(denom == 0.0, 1.0, denom)
-        # the segment ends, kept for the grid: a + d need not be b
+        # the segment ends, kept for the box and the grid: a + d need not be b
         self._b: np.ndarray | None = b
+
+    @cached_property
+    def _box(self) -> tuple[float, float, float, float, float]:
+        """(x0, y0, x1, y1) around the segments, and 1e-12 of its size and
+        offset: the slack for the rounding of cell coordinates and of the
+        distance formula, added to every search box."""
+        x, y = np.concatenate((self._a.real, self._b.real)), np.concatenate((self._a.imag, self._b.imag))
+        x0, y0, x1, y1 = float(x.min()), float(y.min()), float(x.max()), float(y.max())
+        return x0, y0, x1, y1, 1e-12 * (abs(x0) + abs(y0) + (x1 - x0) + (y1 - y0))
 
     def _build_grid(self) -> None:
         """Hash the segments into the grid, once; the first grid search calls it."""
@@ -133,8 +149,8 @@ class SegmentIndex:
         a, b, n = self._a, self._b, self._a.size
         lo_x, hi_x = np.minimum(a.real, b.real), np.maximum(a.real, b.real)
         lo_y, hi_y = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
-        self._x0, self._y0 = float(lo_x.min()), float(lo_y.min())
-        w, h = float(hi_x.max()) - self._x0, float(hi_y.max()) - self._y0
+        self._x0, self._y0, x1, y1, self._slack = self._box
+        w, h = x1 - self._x0, y1 - self._y0
         # about one cell per segment over the bounding box; coarser while
         # long segments would each be hashed into many cells
         cell = max(math.sqrt(w * h / n), max(w, h) / n) or 1.0
@@ -154,9 +170,6 @@ class SegmentIndex:
         self._members = seg[order]
         counts = np.bincount(cell_id, minlength=self._nx * self._ny)
         self._start = np.concatenate(([0], np.cumsum(counts)))
-        # rounding of cell coordinates and of the distance formula, added to
-        # every search box
-        self._slack = 1e-12 * (abs(self._x0) + abs(self._y0) + w + h)
         self._b = None
 
     @staticmethod
@@ -191,12 +204,22 @@ class SegmentIndex:
         ``inf``.
         """
         zs = as_points(zs)
-        if self._a.size == 0:
+        n = self._a.size
+        if n == 0:
             return np.full(zs.shape, np.inf)
-        if zs.size * self._a.size <= _BLOCK_PAIRS:
+        if zs.size * n <= (_BLOCK_PAIRS if upto == math.inf else _BLOCK_PAIRS // 16):
             out = self._brute(zs)
-        else:
+        elif upto == math.inf:
             out = self._search(zs, upto)
+        else:
+            # beyond the padded box a query is beyond upto, as computed too
+            x0, y0, x1, y1, slack = self._box
+            pad = upto * (1.0 + 1e-12) + slack
+            x, y = zs.real, zs.imag
+            near = np.flatnonzero((x >= x0 - pad) & (x <= x1 + pad) & (y >= y0 - pad) & (y <= y1 + pad))
+            out = np.full(zs.shape, np.inf)
+            if near.size:
+                out[near] = self._search(zs[near], upto)
         return np.where(out <= upto, out, np.inf)
 
     def max_distance(self, zs, upto: float = math.inf) -> float:
@@ -238,8 +261,11 @@ class SegmentIndex:
             # the rounding of cell coordinates and of the distance formula
             pad = ra * (1.0 + 1e-12) + self._slack
             xa, ya = x[active], y[active]
-            i_lo, i_hi = self._cells(xa - pad, self._x0, cell, nx), self._cells(xa + pad, self._x0, cell, nx)
-            j_lo, j_hi = self._cells(ya - pad, self._y0, cell, ny), self._cells(ya + pad, self._y0, cell, ny)
+            # a far query's coordinate in tiny cells overflows to inf, which
+            # the clip in _cells takes to the grid's edge
+            with np.errstate(over="ignore"):
+                i_lo, i_hi = self._cells(xa - pad, self._x0, cell, nx), self._cells(xa + pad, self._x0, cell, nx)
+                j_lo, j_hi = self._cells(ya - pad, self._y0, cell, ny), self._cells(ya + pad, self._y0, cell, ny)
             whole = (i_lo == 0) & (i_hi == nx - 1) & (j_lo == 0) & (j_hi == ny - 1)
             done = active[whole]
             if done.size:

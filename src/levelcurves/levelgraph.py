@@ -41,8 +41,14 @@ class Face:
         the corner beyond the unbounded face's walk."""
         if self.bounded:
             return _interior_point(self.polygon)
-        x0, y0, x1, y1 = geometry.bounding_box([self.polygon])
+        x0, y0, x1, y1 = self.box
         return complex(x0 - (x1 - x0) - 1.0, y0 - (y1 - y0) - 1.0)
+
+    @cached_property
+    def box(self) -> tuple[float, float, float, float]:
+        """(x0, y0, x1, y1) around the boundary walk."""
+        x, y = self.polygon.real, self.polygon.imag
+        return float(x.min()), float(y.min()), float(x.max()), float(y.max())
 
 
 @dataclass
@@ -312,28 +318,44 @@ def face_of_point(graph: LevelGraph, z: complex) -> int:
 def faces_of_points(graph: LevelGraph, zs) -> np.ndarray:
     """Face id containing each point of zs, by the winding of each bounded
     face's boundary walk: one on-curve distance query, then one winding pass
-    per bounded face.
+    (:func:`_winding_faces`), which skips the points outside a face's box.
 
-    A point on the traced curve, a non-integer or multiple winding, and a
-    point claimed by two faces are each a :class:`TopologyError`.
+    A point that is not finite, a point on the traced curve, a non-integer
+    or multiple winding, and a point claimed by two faces are each a
+    :class:`TopologyError`.
     """
     zs = geometry.as_points(zs)
+    odd = np.flatnonzero(~np.isfinite(zs))
+    if odd.size:
+        raise TopologyError(f"point {zs[odd[0]]} is not finite")
     d = graph.component.index.distances(zs, upto=DEFAULT_TOLS.trace_tol)
     on = np.flatnonzero(d <= DEFAULT_TOLS.trace_tol)
     if on.size:
         raise TopologyError(f"point {zs[on[0]]} lies on the traced curve (distance {d[on[0]]:.2e})")
+    return _winding_faces(graph, zs)
+
+
+def _winding_faces(graph: LevelGraph, zs: np.ndarray) -> np.ndarray:
+    """The face of each point of zs, none of which may lie on the curve.
+
+    Outside a bounded face's bounding box its winding is 0 and is not
+    computed.
+    """
     faces = graph.bounded_faces
     inside = np.zeros((len(faces), zs.size), dtype=bool)
     for row, f in zip(inside, faces):
-        w = geometry.winding_number(f.polygon, zs)
+        x0, y0, x1, y1 = f.box
+        near = np.flatnonzero((zs.real >= x0) & (zs.real <= x1) & (zs.imag >= y0) & (zs.imag <= y1))
+        p = zs[near]
+        w = geometry.winding_number(f.polygon, p)
         k = np.round(w)
         bad = np.flatnonzero(np.abs(w - k) > 0.25)
         if bad.size:
-            raise TopologyError(f"ambiguous winding {w[bad[0]]:.3f} of face {f.id} around {zs[bad[0]]}")
+            raise TopologyError(f"ambiguous winding {w[bad[0]]:.3f} of face {f.id} around {p[bad[0]]}")
         bad = np.flatnonzero(np.abs(k) > 1)
         if bad.size:
-            raise TopologyError(f"face {f.id} winds {int(k[bad[0]])} times around {zs[bad[0]]}")
-        row[:] = k != 0
+            raise TopologyError(f"face {f.id} winds {int(k[bad[0]])} times around {p[bad[0]]}")
+        row[near] = k != 0
     many = np.flatnonzero(inside.sum(axis=0) > 1)
     if many.size:
         j = many[0]

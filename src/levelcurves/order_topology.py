@@ -10,8 +10,10 @@ The order is computed once, when the critical set is built, as a forest:
 each member's parent is the innermost (member, bounded face) holding it.
 One rule decides who holds whom: eight points of the inner member, farther
 from the outer curve's polyline than its chord sag, vote on the face by
-winding number (:func:`_holding_faces`).  The maximal element, the Hasse
-diagram and the annular decomposition all read the forest.
+winding number (:func:`_holding_faces`); the query that finds them shows
+them off the curve, so they skip the face lookup's own.  The maximal
+element, the Hasse diagram and the annular decomposition all read the
+forest.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .errors import TopologyError, TraceError
 from .funcspace import RationalFn
-from .levelgraph import LevelGraph, build_graph, faces_of_points
+from .levelgraph import LevelGraph, _winding_faces, build_graph, faces_of_points
 from .tracer import LevelCurveComponent, _critical_curve, trace_component
 from . import geometry
 
@@ -90,22 +92,26 @@ class CriticalSetC:
 # ---------------------------------------------------------------------------
 
 
-def _vote(g: LevelGraph, faces: np.ndarray) -> int | None:
-    """The face of g every voter lies in, or None for the unbounded face.
-
-    Disagreement is an error, never a silent guess.
+def _votes(g: LevelGraph, faces: np.ndarray, sizes) -> list[int | None]:
+    """The face of g each member's voters all lie in, or None for the
+    unbounded face; faces holds sizes[k] votes of member k after those of
+    member k - 1.  Disagreement is an error, never a silent guess.
     """
-    ids = set(faces.tolist())
-    if len(ids) != 1:
-        raise TopologyError(f"membership vote split across faces {sorted(ids)}")
-    fid = ids.pop()
-    return None if fid == g.unbounded_face.id else fid
+    starts = np.cumsum(sizes) - sizes
+    lo, hi = np.minimum.reduceat(faces, starts), np.maximum.reduceat(faces, starts)
+    split = np.flatnonzero(lo != hi)
+    if split.size:
+        k = split[0]
+        ids = sorted(set(faces[starts[k] : starts[k] + sizes[k]].tolist()))
+        raise TopologyError(f"membership vote split across faces {ids}")
+    return [None if fid == g.unbounded_face.id else fid for fid in lo.tolist()]
 
 
 def _membership_face(b: CurveRef, samples) -> int | None:
     """Face of b holding every sample, or None for the unbounded face."""
     g = b.graph()
-    return _vote(g, faces_of_points(g, samples))
+    faces = faces_of_points(g, samples)
+    return _votes(g, faces, [faces.size])[0]
 
 
 def _holding_faces(b: CurveRef, members: list[CurveRef]) -> list[int | None]:
@@ -117,32 +123,42 @@ def _holding_faces(b: CurveRef, members: list[CurveRef]) -> list[int | None]:
     curve stays within the sag of its chords, so such a point is in the same
     face of the curve as of the polyline.  A curve member with fewer than
     eight such points raises :class:`TopologyError`; a point member votes
-    with itself.  All voters go through one face lookup.
+    with itself.  That query has shown every voter off b, so the voters
+    skip the on-curve query of :func:`faces_of_points` and go through one
+    winding pass; outside b's box they vote for the unbounded face unwound.
     """
     pts = [m.all_points() for m in members]
+    zs = np.concatenate(pts)
     # a point farther than the clearance is reported as inf, and the index
     # stops searching there
     clearance = b.component.sag if b.kind is CurveKind.LEVEL_CURVE else 0.0
-    dists = b.index.distances(np.concatenate(pts), upto=max(clearance, DEFAULT_TOLS.trace_tol))
+    dists = b.index.distances(zs, upto=max(clearance, DEFAULT_TOLS.trace_tol))
     d = float(np.min(dists))
     if d <= DEFAULT_TOLS.trace_tol:
         raise TopologyError(f"curves too close to order (min distance {d:.3e})")
     if b.kind is CurveKind.BOUNDARY:
         # boundary refs only occur as the outer circle of the unit disk
         return [0 if np.all(np.abs(p) < 1.0) else None for p in pts]
-    voters = []
-    for m, p, dp in zip(members, pts, np.split(dists, np.cumsum([p.size for p in pts])[:-1])):
-        clear = np.flatnonzero(np.isinf(dp))
-        need = min(8, p.size)
-        if clear.size < need:
-            raise TopologyError(
-                f"{m.label or m.kind.value} has {clear.size} points clear of the chord sag "
-                f"{clearance:.3e} of {b.label or 'the curve'}; {need} are needed to vote"
-            )
-        voters.append(p[clear[np.linspace(0, clear.size - 1, need).astype(int)]])
+    sizes = np.array([p.size for p in pts])
+    clear = np.isinf(dists)
+    counts = np.add.reduceat(clear, np.cumsum(sizes) - sizes)
+    need = np.minimum(8, sizes)
+    short = np.flatnonzero(counts < need)
+    if short.size:
+        k = short[0]
+        raise TopologyError(
+            f"{members[k].label or members[k].kind.value} has {counts[k]} points clear of the chord sag "
+            f"{clearance:.3e} of {b.label or 'the curve'}; {need[k]} are needed to vote"
+        )
+    # clear points linspace(0, count - 1, 8) vote; a member of fewer points
+    # has all clear and all vote
+    pick = np.tile(np.arange(8), (sizes.size, 1))
+    full = need == 8
+    pick[full] = np.linspace(0, counts[full] - 1, 8, axis=1).astype(int)
+    pick += (np.cumsum(counts) - counts)[:, None]
+    voters = zs[np.flatnonzero(clear)[pick[np.arange(8) < need[:, None]]]]
     g = b.graph()
-    faces = faces_of_points(g, np.concatenate(voters))
-    return [_vote(g, fs) for fs in np.split(faces, np.cumsum([v.size for v in voters])[:-1])]
+    return _votes(g, _winding_faces(g, voters), need)
 
 
 def precedes(a: CurveRef, b: CurveRef) -> bool:

@@ -146,6 +146,8 @@ def _edge_scenes():
         "vertical": ([3.0 + 1j * np.linspace(-5.0, 5.0, 40)], None),
         "point set": ([p[None] for p in pts], pts[:, None]),
         "walk": ([walk], None),
+        # cells of 1e-230: a far query's cell coordinate overflows
+        "tiny": ([np.array([3.4e-230j, 3.4e-230j, 0j])], None),
     }
 
 
@@ -186,6 +188,105 @@ def test_index_edge_cases_match_brute_force_bitwise(name):
                 assert np.array_equal(index.distances(zs, upto), bounded)
                 assert index.max_distance(zs[fin], upto) == np.max(bounded[fin])
                 assert index.max_distance(zs, upto) == np.inf
+
+
+def _ulps(x: float, k: int) -> float:
+    """x moved k ulps up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, np.inf if k > 0 else -np.inf))
+    return x
+
+
+def _pruning_scenes():
+    """(polylines, index argument) for the box pruning: the edge scenes, and a
+    segment whose computed points reach 1.2e-38 beyond its box."""
+    return {**_edge_scenes(), "rounding": ([np.array([1.0, 1.2e-38])], None)}
+
+
+@pytest.mark.parametrize("name", list(_pruning_scenes()))
+def test_bounded_query_is_pruned_at_the_padded_box_exactly(name):
+    polylines, arg = _pruning_scenes()[name]
+    index = SegmentIndex(polylines if arg is None else arg)
+    x0, y0, x1, y1, slack = index._box
+    pts = np.concatenate(polylines).ravel()
+    spread = float(np.max(brute_distances(pts[:5] + 1.0, polylines)))
+    for upto in (0.0, 1e-3 * spread, spread):
+        # the pruning box's edges as the index computes them, and points a
+        # few ulps inside and outside them
+        pad = upto * (1.0 + 1e-12) + slack
+        xs = [_ulps(e, k) for e in (x0 - pad, x1 + pad) for k in range(-3, 4)]
+        ys = [_ulps(e, k) for e in (y0 - pad, y1 + pad) for k in range(-3, 4)]
+        mid_x, mid_y = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        edges = [complex(x, mid_y) for x in xs] + [complex(mid_x, y) for y in ys]
+        corners = [complex(x, y) for x in xs for y in ys]
+        odd = [complex(np.nan, mid_y), complex(mid_x, np.inf), complex(-np.inf, 0.0), 1e300, -1e300, 1e300j, -1e300j]
+        zs = np.array(edges + corners + odd + [0j], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = brute_distances(zs, polylines)
+        bounded = np.where(want <= upto, want, np.inf)
+        # a tiny block budget sends the queries left by the pruning to the
+        # grid search, the default one to brute force
+        for block in (8, geometry._BLOCK_PAIRS):
+            with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
+                assert np.array_equal(index.distances(zs, upto), bounded), (upto, block)
+
+
+def test_bounded_query_beyond_the_box_scores_no_pair():
+    rng = np.random.default_rng(35)
+    line = np.cumsum(rng.normal(size=201) + 1j * rng.normal(size=201))
+    index = SegmentIndex([line])
+    x0, y0, x1, y1, _ = index._box
+    upto = 0.5
+    # 500 queries beyond the box by more than upto, in every direction
+    far = 1.0 + upto + rng.uniform(0.0, 5.0, 500)
+    side = rng.integers(0, 4, 500)
+    zs = np.where(side == 0, x0 - far, np.where(side == 1, x1 + far, rng.uniform(x0, x1, 500))) + 1j * np.where(
+        side == 2, y0 - far, np.where(side == 3, y1 + far, rng.uniform(y0, y1, 500))
+    )
+    assert zs.size * (line.size - 1) > geometry._BLOCK_PAIRS
+    scored = []
+    kernel = SegmentIndex._kernel
+
+    def counted(self, z, seg):
+        out = kernel(self, z, seg)
+        scored.append(out.size)
+        return out
+
+    with mock.patch.object(SegmentIndex, "_kernel", counted):
+        d = index.distances(zs, upto)
+    assert sum(scored) == 0 and np.all(d == np.inf)
+    assert not hasattr(index, "_members")
+
+
+def test_few_near_queries_score_no_more_pairs_than_a_grid_search():
+    """Ten bounded queries near a 20,000-segment polyline make more than
+    _BLOCK_PAIRS pairs, so they go to the grid search, never to a brute-force
+    scan of all segments."""
+    rng = np.random.default_rng(35)
+    t = np.linspace(0.0, 2.0 * np.pi, 20_001)
+    line = (1.0 + 0.3 * np.cos(7.0 * t)) * np.exp(1j * t)
+    zs = line[rng.integers(0, t.size, 10)] + 1e-3 * (rng.normal(size=10) + 1j * rng.normal(size=10))
+    assert zs.size * (line.size - 1) > geometry._BLOCK_PAIRS
+    kernel = SegmentIndex._kernel
+
+    def pairs(call):
+        scored = []
+
+        def counted(self, z, seg):
+            out = kernel(self, z, seg)
+            scored.append(out.size)
+            return out
+
+        with mock.patch.object(SegmentIndex, "_kernel", counted):
+            d = call(SegmentIndex([line]))
+        return d, sum(scored)
+
+    for upto in (1e-2, 1e-4):
+        d, scored = pairs(lambda index: index.distances(zs, upto))
+        # the whole call as one grid search
+        want, searched = pairs(lambda index: index._search(zs, upto))
+        assert np.array_equal(d, np.where(want <= upto, want, np.inf))
+        assert scored <= searched < 0.1 * zs.size * (line.size - 1)
 
 
 def test_distances_memory_peak():

@@ -67,8 +67,8 @@ def test_banded_raster_is_the_dense_raster_bitwise(name):
     box = box or _oracle_box(f, eps)
     want_cells, want_diag = _dense_crossing_cells(f, eps, box, n)
     assert want_cells.size
-    # one-row bands, bands of 3 and 9 rows that leave a short last band at
-    # n = 600 and n = 220, and the default bands
+    # the budget caps the undecided blocks evaluated per abs_grid call: one
+    # block a call, 24, and the default 101
     for block in (8, 16_000, geometry._BLOCK_PAIRS):
         with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
             cells, diag = crossing_cells(f, eps, box, n)

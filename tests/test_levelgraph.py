@@ -257,3 +257,56 @@ def test_batched_face_lookup_matches_scalar(critical_graphs, which, uv, on_curve
     else:
         with pytest.raises(TopologyError):
             faces_of_points(g, zs)
+
+
+@pytest.fixture(scope="module")
+def fixture_graphs(z5m1, lemniscate_fn, blaschke_21):
+    return [c.graph() for f in (z5m1, lemniscate_fn, blaschke_21) for c in critical_level_curves(f).curves()]
+
+
+def _wind_every_face(graph, zs):
+    """The face of each point by winding it around every bounded face."""
+    out = np.full(zs.shape, graph.unbounded_face.id)
+    for f in graph.bounded_faces:
+        out[np.round(geometry.winding_number(f.polygon, zs)) != 0] = f.id
+    return out
+
+
+def test_face_lookup_skips_only_what_a_face_box_decides(fixture_graphs):
+    rng = np.random.default_rng(35)
+    for g in fixture_graphs:
+        zs = []
+        for f in g.bounded_faces:
+            x0, y0, x1, y1 = f.box
+            w, h = x1 - x0, y1 - y0
+            u, v = rng.uniform(size=(2, 40))
+            zs += list(x0 + u * w + 1j * (y0 + v * h))  # inside the box
+            # on its edges, and beyond them by up to half its size
+            zs += list(rng.choice([x0, x1], 20) + 1j * (y0 + v[:20] * h))
+            zs += list(x0 + u[:20] * w + 1j * rng.choice([y0, y1], 20))
+            left = rng.random(20) < 0.5
+            zs += list(np.where(left, x0 - 0.5 * w * u[:20], x1 + 0.5 * w * u[:20]) + 1j * (y0 + v[20:] * h))
+            zs += list(x0 + u[20:] * w + 1j * np.where(left, y0 - 0.5 * h * v[:20], y1 + 0.5 * h * v[:20]))
+        zs = np.array(zs)
+        # drop the few points within trace_tol of the curve, which are refused
+        zs = zs[g.component.index.distances(zs) > DEFAULT_TOLS.trace_tol]
+        want = _wind_every_face(g, zs)
+        assert set(want.tolist()) == {fc.id for fc in g.faces}
+        assert np.array_equal(faces_of_points(g, zs), want)
+        assert [face_of_point(g, z) for z in zs[::25]] == want[::25].tolist()
+        # a point of the polyline in the batch is still refused
+        on = g.component.points[rng.integers(0, g.component.points.size)]
+        with pytest.raises(TopologyError, match="lies on the traced curve"):
+            faces_of_points(g, np.insert(zs, zs.size // 2, on))
+
+
+@pytest.mark.parametrize("z", [complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, np.nan)])
+def test_face_lookup_refuses_non_finite_points(fixture_graphs, z):
+    g = fixture_graphs[0]
+    with pytest.raises(TopologyError, match="is not finite"):
+        face_of_point(g, z)
+    # the same answer in a pass of more points than one winding block
+    zs = np.full(geometry._BLOCK_PAIRS, 10.0 + 10.0j)
+    zs[zs.size // 2] = z
+    with pytest.raises(TopologyError, match="is not finite"):
+        faces_of_points(g, zs)

@@ -13,7 +13,7 @@ from levelcurves import (
     trace_level_set,
     two_curve_critical_witness,
 )
-from levelcurves import order_topology
+from levelcurves import DEFAULT_TOLS, geometry, order_topology
 from levelcurves.order_topology import CurveKind, CurveRef, hasse_diagram
 
 
@@ -247,20 +247,19 @@ def _pairwise_order(C):
     return edges, maxima
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: parse_function_spec("poly:1,0,0,0,0,-1"),
-        lambda: parse_function_spec("poly:1,0,-1"),
-        lambda: parse_function_spec("blaschke:0.36,-0.34+0.03i/0.05+0.02i"),
-        lambda: parse_function_spec("poly:1,0,-3,0"),
-        # corpus functions whose evenly spaced membership samples split the vote
-        lambda: build_corpus(4, seed=1)[3],
-        lambda: build_corpus(1, seed=5)[0],
-        lambda: build_corpus(11, seed=11)[10],
-    ],
-    ids=["z5m1", "lemniscate", "blaschke21", "z3m3z", "seed1f3", "seed5f0", "seed11f10"],
-)
+_FOREST_CASES = {
+    "z5m1": lambda: parse_function_spec("poly:1,0,0,0,0,-1"),
+    "lemniscate": lambda: parse_function_spec("poly:1,0,-1"),
+    "blaschke21": lambda: parse_function_spec("blaschke:0.36,-0.34+0.03i/0.05+0.02i"),
+    "z3m3z": lambda: parse_function_spec("poly:1,0,-3,0"),
+    # corpus functions whose evenly spaced membership samples split the vote
+    "seed1f3": lambda: build_corpus(4, seed=1)[3],
+    "seed5f0": lambda: build_corpus(1, seed=5)[0],
+    "seed11f10": lambda: build_corpus(11, seed=11)[10],
+}
+
+
+@pytest.mark.parametrize("make", list(_FOREST_CASES.values()), ids=list(_FOREST_CASES))
 def test_forest_matches_pairwise_order(make):
     f = make()
     C = critical_level_curves(f)
@@ -294,6 +293,160 @@ def test_forest_certificate_rejects_crossed_holders(blaschke_21, monkeypatch):
     monkeypatch.setattr(order_topology, "_holding_faces", planted)
     with pytest.raises(TopologyError, match="not nested"):
         critical_level_curves(blaschke_21)
+
+
+def _faces_of_points_reference(graph, zs):
+    """faces_of_points as it was before the face-box skip, kept as the
+    reference: one on-curve query, then every point wound around every
+    bounded face."""
+    zs = geometry.as_points(zs)
+    d = graph.component.index.distances(zs, upto=DEFAULT_TOLS.trace_tol)
+    on = np.flatnonzero(d <= DEFAULT_TOLS.trace_tol)
+    if on.size:
+        raise TopologyError(f"point {zs[on[0]]} lies on the traced curve (distance {d[on[0]]:.2e})")
+    faces = graph.bounded_faces
+    inside = np.zeros((len(faces), zs.size), dtype=bool)
+    for row, f in zip(inside, faces):
+        w = geometry.winding_number(f.polygon, zs)
+        k = np.round(w)
+        bad = np.flatnonzero(np.abs(w - k) > 0.25)
+        if bad.size:
+            raise TopologyError(f"ambiguous winding {w[bad[0]]:.3f} of face {f.id} around {zs[bad[0]]}")
+        bad = np.flatnonzero(np.abs(k) > 1)
+        if bad.size:
+            raise TopologyError(f"face {f.id} winds {int(k[bad[0]])} times around {zs[bad[0]]}")
+        row[:] = k != 0
+    many = np.flatnonzero(inside.sum(axis=0) > 1)
+    if many.size:
+        j = many[0]
+        claims = [f.id for f, row in zip(faces, inside) if row[j]]
+        raise TopologyError(f"point {zs[j]} claimed by faces {claims}")
+    out = np.full(zs.shape, graph.unbounded_face.id)
+    for f, row in zip(faces, inside):
+        out[row] = f.id
+    return out
+
+
+def _holding_faces_reference(b, members, cast=None):
+    """_holding_faces as it was before the voters skipped the on-curve query:
+    a loop over the members, and every voter through the full face lookup.
+    The voters go to the list cast, if one is given."""
+    pts = [m.all_points() for m in members]
+    clearance = b.component.sag if b.kind is CurveKind.LEVEL_CURVE else 0.0
+    dists = b.index.distances(np.concatenate(pts), upto=max(clearance, DEFAULT_TOLS.trace_tol))
+    d = float(np.min(dists))
+    if d <= DEFAULT_TOLS.trace_tol:
+        raise TopologyError(f"curves too close to order (min distance {d:.3e})")
+    if b.kind is CurveKind.BOUNDARY:
+        return [0 if np.all(np.abs(p) < 1.0) else None for p in pts]
+    voters = []
+    for m, p, dp in zip(members, pts, np.split(dists, np.cumsum([p.size for p in pts])[:-1])):
+        clear = np.flatnonzero(np.isinf(dp))
+        need = min(8, p.size)
+        if clear.size < need:
+            raise TopologyError(
+                f"{m.label or m.kind.value} has {clear.size} points clear of the chord sag "
+                f"{clearance:.3e} of {b.label or 'the curve'}; {need} are needed to vote"
+            )
+        voters.append(p[clear[np.linspace(0, clear.size - 1, need).astype(int)]])
+    if cast is not None:
+        cast.append(np.concatenate(voters))
+    g = b.graph()
+    out = []
+    for fs in np.split(_faces_of_points_reference(g, np.concatenate(voters)), np.cumsum([v.size for v in voters])[:-1]):
+        ids = set(fs.tolist())
+        if len(ids) != 1:
+            raise TopologyError(f"membership vote split across faces {sorted(ids)}")
+        fid = ids.pop()
+        out.append(None if fid == g.unbounded_face.id else fid)
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TopologyError as exc:
+        return str(exc)
+
+
+def _assert_holders_match_reference(C, monkeypatch):
+    """Every curve member classifies all the others as the reference does,
+    from the same voters."""
+    voters, want_voters = [], []
+    winding = order_topology._winding_faces
+    monkeypatch.setattr(order_topology, "_winding_faces", lambda g, zs: voters.append(zs) or winding(g, zs))
+    for j, b in enumerate(C.components):
+        if b.kind is CurveKind.LEVEL_CURVE:
+            others = [m for i, m in enumerate(C.components) if i != j]
+            want = _outcome(_holding_faces_reference, b, others, want_voters)
+            assert _outcome(order_topology._holding_faces, b, others) == want, b.label
+    assert len(voters) == len(want_voters)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(voters, want_voters))
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("make", list(_FOREST_CASES.values()), ids=list(_FOREST_CASES))
+def test_holding_faces_match_the_full_scan(make, monkeypatch):
+    _assert_holders_match_reference(critical_level_curves(make()), monkeypatch)
+
+
+def _order_outcome(f, C, rotated_levels):
+    """Parents, Hasse edges, the maximal member and the two-curve witness."""
+    top = maximal_component(f, C=C)
+    out = [C.parent, hasse_diagram(C), C.components.index(top)]
+    comps = trace_level_set(f, rotated_levels)
+    if len(comps) >= 2:
+        a, b = (ref_of(c, rotated_levels, f"o{i}") for i, c in enumerate(comps[:2]))
+        ref, f1, f2 = two_curve_critical_witness(f, a, b, C)
+        out.append((ref.label, f1, f2))
+    return out
+
+
+@pytest.mark.parametrize("seed", [20260810, 1])
+def test_corpus_order_matches_the_full_scan(seed, monkeypatch):
+    for f in build_corpus(30, seed=seed)[::3]:
+        C = critical_level_curves(f)
+        _assert_holders_match_reference(C, monkeypatch)
+        lo = 0.6 * min(f.abs_eval(c) for c, _ in f.critical_points)
+        got = _order_outcome(f, C, lo)
+        with monkeypatch.context() as m:
+            m.setattr(order_topology, "_holding_faces", _holding_faces_reference)
+            ref_C = order_topology.CriticalSetC(C.components, order_topology._nesting_forest(C.components))
+            want = _order_outcome(f, ref_C, lo)
+        assert got == want
+
+
+def test_planted_defects_raise_as_the_full_scan(z5, z5_ovals, z5_big, blaschke_21, monkeypatch):
+    # the sag of test_member_without_clear_voters_raises: no voter left
+    big = z5_big.component
+    oval = z5_ovals[0]
+    reach = float(np.max(big.index.distances(oval.all_points())))
+    recorded = type(big).sag.fget
+    with monkeypatch.context() as m:
+        m.setattr(type(big), "sag", property(lambda c: 2.0 * reach if c is big else recorded(c)))
+        want = _outcome(_holding_faces_reference, z5_big, [oval])
+        assert "oval0 has 0 points clear" in want
+        assert _outcome(order_topology._holding_faces, z5_big, [oval]) == want
+    # the crossed holders of test_forest_certificate_rejects_crossed_holders
+    C = critical_level_curves(blaschke_21)
+    outer = maximal_component(blaschke_21, C=C)
+    inner = next(c for c in C.curves() if c is not outer)
+
+    def planted(real):
+        def holding(b, members):
+            faces = real(b, members)
+            if b.label == outer.label:
+                faces = [None if m.label == inner.label else fid for m, fid in zip(members, faces)]
+            return faces
+
+        return holding
+
+    messages = []
+    for real in (order_topology._holding_faces, _holding_faces_reference):
+        with monkeypatch.context() as m:
+            m.setattr(order_topology, "_holding_faces", planted(real))
+            messages.append(_outcome(order_topology._nesting_forest, C.components))
+    assert "not nested" in messages[0] and messages[0] == messages[1]
 
 
 def _store_cases():
