@@ -385,7 +385,7 @@ def _radial_step(f: RationalFn, tracer: _LevelTracer, z: complex, alpha: float, 
     with an arg-f increment below MAX_EDGE_TURN, and halved otherwise.
     Returns the point reached and alpha carried there.
     """
-    now, fz, ld = log_from, f.eval(z), f.abs_and_log_derivative(z)[1]
+    now, fz, ld = log_from, f.eval(z), f.abs_and_log_deriv(z)[1]
     s = tracer.log_eps - now
     while True:
         rest = tracer.log_eps - now

@@ -2,7 +2,8 @@
 
 A RationalFn is immutable after construction and caches its distinguished
 points (zeros, poles, critical points with multiplicities), the local model
-and the certified window of |f| at each critical point.  The local model and
+and the certified window of |f| at each critical point, and the samples of
+|f| that the seed search takes whatever the level.  The local model and
 the certified |f| bounds (``RationalFn.abs_bounds``) both read one batched
 Taylor shift of numerator and denominator (``_taylor_shift``).  Its domain
 is the unit disk for a Blaschke ratio and the plane otherwise.  Values at
@@ -104,6 +105,15 @@ class Polynomial:
             dp = dp * z + p
             p = p * z + c
         return p, dp, 2.0 * hp
+
+    def value_and_deriv(self, z: complex) -> tuple[complex, complex]:
+        """p(z) and p'(z): the recurrence of :meth:`value_and_derivs` without
+        its p'' accumulator, so the same two floats."""
+        p = dp = 0j
+        for c in self._rev:
+            dp = dp * z + p
+            p = p * z + c
+        return p, dp
 
     def deriv(self) -> "Polynomial":
         """p', built once per polynomial: the same object on every call."""
@@ -371,7 +381,8 @@ class RationalFn:
 
     Instances are immutable apart from their caches of what depends on f
     alone (distinguished points, local models, critical windows, critical
-    curves); every method is pure, so sharing across threads is safe.
+    curves, and the seed search's rings and ray samples); every method is
+    pure, so sharing across threads is safe.
     Construction rejects constant functions and numerator / denominator
     pairs with a common root: a pair of root clusters whose certified disks
     meet.
@@ -397,11 +408,16 @@ class RationalFn:
         self.denominator = denominator
         self.blaschke_degrees = blaschke_degrees
         self.spec = spec
-        # |den| when the denominator is constant, so the fused pass skips it
+        # |den| when the denominator is constant, so the scalar passes skip it
         self._const_den = abs(complex(denominator.coeffs[0])) if denominator.degree == 0 else None
         # the component through each critical point, filled by
         # ``tracer._critical_curve`` and keyed by the critical point's index
         self.critical_curves: dict = {}
+        # the seed search's samples of |f|, which do not depend on the level:
+        # the rings of ``tracer._seed_box`` and the first ray samples of
+        # ``tracer._ray_crossings``, filled as levels need them
+        self.seed_rings: tuple = ()
+        self.ray_samples: dict = {}
         self._check_coprime()
 
     # -- construction helpers
@@ -532,8 +548,26 @@ class RationalFn:
         l_num, l_den = n1 / nv, d1 / dv
         return abs(nv) / abs(dv), l_num - l_den, (n2 / nv - l_num * l_num) - (d2 / dv - l_den * l_den)
 
+    def abs_and_log_deriv(self, z: complex) -> tuple[float, complex]:
+        """(|f|, f'/f): the pass of :meth:`abs_and_log_derivative` without
+        (f'/f)', from ``Polynomial.value_and_deriv``, so the same two floats.
+        At a pole it returns (inf, INF), at a zero (0.0, INF).
+        """
+        nv, n1 = self.numerator.value_and_deriv(z)
+        dc = self._const_den
+        if dc is not None:
+            if nv == 0:
+                return 0.0, INF
+            return abs(nv) / dc, n1 / nv
+        dv, d1 = self.denominator.value_and_deriv(z)
+        if dv == 0:
+            return math.inf, INF
+        if nv == 0:
+            return 0.0, INF
+        return abs(nv) / abs(dv), n1 / nv - d1 / dv
+
     def log_derivative(self, z: complex) -> complex:
-        return self.abs_and_log_derivative(z)[1]
+        return self.abs_and_log_deriv(z)[1]
 
     def abs_bounds(self, centers, radius, computed: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Certified bounds ``lo <= |f(z)| <= hi`` for every z in the closed

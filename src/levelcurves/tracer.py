@@ -6,18 +6,23 @@ arc: the tangent turned by half the last step's turn per unit length times
 the step, which costs no evaluation.  The corrector brings the point back
 onto the level set.  One corrector, ``_LevelTracer.correct``, serves every
 on-level point: Newton on log|f| = log eps with a second-order (Chebyshev)
-term, each iterate one fused Horner pass
-(``RationalFn.abs_and_log_derivative``, which also gives (f'/f)').  So a
-march step usually takes one update and two evaluations, the predicted
-point and the check of the update, and the f'/f of an accepted point gives
-the next step's tangent.  The step length follows the chord sag: each
+term.  The point it starts from takes one fused Horner pass
+(``RationalFn.abs_and_log_derivative``, which also gives (f'/f)'), and each
+update is checked by a pass that forms only |f| and f'/f
+(``RationalFn.abs_and_log_deriv``, the same floats); the fused pass runs
+again only at a point that needs one more update.  So a march step usually
+takes one update and two evaluations, the fused pass at the predicted point
+and the check of the update, and the f'/f of an accepted point gives the
+next step's tangent.  The step length follows the chord sag: each
 accepted step estimates its sagitta from the corrector's distance to the
 tangent point and from the tangent turn, a step whose estimate exceeds
 4 * SAG_REL * scale is halved, and the next step is scaled by
 sqrt(SAG_REL * scale / estimate) within [0.5, 2].  A step moves arg f by at
 most MAX_ARG_STEP, and stays short of on-level vertices and of the necks of
-off-level saddles.  Every arc records a sag bound that the polyline's
-consumers use as their margin.
+off-level saddles; the march measures its distance to them only when its
+arc length since the last measurement could have brought it within reach.
+Every arc records a sag bound that the polyline's consumers use as their
+margin.
 
 A critical point lies on the level eps when eps is within the certified
 rounding window of |f(c)| (``RationalFn.critical_on_level``, the one on-level
@@ -44,7 +49,9 @@ components make the turn complete: the stored critical curves at the level,
 then one ray per zero and pole, then the other 7 rays of each.  Every ray
 seed comes from :func:`find_seeds` and its batched ``_ray_crossings``, which
 narrows all the crossings of a call together in ten 32-way rounds, one grid
-evaluation each.
+evaluation each.  The samples of |f| that do not depend on the level, the
+rings of the seed box and the first samples along the rays, are taken once
+per function and kept on it.
 """
 
 from __future__ import annotations
@@ -249,17 +256,22 @@ class _LevelTracer:
         Chebyshev term -Re((f'/f)' n^2) s^2 / (2 |f'/f|), and stays plain
         Newton when that term exceeds half the step.  Returns (z on the level,
         updates made, f'/f at z), or (None, updates, None) when the iteration
-        hits a zero or pole, a vanishing gradient, or ends off the level.  One
-        fused evaluation per iterate, on Python complex whatever the type of
-        the seed.
+        hits a zero or pole, a vanishing gradient, or ends off the level.  The
+        start point takes one fused pass (``RationalFn.abs_and_log_derivative``),
+        since a predicted point is almost never on the level; each update is
+        checked with a pass that forms only |f| and f'/f
+        (``RationalFn.abs_and_log_deriv``), and the fused pass runs again at
+        an updated point only when it needs one more update.  Both passes give
+        the same |f| and f'/f, so the gate and the updates read the same
+        floats either way.  On Python complex whatever the type of the seed.
         """
         z = complex(z)
-        evaluate = self.f.abs_and_log_derivative
+        evaluate, check = self.f.abs_and_log_derivative, self.f.abs_and_log_deriv
         log, inf = math.log, math.inf
         log_eps, tau = self.log_eps, self.tau
         it = 0
+        av, ld, dld = evaluate(z)
         while True:
-            av, ld, dld = evaluate(z)
             if not 0.0 < av < inf:
                 return None, it, None
             g = log(av) - log_eps
@@ -268,6 +280,8 @@ class _LevelTracer:
             r = abs(ld)
             if it == max_iter or not 0.0 < r < inf:
                 return None, it, None
+            if dld is None:
+                dld = evaluate(z)[2]
             n = ld.conjugate() / r
             s = -g / r
             second = 0.5 * (dld * n * n).real * s * s / r
@@ -275,6 +289,8 @@ class _LevelTracer:
                 s -= second
             z = z + s * n
             it += 1
+            av, ld = check(z)
+            dld = None
 
     # -- single march from a point to closure or a vertex
 
@@ -331,6 +347,17 @@ class _LevelTracer:
                 limits.append((v.position, 0.5 * v.r_cap))
                 captures.append((v.position, v.r_cap, idx))
         away = origin_vertex is None
+        # The limit loop changes h_eff only for a limit nearer than 2.5 h_eff,
+        # so it runs only when the arc may have come that near since it last
+        # ran: ``near`` is the distance from the point where it last ran to
+        # the nearest limit (0 forces a run) and ``travel`` the sum of the
+        # chords marched since, which bounds how far the arc has moved.  The
+        # skip test (travel + 2.5 h_eff) (1 + 1e-9) < near leaves room for
+        # rounding: the computed moduli and the sum of at most MAX_ARC_POINTS
+        # chords are within (MAX_ARC_POINTS + 12) u < 1e-10 of the exact
+        # ones, so every skipped 0.4 * abs(z - p) is at least h_eff.
+        near = 0.0
+        travel = 0.0
 
         # below, each min or max of two floats is a comparison that picks the
         # operand the builtin would, so the floats stay the same
@@ -339,13 +366,18 @@ class _LevelTracer:
             h_eff = MAX_ARG_STEP / r
             if h_eff > h:
                 h_eff = h
-            for p, floor in limits:
-                d = 0.4 * abs(z - p)
-                if d < h_eff:
-                    if floor <= d:
-                        h_eff = d
-                    elif floor < h_eff:
-                        h_eff = floor
+            if not (travel + 2.5 * h_eff) * (1.0 + 1e-9) < near:
+                near, travel = inf, 0.0
+                for p, floor in limits:
+                    dist = abs(z - p)
+                    if dist < near:
+                        near = dist
+                    d = 0.4 * dist
+                    if d < h_eff:
+                        if floor <= d:
+                            h_eff = d
+                        elif floor < h_eff:
+                            h_eff = floor
             if h_eff < h_min:
                 h_eff = h_min
 
@@ -391,6 +423,7 @@ class _LevelTracer:
             if step_sag > sag:
                 sag = step_sag
             arc_len += step_len
+            travel += step_len
             append(z_new)
             n_pts += 1
 
@@ -415,6 +448,7 @@ class _LevelTracer:
                 limits.append((origin.position, 0.5 * origin.r_cap))
                 captures = [(v.position, v.r_cap, idx) for idx, v in enumerate(self.vertices)]
                 away = True
+                near = 0.0
 
             # vertex capture: endpoint inside the ball, or segment passing
             # through it; the segment test runs only when the endpoint is
@@ -706,6 +740,16 @@ def _check_level(f: RationalFn, eps: float):
 
 
 def _seed_box(f: RationalFn, eps: float):
+    """The box (x0, y0, x1, y1) in which :func:`find_seeds` casts its rays.
+
+    On the unit disk it is the disk's box.  On the plane it is the box of the
+    first of 60 rings, about the centroid of the distinguished points, that
+    the level set cannot cross.  The rings depend on f alone: each ring's
+    center, radius and the min and max of |f| over its 180 samples are kept
+    in ``f.seed_rings``, sampled once per function and only as far out as a
+    level has needed, so a level compares eps with them and samples no ring
+    another level of f has sampled.
+    """
     if f.disk:
         return (-1.0, -1.0, 1.0, 1.0)
     # whole plane: grow a box until the level set cannot cross its boundary.
@@ -713,21 +757,25 @@ def _seed_box(f: RationalFn, eps: float):
     # the outside behavior: values uniformly above eps certify containment
     # unless f vanishes at infinity, uniformly below unless it blows up there.
     deg_gap = f.numerator.degree - f.denominator.degree
-    pts = f.distinguished_points() or [0j]
-    cx = sum(p.real for p in pts) / len(pts)
-    cy = sum(p.imag for p in pts) / len(pts)
-    r = max(1.0, 1.5 * max(abs(p - complex(cx, cy)) for p in pts) if pts else 1.0)
-    for _ in range(60):
-        theta = np.linspace(0, TWO_PI, 181)[:-1]
-        ring = complex(cx, cy) + r * np.exp(1j * theta)
-        vals = f.abs_grid(ring)
-        if deg_gap >= 0 and np.all(vals > eps * 1.5):
+    for k in range(60):
+        rings = f.seed_rings
+        if k == len(rings):
+            if rings:
+                cx, cy, r = rings[-1][0], rings[-1][1], rings[-1][2] * 1.3
+            else:
+                pts = f.distinguished_points() or [0j]
+                cx = sum(p.real for p in pts) / len(pts)
+                cy = sum(p.imag for p in pts) / len(pts)
+                r = max(1.0, 1.5 * max(abs(p - complex(cx, cy)) for p in pts))
+            theta = np.linspace(0, TWO_PI, 181)[:-1]
+            vals = f.abs_grid(complex(cx, cy) + r * np.exp(1j * theta))
+            # rebound, not appended: ring k is the same whoever samples it
+            f.seed_rings = rings = rings[:k] + ((cx, cy, r, float(vals.min()), float(vals.max())),)
+        cx, cy, r, lo, hi = rings[k]
+        if deg_gap >= 0 and lo > eps * 1.5 or deg_gap <= 0 and hi < eps / 1.5:
             return (cx - r, cy - r, cx + r, cy + r)
-        if deg_gap <= 0 and np.all(vals < eps / 1.5):
-            return (cx - r, cy - r, cx + r, cy + r)
-        r *= 1.3
     raise TraceError(
-        f"level {eps} appears unbounded: no enclosing circle found up to radius {r:.3g}"
+        f"level {eps} appears unbounded: no enclosing circle found up to radius {r * 1.3:.3g}"
     )
 
 
@@ -751,12 +799,18 @@ def _ray_crossings(f, eps, anchors, phase, ts, rays=range(8)):
     midpoint of the last bracket, 2^-50 of a sample interval wide, as after
     50 halvings.  Returns (points, anchor indices, ray indices k), in anchor,
     ray, distance order; a crossing does not depend on which other rays are
-    cast.
+    cast.  The first samples depend on f and the rays, not on eps: they are
+    kept in ``f.ray_samples``, keyed by the anchors, phase, ts and rays, so
+    the levels of f that share a seed box sample them once.
     """
     origins = np.asarray(anchors, dtype=complex)
     rays = np.asarray(rays)
     directions = np.exp(1j * TWO_PI * (rays + phase) / 8)
-    sgn = np.sign(f.abs_grid(origins[:, None, None] + directions[:, None] * ts) - eps)
+    key = (origins.tobytes(), phase, ts.tobytes(), rays.tobytes())
+    vals = f.ray_samples.get(key)
+    if vals is None:
+        vals = f.ray_samples[key] = f.abs_grid(origins[:, None, None] + directions[:, None] * ts)
+    sgn = np.sign(vals - eps)
     a, k, i = np.nonzero(sgn[..., :-1] * sgn[..., 1:] < 0)
     side = sgn[a, k, i, None]
     origin, direction = origins[a, None], directions[k, None]
@@ -866,15 +920,20 @@ def _certify_turn(f: RationalFn, eps: float, components, last: bool = True) -> b
     gap = num.degree - den.degree
     above = eps < 1.0 if f.disk else gap > 0 or (gap == 0 and abs(num.coeffs[-1] / den.coeffs[-1]) > eps)
     want = sum(m for _, m in (f.zeros if above else f.poles))
+    # one evaluation for every arc not yet counted, sliced per arc
+    fresh = [arc for comp in components for arc in comp.arcs if arc.turn is None]
+    if fresh:
+        vals = f.eval_grid(np.concatenate([arc.points for arc in fresh]))
+        ends = np.cumsum([arc.points.size for arc in fresh]).tolist()
+        for arc, start, end in zip(fresh, [0] + ends, ends):
+            v = vals[start:end]
+            inc = np.angle(v[1:] / v[:-1])
+            if not np.all((inc > 0.0) & (inc < math.pi)):
+                raise TraceError(f"arg f is not increasing in steps below pi along an arc at level {eps}")
+            arc.turn = float(np.sum(inc))
     turn = 0.0
     for comp in components:
         for arc in comp.arcs:
-            if arc.turn is None:
-                vals = f.eval_grid(arc.points)
-                inc = np.angle(vals[1:] / vals[:-1])
-                if not np.all((inc > 0.0) & (inc < math.pi)):
-                    raise TraceError(f"arg f is not increasing in steps below pi along an arc at level {eps}")
-                arc.turn = float(np.sum(inc))
             turn += arc.turn
     if abs(turn - TWO_PI * want) <= WINDING_TOL:
         return True

@@ -124,6 +124,50 @@ def test_fused_pass_at_zero_and_pole():
     assert g.log_derivative(2.0) == INF
 
 
+def test_check_pass_at_zero_and_pole():
+    # the pass without (f'/f)' flags zeros and poles as the fused pass does
+    f = parse_function_spec("poly:1,0,-1")
+    assert f.abs_and_log_deriv(1.0) == (0.0, INF)
+    assert f.abs_and_log_deriv(-1.0) == (0.0, INF)
+    g = parse_function_spec("rat:1,1/1,-2")
+    assert g.abs_and_log_deriv(2.0) == (math.inf, INF)
+    assert g.abs_and_log_deriv(-1.0) == (0.0, INF)
+    h = RationalFn.blaschke_ratio([0.5], [0.0, -0.25j])
+    assert h.abs_and_log_deriv(0.5) == (0.0, INF)
+    assert h.abs_and_log_deriv(-0.25j) == (math.inf, INF)
+
+
+def _check_pass_functions(rng):
+    """Seeded polynomials, rat: specs (constant and non-constant
+    denominators) and Blaschke ratios."""
+    def coeff_list(n):
+        return ",".join(f"{complex(*rng.uniform(-1, 1, 2))}".strip("()").replace("j", "i") for _ in range(n))
+
+    fs = []
+    for k in range(40):
+        fs.append(RationalFn(random_polynomial(rng, int(rng.integers(1, 9)))))
+        fs.append(parse_function_spec(f"rat:{coeff_list(int(rng.integers(2, 7)))}/{coeff_list(int(rng.integers(1, 4)))}"))
+        zeros = [complex(*rng.uniform(-0.6, 0.6, 2)) for _ in range(int(rng.integers(1, 5)))]
+        poles = [complex(*rng.uniform(-0.6, 0.6, 2)) for _ in range(len(zeros) + 1 - 2 * (k % 2))]
+        fs.append(RationalFn.blaschke_ratio(zeros, poles))
+    return fs
+
+
+def test_check_pass_is_the_fused_pass_bitwise():
+    # (|f|, f'/f) from the pass without (f'/f)' are the fused pass's floats,
+    # bit for bit, at seeded points in the plane and next to the zeros and
+    # poles; Polynomial.value_and_deriv likewise gives value_and_derivs' p, p'
+    rng = np.random.default_rng(36)
+    for f in _check_pass_functions(rng):
+        near = [z + 1e-7 * complex(*rng.normal(size=2)) for z, _ in f.zeros + f.poles]
+        zs = [complex(*rng.uniform(-3, 3, 2)) for _ in range(20)] + near
+        for z in zs:
+            got, want = f.abs_and_log_deriv(z), f.abs_and_log_derivative(z)[:2]
+            assert repr(got) == repr(want)
+            for p in (f.numerator, f.denominator):
+                assert repr(p.value_and_deriv(z)) == repr(p.value_and_derivs(z)[:2])
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_log_derivative_slope_of_a_power(n):
     # f = z^n: f'/f = n/z and (f'/f)' = -n/z^2
@@ -167,8 +211,10 @@ def test_constant_denominator_skips_its_pass_exactly(monkeypatch, spec):
     rng = np.random.default_rng(3)
     zs = rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)
     short = [f.abs_and_log_derivative(complex(z)) for z in zs]
+    check = [f.abs_and_log_deriv(complex(z)) for z in zs]
     monkeypatch.setattr(f, "_const_den", None)
     assert [f.abs_and_log_derivative(complex(z)) for z in zs] == short
+    assert [f.abs_and_log_deriv(complex(z)) for z in zs] == check
 
 
 def test_critical_points_z5m1():

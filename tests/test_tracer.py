@@ -186,18 +186,22 @@ def test_step_controller_point_budget(spec, eps, points):
 @pytest.mark.parametrize("spec,eps,points", BUDGET_CASES)
 def test_one_corrector_update_per_step(monkeypatch, spec, eps, points):
     # the arc predictor and the second-order corrector land a step with one
-    # update: two fused evaluations per point (the predicted point and the
-    # check of the update), against about three with a tangent predictor
-    evaluate = RationalFn.abs_and_log_derivative
-    calls = []
+    # update: two evaluations per point, against about three with a tangent
+    # predictor.  Only the predicted point takes the fused pass with (f'/f)';
+    # the check of the update takes the pass without it
+    calls = {"abs_and_log_derivative": 0, "abs_and_log_deriv": 0}
+    for name in calls:
+        evaluate = getattr(RationalFn, name)
 
-    def counted(self, z):
-        calls.append(z)
-        return evaluate(self, z)
+        def counted(self, z, name=name, evaluate=evaluate):
+            calls[name] += 1
+            return evaluate(self, z)
 
-    monkeypatch.setattr(RationalFn, "abs_and_log_derivative", counted)
+        monkeypatch.setattr(RationalFn, name, counted)
     comps = trace_level_set(parse_function_spec(spec), eps)
-    assert len(calls) <= 2.2 * sum(c.points.size for c in comps)
+    n = sum(c.points.size for c in comps)
+    assert sum(calls.values()) <= 2.2 * n
+    assert calls["abs_and_log_derivative"] <= 1.2 * n
 
 
 @pytest.mark.parametrize("eps,count", [(1.0 - 1e-6, 2), (1.0 + 1e-6, 1)])
@@ -405,6 +409,42 @@ def test_ray_search_makes_eleven_grid_passes(monkeypatch):
     assert sizes == [5 * 8 * 400] + [31 * len(pts)] * 10
 
 
+SEED_CACHE_LEVELS = [
+    # the plane: levels whose seed boxes are the first ring and rings 3 to 28
+    ("poly:1,0,0,0,0,-1", [0.5, 1.0, 1.5, 30.0, 1e4, 1e7]),
+    ("rat:1,0/1,0,0,0.5", [5.0, 0.3, 1e-3, 1e-6]),
+    # |f| tends to 1 at infinity: 0.9 is unbounded, which no ring can show
+    ("rat:1,0,-1/1,0.5i,0.25", [0.5, 2.0, 0.9]),
+    # the unit disk
+    ("blaschke:0.36,-0.34+0.03i/0.05+0.02i", [0.5, 2.0, 0.2]),
+]
+
+
+@pytest.mark.parametrize("spec,levels", SEED_CACHE_LEVELS)
+def test_seed_samples_kept_on_f_leave_the_seeds_unchanged(monkeypatch, spec, levels):
+    # the seed rings and first ray samples are kept on f: a level's seeds, or
+    # its refusal, are the same whichever levels of f came before it
+    def seeds(f, eps):
+        try:
+            return [find_seeds(f, eps, rays) for rays in ((0,), range(1, 8), range(8))]
+        except TraceError as exc:
+            return str(exc)
+
+    cold = [seeds(parse_function_spec(spec), eps) for eps in levels]
+    f = parse_function_spec(spec)
+    assert [seeds(f, eps) for eps in levels] == cold
+    assert [seeds(f, eps) for eps in levels[::-1]] == cold[::-1]
+    backwards = parse_function_spec(spec)
+    assert [seeds(backwards, eps) for eps in levels[::-1]] == cold[::-1]
+    # once warm, a level samples no ring and no first ray grid: its grid
+    # passes are the ten narrowing rounds of each ray group
+    sizes = []
+    abs_grid = f.abs_grid
+    monkeypatch.setattr(f, "abs_grid", lambda z: sizes.append(np.size(z)) or abs_grid(z))
+    assert seeds(f, levels[0]) == cold[0]
+    assert len(sizes) == 30
+
+
 def test_ray_search_keeps_a_bracket_that_straddles_eps():
     # (x - 1)(x - 2)(x - 3) = +-0.1 three times on [0.5, 2.05], near 0.95,
     # 1.05 and 1.9: one sample interval holds three crossings
@@ -446,14 +486,20 @@ CERTIFIED_LEVELS = [
 
 
 # the points of each arc of each component, as the march traced them when its
-# loop was last rewritten with bit-identical output: at CERTIFIED_LEVELS, and
-# 1e-4 below the saddle value 1 of the lemniscate and of z^5 - 1, where the
-# necks bound the step.  A change to any one of its step decisions moves them
+# loop was last rewritten with bit-identical output: at CERTIFIED_LEVELS; 1e-4
+# below the saddle value 1 of the lemniscate and of z^5 - 1; 1e-5 either side
+# of it for z^5 - 1, where the saddle's neck limits the step (5 and 13 steps);
+# and at the critical value 2 / 3^1.5 of z^3 - z, whose two vertices limit the
+# steps of the arcs that approach them (96 steps).  A change to any one of its
+# step decisions moves them
 ARC_POINTS = list(
     zip(CERTIFIED_LEVELS, [[[78], [78]], [[54]] * 5, [[124], [114]], [[192], [57]], [[56]] * 3])
 ) + [
     (("poly:1,0,-1", 1 - 1e-4), [[109], [108]]),
     (("poly:1,0,0,0,0,-1", 1 - 1e-4), [[85], [84], [84], [86], [83]]),
+    (("poly:1,0,0,0,0,-1", 1 - 1e-5), [[82], [81], [81], [85], [81]]),
+    (("poly:1,0,0,0,0,-1", 1 + 1e-5), [[390]]),
+    (("poly:1,0,-1,0", 0.3849001794597505), [[61, 86, 86, 61]]),
 ]
 
 
