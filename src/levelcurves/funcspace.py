@@ -414,8 +414,9 @@ class RationalFn:
         # ``tracer._critical_curve`` and keyed by the critical point's index
         self.critical_curves: dict = {}
         # the seed search's samples of |f|, which do not depend on the level:
-        # the rings of ``tracer._seed_box`` and the first ray samples of
-        # ``tracer._ray_crossings``, filled as levels need them
+        # the rings of ``tracer._seed_box``, and the first samples along the
+        # one ray per zero and pole of ``tracer._ray_crossings``, keyed by the
+        # anchors and the distances; both filled as levels need them
         self.seed_rings: tuple = ()
         self.ray_samples: dict = {}
         self._check_coprime()

@@ -44,20 +44,20 @@ point lies hand out the same object.  A traced level set is
 certified complete by the argument principle: its arcs must turn arg f by
 2*pi times the zeros or the poles of the domain, so a component missed by
 the seeds, or traced twice, is an error rather than a short or long list.
-:func:`trace_level_set` seeds in rungs and stops at the first rung whose
-components make the turn complete: the stored critical curves at the level,
-then one ray per zero and pole, then the other 7 rays of each.  Every ray
-seed comes from :func:`find_seeds` and its batched ``_ray_crossings``, which
-narrows all the crossings of a call together in ten 32-way rounds, one grid
-evaluation each.  The samples of |f| that do not depend on the level, the
-rings of the seed box and the first samples along the rays, are taken once
-per function and kept on it.
+:func:`trace_level_set` gathers the stored critical curves at the level and,
+if their turn is short, the components through the seeds of one ray from
+each zero and pole: every bounded face of a component holds a zero or a
+pole, so such a ray crosses every component.  The seeds come from
+:func:`find_seeds` and its batched ``_ray_crossings``, which samples each
+ray from its anchor outward and narrows all the crossings of a call
+together in ten 32-way rounds, one grid evaluation each.  The samples of |f|
+that do not depend on the level, the rings of the seed box and the first
+samples along the rays, are taken once per function and kept on it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -699,18 +699,15 @@ def _trace_critical_curve(f: RationalFn, i: int) -> LevelCurveComponent | None:
     return comp
 
 
-def find_seeds(f: RationalFn, eps: float, rays=range(8)) -> list[complex]:
-    """Seed points on E_{f, eps} from rays cast from every zero and pole.
+def find_seeds(f: RationalFn, eps: float) -> list[complex]:
+    """Seed points on E_{f, eps} from one ray cast from every zero and pole.
 
     Every bounded face of a component holds a zero or a pole, so one ray
-    from each zero/pole already crosses every component in the plane, and
-    the 8 rays of every anchor cross each one many times.  ``rays`` picks
-    which of the 8 to cast, all by default; :func:`trace_level_set` casts
-    ray 0 first and the other 7 only when the turn count comes up short.
-    The chosen rays of every anchor are searched together
-    (``_ray_crossings``); the first 6 in-domain crossings of each ray, each
-    narrowed to 2^-50 of its sample interval, are the seeds, in anchor, ray
-    and distance order.
+    from each zero/pole crosses every component in the plane.  The rays of
+    all anchors are searched together (``_ray_crossings``), each sampled from
+    its anchor itself, where |f| is 0 or inf, out to 1.6 times the width of
+    the seed box.  Every in-domain crossing, narrowed to 2^-50 of its sample
+    interval, is a seed, in anchor and distance order.
     The tracer corrects each seed it starts from.  Duplicates are fine;
     tracing deduplicates.  The seeds are not checked for completeness here:
     :func:`trace_level_set` certifies the components it traces.
@@ -720,16 +717,9 @@ def find_seeds(f: RationalFn, eps: float, rays=range(8)) -> list[complex]:
     reach = max(x1 - x0, y1 - y0)
 
     anchors = [z for z, _ in f.zeros] + [z for z, _ in f.poles]
-    seeds: list[complex] = []
-    per_ray: Counter = Counter()
-    ts = np.geomspace(1e-6 * reach, 1.6 * reach, 400)
-    for crossing, a, k in zip(*_ray_crossings(f, eps, anchors, 0.21, ts, rays)):
-        crossing = complex(crossing)
-        if per_ray[a, k] >= 6 or not f.in_domain(crossing):
-            continue
-        per_ray[a, k] += 1
-        seeds.append(crossing)
-    return seeds
+    ts = np.concatenate([[0.0], np.geomspace(1e-6 * reach, 1.6 * reach, 400)])
+    crossings = map(complex, _ray_crossings(f, eps, anchors, ts))
+    return [z for z in crossings if f.in_domain(z)]
 
 
 def _check_level(f: RationalFn, eps: float):
@@ -779,6 +769,9 @@ def _seed_box(f: RationalFn, eps: float):
     )
 
 
+# the angle of every seed ray: off the axes and the diagonals, on which
+# symmetric inputs such as z^n - 1 line up their zeros and critical points
+_RAY_ANGLE = TWO_PI * 0.21 / 8
 # each round of the ray search splits every bracket into _RAY_SPLIT parts in
 # one grid evaluation; _RAY_ROUNDS rounds shrink it by 32^10 = 2^50.  Few,
 # wide rounds: the cost of a round is mostly numpy's fixed cost per call
@@ -786,47 +779,44 @@ _RAY_SPLIT = 32
 _RAY_ROUNDS = 10
 
 
-def _ray_crossings(f, eps, anchors, phase, ts, rays=range(8)):
-    """Crossings of |f| = eps on the rays p + t e^(i theta_k), t in ts.
+def _ray_crossings(f, eps, anchors, ts):
+    """Crossings of |f| = eps on the rays p + t e^(i _RAY_ANGLE), t in ts.
 
-    theta_k = 2 pi (k + phase) / 8 for every anchor p and every k in
-    ``rays`` (ascending, within 0..7).  Sign changes of |f| - eps between
-    consecutive samples are bracketed with one grid evaluation.  Then
-    _RAY_ROUNDS rounds shrink every bracket together: one grid evaluation at
-    the _RAY_SPLIT - 1 interior points of each splits it into _RAY_SPLIT
-    equal parts, and the part ending at the first sign change from the lo end
-    is kept, or the last part where there is none.  The crossing is the
-    midpoint of the last bracket, 2^-50 of a sample interval wide, as after
-    50 halvings.  Returns (points, anchor indices, ray indices k), in anchor,
-    ray, distance order; a crossing does not depend on which other rays are
-    cast.  The first samples depend on f and the rays, not on eps: they are
-    kept in ``f.ray_samples``, keyed by the anchors, phase, ts and rays, so
-    the levels of f that share a seed box sample them once.
+    One ray per anchor p.  Sign changes of |f| - eps between consecutive
+    samples are bracketed with one grid evaluation.  Then _RAY_ROUNDS rounds
+    shrink every bracket together: one grid evaluation at the _RAY_SPLIT - 1
+    interior points of each splits it into _RAY_SPLIT equal parts, and the
+    part ending at the first sign change from the lo end is kept, or the last
+    part where there is none.  The crossing is the midpoint of the last
+    bracket, 2^-50 of a sample interval wide, as after 50 halvings.  Returns
+    the points, in anchor, then distance order.  The first samples depend on
+    f, not on eps: they are kept in ``f.ray_samples``, keyed by the anchors
+    and ts, so the levels of f that share a seed box sample them once.
     """
     origins = np.asarray(anchors, dtype=complex)
-    rays = np.asarray(rays)
-    directions = np.exp(1j * TWO_PI * (rays + phase) / 8)
-    key = (origins.tobytes(), phase, ts.tobytes(), rays.tobytes())
+    direction = np.exp(1j * _RAY_ANGLE)
+    key = (origins.tobytes(), ts.tobytes())
     vals = f.ray_samples.get(key)
     if vals is None:
-        vals = f.ray_samples[key] = f.abs_grid(origins[:, None, None] + directions[:, None] * ts)
+        vals = f.ray_samples[key] = f.abs_grid(origins[:, None] + direction * ts)
     sgn = np.sign(vals - eps)
-    a, k, i = np.nonzero(sgn[..., :-1] * sgn[..., 1:] < 0)
-    side = sgn[a, k, i, None]
-    origin, direction = origins[a, None], directions[k, None]
+    a, i = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
+    side = sgn[a, i, None]
+    origin = origins[a, None]
     lo, hi = ts[i, None], ts[i + 1, None]
     row = np.arange(a.size)[:, None]
     split = np.arange(1, _RAY_SPLIT) / _RAY_SPLIT
     for _ in range(_RAY_ROUNDS):
-        # hi - lo is exact while hi <= 2 lo (Sterbenz), as in every sample
-        # interval, so the points stay in [lo, hi] and in order
+        # hi - lo is exact where lo = 0 or hi <= 2 lo (Sterbenz): the first
+        # sample interval [0, t1] is the one, every other the other, and each
+        # part kept stays so.  The points thus stay in [lo, hi] and in order
         t = np.concatenate([lo, lo + (hi - lo) * split, hi], axis=1)
         same = np.sign(f.abs_grid(origin + t[:, 1:-1] * direction) - eps) == side
         # the count of leading points on the lo side of eps: the kept part
         # starts at point n and ends at the first point past the change
         n = np.cumprod(same, axis=1).sum(axis=1, keepdims=True)
         lo, hi = t[row, n], t[row, n + 1]
-    return (origin + 0.5 * (lo + hi) * direction)[:, 0], a, rays[k]
+    return (origin + 0.5 * (lo + hi) * direction)[:, 0]
 
 
 def trace_level_set(f: RationalFn, eps: float) -> list[LevelCurveComponent]:
@@ -834,21 +824,18 @@ def trace_level_set(f: RationalFn, eps: float) -> list[LevelCurveComponent]:
 
     The result is certified by the argument principle (:func:`_certify_turn`):
     the arcs must turn arg f by 2*pi times the zeros, or the poles, that the
-    domain holds.  The components are gathered in rungs, and the turn is
-    counted after each one:
+    domain holds.  The components are gathered in one pass:
 
-    0. the stored curve (``_critical_curve``) of every critical point on the
-       level (``f.critical_on_level``), the same objects the critical set
-       holds, each with its own ``level``;
-    1. the components through the seeds of ray 0 of :func:`find_seeds`;
-    2. the components through the seeds of the other 7 rays.
+    - the stored curve (``_critical_curve``) of every critical point on the
+      level (``f.critical_on_level``), the same objects the critical set
+      holds, each with its own ``level``;
+    - if their turn is short, the components through the seeds of
+      :func:`find_seeds`, traced by one tracer at the scale of the seeds.
+      Seeds on a component already gathered are dropped.
 
-    Seeds on a component already gathered are dropped, and one tracer at the
-    scale of the first ray seeds traces rungs 1 and 2.  A complete turn ends
-    the search.  A turn beyond the count means a component traced twice and
-    raises :class:`TraceError` at once; a shortfall moves on to the next
-    rung, and raises after rung 2.  The count is complete on the plane and
-    on the unit disk.
+    A turn beyond the count means a component traced twice, and a turn short
+    of it a component missed; either raises :class:`TraceError`.  The count
+    is complete on the plane and on the unit disk.
     """
     _check_level(f, eps)
     components: list[LevelCurveComponent] = []
@@ -857,18 +844,15 @@ def trace_level_set(f: RationalFn, eps: float) -> list[LevelCurveComponent]:
             comp = _critical_curve(f, i)
             if all(comp is not d for d in components):
                 components.append(comp)
-    tracer = None
-    for rays in ((0,), range(1, 8)):
-        if components and _certify_turn(f, eps, components, last=False):
-            break
-        seeds = find_seeds(f, eps, rays)
-        if seeds and tracer is None:
-            tracer = _LevelTracer(f, eps, _domain_scale(f, seeds))
-        components += _trace_seeds(tracer, seeds, components)
-    else:
-        if not components:
+    if not (components and _certify_turn(f, eps, components, last=False)):
+        seeds = find_seeds(f, eps)
+        if not (components or seeds):
             anchors = [z for z, _ in f.zeros] + [z for z, _ in f.poles]
-            raise TraceError(f"no seeds found on level {eps}: no ray from {anchors} crosses it in the domain")
+            raise TraceError(
+                f"no seeds found on level {eps}: the ray from each of {anchors} crosses it nowhere in the domain"
+            )
+        if seeds:
+            components += _trace_seeds(_LevelTracer(f, eps, _domain_scale(f, seeds)), seeds, components)
         _certify_turn(f, eps, components)
     components.sort(key=lambda c: _lower_left(c.points))
     return components

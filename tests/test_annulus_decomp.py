@@ -279,8 +279,8 @@ def test_march_keeps_each_chord_within_max_arg_step():
     # the loop of the region between the saddles -0.3205 (|f| = 0.95021) and
     # -0.488 (|f| = 0.95392), at the level where decompose's pi/4 gate saw
     # increments up to 0.804 while it traced 8 loops per region.  The whole
-    # level set cannot be traced here: it misses the loop of radius 4e-10
-    # about the zero 70.1
+    # level set cannot be traced here: the corrector cannot land the seed on
+    # the loop of radius 4e-10 about the zero 70.1
     f = parse_function_spec(
         "poly:0.02152207288173195,-1.5092262959174658,0.024636521891160987,0.8125416961203998,"
         "0.7807870336863958,0.8181502040703489,0.35872203290802274,1.0"

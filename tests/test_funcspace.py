@@ -19,6 +19,7 @@ from levelcurves import (
 )
 from levelcurves import funcspace
 from levelcurves.funcspace import INF, find_roots, random_polynomial
+from levelcurves.tracer import _RAY_ANGLE
 
 
 def test_eval_constant_term():
@@ -362,12 +363,12 @@ def test_find_roots_trailing_zero_factoring():
 def test_array_evaluation_is_polyval_bitwise(degree):
     # Polynomial.__call__ on an array runs numpy's polyval Horner without its
     # set-up: the same floats, dtype and shape on real and complex points,
-    # one-point arrays included, and on the (anchor, ray, distance) grid of
+    # one-point arrays included, and on the (anchor, distance) grid of
     # _ray_crossings
     rng = np.random.default_rng(degree)
     coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
-    rays = np.exp(2j * np.pi * (np.arange(8) + 0.21) / 8)
-    ray_grid = rng.normal(size=3)[:, None, None] + rays[:, None] * np.geomspace(1e-6, 3.2, 400)
+    ray = np.exp(1j * _RAY_ANGLE)
+    ray_grid = rng.normal(size=3)[:, None] + ray * np.concatenate([[0.0], np.geomspace(1e-6, 3.2, 400)])
     for c in (coeffs, coeffs.real):
         p = Polynomial(c)
         for shape in [(1,), (2,), (7,), (400,), (5, 9), (3, 8, 400)]:

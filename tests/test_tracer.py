@@ -18,9 +18,16 @@ from levelcurves import (
     trace_level_set,
 )
 from levelcurves import geometry, tracer
-from levelcurves.funcspace import random_polynomial
+from levelcurves.funcspace import Polynomial, random_polynomial
 from levelcurves.gridcheck import grid_oracle_report
-from levelcurves.tracer import _domain_scale, _LevelTracer, _ray_crossings, _seed_box, _trace_component_with
+from levelcurves.tracer import (
+    _RAY_ANGLE,
+    _domain_scale,
+    _LevelTracer,
+    _ray_crossings,
+    _seed_box,
+    _trace_component_with,
+)
 
 
 def on_level_residual(f, comp):
@@ -337,8 +344,8 @@ def test_step_cap_near_off_level_saddle():
 
 def _scalar_ray_crossings(f, eps, p, theta, ts):
     """One ray, one bracket at a time, bisected with scalar evaluations: the
-    search the batched ``_ray_crossings`` replaced (its domain filter and hit
-    cap now live in find_seeds and are left out)."""
+    search the batched ``_ray_crossings`` replaced (its domain filter now
+    lives in find_seeds and is left out)."""
     direction = complex(math.cos(theta), math.sin(theta))
     vals = f.abs_grid(p + ts * direction)
     with np.errstate(divide="ignore"):
@@ -355,6 +362,14 @@ def _scalar_ray_crossings(f, eps, p, theta, ts):
                 hi = mid
         hits.append(p + 0.5 * (lo + hi) * direction)
     return hits
+
+
+def _seed_ts(f, eps):
+    """The distances at which find_seeds samples its rays: the anchor itself,
+    then 400 geometric steps out to 1.6 times the width of the seed box."""
+    x0, y0, x1, y1 = _seed_box(f, eps)
+    reach = max(x1 - x0, y1 - y0)
+    return reach, np.concatenate([[0.0], np.geomspace(1e-6 * reach, 1.6 * reach, 400)])
 
 
 @pytest.mark.parametrize(
@@ -378,23 +393,13 @@ def test_batched_ray_search_matches_scalar_reference(spec, eps, corpus30):
     else:
         f, levels = parse_function_spec(spec), [eps]
     for eps in levels:
-        x0, y0, x1, y1 = _seed_box(f, eps)
-        reach = max(x1 - x0, y1 - y0)
-        ts = np.geomspace(1e-6 * reach, 1.6 * reach, 400)
+        reach, ts = _seed_ts(f, eps)
         anchors = [z for z, _ in f.zeros] + [z for z, _ in f.poles]
-        for phase in (0.21, 0.37):
-            pts, a, k = _ray_crossings(f, eps, anchors, phase, ts)
-            assert list(zip(a, k)) == sorted(zip(a, k))  # anchor, then ray order
-            total = 0
-            for ai, p in enumerate(anchors):
-                for ki in range(8):
-                    want = _scalar_ray_crossings(f, eps, p, 2 * math.pi * (ki + phase) / 8, ts)
-                    got = pts[(a == ai) & (k == ki)]
-                    assert len(got) == len(want)
-                    # same crossings in the same order: outward along the ray
-                    assert np.all(np.abs(got - np.array(want, dtype=complex)) <= 1e-12 * reach)
-                    total += len(want)
-            assert total == len(pts) > 0
+        got = _ray_crossings(f, eps, anchors, ts)
+        # the same crossings in the same order: by anchor, then outward
+        want = [z for p in anchors for z in _scalar_ray_crossings(f, eps, p, _RAY_ANGLE, ts)]
+        assert len(got) == len(want) > 0
+        assert np.all(np.abs(got - np.array(want, dtype=complex)) <= 1e-12 * reach)
 
 
 def test_ray_search_makes_eleven_grid_passes(monkeypatch):
@@ -403,10 +408,38 @@ def test_ray_search_makes_eleven_grid_passes(monkeypatch):
     sizes = []
     abs_grid = f.abs_grid
     monkeypatch.setattr(f, "abs_grid", lambda z: sizes.append(np.size(z)) or abs_grid(z))
-    ts = np.geomspace(1e-6, 3.0, 400)
-    pts, _, _ = _ray_crossings(f, 0.5, [z for z, _ in f.zeros], 0.21, ts)
+    ts = np.concatenate([[0.0], np.geomspace(1e-6, 3.0, 400)])
+    pts = _ray_crossings(f, 0.5, [z for z, _ in f.zeros], ts)
     assert len(sizes) == 11
-    assert sizes == [5 * 8 * 400] + [31 * len(pts)] * 10
+    assert sizes == [5 * 401] + [31 * len(pts)] * 10
+
+
+def test_every_crossing_of_a_ray_is_a_seed():
+    # zeros at 0, d, 2d and 3d on the seed ray of the first: below every
+    # critical value each zero has its own loop, so the ray from 0 crosses the
+    # level 7 times, that from d 5 times, and so on; every crossing is a seed
+    d = complex(math.cos(_RAY_ANGLE), math.sin(_RAY_ANGLE))
+    f = RationalFn(Polynomial.from_roots([0, d, 2 * d, 3 * d]))
+    eps = 0.9 * min(f.abs_eval(c) for c, _ in f.critical_points)
+    reach, ts = _seed_ts(f, eps)
+    hits = {p: _scalar_ray_crossings(f, eps, p, _RAY_ANGLE, ts) for p, _ in f.zeros}
+    assert sorted(len(h) for h in hits.values()) == [1, 3, 5, 7]
+    want = [z for h in hits.values() for z in h if f.in_domain(z)]
+    seeds = find_seeds(f, eps)
+    assert len(seeds) == len(want) == 16
+    assert np.all(np.abs(np.array(seeds) - np.array(want)) <= 1e-12 * reach)
+
+
+def test_ray_from_a_zero_seeds_its_tightest_loop():
+    # at this level the loop about the zero 70.1 of this degree-7 polynomial
+    # has a radius of 3.7e-10, inside the first sample after the anchor; the
+    # sample at the zero itself brackets it
+    f = parse_function_spec(
+        "poly:0.02152207288173195,-1.5092262959174658,0.024636521891160987,0.8125416961203998,"
+        "0.7807870336863958,0.8181502040703489,0.35872203290802274,1.0"
+    )
+    (zero,) = [z for z, _ in f.zeros if abs(z - 70.1) < 0.1]
+    assert min(abs(s - zero) for s in find_seeds(f, 0.9530924676793712)) < 1e-9
 
 
 SEED_CACHE_LEVELS = [
@@ -426,7 +459,7 @@ def test_seed_samples_kept_on_f_leave_the_seeds_unchanged(monkeypatch, spec, lev
     # its refusal, are the same whichever levels of f came before it
     def seeds(f, eps):
         try:
-            return [find_seeds(f, eps, rays) for rays in ((0,), range(1, 8), range(8))]
+            return find_seeds(f, eps)
         except TraceError as exc:
             return str(exc)
 
@@ -437,29 +470,32 @@ def test_seed_samples_kept_on_f_leave_the_seeds_unchanged(monkeypatch, spec, lev
     backwards = parse_function_spec(spec)
     assert [seeds(backwards, eps) for eps in levels[::-1]] == cold[::-1]
     # once warm, a level samples no ring and no first ray grid: its grid
-    # passes are the ten narrowing rounds of each ray group
+    # passes are the ten narrowing rounds
     sizes = []
     abs_grid = f.abs_grid
     monkeypatch.setattr(f, "abs_grid", lambda z: sizes.append(np.size(z)) or abs_grid(z))
     assert seeds(f, levels[0]) == cold[0]
-    assert len(sizes) == 30
+    assert len(sizes) == 10
 
 
 def test_ray_search_keeps_a_bracket_that_straddles_eps():
-    # (x - 1)(x - 2)(x - 3) = +-0.1 three times on [0.5, 2.05], near 0.95,
-    # 1.05 and 1.9: one sample interval holds three crossings
-    f = parse_function_spec("poly:1,-6,11,-6")
+    # g(w) = (w - 1)(w - 2)(w - 3) = +-0.1 three times on [0.5, 2.05], near
+    # 0.95, 1.05 and 1.9.  Turned onto the seed ray, f(z) = (z - d)(z - 2d)(z - 3d)
+    # with d = e^(i _RAY_ANGLE) has |f(t d)| = |g(t)|: one sample interval
+    # of the ray from 0 holds three crossings
+    d = complex(math.cos(_RAY_ANGLE), math.sin(_RAY_ANGLE))
+    f = RationalFn(Polynomial.from_roots([d, 2 * d, 3 * d]))
     eps, ts = 0.1, np.array([0.5, 2.05])
-    (p,), a, k = _ray_crossings(f, eps, [0j], 0.0, ts, rays=(0,))
-    assert (a.tolist(), k.tolist()) == ([0], [0])
+    (p,) = _ray_crossings(f, eps, [0j], ts)
     crossings = [r.real for s in (1, -1) for r in np.roots([1, -6, 11, -6 - s * eps]) if abs(r.imag) < 1e-9]
     crossings = sorted(c for c in crossings if ts[0] < c < ts[1])
     assert len(crossings) == 3
-    assert abs(p.imag) <= 1e-15 and min(abs(p.real - c) for c in crossings) < 1e-14
+    t = (p / d).real
+    assert abs(p - t * d) <= 1e-15 and min(abs(t - c) for c in crossings) < 1e-12
     # the last bracket is 2^-50 of the sample interval wide, and |f| - eps
     # changes sign across it
     half = 0.5 * (ts[1] - ts[0]) * 2.0**-50
-    lo, hi = f.abs_grid(np.array([p.real - half, p.real + half])) - eps
+    lo, hi = f.abs_grid(np.array([t - half, t + half]) * d) - eps
     assert lo * hi < 0
 
 
@@ -538,7 +574,7 @@ def test_missing_component_fails_the_turn_count(monkeypatch, spec, eps):
         trace_level_set(f, eps)
 
 
-@pytest.mark.parametrize("spec,eps", [CERTIFIED_LEVELS[0], CERTIFIED_LEVELS[4]])
+@pytest.mark.parametrize("spec,eps", CERTIFIED_LEVELS)
 def test_duplicate_component_fails_the_turn_count(monkeypatch, spec, eps):
     # one ray per anchor may put a single seed on each component, so every
     # seed is fed twice and the deduplication is turned off
@@ -550,40 +586,24 @@ def test_duplicate_component_fails_the_turn_count(monkeypatch, spec, eps):
         trace_level_set(f, eps)
 
 
-def _rays_cast(monkeypatch, keep=lambda rays, seeds: seeds):
-    """Record the rays of every find_seeds call; keep filters its seeds."""
-    seeds_of = tracer.find_seeds
-    cast = []
-
-    def recorded(f, eps, rays=range(8)):
-        cast.append(tuple(rays))
-        return keep(tuple(rays), seeds_of(f, eps, rays))
-
-    monkeypatch.setattr(tracer, "find_seeds", recorded)
-    return cast
-
-
-@pytest.mark.parametrize("spec,eps", CERTIFIED_LEVELS)
-def test_component_missed_by_the_first_ray_is_traced_from_the_others(monkeypatch, spec, eps):
-    f = parse_function_spec(spec)
-    want = trace_level_set(f, eps)
-    missed = want[-1]
-    cast = _rays_cast(monkeypatch, lambda rays, seeds: tracer._off(missed, seeds) if rays == (0,) else seeds)
-    got = trace_level_set(f, eps)
-    assert cast == [(0,), tuple(range(1, 8))]
-    assert len(got) == len(want)
-    assert [len(c.vertices) for c in got] == [len(c.vertices) for c in want]
-    assert np.all(tracer._near(missed, got[-1].points))
-
-
 @pytest.mark.parametrize("spec,eps", CERTIFIED_LEVELS)
 def test_planted_surplus_raises_before_the_other_rays(monkeypatch, spec, eps):
+    # one surplus seed, not every seed twice: the turn count raises from the
+    # single seeding pass, and no further rays are cast to look again
     f = parse_function_spec(spec)
-    cast = _rays_cast(monkeypatch, lambda rays, seeds: seeds + seeds[:1])
+    seeds_of = tracer.find_seeds
+    calls = []
+
+    def seeds_with_surplus(*args):
+        calls.append(args)
+        seeds = seeds_of(*args)
+        return seeds + seeds[:1]
+
+    monkeypatch.setattr(tracer, "find_seeds", seeds_with_surplus)
     monkeypatch.setattr(tracer, "_near", lambda comp, zs: np.zeros(len(zs), dtype=bool))
     with pytest.raises(TraceError, match="missing or traced twice"):
         trace_level_set(f, eps)
-    assert cast == [(0,)]
+    assert len(calls) == 1
 
 
 def _noncritical_level(f, u):
@@ -724,12 +744,14 @@ def test_rotated_fixtures_hand_out_the_stored_critical_curve(coeffs, seed):
 @pytest.mark.xfail(
     strict=True,
     raises=TraceError,
-    reason="the level set at 10.0 turns arg f by 1.000000 turns, but the domain holds 2 poles",
+    reason="step size underflow near the weak pole: its loop, of radius 1.2e-6, is too tight for steps "
+    "of at least h_min = 1e-6",
 )
 def test_loop_about_a_weak_pole_is_traced():
     # the pole -0.00206+0.00237i lies 3e-3 from a double zero, so |f| is only
-    # 1.24 at 1e-5 from it and its loop at level 10 is about 1e-6 wide; no
-    # seed lands on it, while levels 0.5 and 2 trace
+    # 1.24 at 1e-5 from it and its loop at level 10 is about 1e-6 wide, while
+    # levels 0.5 and 2 trace.  The sample at the pole itself seeds the loop,
+    # but the march cannot follow it with steps of at least h_min
     f = RationalFn.blaschke_ratio(
         [1.8936205382480023e-06 + 9.819073340042092e-06j] * 2 + [-0.16830128075653625 + 0.7421047765550758j],
         [-0.0020553810104348784 + 0.002365831794946803j, 0.5349782044865122 + 0.2623481824646632j],
@@ -737,6 +759,6 @@ def test_loop_about_a_weak_pole_is_traced():
     try:
         comps = trace_level_set(f, 10.0)
     except TraceError as exc:
-        assert "turns arg f by 1.000000 turns, but the domain holds 2 poles" in str(exc)
+        assert str(exc).startswith("step size underflow near (-0.0020541")
         raise
     assert len(comps) == 2
