@@ -381,8 +381,8 @@ class RationalFn:
 
     Instances are immutable apart from their caches of what depends on f
     alone (distinguished points, local models, critical windows, critical
-    curves, and the seed search's rings and ray samples); every method is
-    pure, so sharing across threads is safe.
+    curves, and the seed search's ray samples); every method is pure, so
+    sharing across threads is safe.
     Construction rejects constant functions and numerator / denominator
     pairs with a common root: a pair of root clusters whose certified disks
     meet.
@@ -413,11 +413,8 @@ class RationalFn:
         # the component through each critical point, filled by
         # ``tracer._critical_curve`` and keyed by the critical point's index
         self.critical_curves: dict = {}
-        # the seed search's samples of |f|, which do not depend on the level:
-        # the rings of ``tracer._seed_box``, and the first samples along the
-        # one ray per zero and pole of ``tracer._ray_crossings``, keyed by the
-        # anchors and the distances; both filled as levels need them
-        self.seed_rings: tuple = ()
+        # the first samples of |f| along the seed rays, which do not depend on
+        # the level, keyed by the anchors and distances (``tracer._ray_crossings``)
         self.ray_samples: dict = {}
         self._check_coprime()
 

@@ -138,7 +138,7 @@ def _nearby_curves_union(
             continue
         normal = 1j * tangent / abs(tangent)
         for off in (0.0, 0.25 * delta, -0.25 * delta, 0.75 * delta, -0.75 * delta):
-            z, _, _ = tracer.correct(mid + off * normal, max_iter=40)
+            z, _, _ = tracer.correct(mid + off * normal)
             if z is not None and abs(z - mid) <= 4.0 * delta + 1.0:
                 seeds.append(z)
     comps = _trace_seeds(tracer, seeds)

@@ -50,9 +50,9 @@ each zero and pole: every bounded face of a component holds a zero or a
 pole, so such a ray crosses every component.  The seeds come from
 :func:`find_seeds` and its batched ``_ray_crossings``, which samples each
 ray from its anchor outward and narrows all the crossings of a call
-together in ten 32-way rounds, one grid evaluation each.  The samples of |f|
-that do not depend on the level, the rings of the seed box and the first
-samples along the rays, are taken once per function and kept on it.
+together in ten 32-way rounds, one grid evaluation each.  The rays run out
+past a disk that holds the whole level set (``_seed_box``); their first
+samples do not depend on the level and are kept on the function.
 """
 
 from __future__ import annotations
@@ -246,7 +246,7 @@ class _LevelTracer:
 
     # -- Newton correction onto the level set
 
-    def correct(self, z: complex, max_iter: int = 30):
+    def correct(self, z: complex, max_iter: int = 60):
         """Newton on log|f| = log eps with a second-order term: up to max_iter
         updates, then a residual check.
 
@@ -562,7 +562,7 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
     seed, and the tracer is never changed by a trace.
     """
     eps = tracer.eps
-    z0, _, ld0 = tracer.correct(seed, max_iter=60)
+    z0, _, ld0 = tracer.correct(seed)
     if z0 is None:
         raise TraceError(f"seed {seed} did not converge onto level {eps}")
 
@@ -706,15 +706,15 @@ def find_seeds(f: RationalFn, eps: float) -> list[complex]:
     from each zero/pole crosses every component in the plane.  The rays of
     all anchors are searched together (``_ray_crossings``), each sampled from
     its anchor itself, where |f| is 0 or inf, out to 1.6 times the width of
-    the seed box.  Every in-domain crossing, narrowed to 2^-50 of its sample
-    interval, is a seed, in anchor and distance order.
+    the seed box, past the disk that holds the level set.  Every in-domain
+    crossing, narrowed to 2^-50 of its sample interval, is a seed, in anchor
+    and distance order.
     The tracer corrects each seed it starts from.  Duplicates are fine;
     tracing deduplicates.  The seeds are not checked for completeness here:
     :func:`trace_level_set` certifies the components it traces.
     """
     _check_level(f, eps)
-    x0, y0, x1, y1 = _seed_box(f, eps)
-    reach = max(x1 - x0, y1 - y0)
+    reach = 2.0 * _seed_box(f, eps)[2]
 
     anchors = [z for z, _ in f.zeros] + [z for z, _ in f.poles]
     ts = np.concatenate([[0.0], np.geomspace(1e-6 * reach, 1.6 * reach, 400)])
@@ -732,41 +732,35 @@ def _check_level(f: RationalFn, eps: float):
 def _seed_box(f: RationalFn, eps: float):
     """The box (x0, y0, x1, y1) in which :func:`find_seeds` casts its rays.
 
-    On the unit disk it is the disk's box.  On the plane it is the box of the
-    first of 60 rings, about the centroid of the distinguished points, that
-    the level set cannot cross.  The rings depend on f alone: each ring's
-    center, radius and the min and max of |f| over its 180 samples are kept
-    in ``f.seed_rings``, sampled once per function and only as far out as a
-    level has needed, so a level compares eps with them and samples no ring
-    another level of f has sampled.
+    On the unit disk it is the disk's box.  On the plane it is the square
+    about a disk |z| <= R that holds the whole level set: with f = n/d, a
+    point where |f| = eps is a root of n - eps w d for some |w| = 1 (of
+    eps d - w n when deg n < deg d), whose coefficients c_0, ..., c_N have
+    |c_k| <= B_k = |n_k| + eps |d_k| and |c_N| >= L = | |n_N| - eps |d_N| |.
+    Fujiwara's bound (Tohoku Math. J. 10, 1916), R = 2 max_k (B_k / L)^(1 /
+    (N - k)) with B_0 halved, is raised by 1e-12 relative and then to a power
+    of two, so that the levels of f share a few disks and their ray samples.
+    Refused: L = 0 within rounding, where eps is |f(inf)| and the level set
+    is unbounded, and an R whose rays would leave the floats.
     """
     if f.disk:
         return (-1.0, -1.0, 1.0, 1.0)
-    # whole plane: grow a box until the level set cannot cross its boundary.
-    # With every zero and pole inside the ring, the modulus principles pin
-    # the outside behavior: values uniformly above eps certify containment
-    # unless f vanishes at infinity, uniformly below unless it blows up there.
-    deg_gap = f.numerator.degree - f.denominator.degree
-    for k in range(60):
-        rings = f.seed_rings
-        if k == len(rings):
-            if rings:
-                cx, cy, r = rings[-1][0], rings[-1][1], rings[-1][2] * 1.3
-            else:
-                pts = f.distinguished_points() or [0j]
-                cx = sum(p.real for p in pts) / len(pts)
-                cy = sum(p.imag for p in pts) / len(pts)
-                r = max(1.0, 1.5 * max(abs(p - complex(cx, cy)) for p in pts))
-            theta = np.linspace(0, TWO_PI, 181)[:-1]
-            vals = f.abs_grid(complex(cx, cy) + r * np.exp(1j * theta))
-            # rebound, not appended: ring k is the same whoever samples it
-            f.seed_rings = rings = rings[:k] + ((cx, cy, r, float(vals.min()), float(vals.max())),)
-        cx, cy, r, lo, hi = rings[k]
-        if deg_gap >= 0 and lo > eps * 1.5 or deg_gap <= 0 and hi < eps / 1.5:
-            return (cx - r, cy - r, cx + r, cy + r)
-    raise TraceError(
-        f"level {eps} appears unbounded: no enclosing circle found up to radius {r * 1.3:.3g}"
-    )
+    n = [abs(c) for c in f.numerator.coeffs.tolist()]
+    d = [eps * abs(c) for c in f.denominator.coeffs.tolist()]
+    if len(n) < len(d):
+        n, d = d, n
+    d += [0.0] * (len(n) - len(d))
+    # L lowered by the rounding of n[-1] and d[-1], 2 ulps each; nan, refused below, on overflow
+    lead = abs(n[-1] - d[-1]) - 2.0**-50 * (n[-1] + d[-1])
+    if lead <= 0.0:
+        raise TraceError(f"level {eps!r} is |f(inf)| within rounding: the level set is unbounded")
+    deg = len(n) - 1
+    bound = 2 * (1 + 1e-12) * max(((n[k] + d[k]) / (lead if k else 2 * lead)) ** (1 / (deg - k)) for k in range(deg))
+    # the rays of find_seeds reach 3.2 R, which must stay finite
+    if not bound <= 2.0**1021:
+        raise TraceError(f"level {eps!r} has no finite seed disk: its root bound is {bound:.3g}")
+    r = math.ldexp(1.0, math.frexp(bound)[1])
+    return (-r, -r, r, r)
 
 
 # the angle of every seed ray: off the axes and the diagonals, on which
@@ -922,6 +916,14 @@ def _certify_turn(f: RationalFn, eps: float, components, last: bool = True) -> b
     if abs(turn - TWO_PI * want) <= WINDING_TOL:
         return True
     if last or turn > TWO_PI * want:
+        # a counted zero with computed |f| >= eps (pole, <= eps) has no sample inside its loop
+        for z, _ in f.zeros if above else f.poles:
+            av = f.abs_eval(z)
+            if turn < TWO_PI * want and (av >= eps if above else av <= eps):
+                raise TraceError(
+                    f"the level set at {eps} is short of a loop about the {'zero' if above else 'pole'} {z}, "
+                    f"where the computed |f| is {av!r}: double precision cannot resolve it"
+                )
         raise TraceError(
             f"the level set at {eps} turns arg f by {turn / TWO_PI:.6f} turns, but the domain "
             f"holds {want} {'zeros' if above else 'poles'}: a component is missing or traced twice"

@@ -222,7 +222,7 @@ def _interleaved_union(f, zeta, component, delta):
             continue
         normal = 1j * tangent / abs(tangent)
         for off in (0.0, 0.25 * delta, -0.25 * delta, 0.75 * delta, -0.75 * delta):
-            z, _, _ = tracer.correct(mid + off * normal, max_iter=40)
+            z, _, _ = tracer.correct(mid + off * normal)
             if z is None or any(_near(c, [z])[0] for c in comps):
                 continue
             if abs(z - mid) > 4.0 * delta + 1.0:

@@ -156,7 +156,7 @@ def test_recorded_sag_bounds_the_measured_sag(f, eps):
         for arc in comp.arcs:
             assert arc.sag <= 10.0 * tracer.SAG_REL * scale
             for mid in 0.5 * (arc.points[1:] + arc.points[:-1]):
-                z, _, _ = corrector.correct(mid, max_iter=60)
+                z, _, _ = corrector.correct(mid)
                 assert z is not None and abs(z - mid) <= arc.sag
 
 
@@ -170,7 +170,7 @@ def test_closing_chord_within_recorded_sag(f, eps):
     for arc in closed:
         assert arc.points[-1] == arc.points[0]
         mid = 0.5 * (arc.points[-2] + arc.points[-1])
-        z, _, _ = corrector.correct(mid, max_iter=60)
+        z, _, _ = corrector.correct(mid)
         assert z is not None and abs(z - mid) <= arc.sag
 
 
@@ -442,12 +442,99 @@ def test_ray_from_a_zero_seeds_its_tightest_loop():
     assert min(abs(s - zero) for s in find_seeds(f, 0.9530924676793712)) < 1e-9
 
 
+def _seed_radius(f, eps):
+    x0, y0, x1, y1 = _seed_box(f, eps)
+    assert x0 == y0 == -x1 and y1 == x1
+    return x1
+
+
+# one rational function for each sign of deg(num) - deg(den), at levels on
+# both sides of their critical values
+DISK_CASES = [
+    ("rat:1,0,0,-1/1,0.5", [0.6597111598592994, 1.3194223197185988, 3.8773599486044033, 7.75]),
+    ("rat:1,0,-1/1,0,0.25", [0.8, 1.2, 2.0, 4.0, 8.0]),
+    ("rat:1,0/1,0,0,0.5", [0.3, 0.41997368329829105, 0.8399473665965821, 5.0]),
+]
+
+
+def _assert_within_seed_disk(f, eps):
+    r = _seed_radius(f, eps)
+    for comp in trace_level_set(f, eps):
+        assert float(np.max(np.abs(comp.points))) <= r, (f.spec, eps, r)
+
+
+def test_level_set_lies_in_the_seed_disk(corpus30, lemniscate_fn, z5m1, blaschke_21):
+    # Fujiwara's bound holds the whole level set: every traced point lies in
+    # the disk about 0 whose square find_seeds searches, a power of two
+    for f in corpus30:
+        for c, _ in f.critical_points:
+            _assert_within_seed_disk(f, f.abs_eval(c))
+    for f, levels in [(lemniscate_fn, [0.5, 1.0, 2.0]), (z5m1, [0.5, 1.0, 1.5]), (blaschke_21, [0.5, 2.0])]:
+        for eps in levels:
+            _assert_within_seed_disk(f, eps)
+    for spec, levels in DISK_CASES:
+        f = parse_function_spec(spec)
+        for eps in levels:
+            _assert_within_seed_disk(f, eps)
+            r = _seed_radius(f, eps)
+            assert math.frexp(r)[0] == 0.5
+
+
+@pytest.mark.parametrize("eps,count", [(0.8, 2), (1.2, 1)])
+def test_bounded_levels_near_the_value_at_infinity_trace(eps, count):
+    # |f| tends to 1 at infinity; a level within a factor 1.5 of it is still
+    # bounded: two loops about the zeros +-1 below it, one about the poles
+    # +-0.5i above it, and the turn count passes
+    f = parse_function_spec("rat:1,0,-1/1,0,0.25")
+    comps = trace_level_set(f, eps)
+    assert len(comps) == count
+    _assert_on_level(f, comps, eps)
+    assert _seed_radius(f, eps) == 4.0
+
+
+def test_level_at_the_value_at_infinity_is_refused():
+    f = parse_function_spec("rat:1,0,-1/1,0,0.25")
+    with pytest.raises(TraceError, match=r"level 1\.0 is \|f\(inf\)\| within rounding: the level set is unbounded"):
+        trace_level_set(f, 1.0)
+
+
+@pytest.mark.parametrize(
+    "spec,eps",
+    [
+        # the bound is eps itself, beyond 2^1021
+        ("poly:1,0", 1e308),
+        # eps |d_1| overflows
+        ("rat:1,0,0/1e10,1", 1e300),
+        # deg num < deg den: B_0 / (2 L) = 1 / (2 eps) overflows
+        ("rat:1/1,0,0", 5e-324),
+    ],
+)
+def test_an_infinite_seed_disk_is_refused(spec, eps):
+    with pytest.raises(TraceError, match="has no finite seed disk"):
+        trace_level_set(parse_function_spec(spec), eps)
+
+
+def test_a_zero_below_double_precision_is_named():
+    # the zero -38.4397 of this degree-12 polynomial has a computed |f| of
+    # 16.69, above the level, so its loop has no sample inside and the
+    # turn count is one zero short: the refusal names that zero
+    f = RationalFn.from_polynomial(
+        [
+            0.02346986700210718, 0.9065326969925227, 0.1843502960917469, 0.6423816261599686,
+            -0.12562552377649316, -0.1452186003579008, -0.6043715973887431, 0.2689797008294248,
+            0.8305326830170328, 0.3752623263731485, 0.9729226824008628, 0.8460874247809098, 1.0,
+        ]
+    )
+    with pytest.raises(TraceError, match=r"loop about the zero \(-38\.4396\S*\), where the computed \|f\| is 16\.6858"):
+        trace_level_set(f, 0.26858191068782444)
+
+
 SEED_CACHE_LEVELS = [
-    # the plane: levels whose seed boxes are the first ring and rings 3 to 28
+    # the plane: levels whose seed disks have radius 2 to 2048, some shared
     ("poly:1,0,0,0,0,-1", [0.5, 1.0, 1.5, 30.0, 1e4, 1e7]),
     ("rat:1,0/1,0,0,0.5", [5.0, 0.3, 1e-3, 1e-6]),
-    # |f| tends to 1 at infinity: 0.9 is unbounded, which no ring can show
-    ("rat:1,0,-1/1,0.5i,0.25", [0.5, 2.0, 0.9]),
+    # |f| tends to 1 at infinity: 0.9 and 2.0 are bounded, 1.0 is refused
+    ("rat:1,0,-1/1,0.5i,0.25", [0.5, 2.0, 0.9, 1.0]),
     # the unit disk
     ("blaschke:0.36,-0.34+0.03i/0.05+0.02i", [0.5, 2.0, 0.2]),
 ]
@@ -455,8 +542,8 @@ SEED_CACHE_LEVELS = [
 
 @pytest.mark.parametrize("spec,levels", SEED_CACHE_LEVELS)
 def test_seed_samples_kept_on_f_leave_the_seeds_unchanged(monkeypatch, spec, levels):
-    # the seed rings and first ray samples are kept on f: a level's seeds, or
-    # its refusal, are the same whichever levels of f came before it
+    # the first ray samples are kept on f: a level's seeds, or its refusal,
+    # are the same whichever levels of f came before it
     def seeds(f, eps):
         try:
             return find_seeds(f, eps)
@@ -469,8 +556,8 @@ def test_seed_samples_kept_on_f_leave_the_seeds_unchanged(monkeypatch, spec, lev
     assert [seeds(f, eps) for eps in levels[::-1]] == cold[::-1]
     backwards = parse_function_spec(spec)
     assert [seeds(backwards, eps) for eps in levels[::-1]] == cold[::-1]
-    # once warm, a level samples no ring and no first ray grid: its grid
-    # passes are the ten narrowing rounds
+    # once warm, a level samples no first ray grid: its grid passes are the
+    # ten narrowing rounds
     sizes = []
     abs_grid = f.abs_grid
     monkeypatch.setattr(f, "abs_grid", lambda z: sizes.append(np.size(z)) or abs_grid(z))
