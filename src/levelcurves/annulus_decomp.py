@@ -265,8 +265,7 @@ def _certify_region_clean(f: RationalFn, region: AnnularRegion):
     for b in (inner, region.outer_boundary):
         if b.kind is CurveKind.LEVEL_CURVE:
             own += [v for v, _ in b.component.vertices]
-    for p in own:
-        pts = pts[np.abs(pts - p) >= 1e-10]
+    pts = pts[~np.isin(pts, own)]
     lo, hi = region.level_interval()
     av = np.array([f.abs_eval(z) for z in pts])
     pts = pts[(lo < av) & (av < hi)]
@@ -292,7 +291,7 @@ def _inside_inner(region: AnnularRegion, zp: np.ndarray) -> np.ndarray:
     """Which points of zp the inner boundary encloses (a point boundary: itself)."""
     inner = region.inner_boundary
     if inner.kind is CurveKind.POINT:
-        return np.abs(zp - inner.point) < 1e-10
+        return zp == inner.point
     g = inner.graph()
     return faces_of_points(g, zp) != g.unbounded_face.id
 

@@ -460,20 +460,23 @@ class RationalFn:
     def check_boundary_restriction(self):
         """Reject configurations whose level curves touch the domain boundary.
 
-        On the unit disk this requires |f| - 1 to be one-signed on a thin
-        collar just inside the circle; the global structure operations
+        On the unit circle |f| = 1 and z f'/f is real, the radial derivative
+        of log|f|, so the unit circle is a level curve of f that no other
+        level-1 curve meets exactly when f' has no zero on it.  That is
+        certified by the root clusters of n'd - nd' that the critical points
+        start from: a cluster whose disk meets the circle, the rounding of
+        its |c| allowed for, is refused.  The global structure operations
         (nesting order, decomposition) call this before relying on it.
         """
         if not self.disk:
             return
-        theta = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
-        ring = 0.999 * np.exp(1j * theta)
-        vals = np.abs(self.eval_grid(ring)) - 1.0
-        if not (np.all(vals > 0) or np.all(vals < 0)):
-            raise FunctionSpecError(
-                "a level curve of |f| = 1 meets the unit circle; "
-                "the boundary restriction fails for this Blaschke ratio"
-            )
+        for c in self.derivative_numerator.roots():
+            # |c| - 1 is exact near the circle; |c| is within an ulp, 2^-52
+            if abs(abs(c[0]) - 1.0) - 2.0**-52 <= c.radius:
+                raise FunctionSpecError(
+                    f"the critical cluster at {c[0]} may lie on the unit circle, where the level "
+                    "curve |f| = 1 meets it; the boundary restriction fails for this Blaschke ratio"
+                )
 
     # -- the domain: the unit disk for a Blaschke ratio, the plane otherwise
 

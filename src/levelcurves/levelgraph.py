@@ -238,16 +238,14 @@ def _materialize_faces(walks, edges) -> list[Face]:
     if abs(total) > 1e-6 * max(scale2, 1e-12):
         raise TopologyError(f"face areas do not cancel (sum {total:.3e}); embedding corrupt")
 
-    neg = [i for i, a in enumerate(areas) if a < 0]
+    # the bounded faces' walks, at least two, run clockwise, and the
+    # unbounded face's walk about them counterclockwise
     pos = [i for i, a in enumerate(areas) if a > 0]
-    if len(neg) == 1 and len(pos) >= 1:
-        unbounded_idx = neg[0]
-    elif len(pos) == 1 and len(neg) >= 1:
-        unbounded_idx = pos[0]
-    else:
+    if len(pos) != 1 or not any(a < 0 for a in areas):
         raise TopologyError(
             f"cannot identify the unbounded face from walk orientations {areas}"
         )
+    unbounded_idx = pos[0]
 
     return [Face(i, i != unbounded_idx, cycles[i], polys[i]) for i in range(len(walks))]
 

@@ -253,11 +253,14 @@ def _fmt(z: complex) -> str:
 def separating_curve(f: RationalFn, L: CurveRef, K) -> tuple[CurveRef, str]:
     """A non-critical level curve with L in one face and all of K in the other.
 
-    K is a closed point set (array of complex).  The search walks a short
-    transversal from L toward K, tracing the level curve through each probe
-    point and certifying the separation by face tests (L by the rule of
-    :func:`precedes`; all of K votes, as K need not be connected).  Returns
-    the curve and the placement of K ("bounded" or "unbounded" face).
+    Non-critical means that the traced component has no vertex: the tracer's
+    on-level test (``RationalFn.critical_on_level``) puts no critical point
+    on the curve.  K is a closed point set (array of complex).  The search
+    walks a short transversal from L toward K, tracing the level curve
+    through each probe point and certifying the separation by face tests (L
+    by the rule of :func:`precedes`; all of K votes, as K need not be
+    connected).  Returns the curve and the placement of K ("bounded" or
+    "unbounded" face).
     """
     K = np.atleast_1d(np.asarray(K, dtype=complex))
     L_pts = L.all_points()
@@ -265,8 +268,6 @@ def separating_curve(f: RationalFn, L: CurveRef, K) -> tuple[CurveRef, str]:
     dists = L.index.distances(K)
     k_star = complex(K[int(np.argmax(-dists))])
     p_star = complex(L_pts[int(np.argmin(np.abs(L_pts - k_star)))])
-
-    crit_pts = [c for c, _ in f.critical_points]
 
     for t in np.linspace(0.04, 0.9, 24):
         z_probe = p_star + t * (k_star - p_star)
@@ -280,9 +281,6 @@ def separating_curve(f: RationalFn, L: CurveRef, K) -> tuple[CurveRef, str]:
         if comp.vertices:
             continue
         cand = CurveRef(CurveKind.LEVEL_CURVE, level, component=comp, label="separator")
-        # non-critical certificate: well clear of every critical point
-        if crit_pts and np.min(comp.index.distances(crit_pts, upto=1e-5 * f.scale)) < 1e-5 * f.scale:
-            continue
         try:
             k_face = _membership_face(cand, K)
             l_face = _holding_faces(cand, [L])[0]

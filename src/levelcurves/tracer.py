@@ -33,9 +33,12 @@ Arcs between vertices are launched only from vertices, so for a given tracer
 a branched component's polylines do not depend on the seed it was traced
 from.  A level off a critical value whose neck the march cannot resolve is
 refused before any march (NECK_MIN_STEPS, LEVEL_MIN_GATES), never snapped
-onto the vertex.  The vertex rays and the necks of off-level saddles read the
-local model a from ``RationalFn.critical_models``: the coefficient of order
-mult+1 of f's Taylor series at c, computed once per function.
+onto the vertex.  So is an unbounded level, eps = |f(inf)| within rounding:
+every other level set lies in the disk of ``_seed_box``, so an arc needs no
+limit on its reach, only the point budget MAX_ARC_POINTS.  The vertex rays
+and the necks of off-level saddles read the local model a from
+``RationalFn.critical_models``: the coefficient of order mult+1 of f's
+Taylor series at c, computed once per function.
 
 The component through each critical point is traced once per function, from
 its vertex at the point's own level, and kept on the function
@@ -74,10 +77,6 @@ TWO_PI = 2.0 * math.pi
 _CAPTURE_LEVEL = 1e-6
 # per-arc hard point budget; hit only by runaway arcs
 MAX_ARC_POINTS = 200_000
-# an arc farther than this times the domain scale from the origin is taken
-# for an unbounded level curve: the step grows without bound along a nearly
-# straight curve, so the point budget alone no longer stops such an arc
-MAX_REACH_REL = 1e4
 # a predicted step is accepted after at most STEP_MAX_ITER corrector updates
 # that land within STEP_MAX_CORRECTION times its length of the tangent point
 STEP_MAX_ITER = 3
@@ -198,8 +197,12 @@ def _capture_radius(m: int, a: complex, eps: float, scale: float) -> float:
 
 
 class _LevelTracer:
-    """Shared state for tracing one level of one function; a level it cannot
-    resolve is refused on construction (NECK_MIN_STEPS, LEVEL_MIN_GATES)."""
+    """Shared state for tracing one level of one function.
+
+    A level it cannot trace is refused on construction, before any march:
+    an unbounded level set or one past the floats (the two refusals of
+    :func:`_seed_box`), a neck below NECK_MIN_STEPS step floors, and a level
+    within LEVEL_MIN_GATES corrector gates of a critical value."""
 
     # the fixed certificate gates; ``bench/spans.py`` reads ``tols.trace_tol``
     tols = DEFAULT_TOLS
@@ -207,6 +210,7 @@ class _LevelTracer:
     def __init__(self, f: RationalFn, eps: float, scale: float):
         if not (eps > 0.0 and math.isfinite(eps)):
             raise TraceError(f"level eps must be in (0, inf), got {eps}")
+        _seed_box(f, eps)
         self.f = f
         self.eps = eps
         self.scale = scale
@@ -214,7 +218,6 @@ class _LevelTracer:
         self.tau = 0.25 * DEFAULT_TOLS.trace_tol / max(1.0, eps)
         self.sag_target = SAG_REL * scale
         self.h_min = MIN_STEP_REL * scale
-        self.reach = MAX_REACH_REL * scale
         self.vertices: list[_Vertex] = []
         # (c, r_neck) for each off-level saddle.  Near a critical point c at
         # another level the curve passes a neck of width about
@@ -331,7 +334,6 @@ class _LevelTracer:
         sag_target = self.sag_target
         sag_cap = 4.0 * sag_target
         h_min = self.h_min
-        reach = self.reach
         cos, sin, tan, atan2, sqrt, inf = math.cos, math.sin, math.tan, math.atan2, math.sqrt, math.inf
         may_close = origin_vertex is None
         # (position, floor) of every on-level vertex and every neck: a step
@@ -413,11 +415,6 @@ class _LevelTracer:
                         "curvature too stiff for the configured step bounds"
                     )
 
-            if abs(z_new) > reach:
-                raise TraceError(
-                    f"arc left the disk of radius {reach:.3g} at level {self.eps}; "
-                    "suspected unbounded level curve"
-                )
             step_len = abs(z_new - z)
             step_sag = 0.5 * step_len * tan(0.5 * turn)
             if step_sag > sag:
@@ -432,9 +429,8 @@ class _LevelTracer:
             if sag_est == 0.0:
                 grow = 2.0
             else:
+                # sag_est <= 4 sag_target, so grow >= 0.5 after rounding
                 grow = sqrt(sag_target / sag_est)
-                if not grow > 0.5:
-                    grow = 0.5
                 if not grow < 2.0:
                     grow = 2.0
             if iters >= STEP_MAX_ITER and grow > 0.6:
@@ -489,10 +485,7 @@ class _LevelTracer:
             z, t, r = z_new, t_new, r_new
             t_re, t_im = n_re, n_im
 
-        raise TraceError(
-            f"arc exceeded {MAX_ARC_POINTS} points at level {self.eps}; "
-            "suspected unbounded level curve"
-        )
+        raise TraceError(f"arc exceeded {MAX_ARC_POINTS} points at level {self.eps}")
 
     def launch_from_vertex(self, v_idx: int, ray_idx: int):
         v = self.vertices[v_idx]
@@ -687,12 +680,12 @@ def _trace_critical_curve(f: RationalFn, i: int) -> LevelCurveComponent | None:
         if lo_j <= hi and lo <= hi_j:
             comp = _critical_curve(f, j)
             if comp is not None and f.critical_on_level(i, comp.level):
-                if any(abs(c - v) < 1e-10 for v, _ in comp.vertices):
+                if any(c == v for v, _ in comp.vertices):
                     return comp
     # c lies in its own capture ball, so the trace launches from the vertex
     level = f.abs_eval(c)
     comp = _trace_component_with(_LevelTracer(f, level, f.scale), c)
-    if not any(abs(c - v) < 1e-10 for v, _ in comp.vertices):
+    if not any(c == v for v, _ in comp.vertices):
         raise TraceError(f"critical curve through {c} did not capture it as a vertex")
     for arc in comp.arcs:
         arc.points.flags.writeable = False
@@ -791,8 +784,12 @@ def _ray_crossings(f, eps, anchors, ts):
     direction = np.exp(1j * _RAY_ANGLE)
     key = (origins.tobytes(), ts.tobytes())
     vals = f.ray_samples.get(key)
+    # far out on a ray |f| may pass the floats: an overflowed sample reads
+    # inf, on the far side of eps, or nan, which has no sign, so it neither
+    # makes nor breaks a bracket
     if vals is None:
-        vals = f.ray_samples[key] = f.abs_grid(origins[:, None] + direction * ts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = f.ray_samples[key] = f.abs_grid(origins[:, None] + direction * ts)
     sgn = np.sign(vals - eps)
     a, i = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
     side = sgn[a, i, None]
@@ -805,7 +802,8 @@ def _ray_crossings(f, eps, anchors, ts):
         # sample interval [0, t1] is the one, every other the other, and each
         # part kept stays so.  The points thus stay in [lo, hi] and in order
         t = np.concatenate([lo, lo + (hi - lo) * split, hi], axis=1)
-        same = np.sign(f.abs_grid(origin + t[:, 1:-1] * direction) - eps) == side
+        with np.errstate(over="ignore", invalid="ignore"):
+            same = np.sign(f.abs_grid(origin + t[:, 1:-1] * direction) - eps) == side
         # the count of leading points on the lo side of eps: the kept part
         # starts at point n and ends at the first point past the change
         n = np.cumprod(same, axis=1).sum(axis=1, keepdims=True)

@@ -642,6 +642,51 @@ def test_double_zero_near_a_pole_has_four_simple_critical_points():
         critical_level_curves(f)
 
 
+def _random_blaschke_ratios(rmax: float, n: int) -> list[RationalFn]:
+    """The first n Blaschke ratios of rng 5 at rmax: degrees 1-5 over 1-4,
+    redrawn when equal, zeros rmax sqrt(U) e^(2 pi i V)."""
+    rng = np.random.default_rng(5)
+    out = []
+    for _ in range(n):
+        d1, d2 = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        while d1 == d2:
+            d1, d2 = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        zs = [rmax * np.sqrt(rng.uniform(size=d)) * np.exp(2j * np.pi * rng.uniform(size=d)) for d in (d1, d2)]
+        out.append(RationalFn.blaschke_ratio(*zs))
+    return out
+
+
+def _refused(f: RationalFn) -> bool:
+    try:
+        f.check_boundary_restriction()
+    except FunctionSpecError as e:
+        assert "boundary restriction fails" in str(e)
+        return True
+    return False
+
+
+def test_boundary_restriction_refusals_on_random_ratios():
+    # a critical cluster whose disk meets the unit circle refuses the ratio;
+    # on all 200 draws per rmax the refusals are the sampled collar's (39,
+    # 94, 148 and 185), and on these first 50 they number 10, 27, 41 and 47
+    counts = [sum(map(_refused, _random_blaschke_ratios(rmax, 50))) for rmax in (0.3, 0.5, 0.7, 0.9)]
+    assert counts == [10, 27, 41, 47]
+
+
+def test_a_critical_point_on_the_circle_is_named():
+    # f' vanishes at -0.6157-0.7880i and 0.7806-0.6250i, both on |z| = 1
+    f = parse_function_spec("blaschke:0.6,-0.5+0.3i/0.2-0.6i")
+    with pytest.raises(FunctionSpecError, match=r"boundary restriction fails") as info:
+        f.check_boundary_restriction()
+    assert "(-0.6157068" in str(info.value) or "(0.7806138" in str(info.value)
+
+
+def test_the_blaschke_fixture_keeps_the_boundary_restriction(blaschke_21):
+    blaschke_21.check_boundary_restriction()
+    gaps = [abs(abs(c[0]) - 1.0) - c.radius for c in blaschke_21.derivative_numerator.roots()]
+    assert min(gaps) > 0.6
+
+
 def _exact_local_model(f: RationalFn, c: complex, m: int) -> tuple[Fraction, Fraction]:
     """The coefficient of w^(m+1) in n(c + w) / d(c + w), from the exact
     shifts of the float coefficients to the float c, by exact series division."""

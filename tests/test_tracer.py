@@ -11,6 +11,7 @@ from levelcurves import (
     DEFAULT_TOLS,
     RationalFn,
     TraceError,
+    build_graph,
     critical_level_curves,
     find_seeds,
     parse_function_spec,
@@ -219,11 +220,23 @@ def test_near_critical_levels_of_the_lemniscate(eps, count):
 
 
 @pytest.mark.parametrize("spec,seed", [("rat:1,-1/1,1", 1j), ("rat:1,0,-1/1,0,2", 0.5 + 1j)])
-def test_unbounded_level_curve_raises(spec, seed):
+def test_unbounded_level_curve_raises(monkeypatch, spec, seed):
     # |f| tends to eps at infinity, so the level curve through the seed is
-    # unbounded; an arc must not come back from infinity as a closed loop
-    with pytest.raises(TraceError, match="unbounded level curve"):
+    # unbounded; the tracer refuses it by name before any march
+    monkeypatch.setattr(_LevelTracer, "march", lambda *args, **kw: pytest.fail("marched an unbounded level"))
+    with pytest.raises(TraceError, match=r"level 1\.0 is \|f\(inf\)\| within rounding: the level set is unbounded"):
         trace_component(parse_function_spec(spec), 1.0, seed)
+
+
+def test_a_bounded_level_reaches_far_out():
+    # f(inf) = 1 and |f(0)| = 1 + 1e-9: the critical level is bounded, but
+    # its figure-eight reaches |z| = 4.3e4, 2e4 times the domain scale
+    f = parse_function_spec("rat:1,0,1.000000001i/1,0,1")
+    eps = f.abs_eval(0j)
+    [comp] = trace_level_set(f, eps)
+    assert len(comp.vertices) == 1
+    assert 4e4 < float(np.max(np.abs(comp.points))) <= _seed_radius(f, eps)
+    assert len(build_graph(comp).faces) == 3
 
 
 def test_components_disjoint():
@@ -512,6 +525,15 @@ def test_level_at_the_value_at_infinity_is_refused():
 def test_an_infinite_seed_disk_is_refused(spec, eps):
     with pytest.raises(TraceError, match="has no finite seed disk"):
         trace_level_set(parse_function_spec(spec), eps)
+
+
+def test_far_seed_rays_may_overflow():
+    # the ray samples out to 3.2 R pass the floats; the overflow is no
+    # warning and no crossing
+    f = parse_function_spec("poly:1,0,0,0")
+    [comp] = trace_level_set(f, 1e307)
+    assert not comp.vertices and comp.arcs[0].closed and len(comp.arcs[0].points) == 227
+    assert float(np.max(np.abs(f.abs_grid(comp.points) / 1e307 - 1.0))) <= DEFAULT_TOLS.trace_tol
 
 
 def test_a_zero_below_double_precision_is_named():
