@@ -1,10 +1,11 @@
 """Certify hull containment of critical points, then watch the proof
 mechanics convict a corrupted instance.
 
-The replay takes two points of a traced level curve at the same height with
-1 < Re(z1) < Re(z2) and evaluates prod |z_i - w_j| against declared zeros in
-the unit disk.  On a genuine level curve of those zeros the two products
-would be equal; strict inequality exposes the corruption.
+The replay takes two points of the supplied curve at the same height with
+1 < Re(z1) < Re(z2), found by a complete search of its polyline, and
+evaluates prod |z_i - w_j| against declared zeros in the unit disk.  On a
+genuine level curve of those zeros the two products would be equal;
+strict inequality exposes the corruption.
 """
 
 import numpy as np

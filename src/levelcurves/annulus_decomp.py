@@ -133,9 +133,7 @@ def _outer_boundary(f: RationalFn, C: CriticalSetC):
     working domain satisfy the boundary restrictions exactly.
     """
     if f.disk:
-        theta = np.linspace(0.0, TWO_PI, 721)
-        circle = np.exp(1j * theta)
-        return CurveRef(CurveKind.BOUNDARY, 1.0, boundary=circle, label="unit-circle"), None
+        return CurveRef(CurveKind.BOUNDARY, 1.0, label="unit-circle"), None
 
     finite_levels = [
         ref.level for ref in C.components if math.isfinite(ref.level) and ref.level > 0

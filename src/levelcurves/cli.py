@@ -51,17 +51,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, eps=False, delta=False):
+    def common(p, eps=False, delta=False, svg=False):
         p.add_argument("--fn", required=True, help="function spec (poly:/rat:/blaschke:)")
         if eps:
             p.add_argument("--eps", type=float, required=True)
         if delta:
             p.add_argument("--delta", type=float, required=True)
-        p.add_argument("--out", default=None, help="output path (.json or .csv)")
-        p.add_argument("--svg", default=None, help="also write an SVG rendering here")
+        p.add_argument("--out", default=None, help="JSON output path (trace writes CSV to a .csv path)")
+        if svg:
+            p.add_argument("--svg", default=None, help="also write an SVG rendering here")
 
-    common(sub.add_parser("trace", help="trace the level set as polylines"), eps=True)
-    common(sub.add_parser("graph", help="planar graph of each component"), eps=True)
+    common(sub.add_parser("trace", help="trace the level set as polylines"), eps=True, svg=True)
+    common(sub.add_parser("graph", help="planar graph of each component"), eps=True, svg=True)
 
     gl = sub.add_parser("gauss-lucas", help="hull containment of critical points")
     gl.add_argument("--poly", required=True, help="poly: spec of the polynomial")
@@ -75,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("decompose", help="annular decomposition and the map phi")
     common(d)
     d.add_argument("--emit-phi", default=None, help="CSV path for the phi samples on the level loops")
-    common(sub.add_parser("verify-all", help="run the full invariant suite"), eps=True)
+    common(sub.add_parser("verify-all", help="run the full invariant suite"), eps=True, svg=True)
     return ap
 
 
@@ -97,7 +98,7 @@ def _write_csv(rows, header, path) -> None:
 
 
 def _maybe_svg(args, components, graphs=None):
-    if getattr(args, "svg", None):
+    if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(render_svg(components, graphs))
 

@@ -7,10 +7,12 @@ report row.
 
 replay_level_curve_argument re-enacts the mechanics used to prove the
 containment: normalize so the declared critical point sits at x > 1 with all
-declared zeros strictly inside the unit disk, pick two points at the same
-height s with 1 < Re(z1) < Re(z2), and show prod |z1 - w_i| < prod |z2 - w_i|
-strictly.  On a genuine level curve such a pair would force equal moduli, so
-a strict inequality convicts corrupted input data.
+declared zeros strictly inside the unit disk, take two points of the supplied
+curve at the same height s with 1 < Re(z1) < Re(z2), and show
+prod |z1 - w_i| < prod |z2 - w_i| strictly.  The search for s is complete on
+the supplied polyline.  On a genuine level curve such a pair would force
+equal moduli, so a genuine curve has none, and a strict inequality convicts
+corrupted input data.
 """
 
 from __future__ import annotations
@@ -143,7 +145,6 @@ class ReplayWitness:
     product1: float = 0.0
     product2: float = 0.0
     margin: float = 0.0
-    pair_source: str = ""  # "curve" when both points sit on supplied curve data
     normalized_zeros: list[complex] = field(default_factory=list)
     normalized_c: complex = 0j
 
@@ -161,7 +162,6 @@ class ReplayWitness:
             "product1": self.product1,
             "product2": self.product2,
             "margin": self.margin,
-            "pair_source": self.pair_source,
         }
 
 
@@ -171,7 +171,7 @@ def _normalize_outside_hull(zeros: list[complex], c: complex):
     Exists exactly when c is outside the hull: separate c from the hull by
     the perpendicular bisector line at the nearest hull point, then fit the
     hull-side half-plane slab into a large disk tangent to that line.
-    Returns (map, inverse) as coefficient pairs for w -> (w - shift) * rot / s.
+    Returns (map, mapped zeros, mapped c), or None when c does not clear the hull.
     """
     hull = convex_hull(zeros)
     d = hull_signed_distance(hull, c)
@@ -214,14 +214,16 @@ def _abs_product(zeros: list[complex], z: complex) -> float:
     return float(np.prod([abs(z - w) for w in zeros]))
 
 
-def replay_level_curve_argument(p: Polynomial, c: complex, curve_points=None) -> ReplayWitness:
+def replay_level_curve_argument(p: Polynomial, c: complex, curve_points) -> ReplayWitness:
     """Replay the product-inequality step of the hull-containment proof.
 
     For a genuine polynomial (c inside the hull) the answer is the
-    "not applicable" marker.  Otherwise the declared-critical input is
-    normalized, a level curve through c is traced (or ``curve_points`` are
-    mapped through the same normalization), and two points at a common
-    height right of Re = 1 exhibit the strict product inequality.
+    "not applicable" marker, before the curve is read.  Otherwise
+    ``curve_points`` are mapped through the normalization, and two of their
+    crossings at one height right of Re = 1 exhibit the strict product
+    inequality.  The search for that height is complete on the polyline
+    (:func:`_same_height_pair`); a curve with no such height raises
+    :class:`CertificateError`.
     """
     zeros = [z for z, m in p.roots() for _ in range(m)]
     norm = _normalize_outside_hull(zeros, c)
@@ -229,19 +231,10 @@ def replay_level_curve_argument(p: Polynomial, c: complex, curve_points=None) ->
         return ReplayWitness(False, reason="critical point inside hull; theorem satisfied")
     fwd, zs_n, c_n = norm
 
-    if curve_points is not None:
-        pts = fwd(np.asarray(curve_points, dtype=complex).ravel())
-    else:
-        p_n = Polynomial.from_roots(zs_n)
-        fn = RationalFn(p_n)
-        eps = abs(p_n(c_n))
-        comp = trace_component(fn, eps, c_n)
-        pts = comp.points
-
-    pair = next(_replay_pairs(pts, c_n), None)
+    pair = _same_height_pair(fwd(np.asarray(curve_points, dtype=complex).ravel()))
     if pair is None:
-        raise CertificateError("replay found no admissible height; curve data too sparse")
-    height, z1, z2, source = pair
+        raise CertificateError("the curve has no two points at one height right of Re = 1")
+    height, z1, z2 = pair
     p1 = _abs_product(zs_n, z1)
     p2 = _abs_product(zs_n, z2)
     return ReplayWitness(
@@ -252,40 +245,30 @@ def replay_level_curve_argument(p: Polynomial, c: complex, curve_points=None) ->
         product1=p1,
         product2=p2,
         margin=p2 - p1,
-        pair_source=source,
         normalized_zeros=zs_n,
         normalized_c=c_n,
     )
 
 
-def _replay_pairs(pts: np.ndarray, c_n: complex):
-    """(height, z1, z2, source) candidates for the replay, in search order.
+def _same_height_pair(pts: np.ndarray):
+    """(height, z1, z2): the leftmost and rightmost crossing right of Re = 1
+    at the height where they lie farthest apart, or None if no height has two.
 
-    First the same-height pairs on the curve with Re > 1 ("curve"); then,
-    with no genuine pair, the on-curve crossing nearest c stepped right along
-    its height, the direction in which the product strictly grows ("ray").
+    The crossings right of Re = 1 change only at the height of a point and
+    at the height where a segment crosses Re = 1, so one height inside each
+    open interval between those breakpoints sees every case.
     """
-    y_lo = float(np.min(pts.imag))
-    y_hi = float(np.max(pts.imag))
-    for s in np.linspace(0.08, 0.9, 24) * max(abs(y_lo), abs(y_hi), 1e-6):
-        for sign in (+1.0, -1.0):
-            height = sign * s
-            if not (y_lo < height < y_hi) or height == 0.0:
-                continue
-            crossings = [z for z in geometry.horizontal_crossings(pts, height) if z.real > 1.0]
-            if len(crossings) >= 2:
-                crossings.sort(key=lambda z: z.real)
-                z1, z2 = crossings[0], crossings[-1]
-                if z2.real - z1.real < 1e-9:
-                    continue
-                yield height, z1, z2, "curve"
-    for s in np.linspace(0.02, 0.5, 16) * max(abs(c_n.real) - 1.0, 1e-3):
-        for sign in (+1.0, -1.0):
-            height = sign * s
-            crossings = [z for z in geometry.horizontal_crossings(pts, height) if z.real > 1.0]
-            if crossings:
-                z1 = min(crossings, key=lambda z: abs(z - c_n))
-                yield height, z1, z1 + 0.5 * max(z1.real - 1.0, 0.5), "ray"
+    a, b = pts[:-1], pts[1:]
+    cut = (a.real - 1.0) * (b.real - 1.0) < 0.0
+    t = (1.0 - a.real[cut]) / (b.real[cut] - a.real[cut])
+    breaks = np.unique(np.concatenate([pts.imag, a.imag[cut] + t * (b.imag[cut] - a.imag[cut])]))
+    best = None
+    for height in 0.5 * (breaks[:-1] + breaks[1:]):
+        xs = [z for z in geometry.horizontal_crossings(pts, height) if z.real > 1.0]
+        xs.sort(key=lambda z: z.real)
+        if len(xs) >= 2 and (best is None or xs[-1].real - xs[0].real > best[2].real - best[1].real):
+            best = (float(height), xs[0], xs[-1])
+    return best
 
 
 def corrupted_instance(rng: np.random.Generator):

@@ -47,7 +47,6 @@ class CurveRef:
     level: float  # |f| on the set; 0.0 for zeros, inf for poles
     component: LevelCurveComponent | None = None
     point: complex | None = None
-    boundary: np.ndarray | None = None
     label: str = ""
 
     def graph(self) -> LevelGraph:
@@ -60,11 +59,11 @@ class CurveRef:
             return np.array([self.point], dtype=complex)
         if self.kind is CurveKind.LEVEL_CURVE:
             return self.component.points
-        return self.boundary
+        raise TopologyError("the unit circle is not sampled")
 
     @cached_property
     def index(self) -> geometry.SegmentIndex:
-        """Nearest-distance index over the arcs (or the boundary, or the point)."""
+        """Nearest-distance index over the arcs (or the point)."""
         if self.kind is CurveKind.LEVEL_CURVE:
             return self.component.index
         return geometry.SegmentIndex([self.all_points()])
@@ -118,10 +117,11 @@ def _holding_faces(b: CurveRef, members: list[CurveRef]) -> list[int | None]:
     """The bounded face of b holding each member, or None where it is outside.
 
     One distance query over all the members' points refuses any member within
-    ``trace_tol`` of b.  Each member votes with eight of its points, spread
-    along it, that lie farther from b's polyline than b's chord sag: the true
-    curve stays within the sag of its chords, so such a point is in the same
-    face of the curve as of the polyline.  A curve member with fewer than
+    ``trace_tol`` of b (of the unit circle: by 1 - |z|).  Each member votes
+    with eight of its points, spread along it, that lie farther from b's
+    polyline than b's chord sag: the true curve stays within the sag of its
+    chords, so such a point is in the same face of the curve as of the
+    polyline.  A curve member with fewer than
     eight such points raises :class:`TopologyError`; a point member votes
     with itself.  That query has shown every voter off b, so the voters
     skip the on-curve query of :func:`faces_of_points` and go through one
@@ -129,15 +129,18 @@ def _holding_faces(b: CurveRef, members: list[CurveRef]) -> list[int | None]:
     """
     pts = [m.all_points() for m in members]
     zs = np.concatenate(pts)
-    # a point farther than the clearance is reported as inf, and the index
-    # stops searching there
     clearance = b.component.sag if b.kind is CurveKind.LEVEL_CURVE else 0.0
-    dists = b.index.distances(zs, upto=max(clearance, DEFAULT_TOLS.trace_tol))
+    if b.kind is CurveKind.BOUNDARY:
+        # boundary refs only occur as the outer circle of the unit disk
+        dists = np.abs(1.0 - np.abs(zs))
+    else:
+        # a point farther than the clearance is reported as inf, and the index
+        # stops searching there
+        dists = b.index.distances(zs, upto=max(clearance, DEFAULT_TOLS.trace_tol))
     d = float(np.min(dists))
     if d <= DEFAULT_TOLS.trace_tol:
         raise TopologyError(f"curves too close to order (min distance {d:.3e})")
     if b.kind is CurveKind.BOUNDARY:
-        # boundary refs only occur as the outer circle of the unit disk
         return [0 if np.all(np.abs(p) < 1.0) else None for p in pts]
     sizes = np.array([p.size for p in pts])
     clear = np.isinf(dists)

@@ -10,6 +10,8 @@ import pytest
 
 import levelcurves
 from levelcurves.cli import _build_parser, main
+from levelcurves.gauss_lucas import _normalize_outside_hull, corrupted_instance
+from levelcurves.geometry import horizontal_crossings
 
 
 def run(args, tmp_path, name="out.json"):
@@ -60,14 +62,28 @@ def test_graph_svg(tmp_path):
 
 
 def test_gauss_lucas_corpus(tmp_path):
-    rc, data = run(
-        ["gauss-lucas", "--poly", "poly:1,0,0,-1", "--corpus", "8", "--corrupted", "3", "--seed", "5"],
-        tmp_path,
-    )
-    assert rc == 0
-    assert len(data["reports"]) == 9
-    assert len(data["replays"]) == 3
-    assert all(r["product1"] < r["product2"] for r in data["replays"])
+    # seed 76 replays draw 18 of default_rng(77), whose on-curve pairs lie
+    # only at heights a sampled search misses
+    for corpus, corrupted, seed in ((8, 3, 5), (0, 50, 76)):
+        rc, data = run(
+            [
+                "gauss-lucas", "--poly", "poly:1,0,0,-1",
+                "--corpus", str(corpus), "--corrupted", str(corrupted), "--seed", str(seed),
+            ],
+            tmp_path,
+        )
+        assert rc == 0
+        assert len(data["reports"]) == corpus + 1
+        assert len(data["replays"]) == corrupted
+        assert all(r["product1"] < r["product2"] for r in data["replays"])
+        # each pair is two crossings of its mapped curve at its height
+        rng = np.random.default_rng(seed + 1)
+        for r in data["replays"]:
+            p, c, curve = corrupted_instance(rng)
+            fwd = _normalize_outside_hull([z for z, m in p.roots() for _ in range(m)], c)[0]
+            crossings = horizontal_crossings(fwd(curve), r["s"])
+            assert complex(*r["z1"]) in crossings and complex(*r["z2"]) in crossings
+            assert "pair_source" not in r
 
 
 def test_continuity(tmp_path):
@@ -84,6 +100,16 @@ def test_order(tmp_path):
     maximal = data["components"][data["maximal"]]
     assert maximal["kind"] == "level_curve"
     assert len(data["hasse"]) == 5
+
+
+def test_svg_only_where_it_renders(tmp_path, capsys):
+    # continuity, order and decompose draw nothing, so they refuse --svg
+    svg = str(tmp_path / "x.svg")
+    assert main(["order", "--fn", "poly:1,0,0", "--svg", svg]) == 1
+    assert main(["decompose", "--fn", "poly:1,0,0", "--svg", svg]) == 1
+    assert main(["continuity", "--fn", "poly:1,0,0", "--eps", "1", "--delta", "0.05", "--svg", svg]) == 1
+    assert "unrecognized arguments: --svg" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_decompose(tmp_path):

@@ -6,11 +6,14 @@ import pytest
 from levelcurves import (
     CertificateError,
     Polynomial,
+    RationalFn,
     check_gauss_lucas,
     replay_level_curve_argument,
+    trace_component,
 )
 from levelcurves.funcspace import random_polynomial
-from levelcurves.gauss_lucas import convex_hull, corrupted_instance, hull_signed_distance
+from levelcurves.gauss_lucas import _normalize_outside_hull, convex_hull, corrupted_instance, hull_signed_distance
+from levelcurves.geometry import horizontal_crossings
 
 
 def test_z3_minus_z_critical_points_on_segment_hull():
@@ -73,7 +76,7 @@ def test_monotone_product_along_horizontal_rays():
 
 def test_replay_not_applicable_inside_hull():
     p = Polynomial([0, -1, 0, 1])
-    w = replay_level_curve_argument(p, 1 / math.sqrt(3))
+    w = replay_level_curve_argument(p, 1 / math.sqrt(3), curve_points=[])
     assert not w.applicable
     assert "inside hull" in w.reason
 
@@ -83,7 +86,7 @@ def test_replay_not_applicable_for_all_genuine_critical_points():
     for _ in range(50):
         p = random_polynomial(rng, int(rng.integers(3, 8)))
         for c, _ in p.deriv().roots():
-            w = replay_level_curve_argument(p, c)
+            w = replay_level_curve_argument(p, c, curve_points=[])
             assert not w.applicable
 
 
@@ -93,19 +96,35 @@ def test_replay_on_corrupted_instances_strict():
         p, c, curve = corrupted_instance(rng)
         w = replay_level_curve_argument(p, c, curve_points=curve)
         assert w.applicable
-        assert w.pair_source == "curve"
         assert w.z1.real > 1.0 and w.z2.real > w.z1.real
         assert abs(w.z1.imag - w.z2.imag) < 1e-9
         assert w.product1 < w.product2
 
 
-def test_replay_traces_when_no_curve_given():
-    # declared critical point far outside the hull of disk zeros
-    zeros = [0.4, -0.3 + 0.2j, 0.1 - 0.5j]
-    p = Polynomial.from_roots(zeros)
-    w = replay_level_curve_argument(p, 2.0 + 0j)
-    assert w.applicable
-    assert w.product1 < w.product2
+def test_replay_pair_lies_on_the_supplied_curve():
+    # draw 18 had on-curve pairs only at heights a sampled search missed
+    rng = np.random.default_rng(77)
+    for _ in range(25):
+        p, c, curve = corrupted_instance(rng)
+        w = replay_level_curve_argument(p, c, curve_points=curve)
+        fwd = _normalize_outside_hull([z for z, m in p.roots() for _ in range(m)], c)[0]
+        crossings = horizontal_crossings(fwd(curve), w.s)
+        assert w.z1 in crossings and w.z2 in crossings
+        assert 1.0 < w.z1.real < w.z2.real
+        assert w.product1 < w.product2
+
+
+def test_replay_refuses_a_genuine_level_curve():
+    # on a level curve of p no two points share a height right of Re = 1
+    rng = np.random.default_rng(40)
+    for _ in range(10):
+        # four zeros uniform in |z| < 0.9, c outside their hull
+        zeros = 0.9 * np.sqrt(rng.uniform(0, 1, 4)) * np.exp(2j * np.pi * rng.uniform(0, 1, 4))
+        p = Polynomial.from_roots(zeros)
+        c = complex(rng.uniform(1.5, 3.0), rng.uniform(-0.5, 0.5))
+        curve = trace_component(RationalFn(p), abs(p(c)), c).points
+        with pytest.raises(CertificateError, match="no two points at one height right of Re = 1"):
+            replay_level_curve_argument(p, c, curve_points=curve)
 
 
 def test_hull_helpers():

@@ -56,6 +56,20 @@ def test_precedes_same_curve_rejected(z5_ovals):
         precedes(z5_ovals[0], z5_ovals[0])
 
 
+def test_unit_circle_holds_by_modulus():
+    circle = CurveRef(CurveKind.BOUNDARY, 1.0, label="unit-circle")
+
+    def at(z):
+        return CurveRef(CurveKind.POINT, 0.0, point=z)
+
+    # the midpoint of a chord of the 721-gon, 9.5e-6 inside the circle
+    t = np.pi / 720
+    assert precedes(at(np.cos(t) * np.exp(1j * t)), circle)
+    assert not precedes(at(1.5j), circle)
+    with pytest.raises(TopologyError, match="too close"):
+        precedes(at(1.0 - 1e-10), circle)
+
+
 def test_strict_partial_order(z5, z5_ovals, z5_big, z5_C):
     family = z5_ovals + [z5_big] + z5_C.curves()
     n = len(family)
@@ -333,7 +347,10 @@ def _holding_faces_reference(b, members, cast=None):
     The voters go to the list cast, if one is given."""
     pts = [m.all_points() for m in members]
     clearance = b.component.sag if b.kind is CurveKind.LEVEL_CURVE else 0.0
-    dists = b.index.distances(np.concatenate(pts), upto=max(clearance, DEFAULT_TOLS.trace_tol))
+    if b.kind is CurveKind.BOUNDARY:
+        dists = np.abs(1.0 - np.abs(np.concatenate(pts)))
+    else:
+        dists = b.index.distances(np.concatenate(pts), upto=max(clearance, DEFAULT_TOLS.trace_tol))
     d = float(np.min(dists))
     if d <= DEFAULT_TOLS.trace_tol:
         raise TopologyError(f"curves too close to order (min distance {d:.3e})")
