@@ -2,8 +2,8 @@
 
 Subcommands: trace, graph, gauss-lucas, continuity, order, decompose,
 verify-all.  JSON is the canonical output (schema levelcurve/1); CSV and SVG
-are derived artifacts.  Exit codes: 0 all certificates pass, 1 usage error,
-2 numerical failure, 3 theorem-certificate violation.
+are derived artifacts.  Exit codes, one per error class in ``_EXITS``: 0 all
+certificates pass, 1 usage error, 2 numerical failure, 3 theorem violation.
 """
 
 from __future__ import annotations
@@ -41,6 +41,14 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_CERTIFICATE = 3
+
+# the exit code and message prefix of each error class
+_EXITS = (
+    (FunctionSpecError, EXIT_USAGE, "error"),
+    ((TraceError, RootFindingError), EXIT_NUMERICAL, "numerical failure"),
+    ((CertificateError, TopologyError), EXIT_CERTIFICATE, "certificate violation"),
+)
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -227,14 +235,13 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     f = parse_function_spec(args.fn)
-    checks: list[tuple[str, bool, str]] = []
+    checks: list[tuple[str, LevelCurveError | None, str]] = []  # (name, error, detail)
 
     def run(name, fn):
         try:
-            detail = fn()
-            checks.append((name, True, detail or ""))
+            checks.append((name, None, fn() or ""))
         except LevelCurveError as exc:
-            checks.append((name, False, str(exc)))
+            checks.append((name, exc, str(exc)))
 
     comps = trace_level_set(f, args.eps)
     graphs = []
@@ -298,11 +305,13 @@ def _cmd_verify_all(args) -> int:
         "kind": "verify-all",
         "fn": args.fn,
         "eps": args.eps,
-        "checks": [{"name": n, "pass": ok, "detail": d} for n, ok, d in checks],
+        "checks": [{"name": n, "pass": exc is None, "detail": d} for n, exc, d in checks],
     }
     _emit(payload, args)
+    if failed := [exc for _, exc, _ in checks if exc is not None]:
+        raise failed[0]
     _maybe_svg(args, comps, graphs or None)
-    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_CERTIFICATE
+    return EXIT_OK
 
 
 _COMMANDS = {
@@ -330,15 +339,10 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except FunctionSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CertificateError, TopologyError) as exc:
-        print(f"certificate violation: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
-    except (TraceError, RootFindingError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except LevelCurveError as exc:
+        code, prefix = next((code, prefix) for cls, code, prefix in _EXITS if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

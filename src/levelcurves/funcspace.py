@@ -129,8 +129,6 @@ class Polynomial:
 
     def trim(self) -> "Polynomial":
         m = float(np.max(np.abs(self.coeffs)))
-        if m == 0.0:
-            return Polynomial([0.0])
         c = self.coeffs.copy()
         c[np.abs(c) <= TRIM_REL * m] = 0.0
         return Polynomial(c)
@@ -201,9 +199,10 @@ def find_roots(coeffs) -> list[RootCluster]:
     ``RootCluster.radius`` are disjoint and hold exactly m roots each by
     Pellet's test (:func:`_pellet_radii`), so the counts sum to the degree.
     m is a certified count in a disk, not a proven m-fold root: roots closer
-    than double precision can tell apart form one cluster.  Exact zero roots
-    are factored out first, as one cluster at 0; the others start as Aberth
-    roots, one cluster each, merged by :func:`_certified_clusters`.
+    than double precision can tell apart form one cluster.  No coefficient is
+    rounded to zero.  Exact zero roots are factored out first, as one cluster
+    at 0; the others start as Aberth roots, one cluster each, merged by
+    :func:`_certified_clusters`.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
     n = c.size
@@ -215,7 +214,6 @@ def find_roots(coeffs) -> list[RootCluster]:
 
     scale = float(np.max(np.abs(c)))
     work = c / scale
-    work[np.abs(work) <= 1e-14] = 0.0
 
     zero_mult = 0
     while work.size > 1 and work[0] == 0:
@@ -285,15 +283,15 @@ def _pellet_radii(coeffs: np.ndarray, centers: np.ndarray, counts: np.ndarray, g
     the rest on |w| = r (Rouche; Becker, Sagraloff, Sharma & Yap, J. Symbolic
     Comput. 86, 2018; Rump, J. Comput. Appl. Math. 156, 2003).  The ladder's
     53 rungs, the mantissa length, halve from half the gap to the nearest
-    other center, which keeps the disks disjoint, to about u times it; a lone
-    center (gap inf) starts at twice the Cauchy bound 1 + max_{j<n} |b_j / b_n|
-    of its shift.
+    other center, which keeps the disks disjoint, to about u times it.  The
+    one center of a single cluster (gap inf) climbs 53 more rungs above twice
+    the Cauchy bound 1 + max_{j<n} |b_j / b_n| of its shift, for a far center.
     """
     n = len(coeffs) - 1
     mods = np.abs(np.array(_taylor_shift(coeffs, centers)))
     top = np.where(np.isinf(gaps), 2.0 * (1.0 + mods[:-1].max(axis=0) / mods[-1]), gaps / 2)
     rungs = np.finfo(float).nmant + 1
-    ladder = top[:, None] * 2.0 ** -np.arange(rungs)
+    ladder = top[:, None] * 2.0 ** -np.arange(-rungs if np.isinf(gaps).all() else 0, rungs)
     signed = np.where(np.arange(n + 1)[:, None] == counts, mods, -mods)
     margin = np.zeros(ladder.shape)
     with np.errstate(all="ignore"):
@@ -301,7 +299,7 @@ def _pellet_radii(coeffs: np.ndarray, centers: np.ndarray, counts: np.ndarray, g
             margin = margin * ladder + s[:, None]
         ok = margin > _rounding_allowance(coeffs[..., None], centers[:, None], ladder)
     # the rungs descend, so the last one that passes is the smallest
-    last = rungs - 1 - np.argmax(ok[:, ::-1], axis=1)
+    last = ladder.shape[1] - 1 - np.argmax(ok[:, ::-1], axis=1)
     return np.where(ok.any(axis=1), ladder[np.arange(centers.size), last], np.nan)
 
 
@@ -600,12 +598,13 @@ class RationalFn:
 
     @cached_property
     def derivative_numerator(self) -> Polynomial:
-        """Numerator of f' before removal of pole factors: n'd - nd'.  Where
-        that is n' to the bit, as for a polynomial whose n' loses no
-        coefficient to the trim, it is ``numerator.deriv()`` itself, so the
-        critical points and ``gauss_lucas.check_gauss_lucas`` share its root clusters."""
+        """Numerator of f' before removal of pole factors: n'd - nd', less its top
+        coefficient k a_k b_k - a_k k b_k = 0 when deg n = deg d = k.  Where that
+        is n' to the bit, as for a polynomial, it is ``numerator.deriv()`` itself, so
+        the critical points and ``gauss_lucas.check_gauss_lucas`` share its root clusters."""
         n, d = self.numerator, self.denominator
-        w = (n.deriv() * d - n * d.deriv()).trim()
+        w = (n.deriv() * d - n * d.deriv()).coeffs
+        w = Polynomial(w[:-1] if n.degree == d.degree and w.size == 2 * n.degree else w)
         return n.deriv() if w.coeffs.tobytes() == n.deriv().coeffs.tobytes() else w
 
     # -- distinguished points

@@ -22,6 +22,7 @@ from . import geometry
 from .funcspace import RationalFn
 from .geometry import bounding_box
 from .metrics import hausdorff_between_curves
+from .tracer import _require_curve
 
 ORACLE_N = 600  # cells per side of the oracle raster
 ORACLE_MARGIN_REL = 0.05  # raster margin around the traced curves, relative to their extent
@@ -100,7 +101,7 @@ class ProximityReport:
 
 def grid_oracle_report(f: RationalFn, eps: float, components) -> ProximityReport:
     """Compare traced components of E_{f, eps} against a fresh rasterization."""
-    arcs = [a for c in components for a in c.arcs]
+    arcs = [a for c in _require_curve(components) for a in c.arcs]
     x0, y0, x1, y1 = bounding_box([a.points for a in arcs])
     m = ORACLE_MARGIN_REL * max(x1 - x0, y1 - y0, 1e-9)
     cells, diag = crossing_cells(f, eps, (x0 - m, y0 - m, x1 + m, y1 + m), ORACLE_N)

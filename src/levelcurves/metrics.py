@@ -40,7 +40,7 @@ import numpy as np
 from .errors import TraceError
 from .funcspace import RationalFn
 from .geometry import SegmentIndex, as_points
-from .tracer import LevelCurveComponent, TracedArc, _LevelTracer, _domain_scale, _trace_seeds, trace_level_set
+from .tracer import LevelCurveComponent, TracedArc, _LevelTracer, _domain_scale, _require_curve, _trace_seeds, trace_level_set
 
 K_SAMPLES = 8  # audit heights per side of eps in one probe trial
 ETA_FLOOR_REL = 1e-9  # the probe gives up once eta falls below this times eps
@@ -178,7 +178,7 @@ def continuity_probe(f: RationalFn, eps: float, delta: float) -> ContinuityCerti
     """
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, not {delta}")
-    component = max(trace_level_set(f, eps), key=lambda c: c.total_length())
+    component = max(_require_curve(trace_level_set(f, eps)), key=lambda c: c.total_length())
     # L <= |f| on one delta-disk about a component point and |f| <= H on another
     lo, hi = f.abs_bounds(component.points, delta)
     L, H = float(lo.max()), float(hi.min())

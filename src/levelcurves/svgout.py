@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry
+from .tracer import _require_curve
 
 _CURVE_COLORS = ["#1f3a66", "#7a1f1f", "#1f6637", "#663a1f", "#4a1f66", "#1f5e66"]
 _FACE_COLORS = ["#aec7e8", "#ffbb78", "#98df8a", "#ff9896", "#c5b0d5", "#c49c94", "#f7b6d2"]
@@ -22,8 +23,7 @@ def _path(points: np.ndarray, tx, ty) -> str:
 
 def render_svg(components, graphs=None) -> str:
     """SVG for a list of LevelCurveComponents, optionally shading graph faces."""
-    all_pts = [c.points for c in components]
-    x0, y0, x1, y1 = geometry.bounding_box(all_pts)
+    x0, y0, x1, y1 = geometry.bounding_box([c.points for c in _require_curve(components)])
     span = max(x1 - x0, y1 - y0, 1e-9)
     pad = PADDING * span
     x0, y0, x1, y1 = x0 - pad, y0 - pad, x1 + pad, y1 + pad

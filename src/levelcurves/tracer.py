@@ -123,7 +123,6 @@ class TracedArc:
     """
 
     points: np.ndarray
-    level: float
     sag: float
     start_vertex: int | None = None
     end_vertex: int | None = None
@@ -199,17 +198,15 @@ def _capture_radius(m: int, a: complex, eps: float, scale: float) -> float:
 class _LevelTracer:
     """Shared state for tracing one level of one function.
 
-    A level it cannot trace is refused on construction, before any march:
-    an unbounded level set or one past the floats (the two refusals of
-    :func:`_seed_box`), a neck below NECK_MIN_STEPS step floors, and a level
-    within LEVEL_MIN_GATES corrector gates of a critical value."""
+    Built at a level :func:`_check_level` admits, it refuses one it cannot
+    trace before any march: an unbounded level set or one past the floats
+    (the refusals of :func:`_seed_box`), a neck below NECK_MIN_STEPS step
+    floors, and a level within LEVEL_MIN_GATES gates of a critical value."""
 
     # the fixed certificate gates; ``bench/spans.py`` reads ``tols.trace_tol``
     tols = DEFAULT_TOLS
 
     def __init__(self, f: RationalFn, eps: float, scale: float):
-        if not (eps > 0.0 and math.isfinite(eps)):
-            raise TraceError(f"level eps must be in (0, inf), got {eps}")
         _seed_box(f, eps)
         self.f = f
         self.eps = eps
@@ -538,6 +535,7 @@ def _domain_scale(f: RationalFn, extra_points=()) -> float:
 
 def trace_component(f: RationalFn, eps: float, seed: complex) -> LevelCurveComponent:
     """Trace the full component of E_{f, eps} through (the correction of) seed."""
+    _check_level(f, eps)
     return _trace_component_with(_LevelTracer(f, eps, _domain_scale(f, [seed])), seed)
 
 
@@ -568,7 +566,7 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
     if start_vertex is None:
         pts, start_vertex, sag = tracer.march(z0, ld0)
         if start_vertex is None:
-            return LevelCurveComponent([TracedArc(np.array(pts, dtype=complex), eps, sag, closed=True)], [], eps)
+            return LevelCurveComponent([TracedArc(np.array(pts, dtype=complex), sag, closed=True)], [], eps)
 
     # breadth-first sweep over the outgoing vertex rays; each traced arc
     # fills its departure and arrival slots, and every vertex has m+1 of each
@@ -639,7 +637,6 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
         arcs.append(
             TracedArc(
                 arr,
-                eps,
                 sag,
                 start_vertex=remap[a],
                 end_vertex=remap[b],
@@ -703,8 +700,8 @@ def find_seeds(f: RationalFn, eps: float) -> list[complex]:
     crossing, narrowed to 2^-50 of its sample interval, is a seed, in anchor
     and distance order.
     The tracer corrects each seed it starts from.  Duplicates are fine;
-    tracing deduplicates.  The seeds are not checked for completeness here:
-    :func:`trace_level_set` certifies the components it traces.
+    tracing deduplicates.  The seeds, which may be none, are not checked for
+    completeness here: :func:`trace_level_set` certifies what it traces.
     """
     _check_level(f, eps)
     reach = 2.0 * _seed_box(f, eps)[2]
@@ -827,7 +824,8 @@ def trace_level_set(f: RationalFn, eps: float) -> list[LevelCurveComponent]:
 
     A turn beyond the count means a component traced twice, and a turn short
     of it a component missed; either raises :class:`TraceError`.  The count
-    is complete on the plane and on the unit disk.
+    is complete on the plane and on the unit disk.  Where it is 0 and no seed
+    is found, the level set is empty: ``[]``.
     """
     _check_level(f, eps)
     components: list[LevelCurveComponent] = []
@@ -838,15 +836,17 @@ def trace_level_set(f: RationalFn, eps: float) -> list[LevelCurveComponent]:
                 components.append(comp)
     if not (components and _certify_turn(f, eps, components, last=False)):
         seeds = find_seeds(f, eps)
-        if not (components or seeds):
-            anchors = [z for z, _ in f.zeros] + [z for z, _ in f.poles]
-            raise TraceError(
-                f"no seeds found on level {eps}: the ray from each of {anchors} crosses it nowhere in the domain"
-            )
         if seeds:
             components += _trace_seeds(_LevelTracer(f, eps, _domain_scale(f, seeds)), seeds, components)
         _certify_turn(f, eps, components)
     components.sort(key=lambda c: _lower_left(c.points))
+    return components
+
+
+def _require_curve(components: list) -> list:
+    """``components``; an empty level set has no curve to measure or draw."""
+    if not components:
+        raise TraceError("the level set is empty: there is no curve to measure or draw")
     return components
 
 

@@ -189,6 +189,60 @@ def test_exit_codes(tmp_path, capsys):
             assert not out and len(err.strip().splitlines()) == 1 and "--eps" in err
 
 
+def test_an_empty_level_set_is_traced_as_none(tmp_path, capsys):
+    # |B| < 1 on the disk: the level 2 is empty, and the probe needs a curve
+    rc, data = run(["trace", "--fn", "blaschke:0.3,0.5/", "--eps", "2"], tmp_path)
+    assert rc == 0 and data["components"] == []
+    capsys.readouterr()
+    assert main(["continuity", "--fn", "blaschke:0.3,0.5/", "--eps", "2", "--delta", "0.1"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("numerical failure: the level set is empty")
+
+
+def test_a_refusal_exits_alike_from_every_command(tmp_path, capsys):
+    # a critical cluster of this ratio may lie on the unit circle: order,
+    # decompose and the two checks of verify-all that need them refuse it as
+    # a usage error, and verify-all still writes every check
+    spec = "blaschke:0.6,-0.5+0.3i/0.2-0.6i"
+    assert main(["order", "--fn", spec]) == 1
+    assert main(["decompose", "--fn", spec]) == 1
+    capsys.readouterr()
+    rc, data = run(["verify-all", "--fn", spec, "--eps", "0.5"], tmp_path)
+    assert rc == 1 and capsys.readouterr().err.startswith("error: the critical cluster at")
+    failed = [c["name"] for c in data["checks"] if not c["pass"]]
+    assert len(data["checks"]) == 7 and failed == ["order-and-maximal", "annulus-phi"]
+    assert "boundary restriction fails" in data["checks"][-1]["detail"]
+
+
+def test_verify_all_exits_with_the_code_of_its_first_failed_check(tmp_path):
+    # the lemniscate scaled by 2^20 misses the absolute on-level gate 1e-9 by
+    # a few ulps of eps: a numerical failure
+    rc, data = run(["verify-all", "--fn", "poly:1048576,0,-1048576", "--eps", "1048576"], tmp_path)
+    assert rc == 2
+    assert [c["name"] for c in data["checks"] if not c["pass"]][0] == "on-level-residuals"
+
+
+def test_verify_all_raises_its_first_failed_check_before_rendering(tmp_path, capsys):
+    # on an empty level set the grid oracle fails first; no SVG is drawn
+    svg = tmp_path / "empty.svg"
+    rc, data = run(["verify-all", "--fn", "blaschke:0.3,0.5/", "--eps", "2", "--svg", str(svg)], tmp_path)
+    failed = [c for c in data["checks"] if not c["pass"]]
+    assert rc == 2 and [c["name"] for c in failed] == ["grid-oracle"]
+    assert capsys.readouterr().err == f"numerical failure: {failed[0]['detail']}\n"
+    assert not svg.exists()
+
+
+def test_readme_quick_start_prints_what_it_says(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    first, *regions = capsys.readouterr().out.splitlines()
+    assert first == re.search(r"# (\d+ \d+ \d+)\n", code).group(1)
+    counts = sorted(tuple(line.split()[1:3]) for line in regions)
+    assert counts == [("1", "1")] * 5 + [("5", "5")]
+
+
 def test_no_function_takes_tolerances():
     # every module reads the gates from config.DEFAULT_TOLS
     taking = []

@@ -16,6 +16,7 @@ from levelcurves import (
     check_gauss_lucas,
     critical_level_curves,
     parse_function_spec,
+    trace_level_set,
 )
 from levelcurves import funcspace
 from levelcurves.funcspace import INF, find_roots, random_polynomial
@@ -719,3 +720,43 @@ def test_local_model_of_a_multiple_critical_point_is_exact(spec):
     # z^5 - 1 has a 4-fold critical point at 0, and (z - 1)^4 + 1e-7 a triple
     # one at 1: both shifts give a = 1 with no rounding
     assert parse_function_spec(spec).critical_models[0][2] == 1.0
+
+
+# (spec, n, w): the zeros are the n simple roots of z^n = w.  A tiny leading
+# or trailing coefficient is kept: 1e-15 z^2 + 1, z^5 - 1e-15, and z^5 - 1 as
+# f(2^-10 z) and as f(2^10 z)
+TINY_COEFFICIENT_CASES = [
+    ("poly:1e-15,0,1", 2, -1e15),
+    ("poly:1,0,0,0,0,-1e-15", 5, 1e-15),
+    ("poly:8.881784197001252e-16,0,0,0,0,-1", 5, 2.0**50),
+    ("poly:1125899906842624.0,0,0,0,0,-1", 5, 2.0**-50),
+]
+
+
+@pytest.mark.parametrize("spec,n,w", TINY_COEFFICIENT_CASES)
+def test_a_tiny_coefficient_keeps_its_roots(spec, n, w):
+    roots = parse_function_spec(spec).numerator.roots()
+    assert [m for _, m in roots] == [1] * n
+    assert max(abs(z**n / w - 1.0) for z, _ in roots) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _, _ in TINY_COEFFICIENT_CASES[2:]])
+def test_scaled_z5m1_traces_its_five_loops(spec):
+    # the level 0.5 of z^5 - 1 is five loops, one about each zero, at any scale
+    assert len(trace_level_set(parse_function_spec(spec), 0.5)) == 5
+
+
+# (spec, critical points): n'd - nd' keeps its tiny coefficients too, and
+# drops by degree only the top one, which cancels when deg n = deg d
+TINY_DERIVATIVE_CASES = [
+    ("poly:1e-15,1,0", [-5e14]),  # n' = 2e-15 z + 1
+    ("rat:1,0,1/1e-15,1,3", [-3 - 10**0.5, -3 + 10**0.5]),  # poles near -1e15 and -3
+]
+
+
+@pytest.mark.parametrize("spec,expected", TINY_DERIVATIVE_CASES)
+def test_a_tiny_coefficient_keeps_its_critical_points(spec, expected):
+    crit = sorted(parse_function_spec(spec).all_critical_points, key=lambda zm: zm[0].real)
+    assert [m for _, m in crit] == [1] * len(expected)
+    assert max(abs(z / c - 1.0) for (z, _), c in zip(crit, expected)) < 1e-12
+

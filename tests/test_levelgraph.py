@@ -39,8 +39,8 @@ def test_build_graph_rejects_a_degree_violation(z5m1):
 
 
 def test_law_check_rejects_a_face_count_violation(z5m1):
-    """One more multiplicity at each vertex keeps V, E and F, so Euler's
-    relation holds and the face-count law is what refuses the graph."""
+    """One more multiplicity at each vertex keeps V, E and F, and the
+    face-count law, the one count of the faces, refuses the graph."""
     g = build_graph(trace_level_set(z5m1, 1.0)[0])
     bad = dataclasses.replace(g, vertices=[(c, m + 1) for c, m in g.vertices])
     with pytest.raises(TopologyError, match=r"face enumeration \(5, 6\) disagrees with formula \(6, 7\)"):

@@ -56,6 +56,21 @@ def test_precedes_same_curve_rejected(z5_ovals):
         precedes(z5_ovals[0], z5_ovals[0])
 
 
+def test_a_split_membership_vote_is_refused(z5_ovals, z5_big, monkeypatch):
+    # the big circle's one bounded face holds every voter of the oval; the
+    # patched winding pass puts the first of them in the unbounded face
+    winding = order_topology._winding_faces
+
+    def split(g, zs):
+        faces = winding(g, zs)
+        faces[0] = g.unbounded_face.id
+        return faces
+
+    monkeypatch.setattr(order_topology, "_winding_faces", split)
+    with pytest.raises(TopologyError, match=r"membership vote split across faces \[0, 1\]"):
+        precedes(z5_ovals[0], z5_big)
+
+
 def test_unit_circle_holds_by_modulus():
     circle = CurveRef(CurveKind.BOUNDARY, 1.0, label="unit-circle")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -12,6 +13,7 @@ from levelcurves import (
     RationalFn,
     TraceError,
     build_graph,
+    continuity_probe,
     critical_level_curves,
     find_seeds,
     parse_function_spec,
@@ -21,10 +23,12 @@ from levelcurves import (
 from levelcurves import geometry, tracer
 from levelcurves.funcspace import Polynomial, random_polynomial
 from levelcurves.gridcheck import grid_oracle_report
+from levelcurves.svgout import render_svg
 from levelcurves.tracer import (
     _RAY_ANGLE,
     _domain_scale,
     _LevelTracer,
+    _certify_turn,
     _ray_crossings,
     _seed_box,
     _trace_component_with,
@@ -331,6 +335,44 @@ def test_disk_eps_one_rejected():
     f = parse_function_spec("blaschke:0.3,-0.4i/0.5")
     with pytest.raises(TraceError):
         find_seeds(f, 1.0)
+
+
+def test_trace_component_admits_the_level_as_trace_level_set_does(blaschke_21):
+    # |f| = 1 on the unit circle, so the seed 0.999 would trace the circle itself
+    with pytest.raises(TraceError, match=r"eps coincides with \|f\| on the unit circle"):
+        trace_component(blaschke_21, 1.0, 0.999)
+
+
+# levels a Blaschke ratio never takes in the disk: |B| < 1 there, |1/B| > 1
+EMPTY_DISK_LEVELS = [("blaschke:0.3,0.5/", 2.0), ("blaschke:/0.3,0.5", 0.5)]
+
+
+@pytest.mark.parametrize("spec,eps", EMPTY_DISK_LEVELS)
+def test_an_empty_disk_level_is_certified_empty(spec, eps):
+    # the turn count wants 0: no pole in the disk above 1, no zero below it
+    f = parse_function_spec(spec)
+    assert find_seeds(f, eps) == []
+    assert trace_level_set(f, eps) == []
+
+
+@pytest.mark.parametrize("spec,eps", EMPTY_DISK_LEVELS)
+def test_what_needs_a_curve_refuses_an_empty_level_set_by_name(spec, eps):
+    f = parse_function_spec(spec)
+    for consumer in (
+        lambda: continuity_probe(f, eps, 0.1),
+        lambda: grid_oracle_report(f, eps, []),
+        lambda: render_svg([]),
+    ):
+        with pytest.raises(TraceError, match="is empty"):
+            consumer()
+
+
+def test_an_arc_turning_arg_f_backwards_is_refused(lemniscate_fn):
+    comp = trace_level_set(lemniscate_fn, 1.0)[0]
+    backwards = dataclasses.replace(comp.arcs[0], points=comp.arcs[0].points[::-1])
+    bad = dataclasses.replace(comp, arcs=[backwards] + comp.arcs[1:])
+    with pytest.raises(TraceError, match=r"arg f is not increasing in steps below pi along an arc at level 1.0"):
+        _certify_turn(lemniscate_fn, 1.0, [bad])
 
 
 def test_blaschke_trace_stays_in_disk():
