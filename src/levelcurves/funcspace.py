@@ -1,14 +1,14 @@
 """Function space: polynomials, rational functions, Blaschke-product ratios.
 
-A RationalFn is immutable after construction and caches its distinguished
-points (zeros, poles, critical points with multiplicities), the local model
-and the certified window of |f| at each critical point, and the samples of
-|f| that the seed search takes whatever the level.  The local model and
-the certified |f| bounds (``RationalFn.abs_bounds``) both read one batched
-Taylor shift of numerator and denominator (``_taylor_shift``).  Its domain
-is the unit disk for a Blaschke ratio and the plane otherwise.  Values at
-poles are reported through the point-at-infinity flag ``INF`` rather than
-NaN.
+A RationalFn is immutable after construction and caches, each on its first
+read, its distinguished points (zeros, poles, critical points with
+multiplicities), the local model and the certified window of |f| at each
+critical point, and the samples of |f| that the seed search takes whatever
+the level.  The local model and the certified |f| bounds
+(``RationalFn.abs_bounds``) both read one batched Taylor shift of numerator
+and denominator (``_taylor_shift``).  Its domain is the unit disk for a
+Blaschke ratio and the plane otherwise.  Values at poles are reported
+through the point-at-infinity flag ``INF`` rather than NaN.
 
 The function-spec grammar shared with the CLI:
 
@@ -62,7 +62,7 @@ class Polynomial:
             n -= 1
         self.coeffs = c[:n].copy()
         self.coeffs.setflags(write=False)
-        # descending Python complex values for the scalar Horner passes
+        # descending Python complex values for the Horner passes
         self._rev = tuple(complex(c) for c in self.coeffs[::-1])
         self._roots = None
         self._deriv = None
@@ -86,12 +86,8 @@ class Polynomial:
 
     def __call__(self, z):
         if isinstance(z, np.ndarray):
-            # numpy's polyval Horner without its set-up, the same floats: it
-            # starts from c_n + z * 0 too, and multiplies out of place
-            acc = self.coeffs[-1] + z * 0
-            for c in self._rev[1:]:
-                acc = c + acc * z
-            return acc
+            # numpy's polyval Horner without its set-up (:func:`_horner`)
+            return _horner(self._rev, z)
         acc = 0j
         for c in self._rev:
             acc = acc * z + c
@@ -146,6 +142,15 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)})"
 
 
+def _horner(rev, x):
+    """numpy's ``polyval(x, c)`` for descending coefficients ``rev = c[::-1]``
+    without its set-up, the same floats: rev[0] + x * 0, then out of place."""
+    acc = rev[0] + x * 0
+    for a in rev[1:]:
+        acc = a + acc * x
+    return acc
+
+
 def _aberth(coeffs: np.ndarray) -> np.ndarray:
     """Simultaneous (Ehrlich-Aberth) iteration on a monic polynomial.
 
@@ -154,7 +159,7 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
     """
     c = coeffs / coeffs[-1]
     n = c.size - 1
-    dc = npoly.polyder(c)
+    rev, drev = c[::-1].tolist(), npoly.polyder(c)[::-1].tolist()
     # Cauchy bound start circle with an asymmetry offset so symmetric
     # configurations (roots of unity) do not stall
     radius = 1.0 + float(np.max(np.abs(c[:-1])))
@@ -162,14 +167,14 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
     z = radius * 0.7 * np.exp(1j * angles)
 
     for _ in range(ABERTH_MAX_ITER):
-        pz = npoly.polyval(z, c)
-        dpz = npoly.polyval(z, dc)
+        pz = _horner(rev, z)
+        dpz = _horner(drev, z)
         dpz = np.where(dpz == 0, 1e-300, dpz)
         newton = pz / dpz
         diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
+        diff.flat[:: n + 1] = 1.0
         inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
+        inv.flat[:: n + 1] = 0.0
         denom = 1.0 - newton * inv.sum(axis=1)
         denom = np.where(denom == 0, 1e-300, denom)
         step = newton / denom
@@ -240,7 +245,7 @@ def _certified_clusters(clusters, coeffs: np.ndarray, radii_of) -> list[RootClus
         centers = np.array([z for z, _ in clusters], dtype=complex)
         counts = np.array([sum(m for _, m in g) for _, g in clusters])
         dist = np.abs(centers[:, None] - centers[None, :])
-        np.fill_diagonal(dist, math.inf)
+        dist.flat[:: len(clusters) + 1] = math.inf
         gaps = dist.min(axis=1)
         radii = radii_of(centers, counts, gaps)
         bad = np.isnan(radii)
@@ -261,12 +266,12 @@ def _polish(z: complex, m: int, derivs: list[np.ndarray]) -> complex:
     """8 Newton steps from z on derivs[m - 1]: a cluster of m roots about z
     is a simple root of the (m-1)th derivative.  derivs is the chain p, p',
     p'', ... of p, to order m at least."""
-    target, dtarget = derivs[m - 1], derivs[m]
+    target, dtarget = derivs[m - 1][::-1].tolist(), derivs[m][::-1].tolist()
     for _ in range(8):
-        dv = npoly.polyval(z, dtarget)
+        dv = _horner(dtarget, z)
         if dv == 0:
             break
-        step = npoly.polyval(z, target) / dv
+        step = _horner(target, z) / dv
         z = z - step
         if abs(step) < 1e-15 * (1.0 + abs(z)):
             break
@@ -383,7 +388,8 @@ class RationalFn:
     sharing across threads is safe.
     Construction rejects constant functions and numerator / denominator
     pairs with a common root: a pair of root clusters whose certified disks
-    meet.
+    meet.  It root-finds the numerator only when the denominator has a root,
+    so a polynomial's zeros are found on their first read.
     """
 
     # the fixed certificate gates; ``bench/run.py`` reads ``f.tols.hull_tol``
@@ -449,9 +455,10 @@ class RationalFn:
         )
 
     def _check_coprime(self):
-        # a shared root cannot be told from two roots whose certified disks meet
-        for a in self.numerator.roots():
-            for b in self.denominator.roots():
+        # a shared root cannot be told from two roots whose certified disks
+        # meet; the numerator is root-found only if the denominator has a root
+        for b in self.denominator.roots():
+            for a in self.numerator.roots():
                 if abs(a[0] - b[0]) < a.radius + b.radius:
                     raise FunctionSpecError(f"numerator and denominator share a root near {a[0]}")
 
@@ -599,13 +606,14 @@ class RationalFn:
     @cached_property
     def derivative_numerator(self) -> Polynomial:
         """Numerator of f' before removal of pole factors: n'd - nd', less its top
-        coefficient k a_k b_k - a_k k b_k = 0 when deg n = deg d = k.  Where that
-        is n' to the bit, as for a polynomial, it is ``numerator.deriv()`` itself, so
-        the critical points and ``gauss_lucas.check_gauss_lucas`` share its root clusters."""
+        coefficient k a_k b_k - a_k k b_k = 0 when deg n = deg d = k.  Over the constant
+        denominator 1, as for a polynomial, it is ``numerator.deriv()`` itself, no product
+        formed, so the critical points and ``gauss_lucas.check_gauss_lucas`` share its root clusters."""
         n, d = self.numerator, self.denominator
+        if d.degree == 0 and d.coeffs[0] == 1:
+            return n.deriv()
         w = (n.deriv() * d - n * d.deriv()).coeffs
-        w = Polynomial(w[:-1] if n.degree == d.degree and w.size == 2 * n.degree else w)
-        return n.deriv() if w.coeffs.tobytes() == n.deriv().coeffs.tobytes() else w
+        return Polynomial(w[:-1] if n.degree == d.degree and w.size == 2 * n.degree else w)
 
     # -- distinguished points
 
@@ -650,8 +658,9 @@ class RationalFn:
         crit = [(z, [(z, m - d)]) for (z, m), d in zip(roots, drop) if m > d]
         if not crit:
             return []
-        size = max(self.numerator.coeffs.size, self.denominator.coeffs.size)
-        num, den = (np.pad(q.coeffs, (0, size - q.coeffs.size))[:, None] for q in (self.numerator, self.denominator))
+        nc, dc = self.numerator.coeffs, self.denominator.coeffs
+        num, den = np.zeros((2, max(nc.size, dc.size), 1), dtype=complex)
+        num[: nc.size, 0], den[: dc.size, 0] = nc, dc
 
         def radii_of(centers, counts, gaps):
             with np.errstate(all="ignore"):

@@ -174,6 +174,10 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["trace", "--fn", "blaschke:0.36,-0.34+0.03i/0.05+0.02i", "--eps", "0.5", "--domain", "plane"]) == 1
     # the certificate gates are fixed; there is no flag to loosen one
     assert main(["trace", "--fn", "poly:1,0", "--eps", "1", "--tol-trace", "1e-6"]) == 1
+    # a numerator and denominator with a common root are refused by name
+    capsys.readouterr()
+    assert main(["trace", "--fn", "rat:1,0,-1/1,-1", "--eps", "1"]) == 1
+    assert "share a root near (1+0j)" in capsys.readouterr().err
     # the probe's delta is a distance and its disks' radius: positive and finite
     capsys.readouterr()
     for delta in ("0", "-1", "nan", "inf"):

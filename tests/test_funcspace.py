@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from conftest import build_corpus
+
 from levelcurves import (
     FunctionSpecError,
     LevelCurveError,
@@ -308,8 +310,13 @@ def test_constant_rejected():
 
 
 def test_common_root_rejected():
-    with pytest.raises(FunctionSpecError):
-        parse_function_spec("rat:1,-1/1,-1")
+    # the denominator's root meets a numerator cluster's disk, whether or not
+    # the numerator has other roots; a pole alone is no shared root
+    for spec in ("rat:1,-1/1,-1", "rat:1,0,-1/1,-1"):
+        with pytest.raises(FunctionSpecError, match=r"share a root near \(1\+0j\)"):
+            parse_function_spec(spec)
+    f = parse_function_spec("rat:1/1,-1")
+    assert f.poles == [(1 + 0j, 1)] and f.zeros == []
 
 
 def test_equal_degree_blaschke_rejected():
@@ -760,3 +767,124 @@ def test_a_tiny_coefficient_keeps_its_critical_points(spec, expected):
     assert [m for _, m in crit] == [1] * len(expected)
     assert max(abs(z / c - 1.0) for (z, _), c in zip(crit, expected)) < 1e-12
 
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False), min_size=1, max_size=13),
+    xs=st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False), min_size=1, max_size=9),
+)
+def test_horner_is_polyval_bitwise(coeffs, xs):
+    # the one Horner pass of __call__, _aberth and _polish, on the descending
+    # Python complex values Polynomial keeps, against numpy's polyval
+    c = np.array(coeffs, dtype=complex)
+    rev = tuple(complex(a) for a in c[::-1])
+    x = np.array(xs, dtype=complex)
+    for z in (x, x.real, x.reshape(1, -1)):
+        got, want = funcspace._horner(rev, z), npoly.polyval(z, c)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    for z in (x[0], complex(x[0])):
+        assert np.complex128(funcspace._horner(rev, z)).tobytes() == npoly.polyval(z, c).tobytes()
+
+
+def _aberth_reference(coeffs: np.ndarray) -> np.ndarray:
+    """funcspace._aberth as written with numpy's polyval and fill_diagonal."""
+    c = coeffs / coeffs[-1]
+    n = c.size - 1
+    dc = npoly.polyder(c)
+    radius = 1.0 + float(np.max(np.abs(c[:-1])))
+    angles = 2.0 * np.pi * (np.arange(n) + 0.353) / n + 0.41
+    z = radius * 0.7 * np.exp(1j * angles)
+    for _ in range(funcspace.ABERTH_MAX_ITER):
+        pz = npoly.polyval(z, c)
+        dpz = npoly.polyval(z, dc)
+        dpz = np.where(dpz == 0, 1e-300, dpz)
+        newton = pz / dpz
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1.0)
+        inv = 1.0 / diff
+        np.fill_diagonal(inv, 0.0)
+        denom = 1.0 - newton * inv.sum(axis=1)
+        denom = np.where(denom == 0, 1e-300, denom)
+        step = newton / denom
+        z = z - step
+        if np.max(np.abs(step)) < 1e-14 * (1.0 + np.max(np.abs(z))):
+            break
+    return z
+
+
+def _polish_reference(z, m, derivs):
+    """funcspace._polish as written with numpy's polyval."""
+    target, dtarget = derivs[m - 1], derivs[m]
+    for _ in range(8):
+        dv = npoly.polyval(z, dtarget)
+        if dv == 0:
+            break
+        step = npoly.polyval(z, target) / dv
+        z = z - step
+        if abs(step) < 1e-15 * (1.0 + abs(z)):
+            break
+    return z
+
+
+@pytest.mark.parametrize("degree", range(1, 13))
+def test_root_finder_is_its_polyval_reference_bitwise(degree):
+    # the bare Horner pass and the strided diagonal writes change no float of
+    # the Aberth roots or of the Newton polish, also on a clustered triple
+    rng = np.random.default_rng(100 + degree)
+    for trial in range(4):
+        coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+        if trial == 3 and degree >= 3:
+            coeffs = npoly.polymul(npoly.polyfromroots([0.5, 0.5 + 1e-9, 0.5 - 1e-9j]), coeffs[: degree - 2])
+        got = funcspace._aberth(coeffs)
+        assert got.tobytes() == _aberth_reference(coeffs).tobytes()
+        derivs = [npoly.polyder(coeffs, k) for k in range(min(degree, 3) + 1)]
+        for z in got:
+            for m in range(1, len(derivs)):
+                want = _polish_reference(z, m, derivs)
+                assert np.complex128(funcspace._polish(z, m, derivs)).tobytes() == np.complex128(want).tobytes()
+
+
+@pytest.mark.parametrize("spec", ["poly:1,0,-1", "poly:2-1i,0.3,-1,0.5i", "rat:1,0,1/1", "poly:1,-0,1", "poly:2,-0,3,0"])
+def test_over_the_denominator_1_the_derivative_numerator_is_n_prime(spec):
+    # no product is formed; where n' holds a -0.0 that the product n'.1 - n.0
+    # turns into +0.0, that product's root clusters and the critical points
+    # read from it are the same to the bit
+    f = parse_function_spec(spec)
+    assert f.derivative_numerator is f.numerator.deriv()
+    n, d = f.numerator, f.denominator
+    g = RationalFn(n, d)
+    g.derivative_numerator = n.deriv() * d - n * d.deriv()
+    assert g.derivative_numerator is not f.derivative_numerator
+    for got, want in [(f.derivative_numerator.roots(), g.derivative_numerator.roots()),
+                      (f.all_critical_points, g.all_critical_points)]:
+        assert got == want and [c.radius for c in got] == [c.radius for c in want]
+    assert f.critical_models == g.critical_models and f.critical_windows == g.critical_windows
+
+
+def test_a_constant_denominator_other_than_1_keeps_the_product():
+    f = parse_function_spec("rat:1,0,1/-2.5")
+    w = f.derivative_numerator
+    assert w is not f.numerator.deriv()
+    assert w.coeffs.tobytes() == (f.numerator.deriv() * f.denominator).coeffs.tobytes()
+
+
+def test_building_the_corpus_does_not_root_find_its_numerators(monkeypatch):
+    # build_corpus reads each function's critical points; its numerators'
+    # zeros are found on their first read, as find_roots finds them
+    calls = []
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return find_roots(coeffs)
+
+    monkeypatch.setattr(funcspace, "find_roots", counted)
+    corpus = build_corpus(30)
+    for f in corpus:
+        assert all(c is not f.numerator.coeffs for c in calls)
+        assert any(c is f.numerator.deriv().coeffs for c in calls)
+    for f in corpus:
+        before = len(calls)
+        want = find_roots(f.numerator.coeffs)
+        assert f.zeros == want and [c.radius for c in f.numerator.roots()] == [c.radius for c in want]
+        assert len(calls) == before + 1 and calls[-1] is f.numerator.coeffs
