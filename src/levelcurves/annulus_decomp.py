@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +38,7 @@ from .config import DEFAULT_TOLS
 from .errors import CertificateError, TopologyError, TraceError
 from .funcspace import RationalFn
 from .levelgraph import build_graph, faces_of_points
-from .order_topology import CriticalSetC, CurveKind, CurveRef, critical_level_curves
+from .order_topology import CriticalSetC, CurveKind, CurveRef, critical_level_curves, maximal_component
 from .tracer import (
     STEP_MAX_CORRECTION,
     STEP_MAX_ITER,
@@ -156,7 +156,8 @@ def decompose(f: RationalFn, C: CriticalSetC | None = None) -> list[AnnularRegio
 
     The regions are read off the nesting forest of the critical set: one per
     bounded face of each critical curve, between the curve and the face's
-    direct child, and one between the maximal member and the outer boundary.
+    direct child, and one between the maximal member, which
+    ``maximal_component`` requires to be unique, and the outer boundary.
     Each bounded face must hold exactly one direct child; a face with two
     mutually exterior children would be a region whose complement has two
     bounded components, which the two-curve theorem forbids.
@@ -177,20 +178,14 @@ def decompose(f: RationalFn, C: CriticalSetC | None = None) -> list[AnnularRegio
     if C is None:
         C = critical_level_curves(f)
 
-    members = C.components
-    roots = [i for i, p in enumerate(C.parent) if p is None]
-    if len(roots) != 1:
-        raise TopologyError(
-            f"critical set has {len(roots)} maximal members; expected exactly one"
-        )
-
+    top = maximal_component(f, C)
     children: dict[tuple[int, int], list[int]] = {}
     for i, p in enumerate(C.parent):
         if p is not None:
             children.setdefault(p, []).append(i)
 
     regions: list[AnnularRegion] = []
-    for j, y in enumerate(members):
+    for j, y in enumerate(C.components):
         if y.kind is not CurveKind.LEVEL_CURVE:
             continue
         g = y.graph()
@@ -201,7 +196,7 @@ def decompose(f: RationalFn, C: CriticalSetC | None = None) -> list[AnnularRegio
                     f"face {face.id} of {y.label} holds {len(kids)} direct critical-set "
                     "members; each annular region needs exactly one bounded complement"
                 )
-            inner = members[kids[0]]
+            inner = C.components[kids[0]]
             regions.append(
                 AnnularRegion(
                     inner_boundary=inner,
@@ -214,7 +209,6 @@ def decompose(f: RationalFn, C: CriticalSetC | None = None) -> list[AnnularRegio
             )
 
     outer_ref, outer_face = _outer_boundary(f, C)
-    top = members[roots[0]]
     regions.append(
         AnnularRegion(
             inner_boundary=top,
@@ -267,9 +261,7 @@ def _certify_region_clean(f: RationalFn, region: AnnularRegion):
     lo, hi = region.level_interval()
     av = np.array([f.abs_eval(z) for z in pts])
     pts = pts[(lo < av) & (av < hi)]
-    if pts.size and region.outer_boundary.kind is CurveKind.BOUNDARY:
-        pts = pts[np.abs(pts) < 1.0]
-    elif pts.size:
+    if pts.size and region.outer_boundary.kind is CurveKind.LEVEL_CURVE:
         g = region.outer_boundary.graph()
         pts = pts[faces_of_points(g, pts) == region.outer_face_id]
     if pts.size and inner.kind is CurveKind.LEVEL_CURVE:
@@ -484,37 +476,23 @@ def build_phi(f: RationalFn, region: AnnularRegion) -> PhiGrid:
 
 @dataclass
 class PhiCertificate:
+    """The measurements of a passed :func:`verify_phi`; a failed gate raises instead."""
+
     max_power_residual: float
     power_gate: float
     closure_discrepancy: float
     radii: tuple[float, float]
-    radii_ok: bool
-    injectivity_ok: bool
     boundary_inner_gap: float
     boundary_outer_gap: float
     level_image_spread: float
     n_mesh: int  # loop samples
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.max_power_residual <= self.power_gate
-            and self.radii_ok
-            and self.injectivity_ok
-        )
-
     def to_dict(self) -> dict:
         return {
-            "max_power_residual": self.max_power_residual,
-            "power_gate": self.power_gate,
-            "closure_discrepancy": self.closure_discrepancy,
+            **asdict(self),
             "radii": [_json_float(r) for r in self.radii],
-            "radii_ok": self.radii_ok,
-            "injectivity_ok": self.injectivity_ok,
             "boundary_inner_gap": _json_float(self.boundary_inner_gap),
             "boundary_outer_gap": _json_float(self.boundary_outer_gap),
-            "level_image_spread": self.level_image_spread,
-            "n_mesh": self.n_mesh,
         }
 
 
@@ -528,7 +506,8 @@ def verify_phi(f: RationalFn, region: AnnularRegion) -> PhiCertificate:
     phi is sampled.  On each loop arg phi turns monotonically through exactly
     one full turn, in steps below pi/(4|M|), so phi is one-to-one on it; the
     loops' |phi| ranges are disjoint and ordered, so the two loops land on
-    distinct circles.  Any gate failure raises :class:`CertificateError`.
+    distinct circles.  A failed gate raises :class:`CertificateError` where
+    it is decided; a returned :class:`PhiCertificate` holds measurements only.
     """
     grid = build_phi(f, region)
     M = region.M
@@ -542,8 +521,7 @@ def verify_phi(f: RationalFn, region: AnnularRegion) -> PhiCertificate:
 
     r_lo, r_hi = region.image_radii()
     mods = np.abs(grid.phi)
-    radii_ok = bool(np.all(mods > r_lo) and np.all(mods < r_hi))
-    if not radii_ok:
+    if not (np.all(mods > r_lo) and np.all(mods < r_hi)):
         raise CertificateError(
             f"|phi| escapes the annulus ({r_lo}, {r_hi}): "
             f"range [{mods.min():.6g}, {mods.max():.6g}]"
@@ -572,8 +550,6 @@ def verify_phi(f: RationalFn, region: AnnularRegion) -> PhiCertificate:
         power_gate=gate,
         closure_discrepancy=grid.closure_discrepancy,
         radii=(r_lo, r_hi),
-        radii_ok=radii_ok,
-        injectivity_ok=True,
         boundary_inner_gap=gap(grid.levels[0], region.eps1),
         boundary_outer_gap=gap(grid.levels[-1], region.eps2),
         level_image_spread=float(np.max(hi - lo)),

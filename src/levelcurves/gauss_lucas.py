@@ -24,7 +24,7 @@ import numpy as np
 
 from . import geometry
 from .config import DEFAULT_TOLS
-from .errors import CertificateError
+from .errors import CertificateError, FunctionSpecError
 from .funcspace import Polynomial, RationalFn
 from .tracer import trace_component
 
@@ -114,7 +114,7 @@ def check_gauss_lucas(p: Polynomial) -> HullReport:
     one sits farther out than that by more than hull_tol * scale.
     """
     if not isinstance(p.degree, int) or p.degree < 2:
-        raise ValueError("polynomial degree must be at least 2")
+        raise FunctionSpecError("polynomial degree must be at least 2")
     zero_clusters, crit_clusters = p.roots(), p.deriv().roots()
     zeros = [z for z, m in zero_clusters for _ in range(m)]
     crit = [z for z, m in crit_clusters for _ in range(m)]

@@ -8,7 +8,8 @@ they put the computed |f| of every grid point of a block on one side of eps,
 all the block's corners share a sign, so none of its cells crosses the level,
 and the cells are those of the full raster, bit for bit.  The proximity
 report is then the d-check (``metrics.hausdorff_between_curves``) between
-the traced polylines and the crossing-cell centers, a point set.
+the traced polylines and the crossing-cell centers, a point set, and
+:func:`grid_oracle_report` raises where it fails, returning measurements only.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
+from .errors import CertificateError
 from .funcspace import RationalFn
 from .geometry import bounding_box
 from .metrics import hausdorff_between_curves
@@ -91,25 +93,22 @@ class ProximityReport:
     n_cells: int
     n_trace_points: int
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.max_cell_to_trace <= self.threshold
-            and self.max_trace_to_cell <= self.threshold
-        )
-
 
 def grid_oracle_report(f: RationalFn, eps: float, components) -> ProximityReport:
-    """Compare traced components of E_{f, eps} against a fresh rasterization."""
+    """Compare traced components of E_{f, eps} against a fresh rasterization;
+    raise :class:`CertificateError` past PROXIMITY_FACTOR cell diagonals."""
     arcs = [a for c in _require_curve(components) for a in c.arcs]
     x0, y0, x1, y1 = bounding_box([a.points for a in arcs])
     m = ORACLE_MARGIN_REL * max(x1 - x0, y1 - y0, 1e-9)
     cells, diag = crossing_cells(f, eps, (x0 - m, y0 - m, x1 + m, y1 + m), ORACLE_N)
     rep = hausdorff_between_curves(arcs, cells[:, None])
+    threshold = PROXIMITY_FACTOR * diag
+    if not (rep.d2 <= threshold and rep.d1 <= threshold):
+        raise CertificateError(f"grid oracle: cell->trace {rep.d2:.3g}, trace->cell {rep.d1:.3g} vs {threshold:.3g}")
     return ProximityReport(
         max_cell_to_trace=rep.d2,
         max_trace_to_cell=rep.d1,
-        threshold=PROXIMITY_FACTOR * diag,
+        threshold=threshold,
         n_cells=int(cells.size),
         n_trace_points=sum(a.points.size for a in arcs),
     )

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 import levelcurves
+from levelcurves import gridcheck
 from levelcurves.cli import _build_parser, main
+from levelcurves.errors import LevelCurveError
 from levelcurves.gauss_lucas import _normalize_outside_hull, corrupted_instance
 from levelcurves.geometry import horizontal_crossings
 
@@ -178,6 +181,10 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["trace", "--fn", "rat:1,0,-1/1,-1", "--eps", "1"]) == 1
     assert "share a root near (1+0j)" in capsys.readouterr().err
+    # Gauss-Lucas needs a polynomial of degree at least 2
+    assert main(["gauss-lucas", "--poly", "poly:1,0"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "error: polynomial degree must be at least 2\n"
     # the probe's delta is a distance and its disks' radius: positive and finite
     capsys.readouterr()
     for delta in ("0", "-1", "nan", "inf"):
@@ -204,18 +211,41 @@ def test_an_empty_level_set_is_traced_as_none(tmp_path, capsys):
 
 
 def test_a_refusal_exits_alike_from_every_command(tmp_path, capsys):
-    # a critical cluster of this ratio may lie on the unit circle: order,
-    # decompose and the two checks of verify-all that need them refuse it as
-    # a usage error, and verify-all still writes every check
-    spec = "blaschke:0.6,-0.5+0.3i/0.2-0.6i"
-    assert main(["order", "--fn", spec]) == 1
-    assert main(["decompose", "--fn", spec]) == 1
-    capsys.readouterr()
-    rc, data = run(["verify-all", "--fn", spec, "--eps", "0.5"], tmp_path)
-    assert rc == 1 and capsys.readouterr().err.startswith("error: the critical cluster at")
-    failed = [c["name"] for c in data["checks"] if not c["pass"]]
-    assert len(data["checks"]) == 7 and failed == ["order-and-maximal", "annulus-phi"]
-    assert "boundary restriction fails" in data["checks"][-1]["detail"]
+    # order, decompose and the two checks of verify-all that need the critical
+    # set refuse it with one line, and verify-all still writes every check. A
+    # critical cluster of the Blaschke ratio may lie on the unit circle, a
+    # usage error; the critical set of the rat: ratio has three maximal
+    # members, a certificate violation
+    for spec, code, cause in (
+        ("blaschke:0.6,-0.5+0.3i/0.2-0.6i", 1, "error: the critical cluster at"),
+        ("rat:1,0,-1/1,0,0.25", 3, "certificate violation: expected a unique maximal element"),
+    ):
+        capsys.readouterr()
+        assert main(["order", "--fn", spec]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(cause) and len(err.splitlines()) == 1
+        assert main(["decompose", "--fn", spec]) == code
+        assert capsys.readouterr().err == err
+        rc, data = run(["verify-all", "--fn", spec, "--eps", "0.5"], tmp_path)
+        assert rc == code and capsys.readouterr().err == err
+        failed = [c for c in data["checks"] if not c["pass"]]
+        assert len(data["checks"]) == 7 and [c["name"] for c in failed] == ["order-and-maximal", "annulus-phi"]
+        assert failed[0]["detail"] == failed[1]["detail"]
+
+
+def test_a_failed_continuity_probe_writes_its_json_then_refuses(tmp_path, capsys):
+    rc, data = run(["continuity", "--fn", "poly:1,0,-1", "--eps", "1", "--delta", "1e-5"], tmp_path)
+    assert rc == 3 and data["pass"] is False and data["eta"] == 0.0
+    err = capsys.readouterr().err
+    assert err.startswith("certificate violation: ") and len(err.splitlines()) == 1
+
+
+def test_a_failed_grid_oracle_refuses_with_its_detail(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(gridcheck, "PROXIMITY_FACTOR", 1e-3)
+    rc, data = run(["verify-all", "--fn", "poly:1,0,-1", "--eps", "1"], tmp_path)
+    failed = [c for c in data["checks"] if not c["pass"]]
+    assert rc == 3 and [c["name"] for c in failed] == ["grid-oracle"]
+    assert capsys.readouterr().err == f"certificate violation: {failed[0]['detail']}\n"
 
 
 def test_verify_all_exits_with_the_code_of_its_first_failed_check(tmp_path):
@@ -263,6 +293,31 @@ def test_no_function_takes_tolerances():
                 if inspect.isfunction(fn) and "tols" in inspect.signature(fn).parameters:
                     taking.append(f"{mod.__name__}.{qualname}")
     assert not taking
+
+
+def test_every_refusal_is_a_levelcurve_error():
+    # the CLI's one table gives an exit code to each LevelCurveError, so
+    # every exception the package builds and raises is one; only two checks
+    # of a library call's own arguments raise ValueError
+    allowed = {("metrics", "continuity_probe"), ("geometry", "bounding_box")}
+    value_errors, foreign = set(), []
+    for info in pkgutil.iter_modules(levelcurves.__path__):
+        mod = importlib.import_module(f"levelcurves.{info.name}")
+        owner = {}
+        # breadth first, so a nested function overwrites its enclosing one
+        for fn in ast.walk(ast.parse(Path(mod.__file__).read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                        owner[node] = fn.name
+        for node, name in owner.items():
+            cls = eval(ast.unparse(node.exc.func), vars(mod))
+            if cls is ValueError and (info.name, name) in allowed:
+                value_errors.add((info.name, name))
+            elif not issubclass(cls, LevelCurveError):
+                foreign.append(f"{info.name}.{name}:{node.lineno} raises {cls.__name__}")
+    assert not foreign
+    assert value_errors == allowed
 
 
 def test_readme_flags_exist():

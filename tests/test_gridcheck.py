@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from levelcurves import LevelCurveError, RationalFn, geometry, parse_function_spec, trace_level_set
+from levelcurves import (
+    CertificateError,
+    LevelCurveError,
+    RationalFn,
+    geometry,
+    gridcheck,
+    parse_function_spec,
+    trace_level_set,
+)
 from levelcurves.funcspace import random_polynomial
 from levelcurves.geometry import SegmentIndex, bounding_box
 from levelcurves.gridcheck import (
@@ -210,6 +218,14 @@ def test_grid_oracle_is_the_two_index_formula_bitwise(name):
     assert repr(grid_oracle_report(f, eps, comps)) == repr(want)
 
 
+def test_a_failed_grid_oracle_raises_where_it_is_decided(monkeypatch):
+    f = parse_function_spec("poly:1,0,-1")
+    comps = trace_level_set(f, 1.0)
+    monkeypatch.setattr(gridcheck, "PROXIMITY_FACTOR", 1e-3)
+    with pytest.raises(CertificateError, match=r"^grid oracle: cell->trace "):
+        grid_oracle_report(f, 1.0, comps)
+
+
 @pytest.mark.parametrize("name", list(FIXTURES))
 def test_grid_oracle_memory_peak(name):
     spec, eps = FIXTURES[name]
@@ -217,10 +233,9 @@ def test_grid_oracle_memory_peak(name):
     comps = trace_level_set(f, eps)
     tracemalloc.start()
     try:
-        rep = grid_oracle_report(f, eps, comps)
+        grid_oracle_report(f, eps, comps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.ok
     # the whole-grid raster peaked at 22 to 25 MB here
     assert peak < 8 * 2**20, peak
