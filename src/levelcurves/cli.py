@@ -148,7 +148,7 @@ def _cmd_graph(args) -> int:
         "kind": "graph",
         "fn": args.fn,
         "eps": args.eps,
-        "components": [g.to_dict() for g in graphs],
+        "components": [g.to_dict(f) for g in graphs],
     }
     _emit(payload, args)
     _maybe_svg(args, comps, graphs)

@@ -30,13 +30,6 @@ def polyline_length(pts) -> float:
     return float(np.sum(np.abs(np.diff(pts))))
 
 
-def max_segment_length(pts) -> float:
-    pts = as_points(pts)
-    if pts.size < 2:
-        return 0.0
-    return float(np.max(np.abs(np.diff(pts))))
-
-
 def signed_area(closed_pts) -> float:
     """Shoelace area of a closed polyline (first point == last point)."""
     p = as_points(closed_pts)

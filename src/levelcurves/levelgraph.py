@@ -8,6 +8,10 @@ whose boundary walk is oriented against all the others.
 
 A component without vertices is kept as a single closed edge with V == 0 and
 two faces, so the face-count formula reads literally with an empty vertex sum.
+
+By the maximum modulus principle every bounded face holds a zero or a pole
+of f.  :func:`zeros_per_face` places them and refuses a bounded face that
+holds none; the first one a bounded face holds is its representative point.
 """
 
 from __future__ import annotations
@@ -34,15 +38,6 @@ class Face:
     bounded: bool
     edge_cycle: list[tuple[int, int]]  # (edge id, +1 forward / -1 reverse)
     polygon: np.ndarray  # closed boundary walk
-
-    @cached_property
-    def rep_point(self) -> complex:
-        """A point of the face: one the bounded face's walk winds around, or
-        the corner beyond the unbounded face's walk."""
-        if self.bounded:
-            return _interior_point(self.polygon)
-        x0, y0, x1, y1 = self.box
-        return complex(x0 - (x1 - x0) - 1.0, y0 - (y1 - y0) - 1.0)
 
     @cached_property
     def box(self) -> tuple[float, float, float, float]:
@@ -79,7 +74,17 @@ class LevelGraph:
                 deg += 1
         return deg
 
-    def to_dict(self) -> dict:
+    def to_dict(self, f: RationalFn) -> dict:
+        """The graph as JSON.  Each bounded face's representative is the first
+        zero or pole of f it holds (zeros first, in the order of ``f.zeros``
+        and ``f.poles``), placed by :func:`zeros_per_face`, which refuses a
+        bounded face that holds none; the unbounded face's is the corner
+        beyond its box.
+        """
+        held = zeros_per_face(self, f)
+        x0, y0, x1, y1 = self.unbounded_face.box
+        beyond = complex(x0 - (x1 - x0) - 1.0, y0 - (y1 - y0) - 1.0)
+        reps = {fc.id: held[fc.id][0][0] if fc.bounded else beyond for fc in self.faces}
         return {
             "level": self.level,
             "vertices": [
@@ -98,13 +103,13 @@ class LevelGraph:
             ],
             "faces": [
                 {
-                    "id": f.id,
-                    "bounded": f.bounded,
-                    "edge_cycle": [[eid, d] for eid, d in f.edge_cycle],
-                    "rep_re": f.rep_point.real,
-                    "rep_im": f.rep_point.imag,
+                    "id": fc.id,
+                    "bounded": fc.bounded,
+                    "edge_cycle": [[eid, d] for eid, d in fc.edge_cycle],
+                    "rep_re": reps[fc.id].real,
+                    "rep_im": reps[fc.id].imag,
                 }
-                for f in self.faces
+                for fc in self.faces
             ],
         }
 
@@ -250,33 +255,6 @@ def _materialize_faces(walks, edges) -> list[Face]:
     return [Face(i, i != unbounded_idx, cycles[i], polys[i]) for i in range(len(walks))]
 
 
-def _interior_point(poly) -> complex:
-    """A point with nonzero winding of the given closed walk around it."""
-    p = np.asarray(poly)
-    n = p.size - 1
-    h = geometry.max_segment_length(p)
-    index = geometry.SegmentIndex([p])
-    for frac in (0.25, 0.5, 0.75, 0.1, 0.9, 0.35, 0.65):
-        idx = max(1, int(n * frac))
-        a, b = p[idx - 1], p[idx]
-        if a == b:
-            continue
-        tangent = (b - a) / abs(b - a)
-        normal = 1j * tangent
-        mid = 0.5 * (a + b)
-        for delta in (2.0 * h, 0.5 * h, 0.1 * h, 5.0 * h, 20.0 * h):
-            for side in (+1.0, -1.0):
-                cand = mid + side * delta * normal
-                if index.distances([cand], upto=0.45 * delta)[0] < 0.45 * delta:
-                    continue
-                w = geometry.winding_number(p, [cand])[0]
-                if abs(w - round(w)) > 0.05:
-                    continue
-                if round(w) != 0:
-                    return complex(cand)
-    raise TopologyError("could not place an interior representative point")
-
-
 def _assert_laws(graph: LevelGraph):
     # with _embed's degree law E = sum(m) + V, so its total is Euler's F = E - V + 2
     face_count(graph)  # its two counts leave exactly one unbounded face
@@ -361,10 +339,12 @@ def _winding_faces(graph: LevelGraph, zs: np.ndarray) -> np.ndarray:
 
 
 def zeros_per_face(graph: LevelGraph, f: RationalFn) -> dict:
-    """Map face id -> list of (point, mult, kind) for zeros and poles inside.
+    """Map face id -> list of (point, mult, kind) for zeros and poles inside,
+    zeros first, in the order of ``f.zeros`` and ``f.poles``.
 
     Every bounded face must receive at least one entry; an empty bounded face
-    means the tracing missed structure and is a hard error.
+    means the tracing missed structure and is a hard error.  The first entry
+    is the face's representative in :meth:`LevelGraph.to_dict`.
     """
     out: dict[int, list] = {fc.id: [] for fc in graph.faces}
     points = [(z, m, "zero") for z, m in f.zeros] + [(p, m, "pole") for p, m in f.poles]

@@ -120,13 +120,12 @@ def _nearby_curves_union(
     zeta: float,
     component: LevelCurveComponent,
     delta: float,
-) -> LevelCurveComponent | list[TracedArc]:
-    """The level curves at level zeta seeded near each edge midpoint.
+) -> list[TracedArc]:
+    """The arcs of the level curves at level zeta seeded near each edge midpoint.
 
     Each seed is corrected onto the level and kept within 4 delta + 1 of its
     midpoint; the seeds are then traced in order, skipping those on a curve
-    already traced (``tracer._trace_seeds``).  One curve is returned as its
-    component, whose cached index serves the d-check; several as their arcs.
+    already traced (``tracer._trace_seeds``).
     """
     tracer = _LevelTracer(f, zeta, _domain_scale(f, [component.arcs[0].points[0]]))
     seeds = []
@@ -144,8 +143,6 @@ def _nearby_curves_union(
     comps = _trace_seeds(tracer, seeds)
     if not comps:
         raise TraceError(f"no level curves found near the component at level {zeta}")
-    if len(comps) == 1:
-        return comps[0]
     return [a for c in comps for a in c.arcs]
 
 

@@ -13,7 +13,7 @@ from the outer curve's polyline than its chord sag, vote on the face by
 winding number (:func:`_holding_faces`); the query that finds them shows
 them off the curve, so they skip the face lookup's own.  The maximal
 element, the Hasse diagram and the annular decomposition all read the
-forest.
+forest; :func:`separating_curve` places its point set by the same rule.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .errors import TopologyError, TraceError
 from .funcspace import RationalFn
-from .levelgraph import LevelGraph, _winding_faces, build_graph, faces_of_points
+from .levelgraph import LevelGraph, _winding_faces, build_graph
 from .tracer import LevelCurveComponent, _critical_curve, trace_component
 from . import geometry
 
@@ -106,25 +106,23 @@ def _votes(g: LevelGraph, faces: np.ndarray, sizes) -> list[int | None]:
     return [None if fid == g.unbounded_face.id else fid for fid in lo.tolist()]
 
 
-def _membership_face(b: CurveRef, samples) -> int | None:
-    """Face of b holding every sample, or None for the unbounded face."""
-    g = b.graph()
-    faces = faces_of_points(g, samples)
-    return _votes(g, faces, [faces.size])[0]
-
-
 def _holding_faces(b: CurveRef, members: list[CurveRef]) -> list[int | None]:
     """The bounded face of b holding each member, or None where it is outside.
+
+    This is the package's one membership rule for members: the nesting
+    forest, :func:`precedes`, the two-curve witness and
+    :func:`separating_curve` all decide by it.
 
     One distance query over all the members' points refuses any member within
     ``trace_tol`` of b (of the unit circle: by 1 - |z|).  Each member votes
     with eight of its points, spread along it, that lie farther from b's
     polyline than b's chord sag: the true curve stays within the sag of its
     chords, so such a point is in the same face of the curve as of the
-    polyline.  A curve member with fewer than
-    eight such points raises :class:`TopologyError`; a point member votes
-    with itself.  That query has shown every voter off b, so the voters
-    skip the on-curve query of :func:`faces_of_points` and go through one
+    polyline.  A curve member with fewer than eight such points raises
+    :class:`TopologyError`; a point member votes with itself, so it too must
+    lie clear of the sag.  That query has shown every voter off b, so the
+    voters skip the on-curve query of
+    :func:`~levelcurves.levelgraph.faces_of_points` and go through one
     winding pass; outside b's box they vote for the unbounded face unwound.
     """
     pts = [m.all_points() for m in members]
@@ -260,12 +258,15 @@ def separating_curve(f: RationalFn, L: CurveRef, K) -> tuple[CurveRef, str]:
     on-level test (``RationalFn.critical_on_level``) puts no critical point
     on the curve.  K is a closed point set (array of complex).  The search
     walks a short transversal from L toward K, tracing the level curve
-    through each probe point and certifying the separation by face tests (L
-    by the rule of :func:`precedes`; all of K votes, as K need not be
-    connected).  Returns the curve and the placement of K ("bounded" or
-    "unbounded" face).
+    through each probe point and certifying the separation by one call of
+    :func:`_holding_faces`, the rule of :func:`precedes`: L votes, and each
+    point of K votes as a point member, as K need not be connected.  A probe
+    is skipped where the rule refuses L or a point of K (within the chord
+    sag, say) or where K's points land in different faces.  Returns the
+    curve and the placement of K ("bounded" or "unbounded" face).
     """
     K = np.atleast_1d(np.asarray(K, dtype=complex))
+    k_refs = [CurveRef(CurveKind.POINT, 0.0, point=k) for k in K]
     L_pts = L.all_points()
     # nearest approach between L and K
     dists = L.index.distances(K)
@@ -285,15 +286,11 @@ def separating_curve(f: RationalFn, L: CurveRef, K) -> tuple[CurveRef, str]:
             continue
         cand = CurveRef(CurveKind.LEVEL_CURVE, level, component=comp, label="separator")
         try:
-            k_face = _membership_face(cand, K)
-            l_face = _holding_faces(cand, [L])[0]
+            l_face, *k_faces = _holding_faces(cand, [L] + k_refs)
         except TopologyError:
             continue
-        if (k_face is None) != (l_face is None) or (
-            k_face is not None and l_face is not None and k_face != l_face
-        ):
-            placement = "unbounded" if k_face is None else "bounded"
-            return cand, placement
+        if len(set(k_faces)) == 1 and k_faces[0] != l_face:
+            return cand, "unbounded" if k_faces[0] is None else "bounded"
     raise TraceError(
         "no separating level curve found along the transversal; "
         "K may touch the critical set between the curves"

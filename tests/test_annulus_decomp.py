@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -193,6 +194,28 @@ def test_degree_20_draw_decomposes():
     certify_all(f, decompose(f))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=CertificateError,
+    reason="ROADMAP item 4: the march bounds a step's arg-f increment only from |f'/f| at its "
+    "start; a loop at level 0.8442 has an increment of 0.876, past the loop gate's pi/4",
+)
+def test_blaschke_loops_keep_within_the_loop_gate():
+    f = parse_function_spec("blaschke:-0.7020-0.2053i,0.4791+0.2988i,0.2663+0.3733i/-0.6622-0.1817i")
+    for r in decompose(f):
+        verify_phi(f, r)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=TopologyError,
+    reason="ROADMAP item 7: at the vertex 0 of multiplicity 14 the capture radius is clamped "
+    "to 5e-2 of the scale, and face 1 winds -2 times around a zero",
+)
+def test_z15_minus_1_decomposes():
+    decompose(parse_function_spec("poly:1" + ",0" * 14 + ",-1"))
+
+
 def test_winding_consistent_across_levels(z5m1, z5_regions):
     outer = next(r for r in z5_regions if r.eps1 != 0.0)
     # winding_N itself checks that all its loops agree; run it fresh
@@ -285,6 +308,16 @@ def test_region_holding_a_critical_point_is_refused(z5m1, z5_regions):
     )
     with pytest.raises(TopologyError, match="contains distinguished point"):
         _certify_region_clean(z5m1, planted)
+
+
+def test_inner_boundary_clears_the_zeros_it_encloses(z5m1, z5_regions):
+    # with the band opened down to 0, the zeros whose |f| reads 2.2e-16 and
+    # 2.8e-16 fall strictly inside it and inside the outer face; only the
+    # inner boundary's face lookup clears them, as the petals' interiors
+    outer = next(r for r in z5_regions if r.label == "critcurve@1#0->outer@4")
+    opened = dataclasses.replace(outer, eps1=0.0)
+    assert sum(0.0 < z5m1.abs_eval(z) < opened.eps2 for z, _ in z5m1.zeros) == 2
+    _certify_region_clean(z5m1, opened)
 
 
 def test_incomplete_critical_list_is_refused():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import levelcurves
-from levelcurves import gridcheck
+from levelcurves import cli, gridcheck, parse_function_spec, trace_level_set
 from levelcurves.cli import _build_parser, main
 from levelcurves.errors import LevelCurveError
 from levelcurves.gauss_lucas import _normalize_outside_hull, corrupted_instance
@@ -52,6 +52,17 @@ def test_graph_z5m1(tmp_path):
     assert len(g["vertices"]) == 1
     assert len(g["edges"]) == 5
     assert sum(1 for fc in g["faces"] if fc["bounded"]) == 5
+
+
+def test_graph_refuses_a_bounded_face_without_zero_or_pole(tmp_path, capsys, monkeypatch):
+    # the lemniscate's curve handed in for z^2 - 100, whose zeros lie outside
+    # it: the graph is refused as verify-all's faces-hold-zeros check refuses
+    # it, and no JSON is written
+    lemniscate = trace_level_set(parse_function_spec("poly:1,0,-1"), 1.0)
+    monkeypatch.setattr(cli, "trace_level_set", lambda f, eps: lemniscate)
+    rc, data = run(["graph", "--fn", "poly:1,0,-100", "--eps", "1"], tmp_path)
+    assert rc == 3 and data is None
+    assert capsys.readouterr().err.startswith("certificate violation: bounded face 1 contains no zero or pole")
 
 
 def test_graph_svg(tmp_path):
@@ -185,6 +196,10 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["gauss-lucas", "--poly", "poly:1,0"]) == 1
     out, err = capsys.readouterr()
     assert not out and err == "error: polynomial degree must be at least 2\n"
+    # and a polynomial, not a ratio
+    assert main(["gauss-lucas", "--poly", "rat:1,0,1/1,2"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "error: gauss-lucas needs a polynomial (poly: spec)\n"
     # the probe's delta is a distance and its disks' radius: positive and finite
     capsys.readouterr()
     for delta in ("0", "-1", "nan", "inf"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -139,6 +140,23 @@ def test_check_pass_at_zero_and_pole():
     h = RationalFn.blaschke_ratio([0.5], [0.0, -0.25j])
     assert h.abs_and_log_deriv(0.5) == (0.0, INF)
     assert h.abs_and_log_deriv(-0.25j) == (math.inf, INF)
+
+
+def test_every_evaluator_returns_inf_at_a_pole():
+    # the pole 0 of 1/z and the poles +-2 of z/(z^2 - 4), through the scalar
+    # and the grid evaluators: INF or inf, never NaN, and no warning
+    for spec, poles in (("rat:1/1,0", [0.0]), ("rat:1,0/1,0,-4", [2.0, -2.0])):
+        f = parse_function_spec(spec)
+        zs = np.array(poles, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in poles:
+                assert f.eval(p) == INF
+                assert f.abs_eval(p) == math.inf
+                assert f.abs_and_log_derivative(p) == (math.inf, INF, INF)
+                assert f.abs_and_log_deriv(p) == (math.inf, INF)
+            assert f.eval_grid(zs).tolist() == [INF] * zs.size
+            assert f.abs_grid(zs).tolist() == [math.inf] * zs.size
 
 
 def _check_pass_functions(rng):

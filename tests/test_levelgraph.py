@@ -179,20 +179,47 @@ def test_face_membership_total_and_consistent(z5m1):
     assert checked > 10
 
 
-def test_face_representatives_valid(z5m1):
-    g = build_graph(trace_level_set(z5m1, 1.0)[0])
-    for fc in g.faces:
-        assert face_of_point(g, fc.rep_point) == fc.id
+def test_face_representatives_valid():
+    """Each bounded face's representative is a zero or pole of f that the
+    face lookup puts in that face; the unbounded face's lies in it too."""
+    for spec, eps in (
+        ("poly:1,0,0,0,0,-1", 1.0),
+        ("poly:1,0,-1", 1.0),
+        ("blaschke:0.36,-0.34+0.03i/0.05+0.02i", 0.5),
+    ):
+        f = parse_function_spec(spec)
+        held = [z for z, _ in f.zeros] + [p for p, _ in f.poles]
+        for comp in trace_level_set(f, eps):
+            g = build_graph(comp)
+            for fc in g.to_dict(f)["faces"]:
+                rep = complex(fc["rep_re"], fc["rep_im"])
+                assert face_of_point(g, rep) == fc["id"]
+                assert (rep in held) == fc["bounded"]
 
 
 def test_graph_json_schema(lemniscate_fn):
     g = build_graph(trace_level_set(lemniscate_fn, 1.0)[0])
-    d = g.to_dict()
+    d = g.to_dict(lemniscate_fn)
     assert set(d) == {"level", "vertices", "edges", "faces"}
     assert d["vertices"][0].keys() == {"id", "re", "im", "mult"}
     assert d["edges"][0].keys() == {"id", "v_from", "v_to", "closed", "polyline_id"}
     assert d["faces"][0].keys() == {"id", "bounded", "edge_cycle", "rep_re", "rep_im"}
     assert sum(1 for fc in d["faces"] if not fc["bounded"]) == 1
+    # the two bounded faces are represented by the zeros +-1 they hold
+    reps = sorted((fc["rep_re"], fc["rep_im"]) for fc in d["faces"] if fc["bounded"])
+    assert reps == [(-1.0, 0.0), (1.0, 0.0)]
+
+
+def test_a_bounded_face_without_zero_or_pole_is_refused(lemniscate_fn):
+    """Against z^2 - 100, whose zeros +-10 lie outside it, the lemniscate's
+    bounded faces hold nothing: the face placement and the graph's JSON both
+    refuse it."""
+    g = build_graph(trace_level_set(lemniscate_fn, 1.0)[0])
+    far = parse_function_spec("poly:1,0,-100")
+    with pytest.raises(TopologyError, match="bounded face 1 contains no zero or pole"):
+        zeros_per_face(g, far)
+    with pytest.raises(TopologyError, match="bounded face 1 contains no zero or pole"):
+        g.to_dict(far)
 
 
 def _face_of_point_reference(graph, z):

@@ -25,7 +25,7 @@ from levelcurves.metrics import (
     HausdorffReport,
     hausdorff_between_curves,
 )
-from levelcurves.tracer import LevelCurveComponent, _LevelTracer, _domain_scale, _near, _trace_component_with
+from levelcurves.tracer import _LevelTracer, _domain_scale, _near, _trace_component_with
 
 
 def test_identity_distance_zero():
@@ -246,8 +246,6 @@ def test_union_matches_interleaved_reference(name):
     # both sides of eps; z^5-1 has five loops just below 1 and one curve just above
     for zeta in (eps * (1.0 + s * r) for r in (1e-5, 0.02, 0.1) for s in (1.0, -1.0)):
         got = metrics._nearby_curves_union(f, zeta, component, delta)
-        # one curve comes back as its component, several as their arcs
-        got = got.arcs if isinstance(got, LevelCurveComponent) else got
         want = _interleaved_union(f, zeta, component, delta)
         assert len(got) == len(want)
         assert all(np.array_equal(g.points, w.points) for g, w in zip(got, want))

@@ -19,6 +19,7 @@ from levelcurves import (
     parse_function_spec,
     trace_component,
     trace_level_set,
+    zeros_per_face,
 )
 from levelcurves import geometry, tracer
 from levelcurves.funcspace import Polynomial, random_polynomial
@@ -889,6 +890,36 @@ def test_rotated_fixtures_hand_out_the_stored_critical_curve(coeffs, seed):
     (comp,) = trace_level_set(f, 1.0)
     assert comp is f.critical_curves[0]
     assert comp.level == f.abs_eval(f.critical_points[0][0])
+
+
+def _z_n_minus_1(n):
+    return parse_function_spec("poly:1" + ",0" * (n - 1) + ",-1")
+
+
+def test_z_n_minus_1_vertex_of_high_multiplicity():
+    # at level 1 the origin is a vertex of multiplicity n - 1 with one petal
+    # per root of unity; n = 13 and 15-20 fail there (n = 13 and 20 run away
+    # for seconds, so they are left out), and the levels 0.9 and 1.1 trace
+    for n in (*range(2, 13), 14):
+        f = _z_n_minus_1(n)
+        (comp,) = trace_level_set(f, 1.0)
+        g = build_graph(comp)
+        assert [m for _, m in g.vertices] == [n - 1]
+        # each petal holds one root of unity, the unbounded face none
+        assert sorted(len(held) for held in zeros_per_face(g, f).values()) == [0] + [1] * n
+    for n in range(2, 21):
+        f = _z_n_minus_1(n)
+        assert len(trace_level_set(f, 0.9)) == n and len(trace_level_set(f, 1.1)) == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=TraceError,
+    reason="ROADMAP item 7: at the vertex 0 of multiplicity 14 the capture radius is clamped to "
+    "5e-2 of the scale, and the level set turns arg f by 30 turns about 15 zeros",
+)
+def test_z15_minus_1_traces_at_its_critical_level():
+    trace_level_set(_z_n_minus_1(15), 1.0)
 
 
 @pytest.mark.xfail(
