@@ -9,9 +9,10 @@ to one algorithm live beside their code: the step controller's sag target
 ``SAG_REL``, its arg-step cap ``MAX_ARG_STEP`` and its step floor
 ``MIN_STEP_REL`` in ``tracer``, with the refused near-critical band
 (``NECK_MIN_STEPS``, ``LEVEL_MIN_GATES``) and the winding tolerance
-``WINDING_TOL``, and the rotation-system angle in ``levelgraph``
-(``ANGLE_TOL``).  Root multiplicities take no tolerance either: each root
-cluster carries a disk in which Pellet's test certifies its count
+``WINDING_TOL``.  The rotation system at a vertex takes no tolerance: it is
+the order of the ray slots the tracer fills, each arc end within a third of
+the ray spacing of its ray.  Root multiplicities take no tolerance either:
+each root cluster carries a disk in which Pellet's test certifies its count
 (``funcspace.find_roots``).
 """
 

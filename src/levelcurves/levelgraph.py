@@ -2,7 +2,9 @@
 
 A component with vertices becomes an embedded multigraph: vertices are the
 captured critical points, edges the traced arcs, and the rotation system at
-each vertex comes from the outgoing tangent angles of the incident arc ends.
+each vertex is the tracer's ray slots: each arc end occupies one of the
+vertex's 2(m+1) rays, numbered counterclockwise (``TracedArc.start_ray``,
+``end_ray``).
 Faces are the orbits of the next-dart walk; the unbounded face is the one
 whose boundary walk is oriented against all the others.
 
@@ -16,7 +18,6 @@ holds none; the first one a bounded face holds is its representative point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,9 +28,6 @@ from .config import DEFAULT_TOLS
 from .errors import TopologyError
 from .funcspace import RationalFn
 from .tracer import LevelCurveComponent
-
-# minimum angular separation of incident arcs in a rotation system (rad)
-ANGLE_TOL = 1e-4
 
 
 @dataclass
@@ -136,49 +134,36 @@ def build_graph(comp: LevelCurveComponent) -> LevelGraph:
 
 
 def _embed(comp: LevelCurveComponent) -> LevelGraph:
+    """The graph of a component.  A vertex's rotation is the row of its
+    2(m+1) counterclockwise ray slots, filled from the arcs' ``start_ray`` and
+    ``end_ray``: the face walk leaves it by the slot after the one it arrived
+    in, and a row with an empty slot fails the degree law."""
     if not comp.vertices:
         return _closed_curve_graph(comp)
 
-    n_v = len(comp.vertices)
     edges = list(comp.arcs)
 
-    # stubs[(v)] = sorted list of (angle, edge id, end flag 0=start 1=end)
-    stubs: list[list[tuple[float, int, int]]] = [[] for _ in range(n_v)]
+    # rows[v][k] = (edge id, 0 if the edge leaves v by slot k, 1 if it ends there),
+    # which is also the dart (edge id, dir) leaving v by slot k, with dir 0
+    # along the edge and 1 against it
+    rows: list[list] = [[None] * (2 * (m + 1)) for _, m in comp.vertices]
     for ei, e in enumerate(edges):
         if e.closed or e.start_vertex is None or e.end_vertex is None:
             raise TopologyError("component mixes closed arcs with vertices")
-        stubs[e.start_vertex].append((e.start_angle, ei, 0))
-        stubs[e.end_vertex].append((e.end_angle, ei, 1))
+        for flag, (vi, k) in enumerate(((e.start_vertex, e.start_ray), (e.end_vertex, e.end_ray))):
+            rows[vi][k] = (ei, flag)
 
-    for vi, (c, m) in enumerate(comp.vertices):
-        want = 2 * (m + 1)
-        if len(stubs[vi]) != want:
+    for (c, _), row in zip(comp.vertices, rows):
+        if None in row:
             raise TopologyError(
-                f"vertex {c} has degree {len(stubs[vi])}, expected 2*(mult+1) = {want}"
+                f"vertex {c} has degree {len(row) - row.count(None)}, expected 2*(mult+1) = {len(row)}"
             )
-        stubs[vi].sort()
-        angles = [s[0] for s in stubs[vi]]
-        for k in range(len(angles)):
-            gap = (angles[(k + 1) % len(angles)] - angles[k]) % (2.0 * math.pi)
-            if gap < ANGLE_TOL:
-                raise TopologyError(
-                    f"rotation ambiguity at vertex {c}: incident arcs separated by {gap:.2e} rad"
-                )
-
-    # darts: (edge id, dir) with dir 0 = start->end, 1 = end->start.
-    # stub_of_tail / stub_of_head locate the dart among the vertex rotations.
-    stub_index: dict[tuple[int, int], tuple[int, int]] = {}
-    for vi, lst in enumerate(stubs):
-        for pos, (_, ei, flag) in enumerate(lst):
-            stub_index[(ei, flag)] = (vi, pos)
 
     def next_dart(dart):
-        ei, d = dart
-        head_flag = 1 if d == 0 else 0
-        vi, pos = stub_index[(ei, head_flag)]
-        lst = stubs[vi]
-        _, ei2, flag2 = lst[(pos + 1) % len(lst)]
-        return (ei2, 0 if flag2 == 0 else 1)
+        e = edges[dart[0]]
+        vi, k = (e.end_vertex, e.end_ray) if dart[1] == 0 else (e.start_vertex, e.start_ray)
+        row = rows[vi]
+        return row[(k + 1) % len(row)]
 
     all_darts = [(ei, d) for ei in range(len(edges)) for d in (0, 1)]
     seen = set()

@@ -104,8 +104,10 @@ class TracedArc:
 
     ``points`` are ordered so that arg f increases along the arc.  Vertex ids
     index into the owning component's vertex list; a closed arc has neither.
-    ``start_angle``/``end_angle`` are the outgoing ray directions at the
-    snapped endpoints, used by the rotation system.
+    ``start_ray``/``end_ray`` are the ray slots the arc's ends occupy at
+    those vertices: indices into the vertex's 2(m+1) rays of the local model,
+    which run counterclockwise, so the arcs in a vertex's slots, in slot
+    order, are its rotation system.
 
     ``sag`` is the largest tangent-triangle bound h/2 * tan(turn/2) over the
     march steps, for a chord of length h whose end tangents differ by
@@ -127,8 +129,8 @@ class TracedArc:
     start_vertex: int | None = None
     end_vertex: int | None = None
     closed: bool = False
-    start_angle: float | None = None
-    end_angle: float | None = None
+    start_ray: int | None = None
+    end_ray: int | None = None
     turn: float | None = field(default=None, init=False, compare=False, repr=False)
 
     def length(self) -> float:
@@ -170,9 +172,16 @@ class _Vertex:
     rays: list[float]
     r_cap: float
 
-    def nearest_ray(self, angle: float) -> int:
-        diffs = [abs(_wrap_angle(angle - r)) for r in self.rays]
-        return int(np.argmin(diffs))
+    def ray_slot(self, z: complex) -> int | None:
+        """The ray slot of a point z near the vertex: its nearest ray, if the
+        direction of z lies within pi/(3(m+1)), a third of the ray spacing,
+        of it, else None.  Both ends of every arc take their slot here, so
+        two arc ends in distinct slots lie at least that far apart."""
+        w = z - self.position
+        ang = math.atan2(w.imag, w.real)
+        diffs = [abs(_wrap_angle(ang - r)) for r in self.rays]
+        k = diffs.index(min(diffs))
+        return k if diffs[k] <= math.pi / (3.0 * (self.mult + 1)) else None
 
 
 def _wrap_angle(a: float) -> float:
@@ -493,8 +502,7 @@ class _LevelTracer:
             raise TraceError(
                 f"could not launch from vertex {v.position} along ray {theta:.4f}"
             )
-        sep = math.pi / (3.0 * (v.mult + 1))
-        if abs(_wrap_angle(math.atan2((z_corr - v.position).imag, (z_corr - v.position).real) - theta)) > sep:
+        if v.ray_slot(z_corr) != ray_idx:
             raise TraceError(
                 f"departure from vertex {v.position} drifted off ray {theta:.4f}"
             )
@@ -502,8 +510,10 @@ class _LevelTracer:
 
     def arrival_ray(self, v_idx: int, z_outside: complex) -> int:
         v = self.vertices[v_idx]
-        ang = math.atan2((z_outside - v.position).imag, (z_outside - v.position).real)
-        return v.nearest_ray(ang)
+        k = v.ray_slot(z_outside)
+        if k is None:
+            raise TraceError(f"arrival at vertex {v.position} from {z_outside} drifted off its rays")
+        return k
 
 
 def _turn(a: complex, b: complex) -> float:
@@ -570,7 +580,7 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
 
     # breadth-first sweep over the outgoing vertex rays; each traced arc
     # fills its departure and arrival slots, and every vertex has m+1 of each
-    arcs_raw: list[tuple[list[complex], int, int, float]] = []
+    arcs_raw: list[tuple[list[complex], int, int, int, int, float]] = []
     used_vertices = [start_vertex]
     filled: set[tuple[int, int]] = set()
     qi = 0
@@ -603,7 +613,7 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
             filled.add((end, arr_ray))
             # orientation: stored points run along increasing arg f, and a
             # launched march already does; prepend the vertex itself
-            arcs_raw.append(([v.position] + pts, v_idx, end, sag))
+            arcs_raw.append(([v.position] + pts, v_idx, ray_idx, end, arr_ray, sag))
             if end not in used_vertices:
                 used_vertices.append(end)
 
@@ -628,23 +638,11 @@ def _trace_component_with(tracer: _LevelTracer, seed: complex) -> LevelCurveComp
         (tracer.vertices[i].position, tracer.vertices[i].mult) for i in used_sorted
     ]
 
-    arcs: list[TracedArc] = []
-    for pts, a, b, sag in arcs_raw:
-        arr = np.array(pts, dtype=complex)
-        va, vb = tracer.vertices[a], tracer.vertices[b]
-        start_ang = math.atan2((pts[1] - va.position).imag, (pts[1] - va.position).real)
-        end_ang = math.atan2((pts[-2] - vb.position).imag, (pts[-2] - vb.position).real)
-        arcs.append(
-            TracedArc(
-                arr,
-                sag,
-                start_vertex=remap[a],
-                end_vertex=remap[b],
-                start_angle=start_ang,
-                end_angle=end_ang,
-            )
-        )
-    arcs.sort(key=lambda arc: (arc.start_vertex, arc.start_angle))
+    arcs = [
+        TracedArc(np.array(pts, dtype=complex), sag, remap[a], remap[b], start_ray=ka, end_ray=kb)
+        for pts, a, ka, b, kb, sag in arcs_raw
+    ]
+    arcs.sort(key=lambda arc: (arc.start_vertex, arc.start_ray))
 
     return LevelCurveComponent(arcs, vertices, eps)
 

@@ -156,6 +156,20 @@ def test_blaschke_certificates(blaschke_21, blaschke_regions):
         assert np.all(mods > lo) and np.all(mods < hi)
 
 
+@pytest.mark.parametrize("spec", ["poly:1,0,-1", "blaschke:0.36,-0.34+0.03i/0.05+0.02i"])
+def test_build_phi_traces_a_region_without_loops_alike(spec):
+    """A region that has no level loops yet gets them from build_phi itself,
+    the same loops, winding and phi that decompose's winding_N gave."""
+    f = parse_function_spec(spec)
+    for r in decompose(f):
+        want = build_phi(f, r)
+        bare = dataclasses.replace(r, N=0, M=0, basepoint=0j, phi_grid=None)
+        got = build_phi(f, bare)
+        assert (bare.N, bare.M, bare.basepoint) == (r.N, r.M, r.basepoint)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.phi.tobytes() == want.phi.tobytes()
+
+
 def test_two_poles_inside_one_critical_curve_on_the_disk():
     # the critical curve at |f| = 9.58 holds both poles; a loop chain started
     # next to a pole underflows here

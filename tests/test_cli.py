@@ -181,6 +181,10 @@ def test_determinism_byte_identical(tmp_path):
 
 def test_exit_codes(tmp_path, capsys):
     assert main(["trace", "--fn", "poly:zap", "--eps", "1"]) == 1
+    capsys.readouterr()
+    assert main(["trace", "--fn", "poly:0", "--eps", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "error: numerator and denominator must be nonzero\n"
     # a level the tracer cannot resolve is a numerical failure, refused with its cause
     assert main(["trace", "--fn", "poly:1,0,0,0,0,-1", "--eps", "1.00000000001"]) == 2
     assert main(["nonsense"]) == 1
@@ -365,3 +369,18 @@ def test_readme_names_exist():
         for part in name.split("."):
             assert hasattr(obj, part), f"README names {name} in {module}, which has no such attribute"
             obj = getattr(obj, part)
+
+
+def test_documented_constants_exist():
+    # every backticked constant name (`NAME` or `NAME = value`) in the README
+    # and in the tolerance block's docstring is defined by some module
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    docs = readme + levelcurves.config.__doc__
+    names = set(re.findall(r"`([A-Z][A-Z0-9_]{3,})(?: = [^`]*)?`", docs))
+    modules = [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(levelcurves.__path__, "levelcurves.")
+    ]
+    assert names
+    for name in sorted(names):
+        assert any(name in vars(m) for m in modules), f"the docs name {name}, which no module defines"

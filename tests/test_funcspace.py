@@ -366,6 +366,19 @@ def test_parse_rejects_garbage():
             parse_function_spec(bad)
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("poly:0", "numerator and denominator must be nonzero"),
+        ("rat:0/1,1", "numerator and denominator must be nonzero"),
+        ("blaschke:0.5", "blaschke: spec needs zeros1/zeros2"),
+    ],
+)
+def test_spec_refusals_name_their_cause(spec, message):
+    with pytest.raises(FunctionSpecError, match=f"^{message}$"):
+        parse_function_spec(spec)
+
+
 def test_domain_specs():
     plane = parse_function_spec("poly:1,0,-1")
     disk = parse_function_spec("blaschke:0.5/")

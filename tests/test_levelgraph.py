@@ -31,11 +31,51 @@ def test_z5m1_graph_counts(z5m1):
 
 def test_build_graph_rejects_a_degree_violation(z5m1):
     """Each of the five loops of z^5-1 at 1 leaves and returns to the vertex
-    0 of multiplicity 4, so dropping one leaves 8 of its 10 stubs."""
+    0 of multiplicity 4, so dropping one leaves 8 of its 10 ray slots filled."""
     comp = trace_level_set(z5m1, 1.0)[0]
     bad = dataclasses.replace(comp, arcs=comp.arcs[1:])
     with pytest.raises(TopologyError, match=r"vertex 0j has degree 8, expected 2\*\(mult\+1\) = 10"):
         build_graph(bad)
+
+
+def test_build_graph_rejects_a_closed_arc_beside_vertices(z5m1):
+    comp = trace_level_set(z5m1, 1.0)[0]
+    loop = dataclasses.replace(comp.arcs[0], start_vertex=None, end_vertex=None, closed=True)
+    bad = dataclasses.replace(comp, arcs=[loop] + comp.arcs[1:])
+    with pytest.raises(TopologyError, match="component mixes closed arcs with vertices"):
+        build_graph(bad)
+
+
+def test_build_graph_rejects_two_arc_ends_in_one_ray_slot(lemniscate_fn):
+    # the lemniscate's two arcs leave its vertex 0 by different slots; moving
+    # the second arc's start into the first's slot leaves 3 of its 4 filled
+    comp = trace_level_set(lemniscate_fn, 1.0)[0]
+    a, b = comp.arcs
+    bad = dataclasses.replace(comp, arcs=[a, dataclasses.replace(b, start_ray=a.start_ray)])
+    with pytest.raises(TopologyError, match=r"vertex 0j has degree 3, expected 2\*\(mult\+1\) = 4"):
+        build_graph(bad)
+    # a copy of an arc in its own slots fills no empty one: the face walk,
+    # which never returns to the overwritten arc's darts, refuses it
+    with pytest.raises(TopologyError, match="face walk re-entered a visited dart"):
+        build_graph(dataclasses.replace(comp, arcs=[a, b, a]))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda arc: [arc, arc], "vertex-free component must be a single closed arc"),
+        (
+            lambda arc: [dataclasses.replace(arc, points=np.array([0, 1, 0], dtype=complex))],
+            "closed curve has zero area",
+        ),
+    ],
+)
+def test_build_graph_rejects_a_malformed_closed_curve(lemniscate_fn, edit, message):
+    # at 0.5 the lemniscate is two closed curves, one about each zero
+    comp = trace_level_set(lemniscate_fn, 0.5)[0]
+    assert not comp.vertices and len(comp.arcs) == 1
+    with pytest.raises(TopologyError, match=message):
+        build_graph(dataclasses.replace(comp, arcs=edit(comp.arcs[0])))
 
 
 def test_law_check_rejects_a_face_count_violation(z5m1):

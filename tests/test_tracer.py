@@ -76,7 +76,7 @@ def test_trace_z5m1_critical_structure():
 
 def _arc_bytes(comp):
     return comp.vertices, [
-        (a.points.tobytes(), a.sag, a.start_vertex, a.end_vertex, a.start_angle, a.end_angle) for a in comp.arcs
+        (a.points.tobytes(), a.sag, a.start_vertex, a.end_vertex, a.start_ray, a.end_ray) for a in comp.arcs
     ]
 
 
@@ -103,6 +103,47 @@ def test_a_tracer_traces_a_component_twice_alike(seed):
     first = _trace_component_with(t, seed)
     assert len(first.arcs) == 5
     assert _arc_bytes(_trace_component_with(t, seed)) == _arc_bytes(first)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["poly:1,0,-1", "poly:1,0,0,0,0,-1", "blaschke:0.36,-0.34+0.03i/0.05+0.02i", "poly:1,0,0,0,0,0,0,-1"],
+)
+def test_every_ray_slot_holds_one_arc_end_on_its_ray(spec):
+    # the rotation system at a vertex of multiplicity m is its 2(m+1) rays:
+    # each slot holds exactly one arc end, and the end's direction lies
+    # within pi/(3(m+1)), a third of the ray spacing, of that slot's ray
+    f = parse_function_spec(spec)
+    comps = [c.component for c in critical_level_curves(f).curves()]
+    assert any(comp.vertices for comp in comps)
+    for comp in comps:
+        rays = {v.position: v.rays for v in _LevelTracer(f, comp.level, f.scale).vertices}
+        ends = {vi: [] for vi in range(len(comp.vertices))}
+        for a in comp.arcs:
+            if a.closed:
+                continue
+            ends[a.start_vertex].append((a.start_ray, a.points[1] - a.points[0]))
+            ends[a.end_vertex].append((a.end_ray, a.points[-2] - a.points[-1]))
+        for vi, (c, m) in enumerate(comp.vertices):
+            assert sorted(k for k, _ in ends[vi]) == list(range(2 * (m + 1)))
+            for k, d in ends[vi]:
+                off = math.remainder(math.atan2(d.imag, d.real) - rays[c][k], 2.0 * math.pi)
+                assert abs(off) <= math.pi / (3.0 * (m + 1))
+
+
+def test_an_arrival_between_two_rays_is_refused():
+    # an arc end on the bisector of two adjacent rays has no slot
+    f = parse_function_spec("poly:1,0,0,0,0,-1")
+    t = _LevelTracer(f, 1.0, f.scale)
+    v = t.vertices[0]
+    assert v.position == 0 and len(v.rays) == 10
+
+    def at(theta):
+        return v.position + v.r_cap * complex(math.cos(theta), math.sin(theta))
+
+    assert t.arrival_ray(0, at(v.rays[1])) == 1
+    with pytest.raises(TraceError, match="drifted off its rays"):
+        t.arrival_ray(0, at(0.5 * (v.rays[0] + v.rays[1])))
 
 
 def test_trace_lemniscate_structure():
