@@ -40,11 +40,13 @@ from .funcspace import RationalFn
 from .levelgraph import build_graph, faces_of_points
 from .order_topology import CriticalSetC, CurveKind, CurveRef, critical_level_curves, maximal_component
 from .tracer import (
+    _REFINE_ROUNDS,
     STEP_MAX_CORRECTION,
     STEP_MAX_ITER,
     WINDING_TOL,
     LevelCurveComponent,
     _LevelTracer,
+    _refine,
     _trace_component_with,
     trace_level_set,
 )
@@ -311,30 +313,42 @@ def _loop_levels(region: AnnularRegion) -> np.ndarray:
 
 
 def _certify_loop(
-    f: RationalFn, region: AnnularRegion, comp: LevelCurveComponent, zp: np.ndarray, want: np.ndarray
+    f: RationalFn,
+    region: AnnularRegion,
+    tracer: _LevelTracer,
+    comp: LevelCurveComponent,
+    zp: np.ndarray,
+    want: np.ndarray,
 ) -> _Loop:
-    """The per-loop certificate: comp is the region's loop at its level, every
-    arg-f increment lies in (0, MAX_EDGE_TURN), and the total is 2*pi*N for a
-    nonzero integer N.
+    """The per-loop certificate: comp, traced by tracer, is the region's loop
+    at its level, every arg-f increment lies in (0, MAX_EDGE_TURN), and the
+    total is 2*pi*N for a nonzero integer N.
 
-    A level strictly between the region's two levels has exactly one
-    component in the region: a simple closed curve enclosing exactly the
-    zeros and poles inside the inner boundary, ``want`` of the points ``zp``
-    (:func:`_inside_inner`).  One face lookup on the loop's graph says which
-    it encloses; those points lie off every loop.
+    A loop with an increment of MAX_EDGE_TURN or more is refined first
+    (``tracer._refine``, up to ``_REFINE_ROUNDS`` times), each chord split at
+    a corrected midpoint, which about halves its increment; the gate then
+    decides on the refined loop.  A level strictly between the region's two
+    levels has exactly one component in the region: a simple closed curve
+    enclosing exactly the zeros and poles inside the inner boundary, ``want``
+    of the points ``zp`` (:func:`_inside_inner`).  One face lookup on the
+    loop's graph says which it encloses; those points lie off every loop.
     """
     where = f"level {comp.level} in region {region.label}"
     if comp.vertices or not comp.arcs[0].closed:
         raise TopologyError(f"{where} is not a simple loop")
-    pts = comp.arcs[0].points
+    for rounds in range(_REFINE_ROUNDS, -1, -1):
+        pts = comp.arcs[0].points
+        vals = f.eval_grid(pts)
+        inc = np.angle(vals[1:] / vals[:-1])
+        if not (rounds and np.max(inc) >= MAX_EDGE_TURN):
+            break
+        comp = _refine(tracer, comp)
     if region.outer_boundary.kind is CurveKind.BOUNDARY and np.any(np.abs(pts) >= 1.0):
         raise TopologyError(f"{where} leaves the unit disk")
     g = build_graph(comp)
     enclosed = faces_of_points(g, zp) != g.unbounded_face.id
     if not np.array_equal(enclosed, want):
         raise TopologyError(f"{where} encloses the zeros and poles {zp[enclosed]}, not the region's {zp[want]}")
-    vals = f.eval_grid(pts)
-    inc = np.angle(vals[1:] / vals[:-1])
     if not (np.all(inc > 0.0) and np.all(inc < MAX_EDGE_TURN)):
         raise CertificateError(
             f"arg f increment in [{inc.min():.3g}, {inc.max():.3g}] leaves (0, pi/4) on {where}"
@@ -369,7 +383,10 @@ def _radial_step(f: RationalFn, tracer: _LevelTracer, z: complex, alpha: float, 
     """From z on |f| = exp(log_from) to the tracer's level across the loops.
 
     Each step predicts z + dlog / (f'/f), which moves log|f| by dlog and
-    keeps arg f, and corrects with ``_LevelTracer.correct``.  A step is
+    keeps arg f, and corrects with ``_LevelTracer.correct``.  Like a march
+    step, it stays below 0.4 times its distance to each off-level saddle,
+    down to a quarter of that saddle's neck width at the tracer's level, so
+    it cannot jump across a neck into a neighbouring region.  A step is
     accepted under the march's rule (STEP_MAX_ITER, STEP_MAX_CORRECTION)
     with an arg-f increment below MAX_EDGE_TURN, and halved otherwise.
     Returns the point reached and alpha carried there.
@@ -379,6 +396,9 @@ def _radial_step(f: RationalFn, tracer: _LevelTracer, z: complex, alpha: float, 
     while True:
         rest = tracer.log_eps - now
         s = math.copysign(min(abs(s), abs(rest)), rest)
+        reach = min((max(0.4 * abs(z - c), 0.25 * r_neck) for c, r_neck in tracer._necks), default=math.inf)
+        if abs(s / ld) > reach:
+            s *= reach / abs(s / ld)
         step = s / ld
         on = tracer if s == rest else _LevelTracer(f, math.exp(now + s), tracer.scale)
         z_new, _, ld_new = on.correct(z + step, STEP_MAX_ITER)
@@ -421,7 +441,7 @@ def winding_N(f: RationalFn, region: AnnularRegion) -> tuple[int, int]:
     for k in range(K_LOOPS - 1, -1, -1):
         tracer = _LevelTracer(f, levels[k], f.scale)
         seed, alpha = _radial_step(f, tracer, z, alpha, log_from)
-        loops[k] = _certify_loop(f, region, _trace_component_with(tracer, seed), zp, want)
+        loops[k] = _certify_loop(f, region, tracer, _trace_component_with(tracer, seed), zp, want)
         starts[k], z, log_from = alpha, complex(loops[k].points[0]), tracer.log_eps
     a = K_LOOPS // 2
     mid = loops[a]

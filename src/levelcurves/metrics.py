@@ -14,10 +14,13 @@ soon as it cannot raise the side's maximum.  A bound ``upto`` keeps each
 side exact up to it and reports ``inf`` beyond, so a threshold test stops
 scanning early.
 
-The continuity probe steers its eta search by each trial's farthest pair of
-levels, where a failing trial fails first, and audits the inner levels only
-of the etas whose farthest pair passed, from the largest down, until one
-passes in full; if none does, the search resumes below them.  Its d-checks
+The continuity probe counts that margin: a height passes only if its
+d-check plus the discretization is below delta, so the curves themselves,
+not only their polylines, lie within delta.  It steers its eta search by
+each trial's farthest pair of levels, where a failing trial fails first,
+and audits the inner levels only of the etas whose farthest pair passed,
+from the largest down, until one passes in full; if none does, the search
+resumes below them.  Its d-checks
 are exact up to delta only.  Its component is one side of every d-check, so
 the component's cached index is built once per probe.  The curves near the
 component at each audited level are traced from corrected seeds through the
@@ -151,8 +154,9 @@ def continuity_probe(f: RationalFn, eps: float, delta: float) -> ContinuityCerti
     within delta of the longest component of the level set at eps.
 
     A trial of eta audits K_SAMPLES heights on each side of eps, zeta =
-    eps +- eta k / K_SAMPLES, and a height passes iff its d-check is below
-    delta.  The search decides on each trial's farthest pair (k = K_SAMPLES,
+    eps +- eta k / K_SAMPLES, and a height passes iff its d-check plus its
+    discretization is below delta: the d-check measures polylines, and each
+    curve lies within its sag of its own.  The search decides on each trial's farthest pair (k = K_SAMPLES,
     + before -), where a failing trial fails first: it starts at eta0 = eps/2
     and halves until a farthest pair passes, then bisects upward for
     REFINE_ROUNDS steps.  Every eta whose farthest pair passed is a
@@ -194,10 +198,10 @@ def continuity_probe(f: RationalFn, eps: float, delta: float) -> ContinuityCerti
                     union = _nearby_curves_union(f, zeta, component, delta)
                 except TraceError:
                     return None
-                d = hausdorff_between_curves(union, component, upto=delta).d_check
-                if d >= delta:
+                rep = hausdorff_between_curves(union, component, upto=delta)
+                if rep.d_check + rep.discretization >= delta:
                     return None
-                pair.append((zeta, d))
+                pair.append((zeta, rep.d_check))
             pairs.append(pair)
         return pairs
 

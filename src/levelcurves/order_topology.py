@@ -11,9 +11,13 @@ each member's parent is the innermost (member, bounded face) holding it.
 One rule decides who holds whom: eight points of the inner member, farther
 from the outer curve's polyline than its chord sag, vote on the face by
 winding number (:func:`_holding_faces`); the query that finds them shows
-them off the curve, so they skip the face lookup's own.  The maximal
-element, the Hasse diagram and the annular decomposition all read the
-forest; :func:`separating_curve` places its point set by the same rule.
+them off the curve, so they skip the face lookup's own.  The curves are
+traced at a sag that serves most pairs; where two critical curves pass too
+close for eight clear voters, the vote is taken again against a refined
+copy of the outer one (``tracer._refined``), so only those pairs pay for
+the finer sag.  The maximal element, the Hasse diagram and the annular
+decomposition all read the forest; :func:`separating_curve` places its
+point set by the same rule.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .config import DEFAULT_TOLS
 from .errors import TopologyError, TraceError
 from .funcspace import RationalFn
 from .levelgraph import LevelGraph, _winding_faces, build_graph
-from .tracer import LevelCurveComponent, _critical_curve, trace_component
+from .tracer import _REFINE_ROUNDS, LevelCurveComponent, _critical_curve, _refined, trace_component
 from . import geometry
 
 
@@ -118,7 +122,12 @@ def _holding_faces(b: CurveRef, members: list[CurveRef]) -> list[int | None]:
     with eight of its points, spread along it, that lie farther from b's
     polyline than b's chord sag: the true curve stays within the sag of its
     chords, so such a point is in the same face of the curve as of the
-    polyline.  A curve member with fewer than eight such points raises
+    polyline.  Where a curve member has fewer than eight such points, all
+    the members vote again against a refined copy of b (``tracer._refined``,
+    up to ``_REFINE_ROUNDS`` times), whose sag is about 4 times smaller each
+    round and whose faces are b's, ids included; b itself is not changed.
+    Only a stored critical curve can be refined.  A member still short, or
+    one that no copy can serve, raises
     :class:`TopologyError`; a point member votes with itself, so it too must
     lie clear of the sag.  That query has shown every voter off b, so the
     voters skip the on-curve query of
@@ -127,30 +136,35 @@ def _holding_faces(b: CurveRef, members: list[CurveRef]) -> list[int | None]:
     """
     pts = [m.all_points() for m in members]
     zs = np.concatenate(pts)
-    clearance = b.component.sag if b.kind is CurveKind.LEVEL_CURVE else 0.0
-    if b.kind is CurveKind.BOUNDARY:
-        # boundary refs only occur as the outer circle of the unit disk
-        dists = np.abs(1.0 - np.abs(zs))
-    else:
-        # a point farther than the clearance is reported as inf, and the index
-        # stops searching there
-        dists = b.index.distances(zs, upto=max(clearance, DEFAULT_TOLS.trace_tol))
-    d = float(np.min(dists))
-    if d <= DEFAULT_TOLS.trace_tol:
-        raise TopologyError(f"curves too close to order (min distance {d:.3e})")
-    if b.kind is CurveKind.BOUNDARY:
-        return [0 if np.all(np.abs(p) < 1.0) else None for p in pts]
     sizes = np.array([p.size for p in pts])
-    clear = np.isinf(dists)
-    counts = np.add.reduceat(clear, np.cumsum(sizes) - sizes)
     need = np.minimum(8, sizes)
-    short = np.flatnonzero(counts < need)
-    if short.size:
-        k = short[0]
-        raise TopologyError(
-            f"{members[k].label or members[k].kind.value} has {counts[k]} points clear of the chord sag "
-            f"{clearance:.3e} of {b.label or 'the curve'}; {need[k]} are needed to vote"
-        )
+    for rounds in range(_REFINE_ROUNDS, -1, -1):
+        clearance = b.component.sag if b.kind is CurveKind.LEVEL_CURVE else 0.0
+        if b.kind is CurveKind.BOUNDARY:
+            # boundary refs only occur as the outer circle of the unit disk
+            dists = np.abs(1.0 - np.abs(zs))
+        else:
+            # a point farther than the clearance is reported as inf, and the
+            # index stops searching there
+            dists = b.index.distances(zs, upto=max(clearance, DEFAULT_TOLS.trace_tol))
+        d = float(np.min(dists))
+        if d <= DEFAULT_TOLS.trace_tol:
+            raise TopologyError(f"curves too close to order (min distance {d:.3e})")
+        if b.kind is CurveKind.BOUNDARY:
+            return [0 if np.all(np.abs(p) < 1.0) else None for p in pts]
+        clear = np.isinf(dists)
+        counts = np.add.reduceat(clear, np.cumsum(sizes) - sizes)
+        short = np.flatnonzero(counts < need)
+        if not short.size:
+            break
+        finer = _refined(b.component) if rounds and b.kind is CurveKind.LEVEL_CURVE else None
+        if finer is None:
+            k = short[0]
+            raise TopologyError(
+                f"{members[k].label or members[k].kind.value} has {counts[k]} points clear of the chord sag "
+                f"{clearance:.3e} of {b.label or 'the curve'}; {need[k]} are needed to vote"
+            )
+        b = _same_faces(b, finer)
     # clear points linspace(0, count - 1, 8) vote; a member of fewer points
     # has all clear and all vote
     pick = np.tile(np.arange(8), (sizes.size, 1))
@@ -160,6 +174,17 @@ def _holding_faces(b: CurveRef, members: list[CurveRef]) -> list[int | None]:
     voters = zs[np.flatnonzero(clear)[pick[np.arange(8) < need[:, None]]]]
     g = b.graph()
     return _votes(g, _winding_faces(g, voters), need)
+
+
+def _same_faces(b: CurveRef, finer: LevelCurveComponent) -> CurveRef:
+    """b with its component replaced by a refined copy, which must have b's
+    faces: the same ids, boundary walks and bounded face."""
+    ref = CurveRef(b.kind, b.level, component=finer, label=b.label)
+    if [(fc.bounded, fc.edge_cycle) for fc in ref.graph().faces] != [
+        (fc.bounded, fc.edge_cycle) for fc in b.graph().faces
+    ]:
+        raise TopologyError(f"the refined copy of {b.label or 'the curve'} has other faces")
+    return ref
 
 
 def precedes(a: CurveRef, b: CurveRef) -> bool:

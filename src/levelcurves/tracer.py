@@ -10,19 +10,23 @@ term.  The point it starts from takes one fused Horner pass
 (``RationalFn.abs_and_log_derivative``, which also gives (f'/f)'), and each
 update is checked by a pass that forms only |f| and f'/f
 (``RationalFn.abs_and_log_deriv``, the same floats); the fused pass runs
-again only at a point that needs one more update.  So a march step usually
-takes one update and two evaluations, the fused pass at the predicted point
-and the check of the update, and the f'/f of an accepted point gives the
-next step's tangent.  The step length follows the chord sag: each
-accepted step estimates its sagitta from the corrector's distance to the
-tangent point and from the tangent turn, a step whose estimate exceeds
-4 * SAG_REL * scale is halved, and the next step is scaled by
-sqrt(SAG_REL * scale / estimate) within [0.5, 2].  A step moves arg f by at
-most MAX_ARG_STEP, and stays short of on-level vertices and of the necks of
-off-level saddles; the march measures its distance to them only when its
-arc length since the last measurement could have brought it within reach.
-Every arc records a sag bound that the polyline's consumers use as their
-margin.
+again only at a point that needs one more update.  So a march step takes
+one or two updates, each costing two evaluations (the fused pass at the
+predicted or updated point and the check of the update), and the f'/f of an
+accepted point gives the next step's tangent.  The step length follows the
+chord sag: each accepted step estimates its sagitta from the corrector's
+distance to the tangent point and from the tangent turn, a step whose
+estimate exceeds 4 * SAG_REL * scale is halved, and the next step is scaled
+by sqrt(SAG_REL * scale / estimate) within [0.5, 2].  A predicted step moves
+arg f by at most MAX_ARG_STEP, as |f'/f| at its start predicts it; the
+accepted chord may move it by more where |f'/f| grows along the step.  A
+step stays short of on-level vertices and of the necks of off-level
+saddles; the march measures its distance to them only when its arc length
+since the last measurement could have brought it within reach.  Every arc
+records a sag bound that the polyline's consumers use as their margin.  A
+consumer that needs a finer margin than SAG_REL gives asks for a refined
+copy (:func:`_refine`): every march chord split at a corrected midpoint,
+which cuts the sag bound by about 4 per round.
 
 A critical point lies on the level eps when eps is within the certified
 rounding window of |f(c)| (``RationalFn.critical_on_level``, the one on-level
@@ -61,6 +65,7 @@ samples do not depend on the level and are kept on the function.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -83,8 +88,9 @@ STEP_MAX_ITER = 3
 STEP_MAX_CORRECTION = 0.6
 # chord sag the step controller aims at, relative to the domain scale; a
 # step whose sag estimate exceeds 4 times this is halved
-SAG_REL = 1e-4
-# largest arg-f increment h * |f'/f| of one predicted step, in radians
+SAG_REL = 1e-3
+# largest arg-f increment h * |f'/f| of one predicted step, in radians; the
+# increment of the accepted chord is not bounded by it
 MAX_ARG_STEP = 0.5
 # predictor step floor, relative to the domain scale
 MIN_STEP_REL = 1e-6
@@ -96,6 +102,8 @@ NECK_MIN_STEPS = 4.0
 LEVEL_MIN_GATES = 4.0
 # how far a winding sum may sit from an integer multiple of 2*pi
 WINDING_TOL = 1e-6
+# how many rounds of :func:`_refine` a consumer may ask for before it refuses
+_REFINE_ROUNDS = 2
 
 
 @dataclass
@@ -115,8 +123,8 @@ class TracedArc:
     triangle of its chord and end tangents, so every point of the curve lies
     within ``sag`` of its chord and every chord point within ``sag`` of the
     curve.  A closed arc ends on the chord from its last march point back to
-    its start, which replaces the last step and may be split at one corrected
-    midpoint; its bound, from the tangents at both ends, is in ``sag`` too.
+    its start, which replaces the last step and may be split at corrected
+    midpoints; its bound, from the tangents at both ends, is in ``sag`` too.
     The short segments at a vertex follow the local model's rays and are not
     march steps.
 
@@ -147,6 +155,9 @@ class LevelCurveComponent:
     # the planar embedding, kept by ``levelgraph.build_graph`` like ``index``;
     # it holds no reference back to the component, so no cycle keeps it alive
     embedding: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    # a stored critical curve's function, weakly, since f keeps the curve in
+    # ``f.critical_curves``: :func:`_refined` corrects on its level
+    _fn: weakref.ref | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def points(self) -> np.ndarray:
@@ -468,8 +479,8 @@ class _LevelTracer:
             # chord from z to start replaces the step; its tangent-triangle
             # bound comes from the tangents at z and at start.  A chord
             # longer than a step may move arg f by more than MAX_ARG_STEP, so
-            # it is then split at one corrected midpoint; the triangle of the
-            # whole chord holds both halves.
+            # it is then split at corrected midpoints (``split_chord``); the
+            # triangle of the whole chord holds every piece.
             if (
                 may_close
                 and abs(z_new - start) < 2.0 * step_len
@@ -479,12 +490,8 @@ class _LevelTracer:
             ):
                 close_turn = abs(_turn(t, t_start))
                 sag = max(sag, 0.5 * abs(start - z) * tan(0.5 * close_turn))
+                pts[-1:-1] = self.split_chord(z, r, start, r0)
                 pts[-1] = start
-                if abs(start - z) * max(r, r0) > MAX_ARG_STEP:
-                    mid = correct(0.5 * (z + start))[0]
-                    if mid is None:
-                        raise TraceError(f"could not split the closing chord at {z} on level {self.eps}")
-                    pts.insert(-1, mid)
                 return pts, None, sag
 
             bend = signed_turn / step_len
@@ -492,6 +499,28 @@ class _LevelTracer:
             t_re, t_im = n_re, n_im
 
         raise TraceError(f"arc exceeded {MAX_ARC_POINTS} points at level {self.eps}")
+
+    def midpoint(self, a: complex, b: complex) -> tuple[complex, complex]:
+        """The midpoint of the chord from a to b corrected onto the level, and
+        f'/f there: the one way a chord is split, so the new point carries the
+        corrector's residual certificate like every march point."""
+        mid, _, ld = self.correct(0.5 * (a + b))
+        if mid is None:
+            raise TraceError(f"could not split the chord from {a} to {b} on level {self.eps}")
+        return mid, ld
+
+    def split_chord(self, a: complex, r_a: float, b: complex, r_b: float) -> list[complex]:
+        """The corrected midpoints (:meth:`midpoint`), in order from a to b,
+        that cut the chord from a to b into pieces each of which moves arg f
+        by at most MAX_ARG_STEP, as |f'/f| at its ends (r_a and r_b)
+        predicts it; none where the whole chord does."""
+        if abs(b - a) * max(r_a, r_b) <= MAX_ARG_STEP:
+            return []
+        if abs(b - a) < self.h_min:
+            raise TraceError(f"could not split the chord from {a} to {b} on level {self.eps} below h_min")
+        mid, ld = self.midpoint(a, b)
+        r = abs(ld)
+        return self.split_chord(a, r_a, mid, r) + [mid] + self.split_chord(mid, r, b, r_b)
 
     def launch_from_vertex(self, v_idx: int, ray_idx: int):
         v = self.vertices[v_idx]
@@ -684,7 +713,56 @@ def _trace_critical_curve(f: RationalFn, i: int) -> LevelCurveComponent | None:
         raise TraceError(f"critical curve through {c} did not capture it as a vertex")
     for arc in comp.arcs:
         arc.points.flags.writeable = False
+    comp._fn = weakref.ref(f)
     return comp
+
+
+def _refined(comp: LevelCurveComponent) -> LevelCurveComponent | None:
+    """:func:`_refine` of a stored critical curve, whose function it reaches
+    weakly; None where comp is no stored critical curve or f is gone."""
+    f = comp._fn() if comp._fn is not None else None
+    if f is None:
+        return None
+    # a critical curve is traced at f.scale, which only the tracer's refusals read
+    return _refine(_LevelTracer(f, comp.level, f.scale), comp)
+
+
+def _refine(tracer: _LevelTracer, comp: LevelCurveComponent) -> LevelCurveComponent:
+    """A copy of comp, traced at the tracer's level, with every march chord
+    split at its corrected midpoint (``_LevelTracer.midpoint``).
+
+    The copy keeps comp's vertices, its arcs in order with their vertex ids,
+    ray slots and ``closed`` flags, and the segments at a vertex, which are
+    not march steps.  Each arc's ``sag`` is the largest tangent-triangle bound
+    (see :class:`TracedArc`) of its new chords, from f'/f at their ends: a
+    split halves a chord and about halves its turn, so the bound falls by
+    about 4.  comp itself is left as it is, since its ``index`` and
+    ``embedding`` are cached from its points.
+    """
+    log_derivative = tracer.f.log_derivative
+    arcs = []
+    for arc in comp.arcs:
+        pts = arc.points
+        # the march points: all of a closed arc, the others' without their vertices
+        lo, hi = (0, len(pts)) if arc.closed else (1, len(pts) - 1)
+        march = pts[lo:hi].tolist()
+        lds = [log_derivative(z) for z in march]
+        zs, zs_ld = [march[0]], [lds[0]]
+        for a, b, ld_b in zip(march, march[1:], lds[1:]):
+            mid, ld = tracer.midpoint(a, b)
+            zs += (mid, b)
+            zs_ld += (ld, ld_b)
+        z = np.array(zs)
+        # the tangent i * conj(f'/f) at each point; the turn of a chord is the
+        # angle between the tangents at its ends
+        t = 1j * np.conj(np.array(zs_ld))
+        turn = np.abs(np.angle(t[1:] * np.conj(t[:-1])))
+        sag = float(np.max(0.5 * np.abs(np.diff(z)) * np.tan(0.5 * turn)))
+        points = np.concatenate([pts[:lo], z, pts[hi:]])
+        arcs.append(TracedArc(points, sag, arc.start_vertex, arc.end_vertex, arc.closed, arc.start_ray, arc.end_ray))
+    fine = LevelCurveComponent(arcs, comp.vertices, comp.level)
+    fine._fn = comp._fn
+    return fine
 
 
 def find_seeds(f: RationalFn, eps: float) -> list[complex]:

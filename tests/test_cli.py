@@ -268,9 +268,10 @@ def test_a_failed_grid_oracle_refuses_with_its_detail(tmp_path, capsys, monkeypa
 
 
 def test_verify_all_exits_with_the_code_of_its_first_failed_check(tmp_path):
-    # the lemniscate scaled by 2^20 misses the absolute on-level gate 1e-9 by
-    # a few ulps of eps: a numerical failure
-    rc, data = run(["verify-all", "--fn", "poly:1048576,0,-1048576", "--eps", "1048576"], tmp_path)
+    # the lemniscate scaled by 2^23 misses the absolute on-level gate 1e-9:
+    # one ulp of eps is 1.9e-9, so only a sample whose |f| rounds to eps
+    # exactly passes it, and the failure is numerical
+    rc, data = run(["verify-all", "--fn", "poly:8388608,0,-8388608", "--eps", "8388608"], tmp_path)
     assert rc == 2
     assert [c["name"] for c in data["checks"] if not c["pass"]][0] == "on-level-residuals"
 

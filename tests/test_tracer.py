@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -240,9 +241,12 @@ def test_step_controller_point_budget(spec, eps, points):
 @pytest.mark.parametrize("spec,eps,points", BUDGET_CASES)
 def test_one_corrector_update_per_step(monkeypatch, spec, eps, points):
     # the arc predictor and the second-order corrector land a step with one
-    # update: two evaluations per point, against about three with a tangent
-    # predictor.  Only the predicted point takes the fused pass with (f'/f)';
-    # the check of the update takes the pass without it
+    # or two updates: at the chord sag SAG_REL about half the steps take a
+    # second (on z^5 - 1 at 0.5, 57 of 100), so a point costs two to three
+    # evaluations.  At a tenfold finer sag one update was the rule, and the
+    # bounds were 2.2 and 1.2.  Only the predicted point and a point that
+    # needs one more update take the fused pass with (f'/f)'; the check of an
+    # update takes the pass without it
     calls = {"abs_and_log_derivative": 0, "abs_and_log_deriv": 0}
     for name in calls:
         evaluate = getattr(RationalFn, name)
@@ -254,8 +258,8 @@ def test_one_corrector_update_per_step(monkeypatch, spec, eps, points):
         monkeypatch.setattr(RationalFn, name, counted)
     comps = trace_level_set(parse_function_spec(spec), eps)
     n = sum(c.points.size for c in comps)
-    assert sum(calls.values()) <= 2.2 * n
-    assert calls["abs_and_log_derivative"] <= 1.2 * n
+    assert sum(calls.values()) <= 3.2 * n
+    assert calls["abs_and_log_derivative"] <= 1.6 * n
 
 
 @pytest.mark.parametrize("eps,count", [(1.0 - 1e-6, 2), (1.0 + 1e-6, 1)])
@@ -276,12 +280,16 @@ def test_unbounded_level_curve_raises(monkeypatch, spec, seed):
 
 def test_a_bounded_level_reaches_far_out():
     # f(inf) = 1 and |f(0)| = 1 + 1e-9: the critical level is bounded, but
-    # its figure-eight reaches |z| = 4.3e4, 2e4 times the domain scale
+    # its figure-eight reaches about 2e4 times the domain scale.  How far
+    # the polyline's tip reads is not certified: there |f'/f| is 3.5e-14, so
+    # the corrector places the tip only within tau / |f'/f| (about 7e3), a
+    # band the chord sag leaves out.  The tip read 43,230 at a tenfold finer
+    # sag and reads 38,575 now
     f = parse_function_spec("rat:1,0,1.000000001i/1,0,1")
     eps = f.abs_eval(0j)
     [comp] = trace_level_set(f, eps)
     assert len(comp.vertices) == 1
-    assert 4e4 < float(np.max(np.abs(comp.points))) <= _seed_radius(f, eps)
+    assert 1e3 * f.scale < float(np.max(np.abs(comp.points))) <= _seed_radius(f, eps)
     assert len(build_graph(comp).faces) == 3
 
 
@@ -615,7 +623,7 @@ def test_far_seed_rays_may_overflow():
     # warning and no crossing
     f = parse_function_spec("poly:1,0,0,0")
     [comp] = trace_level_set(f, 1e307)
-    assert not comp.vertices and comp.arcs[0].closed and len(comp.arcs[0].points) == 227
+    assert not comp.vertices and comp.arcs[0].closed and len(comp.arcs[0].points) == 77
     assert float(np.max(np.abs(f.abs_grid(comp.points) / 1e307 - 1.0))) <= DEFAULT_TOLS.trace_tol
 
 
@@ -716,18 +724,18 @@ CERTIFIED_LEVELS = [
 # the points of each arc of each component, as the march traced them when its
 # loop was last rewritten with bit-identical output: at CERTIFIED_LEVELS; 1e-4
 # below the saddle value 1 of the lemniscate and of z^5 - 1; 1e-5 either side
-# of it for z^5 - 1, where the saddle's neck limits the step (5 and 13 steps);
-# and at the critical value 2 / 3^1.5 of z^3 - z, whose two vertices limit the
-# steps of the arcs that approach them (96 steps).  A change to any one of its
-# step decisions moves them
+# of it for z^5 - 1, where the saddle's neck limits the step; and at the
+# critical value 2 / 3^1.5 of z^3 - z, whose two vertices limit the steps of
+# the arcs that approach them.  A change to any one of its step decisions, or
+# to the sag target SAG_REL, moves them
 ARC_POINTS = list(
-    zip(CERTIFIED_LEVELS, [[[78], [78]], [[54]] * 5, [[124], [114]], [[192], [57]], [[56]] * 3])
+    zip(CERTIFIED_LEVELS, [[[28], [29]], [[21]] * 5, [[45], [42]], [[66], [22]], [[21]] * 3])
 ) + [
-    (("poly:1,0,-1", 1 - 1e-4), [[109], [108]]),
-    (("poly:1,0,0,0,0,-1", 1 - 1e-4), [[85], [84], [84], [86], [83]]),
-    (("poly:1,0,0,0,0,-1", 1 - 1e-5), [[82], [81], [81], [85], [81]]),
-    (("poly:1,0,0,0,0,-1", 1 + 1e-5), [[390]]),
-    (("poly:1,0,-1,0", 0.3849001794597505), [[61, 86, 86, 61]]),
+    (("poly:1,0,-1", 1 - 1e-4), [[51], [51]]),
+    (("poly:1,0,0,0,0,-1", 1 - 1e-4), [[35], [35], [36], [35], [34]]),
+    (("poly:1,0,0,0,0,-1", 1 - 1e-5), [[37], [37], [38], [38], [37]]),
+    (("poly:1,0,0,0,0,-1", 1 + 1e-5), [[161]]),
+    (("poly:1,0,-1,0", 0.3849001794597505), [[40, 47, 47, 40]]),
 ]
 
 
@@ -953,14 +961,14 @@ def test_z_n_minus_1_vertex_of_high_multiplicity():
         assert len(trace_level_set(f, 0.9)) == n and len(trace_level_set(f, 1.1)) == 1
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=TraceError,
-    reason="ROADMAP item 7: at the vertex 0 of multiplicity 14 the capture radius is clamped to "
-    "5e-2 of the scale, and the level set turns arg f by 30 turns about 15 zeros",
-)
 def test_z15_minus_1_traces_at_its_critical_level():
-    trace_level_set(_z_n_minus_1(15), 1.0)
+    # the vertex 0 of multiplicity 14 has its capture radius clamped to 5e-2
+    # of the scale.  At a tenfold finer sag the level set turned arg f by 30
+    # turns about 15 zeros; at SAG_REL the march's steps near the vertex are
+    # longer, and it traces.  It passes by the step length, which the failure
+    # depends on, not by a capture radius made right for such a vertex
+    [comp] = trace_level_set(_z_n_minus_1(15), 1.0)
+    assert comp.vertices == [(0j, 14)] and len(comp.arcs) == 15
 
 
 @pytest.mark.xfail(
@@ -984,3 +992,88 @@ def test_loop_about_a_weak_pole_is_traced():
         assert str(exc).startswith("step size underflow near (-0.0020541")
         raise
     assert len(comps) == 2
+
+
+def _refinement_cases():
+    """(f, component) pairs: the stored critical curves of a few functions,
+    and components without vertices, given their function by hand."""
+    cases = []
+    for make in (
+        lambda: parse_function_spec("poly:1,0,-1"),
+        lambda: parse_function_spec("poly:1,0,0,0,0,-1"),
+        lambda: parse_function_spec("poly:1,0,-3,0"),
+        lambda: parse_function_spec("blaschke:0.36,-0.34+0.03i/0.05+0.02i"),
+        lambda: build_corpus(4, seed=1)[3],
+    ):
+        f = make()
+        cases += [(f, m.component) for m in critical_level_curves(f).curves()]
+    for spec, eps in CERTIFIED_LEVELS[:3]:
+        f = parse_function_spec(spec)
+        for comp in trace_level_set(f, eps):
+            comp._fn = weakref.ref(f)
+            cases.append((f, comp))
+    return cases
+
+
+def test_refinement_splits_each_march_chord_at_a_corrected_midpoint():
+    for f, comp in _refinement_cases():
+        tau = _LevelTracer(f, comp.level, f.scale).tau
+        graph = build_graph(comp)
+        _certify_turn(f, comp.level, [comp], last=False)
+        coarse = comp
+        for _ in range(2):
+            fine = tracer._refined(coarse)
+            assert fine.vertices == comp.vertices and fine.level == comp.level
+            # the sag bound falls by about 4 a round
+            assert fine.sag <= coarse.sag / 3.0
+            for old, new in zip(coarse.arcs, fine.arcs):
+                keys = ("start_vertex", "end_vertex", "closed", "start_ray", "end_ray")
+                assert [getattr(new, k) for k in keys] == [getattr(old, k) for k in keys]
+                # the vertex segments stay; every march chord gains its midpoint
+                lo, hi = (0, len(old.points)) if old.closed else (1, len(old.points) - 1)
+                march, split = old.points[lo:hi], new.points[lo : len(new.points) - (len(old.points) - hi)]
+                assert np.array_equal(new.points[:lo], old.points[:lo])
+                assert np.array_equal(new.points[len(new.points) - (len(old.points) - hi) :], old.points[hi:])
+                assert np.array_equal(split[::2], march)
+                mids = split[1::2]
+                assert np.all(np.abs(mids - 0.5 * (march[:-1] + march[1:])) <= old.sag)
+                g = [abs(math.log(f.abs_and_log_deriv(z)[0] / comp.level)) for z in mids.tolist()]
+                assert max(g) <= tau
+            # the same turn of arg f along each arc, and the same faces
+            _certify_turn(f, comp.level, [fine], last=False)
+            assert all(abs(a.turn - b.turn) <= 1e-9 for a, b in zip(fine.arcs, comp.arcs))
+            faces = [(fc.id, fc.bounded, fc.edge_cycle) for fc in build_graph(fine).faces]
+            assert faces == [(fc.id, fc.bounded, fc.edge_cycle) for fc in graph.faces]
+            coarse = fine
+
+
+def test_only_a_stored_critical_curve_is_refined():
+    f = parse_function_spec("poly:1,0,0,0,0,-1")
+    [comp] = trace_level_set(f, 1.5)
+    assert tracer._refined(comp) is None
+    [crit] = critical_level_curves(f).curves()
+    points = [a.points.tobytes() for a in crit.component.arcs]
+    fine = tracer._refined(crit.component)
+    assert fine is not crit.component and fine.arcs[0] is not crit.component.arcs[0]
+    assert [a.points.tobytes() for a in crit.component.arcs] == points
+    # the curve holds its function weakly: no cycle keeps f alive
+    ref = weakref.ref(f)
+    del f, comp, crit, fine
+    assert ref() is None
+
+
+def test_a_chord_is_split_until_each_piece_keeps_max_arg_step():
+    # on |z^2| = 1, |f'/f| = 2: the chord over 1 rad of the circle would
+    # move arg f by about 2, so it is cut at corrected midpoints into pieces
+    # that each move it by at most MAX_ARG_STEP
+    f = parse_function_spec("poly:1,0,0")
+    level = _LevelTracer(f, 1.0, f.scale)
+    a, b = 1.0 + 0j, complex(math.cos(1.0), math.sin(1.0))
+    mids = level.split_chord(a, 2.0, b, 2.0)
+    pts = [a, *mids, b]
+    assert len(mids) == 3
+    assert np.all(np.abs(np.log(np.abs(np.array(pts)) ** 2)) <= level.tau)
+    assert np.all(np.diff(np.angle(pts)) > 0)
+    r = [abs(f.log_derivative(z)) for z in pts]
+    assert all(abs(q - p) * max(rp, rq) <= tracer.MAX_ARG_STEP for p, q, rp, rq in zip(pts, pts[1:], r, r[1:]))
+    assert level.split_chord(a, 2.0, pts[1], 2.0) == []
